@@ -9,14 +9,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import (
-    AccuracyError,
-    DomainError,
-    InconsistencyError,
-    RefinementRequiredError,
-)
+from .errors import AccuracyError, DomainError, InconsistencyError
 from .spiral_geometry import (
     SpiralSector,
     arg_lambda,
@@ -54,46 +48,28 @@ def golden_section_max(f, a, b, tol=1e-12):
     return x, f(x)
 
 
-# -- continuous radial branches ------------------------------------------
+# -- the continuous spiral argument ------------------------------------------
 
 
 def _radial_ladder(r, min_steps):
-    """Radii 0 = rho_0 < ... < rho_J = r refining geometrically toward r."""
+    """Radii 0 = rho_0 < ... < rho_J = r refining geometrically toward r.
+
+    J is at least min_steps and grows by 24 radii per decade of 1 - r.
+    """
     gap = 1.0 - r
     J = max(int(min_steps), int(24.0 * np.log10(1.0 / gap)) + 16)
     return 1.0 - gap ** (np.arange(J + 1) / J)
 
 
-def _argument_matrix(fn, angle, thetas, r, min_steps=32):
-    """Continuous arg_lambda of f(z)/z along each radius of angle theta.
+def _arg_lambda_f_over_z(fn, angle, z):
+    """Continuous arg_lambda of f(z)/z, pinned to 0 at the disk center.
 
-    Returns (rho ladder, matrix U[i, j] at z = rho_j * exp(i*theta_i)).
-    The branch is pinned to 0 at the disk center; the ladder is doubled a
-    few times if any turning increment is too coarse to unwind safely.
+    log_f_over_z is the branch of log(f/z) that vanishes at 0 and is
+    continuous on the disk, so its imaginary part is the continuous argument
+    of f/z and its real part is log|f/z|.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    steps = int(min_steps)
-    for _ in range(6):
-        rho = _radial_ladder(r, steps)
-        H = fn.f_over_z(rho[None, :] * np.exp(1j * thetas)[:, None])
-        inc = np.angle(H[:, 1:] / H[:, :-1])
-        worst = float(np.max(np.abs(inc))) if inc.size else 0.0
-        if worst < 1.5:
-            arg = np.concatenate(
-                (np.zeros((len(thetas), 1)), np.cumsum(inc, axis=1)), axis=1
-            )
-            return rho, arg - angle.tan_lambda * np.log(np.abs(H))
-        steps *= 2
-    raise RefinementRequiredError(
-        f"radial continuation stays too coarse near theta index {int(np.argmax(np.max(np.abs(inc), axis=1)))}",
-        where=int(np.argmax(np.max(np.abs(inc), axis=1))),
-    )
-
-
-def _argument_profile(fn, angle, thetas, r, min_steps=32):
-    """Continuous arg_lambda of f(z)/z at z = r*exp(i*theta) for each theta."""
-    _, U = _argument_matrix(fn, angle, thetas, r, min_steps=min_steps)
-    return U[:, -1]
+    L = fn.log_f_over_z(z)
+    return L.imag - angle.tan_lambda * L.real
 
 
 # -- boundary traces -------------------------------------------------------
@@ -105,8 +81,9 @@ class BetaTrace:
 
     beta_values holds the estimate at radius_used (the last schedule entry);
     refinement_record lists (r, max change against the previous r).  Values
-    use the branch pinned at the disk center, which differs from beta_at's
-    beta(0-) = 0 base by the measure's canonical_offset.
+    use the analytic branch of log(f/z) that vanishes at the disk center,
+    which differs from beta_at's beta(0-) = 0 base by the measure's
+    canonical_offset.
     """
 
     t_samples: np.ndarray
@@ -125,28 +102,27 @@ def beta_trace(fn, angle=None, t_grid=256, r_schedule=None):
     """Estimate the boundary function on a uniform t grid over [0, 2*pi).
 
     The estimate at each radius r of the increasing schedule is
-    t + arg_lambda(f(re^it)/(re^it)) continued radially from the center;
-    successive radii document convergence toward the boundary limit.
+    t + Im L - tan(lam) * Re L with L = log(f/z) at z = re^it, the analytic
+    branch vanishing at the center; successive radii document convergence
+    toward the boundary limit.
     """
     angle = fn.angle if angle is None else angle
     if r_schedule is None:
         r_schedule = default_r_schedule()
     r_schedule = tuple(float(r) for r in r_schedule)
-    if any(not (0.0 < r < 1.0) for r in r_schedule) or any(
+    if not r_schedule or any(not (0.0 < r < 1.0) for r in r_schedule) or any(
         b <= a for a, b in zip(r_schedule, r_schedule[1:])
     ):
-        raise DomainError("r_schedule must increase strictly inside (0, 1)")
+        raise DomainError("r_schedule must be nonempty and increase strictly inside (0, 1)")
     t = np.arange(int(t_grid)) * (TWO_PI / int(t_grid))
-    record = []
-    values = None
-    for r in r_schedule:
-        estimate = t + _argument_profile(fn, angle, t, r)
-        delta = np.nan if values is None else float(np.max(np.abs(estimate - values)))
-        record.append((r, delta))
-        values = estimate
+    z = np.array(r_schedule)[:, None] * np.exp(1j * t)[None, :]
+    estimates = t + _arg_lambda_f_over_z(fn, angle, z)
+    deltas = np.max(np.abs(np.diff(estimates, axis=0)), axis=1)
+    record = [(r_schedule[0], np.nan)]
+    record.extend((r, float(d)) for r, d in zip(r_schedule[1:], deltas))
     return BetaTrace(
         t_samples=t,
-        beta_values=values,
+        beta_values=estimates[-1],
         radius_used=r_schedule[-1],
         refinement_record=tuple(record),
     )
@@ -193,9 +169,11 @@ def estimate_max_jump(trace, gap_threshold=None):
 def refine_jump(fn, bracket, angle=None, r=1.0 - 1e-12, windows=(1e-4, 1e-5, 1e-6)):
     """Sharpened jump estimate at a single boundary point.
 
-    bracket: (t_lo, t_hi) containing exactly one jump.  The jump point is
-    located where the trace crosses the midpoint of its bracket values; the
-    two-sided trace difference E(w) over shrinking windows w still carries a
+    bracket: (t_lo, t_hi) containing exactly one jump.  The trace
+    t + arg_lambda(f/z) = arg_lambda(f) increases along circles for
+    spirallike f, so bisection locates the jump point (to 1e-10) where the
+    trace crosses the midpoint of its bracket values; the two-sided trace
+    difference E(w) over shrinking windows w still carries a
     mass ~ jump_density/log(1/w) from any logarithmically divergent density
     next to the atom, so E is extrapolated quadratically in x = 1/log(1/w)
     to window 0.  The windows sit well below 1e-3 because terms of size
@@ -207,13 +185,21 @@ def refine_jump(fn, bracket, angle=None, r=1.0 - 1e-12, windows=(1e-4, 1e-5, 1e-
     angle = fn.angle if angle is None else angle
 
     def trace_at(ts):
-        ts = np.asarray(ts, dtype=float)
-        return ts + _argument_profile(fn, angle, ts, r)
+        return ts + _arg_lambda_f_over_z(fn, angle, r * np.exp(1j * ts))
 
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
-    lo, hi = trace_at([t_lo, t_hi])
+    lo, hi = trace_at(np.array([t_lo, t_hi]))
     mid = 0.5 * (lo + hi)
-    t0 = brentq(lambda s: float(trace_at([s])[0]) - mid, t_lo, t_hi, xtol=1e-10)
+    t0 = 0.5 * (t_lo + t_hi)
+    while t_hi - t_lo > 2e-10:
+        value = trace_at(t0)
+        if value == mid:
+            break
+        if value < mid:
+            t_lo = t0
+        else:
+            t_hi = t0
+        t0 = 0.5 * (t_lo + t_hi)
     w = np.asarray(windows, dtype=float)
     E = trace_at(t0 + w) - trace_at(t0 - w)
     x = 1.0 / np.log(1.0 / w)
@@ -241,17 +227,20 @@ def spirallikeness_margin(fn, angle=None, r_max=0.999, grid=(48, 512)):
 
 
 def goodman_check(g, grid=(512, 32), r_max=0.999):
-    """Max of |continuous arg(g(z)/z)| - 2*arcsin|z| over a polar grid.
+    """Max of |arg(g(z)/z)| - 2*arcsin|z| over a polar grid.
 
-    Nonpositive (within roundoff) for every starlike function; the disk
-    center is excluded since the bound is an equality of zeros there.
+    The argument is Im log(g/z) on the analytic branch vanishing at the
+    center.  Nonpositive (within roundoff) for every starlike function; the
+    grid is n_theta angles times the nonzero radii of a ladder of at least
+    n_steps radii refining geometrically toward r_max.
     """
     if not g.starlike_certified:
         raise DomainError("bound applies to certified starlike functions")
     n_theta, n_steps = grid
     thetas = np.arange(int(n_theta)) * (TWO_PI / int(n_theta))
-    rho, U = _argument_matrix(g, g.angle, thetas, r_max, min_steps=n_steps)
-    excess = np.abs(U[:, 1:]) - 2.0 * np.arcsin(rho[1:])[None, :]
+    rho = _radial_ladder(r_max, n_steps)[1:]
+    U = _arg_lambda_f_over_z(g, g.angle, rho[None, :] * np.exp(1j * thetas)[:, None])
+    excess = np.abs(U) - 2.0 * np.arcsin(rho)[None, :]
     return float(np.max(excess))
 
 

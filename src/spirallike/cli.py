@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     MeasureValidationError,
     ParameterError,
-    RefinementRequiredError,
     SpirallikeError,
 )
 from .gallery import DEFAULT_C0, G0Function, HansenParams, c0_constant, hansen_build, q_function
@@ -78,10 +77,8 @@ class RunConfig:
     k_min: int = 2
     k_max: int = 6
     qtheta_grid: int = 100000
-    quadrature_nodes: int = 256
     out: str = None
     fmt: str = None
-    threads: int = 1
 
     def validate(self):
         if not (-np.pi / 2 < self.lam < np.pi / 2):
@@ -108,7 +105,7 @@ def build_function(cfg):
     angle = SpiralAngle(cfg.lam)
     if cfg.measure_path:
         measure = load_measure(cfg.measure_path)
-        return MeasureFunction(measure, angle, quadrature_nodes=cfg.quadrature_nodes), angle
+        return MeasureFunction(measure, angle), angle
     if cfg.gallery == "koebe":
         return MeasureFunction(BoundaryMeasure.single_atom(), angle), angle
     if cfg.gallery == "identity":
@@ -300,11 +297,8 @@ def _build_parser():
         p.add_argument("--beta-exp", dest="beta_exp", type=float, default=1.0)
         p.add_argument("--c", type=float, help="hansen log-factor coefficient")
         p.add_argument("--A", type=float, help="target boundary jump; sets alpha = A/pi")
-        p.add_argument("--quadrature-nodes", dest="quadrature_nodes", type=int, default=256)
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism hint; evaluation is single-threaded")
 
     p_eval = sub.add_parser("eval", help="evaluate f, log(f/z), zf'/f, arg_lambda(f/z)")
     add_common(p_eval)
@@ -373,7 +367,7 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (AccuracyError, RefinementRequiredError) as exc:
+    except AccuracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SpirallikeError as exc:

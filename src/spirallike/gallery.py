@@ -13,7 +13,7 @@ import numpy as np
 from .analysis import golden_section_max
 from .boundary_measure import BoundaryMeasure
 from .correspondence import spirallike_of
-from .errors import DomainError, ParameterError
+from .errors import DomainError, InconsistencyError, ParameterError
 from .representation import SpiralFunction
 from .spiral_geometry import STARLIKE
 
@@ -240,7 +240,11 @@ class HansenFunction(SpiralFunction):
         base = 1.0 + self.params.c * -np.log1p(-z)
         # Admissible c keeps Re(1 + c*w) >= 1 - c*log 2 > 0: principal
         # powers of the base are single-valued on the disk.
-        assert np.all(base.real > 0.0)
+        if not np.all(base.real > 0.0):
+            raise InconsistencyError(
+                f"base 1 + c*log(1/(1-z)) leaves the right half-plane for c = "
+                f"{self.params.c}; build the function with hansen_build"
+            )
         return base
 
     def log_f_over_z(self, z):

@@ -7,6 +7,8 @@ Oracles:
   * two-atom + uniform-density measure: beta_at supplies the exact trace
     and jump values through the measure's canonical offset
   * max_modulus is cross-checked against a 2^16-point dense scan
+  * the continuous arg_lambda of f/z read off the analytic branch of
+    log(f/z) equals the radial lift of continuous_arg_lambda
 """
 
 import math
@@ -26,6 +28,8 @@ from spirallike import (
     MeasureFunction,
     SpiralAngle,
     beta_trace,
+    continuous_arg_lambda,
+    counterexample_for,
     default_r_schedule,
     detect_maximal_sector,
     estimate_max_jump,
@@ -35,8 +39,10 @@ from spirallike import (
     hansen_ratio,
     max_modulus,
     refine_jump,
+    spirallike_of,
     spirallikeness_margin,
 )
+from spirallike.analysis import _arg_lambda_f_over_z
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -116,6 +122,87 @@ def test_beta_trace_matches_beta_at_with_offset():
         for pos in (0.0, PI / 2):
             away &= np.minimum(np.abs(t - pos), TWO_PI - np.abs(t - pos)) > 0.15
         assert np.max(err[away]) < 2e-3
+
+
+def test_beta_trace_rejects_empty_schedule():
+    with pytest.raises(DomainError):
+        beta_trace(identity(), r_schedule=())
+
+
+# -- the analytic branch against radial continuation ------------------------------
+
+
+def branch_vs_lift(fn, thetas):
+    """Largest gap between the branch helper and the lifted radial argument.
+
+    Each ray runs from the center to r = 1 - 1e-6 on a path refining
+    geometrically toward the circle (about 67 radii per decade); returns the gap
+    and the largest |arg(f/z)| met, which shows whether the ray winds.
+    """
+    rho = 1.0 - np.geomspace(1.0, 1e-6, 401)
+    gap = turn = 0.0
+    for theta in thetas:
+        z = rho * np.exp(1j * theta)
+        path = np.concatenate(([1.0], fn.f_over_z(z[1:])))
+        lift = continuous_arg_lambda(path, fn.angle)
+        branch = _arg_lambda_f_over_z(fn, fn.angle, z)
+        gap = max(gap, float(np.max(np.abs(lift - branch))))
+        turn = max(turn, float(np.max(np.abs(fn.log_f_over_z(z).imag))))
+    return gap, turn
+
+
+RAYS = np.arange(12) * (TWO_PI / 12) + 0.01
+
+
+@pytest.mark.parametrize(
+    "make, winds",
+    [
+        (koebe, False),
+        (G0Function, False),
+        (lambda: counterexample_for(SpiralAngle(PI / 4), PI), True),
+        (lambda: spirallike_of(koebe(), SpiralAngle(0.7)), True),
+    ],
+    ids=["koebe", "g0", "hansen_counterexample", "spirallike_koebe"],
+)
+def test_branch_equals_radial_lift_gallery(make, winds):
+    gap, turn = branch_vs_lift(make(), np.concatenate((RAYS, [1e-4, -1e-4])))
+    assert gap <= 1e-12
+    # where arg(f/z) leaves (-pi, pi] the equality holds without reduction
+    # mod 2*pi
+    assert (turn > PI) == winds
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([0.0, 0.7]),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=6.2), st.floats(min_value=0.1, max_value=3.0)
+        ),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda kv: round(kv[0], 2),
+    ),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=6.2), st.floats(min_value=0.0, max_value=2.0)
+        ),
+        min_size=2,
+        max_size=5,
+        unique_by=lambda kv: round(kv[0], 2),
+    ),
+)
+def test_branch_equals_radial_lift_measures(lam, atoms, knots):
+    raw = BoundaryMeasure(atoms=sorted(atoms), density_knots=sorted(knots))
+    scale = TWO_PI / raw.total_mass()
+    m = BoundaryMeasure(
+        atoms=tuple((t, scale * d) for t, d in raw.atoms),
+        density_knots=tuple((t, scale * v) for t, v in raw.density_knots),
+    )
+    f = MeasureFunction(m, SpiralAngle(lam))
+    near_atoms = [t + s for t, _ in m.atoms for s in (1e-4, -1e-4)]
+    gap, _ = branch_vs_lift(f, np.concatenate((RAYS, near_atoms)))
+    assert gap <= 1e-12
 
 
 # -- jump estimation --------------------------------------------------------------

@@ -301,6 +301,11 @@ def test_exit_codes():
     assert main([]) == 2  # missing subcommand
 
 
+def test_removed_noop_flags_exit_2(capsys):
+    assert main(["eval", "--gallery", "koebe", "--threads", "2"]) == 2
+    assert main(["eval", "--gallery", "koebe", "--quadrature-nodes", "64"]) == 2
+
+
 def test_hansen_inadmissible_parameters_exit_2(capsys):
     rc, _, err = run(
         capsys, "verify", "--gallery", "hansen", "--alpha", "1.9", "--c", "0.3"

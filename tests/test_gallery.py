@@ -22,7 +22,9 @@ from spirallike import (
     BoundaryMeasure,
     DomainError,
     G0Function,
+    HansenFunction,
     HansenParams,
+    InconsistencyError,
     ParameterError,
     SpiralAngle,
     c0_constant,
@@ -229,6 +231,18 @@ def test_hansen_log_derivative_identity():
     for z in (0.5, -0.4 + 0.3j, 0.8j, -0.9):
         num = (f.log_f_over_z(z * (1 + h)) - f.log_f_over_z(z * (1 - h))) / (2 * h)
         assert abs((f.log_derivative(z) - 1.0) - num) < 1e-8
+
+
+def test_hansen_inadmissible_base_raises_package_error():
+    # c = 5 skips hansen_build's validation; at z = -0.99 the base
+    # 1 + c log(1/(1-z)) = 1 - 5 log 1.99 is negative, so the principal
+    # power would silently jump branches
+    f = HansenFunction(HansenParams(alpha=1.0, beta_exp=1.0, c=5.0))
+    for method in (f.log_f_over_z, f.log_derivative, f.evaluate):
+        with pytest.raises(InconsistencyError):
+            method(-0.99)
+        with pytest.raises(InconsistencyError):
+            method(np.array([0.5, -0.99]))
 
 
 @settings(max_examples=20, deadline=None)
