@@ -30,22 +30,48 @@ def default_r_schedule(k_min=2, k_max=6):
 
 
 def golden_section_max(f, a, b, tol=1e-12):
-    """Golden-section search for the maximum of a unimodal f on [a, b]."""
+    """Golden-section search for the maximum of a unimodal f on [a, b].
+
+    a and b may also be arrays of one shape, each entry the bracket of an
+    independent lane.  The lanes run in lockstep: f gets one array of lane
+    points per step and returns one value per lane, and a lane freezes once
+    its own bracket is within tol (its points are still sampled, inside the
+    final bracket, until every lane is done, and the values are discarded).
+    Each lane ends exactly where the scalar search on its bracket would.
+    Returns (x, f(x)) at the bracket midpoints: floats for scalar brackets,
+    else arrays.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    live = (b - a) > tol
+    while np.any(live):
+        keep_left = fc >= fd
+        left, right = live & keep_left, live & ~keep_left
+        # left and right lanes are disjoint: the second line reads d and fd
+        # where the first left them unchanged
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live = (b - a) > tol
     x = 0.5 * (a + b)
-    return x, f(x)
+    fx = f(x)
+    if x.ndim == 0:
+        return float(x), float(fx)
+    return x, fx
+
+
+def _grid_size(n, name):
+    """A grid or sample count as an int; DomainError unless it is at least 1."""
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"{name} must be at least 1, got {n}")
+    return n
 
 
 # -- the continuous spiral argument ------------------------------------------
@@ -114,7 +140,8 @@ def beta_trace(fn, angle=None, t_grid=256, r_schedule=None):
         b <= a for a, b in zip(r_schedule, r_schedule[1:])
     ):
         raise DomainError("r_schedule must be nonempty and increase strictly inside (0, 1)")
-    t = np.arange(int(t_grid)) * (TWO_PI / int(t_grid))
+    n_t = _grid_size(t_grid, "t_grid")
+    t = np.arange(n_t) * (TWO_PI / n_t)
     z = np.array(r_schedule)[:, None] * np.exp(1j * t)[None, :]
     estimates = t + _arg_lambda_f_over_z(fn, angle, z)
     deltas = np.max(np.abs(np.diff(estimates, axis=0)), axis=1)
@@ -218,9 +245,9 @@ def spirallikeness_margin(fn, angle=None, r_max=0.999, grid=(48, 512)):
     angle = fn.angle if angle is None else angle
     if not (0.0 < r_max < 1.0):
         raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
-    n_r, n_theta = grid
-    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, int(n_r))
-    thetas = np.arange(int(n_theta)) * (TWO_PI / int(n_theta))
+    n_r, n_theta = (_grid_size(n, "grid size") for n in grid)
+    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_r)
+    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
     z = radii[:, None] * np.exp(1j * thetas)[None, :]
     values = np.exp(-1j * angle.lam) * fn.log_derivative(z)
     return float(np.min(values.real))
@@ -236,8 +263,8 @@ def goodman_check(g, grid=(512, 32), r_max=0.999):
     """
     if not g.starlike_certified:
         raise DomainError("bound applies to certified starlike functions")
-    n_theta, n_steps = grid
-    thetas = np.arange(int(n_theta)) * (TWO_PI / int(n_theta))
+    n_theta, n_steps = (_grid_size(n, "grid size") for n in grid)
+    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
     rho = _radial_ladder(r_max, n_steps)[1:]
     U = _arg_lambda_f_over_z(g, g.angle, rho[None, :] * np.exp(1j * thetas)[:, None])
     excess = np.abs(U) - 2.0 * np.arcsin(rho)[None, :]
@@ -247,28 +274,43 @@ def goodman_check(g, grid=(512, 32), r_max=0.999):
 def max_modulus(fn, r, coarse=1024):
     """Max of |f| on |z| = r: coarse circle scan plus golden refinement.
 
-    The top three cyclic local maxima of the scan are refined over one
-    coarse spacing each; the result is a lower bound tight to the search
-    tolerance for peaks that are unimodal at that scale.
+    r is one radius (returns a float) or a 1-d array of radii (returns an
+    array, one maximum per radius); every radius is checked before any work.
+    One evaluate call scans all the circles at the coarse angles.  The top
+    three cyclic local maxima of each scan are refined over one coarse
+    spacing each, all of them lanes of one lockstep golden search.  The
+    result is a lower bound tight to the search tolerance for peaks that are
+    unimodal at that scale.
     """
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"radius must lie in (0, 1), got {r!r}")
-    coarse = int(coarse)
+    radii = np.asarray(r, dtype=float)
+    if radii.ndim > 1:
+        raise DomainError(f"radii must be a scalar or a 1-d array, got shape {radii.shape}")
+    rows = np.atleast_1d(radii)
+    bad = [x for x in rows.tolist() if not (0.0 < x < 1.0)]
+    if bad:
+        raise DomainError(f"radius must lie in (0, 1), got {bad[0]!r}")
+    coarse = _grid_size(coarse, "coarse")
     thetas = np.arange(coarse) * (TWO_PI / coarse)
-    vals = np.abs(fn.evaluate(r * np.exp(1j * thetas)))
-    local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-    peaks = np.flatnonzero(local)
-    peaks = peaks[np.argsort(vals[peaks])][::-1][:3]
+    vals = np.abs(fn.evaluate(rows[:, None] * np.exp(1j * thetas)))
+    local = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
+    lane_row, lane_peak = [], []
+    for i, row in enumerate(vals):
+        peaks = np.flatnonzero(local[i])
+        peaks = peaks[np.argsort(row[peaks])][::-1][:3]
+        lane_row.extend([i] * len(peaks))
+        lane_peak.extend(peaks.tolist())
     h = TWO_PI / coarse
-    best = float(np.max(vals))
+    lane_r = rows[lane_row]
+    lane_theta = thetas[lane_peak]
 
     def profile(theta):
-        return float(np.abs(fn.evaluate(r * np.exp(1j * theta))))
+        return np.abs(fn.evaluate(lane_r * np.exp(1j * theta)))
 
-    for k in peaks:
-        _, fx = golden_section_max(profile, thetas[k] - h, thetas[k] + h)
-        best = max(best, fx)
-    return best
+    _, refined = golden_section_max(profile, lane_theta - h, lane_theta + h)
+    best = np.max(vals, axis=1).tolist()
+    for i, fx in zip(lane_row, refined.tolist()):
+        best[i] = max(best[i], fx)
+    return best[0] if radii.ndim == 0 else np.array(best)
 
 
 # -- growth experiments ------------------------------------------------------
@@ -286,6 +328,7 @@ class GrowthReport:
 def growth_exponent(fn, angle=None, r_schedule=None, coarse=1024):
     """Growth table for fn with the jump-based exponent prediction.
 
+    M(r) for the whole schedule comes from one batched max_modulus call.
     a_estimate comes from the underlying measure's max jump when available,
     else from a declared closed-form jump, else from a boundary-trace
     refinement; predicted_q0 = a_estimate * cos(lam)^2 / pi.
@@ -296,9 +339,9 @@ def growth_exponent(fn, angle=None, r_schedule=None, coarse=1024):
     r_schedule = tuple(float(r) for r in r_schedule)
     if len(r_schedule) < 3 or any(b <= a for a, b in zip(r_schedule, r_schedule[1:])):
         raise DomainError("r_schedule must have at least 3 strictly increasing radii")
+    peaks = max_modulus(fn, np.array(r_schedule), coarse=coarse).tolist()
     rows = []
-    for r in r_schedule:
-        M = max_modulus(fn, r, coarse=coarse)
+    for r, M in zip(r_schedule, peaks):
         E = np.log(M) / np.log(1.0 / (1.0 - r))
         if not np.isfinite(E):
             raise AccuracyError(f"growth entry overflowed at r = {r}", achieved=M)
@@ -328,18 +371,81 @@ def growth_exponent(fn, angle=None, r_schedule=None, coarse=1024):
 def hansen_ratio(fn, q0, r_schedule=None, coarse=1024):
     """Ratio sequence (r, M(r, fn) * (1-r)^q0) along the schedule.
 
-    An unbounded increase exhibits failure of the O((1-r)^-q0) bound.
+    An unbounded increase exhibits failure of the O((1-r)^-q0) bound.  M(r)
+    for the whole schedule comes from one batched max_modulus call.
     """
     if q0 < 0:
         raise DomainError(f"q0 must be nonnegative, got {q0!r}")
     if r_schedule is None:
         r_schedule = default_r_schedule(2, 8)
-    return [
-        (r, max_modulus(fn, r, coarse=coarse) * (1.0 - r) ** q0) for r in r_schedule
-    ]
+    r_schedule = tuple(r_schedule)
+    peaks = max_modulus(fn, np.array(r_schedule, dtype=float), coarse=coarse).tolist()
+    return [(r, M * (1.0 - r) ** q0) for r, M in zip(r_schedule, peaks)]
 
 
 # -- maximal sectors ---------------------------------------------------------
+
+
+def _sector_image(fn, angle, image_grid, cluster_points):
+    """arg_lambda and log|.| of fn's values on the sector detection grid.
+
+    The grid has n_r radii refining toward the circle times n_theta uniform
+    angles plus cluster_points angles on each side of every atom, closing in
+    geometrically; both arrays are flattened.
+    """
+    n_r, n_theta = image_grid
+    radii = 1.0 - np.geomspace(1e-5, 0.5, n_r)
+    thetas = [np.arange(n_theta) * (TWO_PI / n_theta)]
+    offsets = np.geomspace(1e-7, 0.5, cluster_points)
+    for t_atom, _ in fn.measure.atoms:
+        thetas.append(t_atom + offsets)
+        thetas.append(t_atom - offsets)
+    thetas = np.concatenate(thetas)
+    W = fn.evaluate(radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    return arg_lambda(W, angle), np.log(np.abs(W))
+
+
+def _certify_sector(sector, grid_arg, grid_logmod, arg_tol, inner):
+    """Raise InconsistencyError unless the grid covers every sector sample.
+
+    A sample w is covered by a grid value whose spiral argument is within
+    arg_tol of w's and whose modulus is at least |w| (so w lies on its inward
+    spiral segment).  The grid arguments are reduced to (-pi, pi] and sorted
+    once; each sample then applies that test only to the grid values whose
+    reduced argument falls in its window, widened by a pad that exceeds the
+    rounding of the reductions, and split at the -pi/pi cut.  Every grid
+    value the test accepts lies in the window, so the decision is that of a
+    scan over the whole grid, at O(N log N + samples x window) cost.
+    """
+    angle = sector.angle
+    reduced = principal_angle(grid_arg)
+    order = np.argsort(reduced)
+    keys = reduced[order]
+    scale = float(np.max(np.abs(grid_arg), where=np.isfinite(grid_arg), initial=0.0))
+    phis = sector.center_angle + inner * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
+    for phi in phis:
+        for t in (-3.0, -1.5, 0.0, 1.5, 3.0):
+            w = spiral_point(phi, angle, t)
+            if not sector_contains(sector, w):
+                raise InconsistencyError(
+                    f"sample point for spiral argument {phi:.6f} left the sector"
+                )
+            a = arg_lambda(w, angle)
+            # each reduction mod 2*pi loses a few ulps of its input's magnitude
+            half_width = arg_tol + 1e-9 * (1.0 + scale + abs(a))
+            a0 = principal_angle(a)
+            lo, hi = a0 - half_width, a0 + half_width
+            cand = np.concatenate([
+                order[np.searchsorted(keys, lo + s, "left"):np.searchsorted(keys, hi + s, "right")]
+                for s in (-TWO_PI, 0.0, TWO_PI)
+            ])
+            dist = np.abs(principal_angle(grid_arg[cand] - a))
+            hit = (dist <= arg_tol) & (grid_logmod[cand] >= np.log(np.abs(w)) - 1e-9)
+            if not np.any(hit):
+                raise InconsistencyError(
+                    f"sector sample at spiral argument {phi:.6f}, t = {t} "
+                    "is not covered by the image grid"
+                )
 
 
 def detect_maximal_sector(
@@ -357,9 +463,14 @@ def detect_maximal_sector(
     or None for an atomless measure.  Sample points of the sector are then
     certified inside the image: each must lie, within arg_tol on the spiral
     argument, on the inward spiral segment of some value of fn on a fine
-    disk grid (images of spirallike functions contain these segments).
+    disk grid (images of spirallike functions contain these segments).  The
+    grid's N spiral arguments are sorted once and each sample looks only at
+    the window of those within arg_tol of its own, so certification costs
+    O(N log N + samples x window) on top of the grid evaluation.
     """
     angle = fn.angle if angle is None else angle
+    image_grid = tuple(_grid_size(n, "image_grid size") for n in image_grid)
+    cluster_points = _grid_size(cluster_points, "cluster_points")
     measure = fn.measure
     if measure is None:
         raise DomainError("sector detection requires a measure-built function")
@@ -372,33 +483,6 @@ def detect_maximal_sector(
         principal_angle(measure.beta_at(t0) - measure.canonical_offset())
     )
     sector = SpiralSector(center_angle=center, opening=opening, angle=angle)
-
-    n_r, n_theta = image_grid
-    radii = 1.0 - np.geomspace(1e-5, 0.5, int(n_r))
-    thetas = [np.arange(int(n_theta)) * (TWO_PI / int(n_theta))]
-    offsets = np.geomspace(1e-7, 0.5, int(cluster_points))
-    for t_atom, _ in measure.atoms:
-        thetas.append(t_atom + offsets)
-        thetas.append(t_atom - offsets)
-    thetas = np.concatenate(thetas)
-    W = fn.evaluate(radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    grid_arg = arg_lambda(W, angle)
-    grid_logmod = np.log(np.abs(W))
-
-    phis = center + inner * (opening / 2.0) * np.linspace(-1.0, 1.0, 9)
-    t_params = (-3.0, -1.5, 0.0, 1.5, 3.0)
-    for phi in phis:
-        for t in t_params:
-            w = spiral_point(phi, angle, t)
-            if not sector_contains(sector, w):
-                raise InconsistencyError(
-                    f"sample point for spiral argument {phi:.6f} left the sector"
-                )
-            dist = np.abs(principal_angle(grid_arg - arg_lambda(w, angle)))
-            hit = (dist <= arg_tol) & (grid_logmod >= np.log(np.abs(w)) - 1e-9)
-            if not np.any(hit):
-                raise InconsistencyError(
-                    f"sector sample at spiral argument {phi:.6f}, t = {t} "
-                    "is not covered by the image grid"
-                )
+    grid_arg, grid_logmod = _sector_image(fn, angle, image_grid, cluster_points)
+    _certify_sector(sector, grid_arg, grid_logmod, arg_tol, inner)
     return sector

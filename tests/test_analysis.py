@@ -6,7 +6,11 @@ Oracles:
     sector is the full plane minus a ray (opening 2*pi, center 0)
   * two-atom + uniform-density measure: beta_at supplies the exact trace
     and jump values through the measure's canonical offset
-  * max_modulus is cross-checked against a 2^16-point dense scan
+  * max_modulus is cross-checked against a 2^16-point dense scan, and its
+    batched form against the per-radius scalar route it replaced
+  * lockstep golden-search lanes equal scalar searches bit for bit
+  * sorted-window sector certification makes the decisions of a scan of
+    the whole image grid
   * the continuous arg_lambda of f/z read off the analytic branch of
     log(f/z) equals the radial lift of continuous_arg_lambda
 """
@@ -27,6 +31,8 @@ from spirallike import (
     JumpEstimate,
     MeasureFunction,
     SpiralAngle,
+    SpiralSector,
+    arg_lambda,
     beta_trace,
     continuous_arg_lambda,
     counterexample_for,
@@ -38,11 +44,14 @@ from spirallike import (
     growth_exponent,
     hansen_ratio,
     max_modulus,
+    principal_angle,
     refine_jump,
+    sector_contains,
     spirallike_of,
     spirallikeness_margin,
+    spiral_point,
 )
-from spirallike.analysis import _arg_lambda_f_over_z
+from spirallike.analysis import _arg_lambda_f_over_z, _certify_sector, _sector_image
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -54,6 +63,10 @@ def koebe(angle=STARLIKE):
 
 def identity():
     return MeasureFunction(BoundaryMeasure.uniform(), STARLIKE)
+
+
+def two_atom():
+    return MeasureFunction(BoundaryMeasure.from_atoms([(0.0, 1.0), (PI, 1.0)]), STARLIKE)
 
 
 def crit4_measure():
@@ -80,6 +93,31 @@ def test_golden_section_max_oracle():
     x, fx = golden_section_max(lambda u: u * u - u**4, 0.0, 1.0)
     assert x == pytest.approx(1 / math.sqrt(2), abs=1e-7)
     assert fx == pytest.approx(0.25, abs=1e-12)
+    assert type(x) is float and type(fx) is float
+
+
+def test_golden_section_lanes_match_scalar_searches():
+    # brackets of widths 2.9 .. 5e-13 take different step counts; the last
+    # is within tol from the start and never moves
+    a = np.array([0.1, 0.5, 0.9, 1.2, 1.0, 2.0])
+    b = np.array([3.0, 1.5, 2.9, 1.2 + 1e-3, 1.0 + 1e-11, 2.0 + 5e-13])
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.sin(x) * np.exp(-0.3 * x)
+
+    xs, fxs = golden_section_max(f, a, b)
+    lockstep_calls = len(calls)
+    assert all(shape == a.shape for shape in calls)
+    steps = []
+    for i in range(len(a)):
+        calls.clear()
+        x, fx = golden_section_max(f, a[i], b[i])
+        steps.append(len(calls))
+        assert x == xs[i] and fx == fxs[i]
+    assert len(set(steps)) == len(steps)
+    assert lockstep_calls == max(steps)
 
 
 # -- beta traces ----------------------------------------------------------------
@@ -339,6 +377,56 @@ def test_max_modulus_against_dense_scan():
 def test_max_modulus_validation():
     with pytest.raises(DomainError):
         max_modulus(koebe(), 1.0)
+    with pytest.raises(DomainError, match="got 1.0"):
+        max_modulus(koebe(), np.array([0.5, 1.0]))
+    with pytest.raises(DomainError):
+        max_modulus(koebe(), np.full((2, 2), 0.5))
+
+
+def test_max_modulus_scalar_and_array_radii():
+    f = koebe()
+    got = max_modulus(f, 0.9)
+    assert type(got) is float
+    both = max_modulus(f, np.array([0.5, 0.9]))
+    assert both.shape == (2,)
+    assert both.tolist() == [max_modulus(f, 0.5), got]
+
+
+def scalar_max_modulus(fn, r, coarse=1024):
+    """Per-radius oracle: the scalar route max_modulus took before batching."""
+    coarse = int(coarse)
+    thetas = np.arange(coarse) * (TWO_PI / coarse)
+    vals = np.abs(fn.evaluate(r * np.exp(1j * thetas)))
+    local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    peaks = np.flatnonzero(local)
+    peaks = peaks[np.argsort(vals[peaks])][::-1][:3]
+    h = TWO_PI / coarse
+    best = float(np.max(vals))
+
+    def profile(theta):
+        return float(np.abs(fn.evaluate(r * np.exp(1j * theta))))
+
+    for k in peaks:
+        _, fx = golden_section_max(profile, thetas[k] - h, thetas[k] + h)
+        best = max(best, fx)
+    return best
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: koebe(SpiralAngle(0.7)), lambda: counterexample_for(SpiralAngle(PI / 4), PI)],
+    ids=["koebe_l07", "hansen_counterexample"],
+)
+def test_growth_and_ratio_match_per_radius_oracle(make):
+    fn = make()
+    schedule = default_r_schedule(2, 8)
+    want = [scalar_max_modulus(fn, r) for r in schedule]
+    rows = growth_exponent(fn, r_schedule=schedule).rows
+    assert rows == tuple(
+        (r, M, float(np.log(M) / np.log(1.0 / (1.0 - r)))) for r, M in zip(schedule, want)
+    )
+    ratios = hansen_ratio(fn, 0.5, r_schedule=schedule)
+    assert ratios == [(r, M * (1.0 - r) ** 0.5) for r, M in zip(schedule, want)]
 
 
 def test_growth_exponent_koebe():
@@ -384,6 +472,42 @@ def test_hansen_ratio_koebe_is_r():
 def test_hansen_ratio_validation():
     with pytest.raises(DomainError):
         hansen_ratio(koebe(), -0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: beta_trace(f, t_grid=0),
+        lambda f: spirallikeness_margin(f, grid=(0, 512)),
+        lambda f: spirallikeness_margin(f, grid=(48, 0)),
+        lambda f: goodman_check(f, grid=(0, 32)),
+        lambda f: goodman_check(f, grid=(512, 0)),
+        lambda f: max_modulus(f, 0.9, coarse=0),
+        lambda f: max_modulus(f, 0.9, coarse=-4),
+        lambda f: growth_exponent(f, coarse=0),
+        lambda f: hansen_ratio(f, 2.0, coarse=0),
+        lambda f: detect_maximal_sector(f, image_grid=(0, 2048)),
+        lambda f: detect_maximal_sector(f, image_grid=(32, 0)),
+        lambda f: detect_maximal_sector(f, cluster_points=0),
+    ],
+    ids=[
+        "beta_trace-t_grid",
+        "margin-n_r",
+        "margin-n_theta",
+        "goodman-n_theta",
+        "goodman-n_steps",
+        "max_modulus-coarse0",
+        "max_modulus-coarse-4",
+        "growth-coarse",
+        "hansen-coarse",
+        "sector-n_r",
+        "sector-n_theta",
+        "sector-cluster",
+    ],
+)
+def test_grid_sizes_below_one_raise_domain_error(call):
+    with pytest.raises(DomainError, match="at least 1"):
+        call(koebe())
 
 
 # -- sector detection ------------------------------------------------------------------
@@ -432,3 +556,142 @@ def test_sector_inconsistent_function_is_caught():
 
     with pytest.raises(InconsistencyError):
         detect_maximal_sector(Lying(BoundaryMeasure.single_atom(), STARLIKE))
+
+
+# -- sector certification against a full scan -------------------------------------
+
+SECTOR_GRID = ((32, 2048), 384)
+
+
+def sector_samples(sector, inner=0.9):
+    """(phi, t, w) of the sector samples, in certification order."""
+    phis = sector.center_angle + inner * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
+    return [
+        (phi, t, spiral_point(phi, sector.angle, t))
+        for phi in phis
+        for t in (-3.0, -1.5, 0.0, 1.5, 3.0)
+    ]
+
+
+def certify_full_scan(sector, grid_arg, grid_logmod, arg_tol, inner=0.9):
+    """Oracle: test every sample against the whole image grid."""
+    for phi, t, w in sector_samples(sector, inner):
+        if not sector_contains(sector, w):
+            raise InconsistencyError(
+                f"sample point for spiral argument {phi:.6f} left the sector"
+            )
+        dist = np.abs(principal_angle(grid_arg - arg_lambda(w, sector.angle)))
+        hit = (dist <= arg_tol) & (grid_logmod >= np.log(np.abs(w)) - 1e-9)
+        if not np.any(hit):
+            raise InconsistencyError(
+                f"sector sample at spiral argument {phi:.6f}, t = {t} "
+                "is not covered by the image grid"
+            )
+
+
+def decision(certify, *args):
+    """None when certification passes, else the raised message."""
+    try:
+        certify(*args)
+    except InconsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def expected_sector(fn):
+    t0, jump = fn.measure.largest_atom()
+    center = principal_angle(fn.measure.beta_at(t0) - fn.measure.canonical_offset())
+    return SpiralSector(center_angle=center, opening=min(jump, TWO_PI), angle=fn.angle)
+
+
+def assert_sector_decisions_match(fn, tols):
+    sector = expected_sector(fn)
+    grid_arg, grid_logmod = _sector_image(fn, fn.angle, *SECTOR_GRID)
+    outcomes = []
+    for tol in tols:
+        got = decision(_certify_sector, sector, grid_arg, grid_logmod, tol, 0.9)
+        assert got == decision(certify_full_scan, sector, grid_arg, grid_logmod, tol)
+        outcomes.append(got)
+    if outcomes[0] is None:
+        assert detect_maximal_sector(fn) == sector
+    return sector, outcomes
+
+
+@pytest.mark.parametrize(
+    "make, crosses_cut",
+    [
+        (koebe, False),
+        (lambda: koebe(SpiralAngle(PI / 4)), False),
+        (two_atom, False),
+        # rotated Koebe: the sample at spiral argument pi - 0.01 has a window
+        # across the -pi/pi cut
+        (lambda: MeasureFunction(BoundaryMeasure.single_atom(1.0106), STARLIKE), True),
+    ],
+    ids=["koebe", "koebe_pi4", "two_atom", "rotated_koebe"],
+)
+def test_sector_windows_match_full_scan(make, crosses_cut):
+    sector, outcomes = assert_sector_decisions_match(make(), (0.025, 1e-5))
+    assert outcomes[0] is None
+    # at tolerance 1e-5 the grid no longer covers every sample
+    assert outcomes[1] is not None
+    args = np.array([arg_lambda(w, sector.angle) for _, _, w in sector_samples(sector)])
+    assert (np.max(np.abs(principal_angle(args))) + 0.025 > PI) == crosses_cut
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=6.2), st.floats(min_value=0.2, max_value=3.0)
+        ),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda kv: round(kv[0], 2),
+    )
+)
+def test_sector_windows_match_full_scan_atomic_measures(pairs):
+    f = MeasureFunction(BoundaryMeasure.from_atoms(pairs), STARLIKE)
+    assert_sector_decisions_match(f, (0.025, 1e-3))
+
+
+EDGE_VALUE = st.tuples(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+    st.floats(min_value=-1e-12, max_value=1e-12),
+    st.integers(min_value=-10**8, max_value=10**8),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.one_of(st.floats(min_value=-PI, max_value=PI), st.sampled_from([PI - 0.01, -PI + 0.01])),
+    st.sampled_from([0.0, 0.7, -1.2]),
+    st.floats(min_value=0.1, max_value=TWO_PI),
+    st.lists(
+        st.tuples(EDGE_VALUE, st.floats(min_value=0.0, max_value=1.0)), min_size=45, max_size=45
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=44),
+            EDGE_VALUE,
+            st.floats(min_value=-1.0, max_value=1.0),
+        ),
+        max_size=40,
+    ),
+)
+def test_sector_windows_match_full_scan_at_window_edges(center, lam, opening, own, extra):
+    # every sample gets one grid value at or near an edge of its window
+    # (shifted by up to 1e8 turns, where a reduction mod 2*pi loses 1e-7),
+    # plus values of other samples with log-moduli on either side; a center
+    # next to -pi/pi puts the middle samples' windows across the cut
+    sector = SpiralSector(center_angle=center, opening=opening, angle=SpiralAngle(lam))
+    samples = sector_samples(sector)
+    tol = 0.025
+    entries = [(j, edge, excess) for j, (edge, excess) in enumerate(own)] + extra
+    grid_arg = np.array([
+        arg_lambda(samples[j][2], sector.angle) + side * tol * (1.0 + tiny) + TWO_PI * k
+        for j, (side, tiny, k), _ in entries
+    ])
+    grid_logmod = np.array([math.log(abs(samples[j][2])) + excess for j, _, excess in entries])
+    assert decision(_certify_sector, sector, grid_arg, grid_logmod, tol, 0.9) == decision(
+        certify_full_scan, sector, grid_arg, grid_logmod, tol
+    )
