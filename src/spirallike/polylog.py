@@ -6,10 +6,17 @@ points u with |u| <= 1.  Two regimes: the defining power series for
 |u| <= 1/2, and the zeta-series expansion of Li_n(exp(w)) around w = 0
 otherwise (|w| = |Log u| <= sqrt(log(2)^2 + pi^2) < 2*pi, so the
 expansion converges geometrically with ratio below 0.52).
+
+The expansion coefficients zeta(n - k)/k! need zeta(2), zeta(3) and zeta at
+the non-positive integers; the latter are exact rationals in the Bernoulli
+numbers, built once at import with exact fractions, so every coefficient is
+the correctly rounded double.  The module needs numpy only.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
-from scipy.special import bernoulli, zeta
 
 from .errors import DomainError
 
@@ -17,32 +24,35 @@ _DIRECT_TERMS = 56
 _EXPANSION_TERMS = 72
 _ABS_TOL = 1e-12
 
-
-def _zeta_at(s):
-    """Riemann zeta at integer s <= 3, s != 1, including negative arguments."""
-    if s >= 2:
-        return float(zeta(s))
-    if s == 0:
-        return -0.5
-    m = -s
-    # zeta(-m) = (-1)^m * B_{m+1} / (m+1); odd Bernoulli numbers > 1 vanish.
-    b = bernoulli(m + 1)[m + 1]
-    return (-1.0) ** m * b / (m + 1.0)
+_ZETA = {2: math.pi**2 / 6.0, 3: 1.2020569031595942}
 
 
-def _expansion_coefficients(n):
+def _bernoulli_numbers(n):
+    """Exact B_0..B_n (B_1 = -1/2) from sum_k C(m+1, k) B_k = 0 over k = 0..m."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        # odd Bernoulli numbers past B_1 vanish, so only k = 0, 1 and even k add
+        acc = sum(math.comb(m + 1, k) * b[k] for k in range(m) if k < 2 or k % 2 == 0)
+        b.append(-acc / (m + 1))
+    return b
+
+
+def _expansion_coefficients(n, bernoulli):
     """Coefficients c_k = zeta(n - k)/k! of Li_n(e^w), skipping k = n - 1."""
     coefs = np.zeros(_EXPANSION_TERMS + 1)
-    fact = 1.0
     for k in range(_EXPANSION_TERMS + 1):
-        if k > 0:
-            fact *= k
-        if k != n - 1:
-            coefs[k] = _zeta_at(n - k) / fact
+        s = n - k
+        if s >= 2:
+            coefs[k] = _ZETA[s] / math.factorial(k)
+        elif s <= 0:
+            # zeta(-m) = (-1)^m B_{m+1} / (m+1), rounded once at the end
+            m = -s
+            coefs[k] = float((-1) ** m * bernoulli[m + 1] / ((m + 1) * math.factorial(k)))
     return coefs
 
 
-_COEFS = {2: _expansion_coefficients(2), 3: _expansion_coefficients(3)}
+_BERNOULLI = _bernoulli_numbers(_EXPANSION_TERMS)
+_COEFS = {n: _expansion_coefficients(n, _BERNOULLI) for n in (2, 3)}
 _HARMONIC = {2: 1.0, 3: 1.5}
 _FACT = {2: 1.0, 3: 2.0}
 
@@ -80,7 +90,7 @@ def _polylog(n, u):
     if np.any(large):
         out[large] = _zeta_expansion(n, u[large])
     if np.any(at_one):
-        out[at_one] = _zeta_at(n)
+        out[at_one] = _ZETA[n]
     return complex(out[0]) if scalar else out
 
 

@@ -1,7 +1,7 @@
-"""Import cost: `import spirallike` must not load scipy.optimize.
+"""Import cost: importing the package or its CLI must not load scipy.
 
-scipy.optimize costs most of scipy's import time; the package has no use
-for it since refine_jump bisects the monotone boundary trace.
+The runtime needs numpy only; scipy is a test extra.  scipy.special alone
+used to be most of a cold `spirallike` call.
 """
 
 import os
@@ -9,19 +9,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_does_not_load_scipy_optimize():
+@pytest.mark.parametrize("module", ["spirallike", "spirallike.cli"])
+def test_import_loads_no_scipy(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     code = (
-        "import sys, spirallike; "
-        "print(spirallike.__file__); print('scipy.optimize' in sys.modules)"
+        f"import sys, {module}, spirallike; print(spirallike.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    module_file, loaded = out.stdout.split()
+    module_file, loaded = out.stdout.splitlines()
     assert Path(module_file).resolve().is_relative_to(SRC)
-    assert loaded == "False"
+    assert loaded == "[]"

@@ -3,7 +3,9 @@
 Oracle: mpmath.polylog at 30 digits, evaluated on a deterministic grid that
 exercises both evaluation regimes (direct series for |u| <= 0.5, zeta-type
 expansion about u = 1 for the annulus 0.5 < |u| <= 1) plus the boundary
-circle, where the series would converge too slowly to be usable.
+circle, where the series would converge too slowly to be usable.  The
+expansion coefficients zeta(n - k)/k! are checked one by one against the
+same oracle.
 """
 
 import math
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spirallike import DomainError, li2, li3
+from spirallike.polylog import _COEFS
 
 mpmath.mp.dps = 30
 
@@ -42,7 +45,23 @@ def test_against_mpmath_grid(n, fn):
     got = fn(pts)
     want = np.array([oracle(n, u) for u in pts])
     err = np.max(np.abs(got - want))
-    assert err < 5e-13, f"max polylog error {err:.3e}"
+    assert err < 5e-15, f"max polylog error {err:.3e}"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expansion_coefficients_against_mpmath(n):
+    # c_k = zeta(n - k)/k!, with the k = n - 1 slot (the pole of zeta at 1)
+    # left at zero; zeta vanishes at the negative even integers.
+    for k, got in enumerate(_COEFS[n]):
+        if k == n - 1:
+            assert got == 0.0
+            continue
+        want = mpmath.zeta(n - k) / mpmath.factorial(k)
+        if want == 0:
+            assert got == 0.0, f"c_{k} = {got!r}, want 0"
+        else:
+            rel = abs((got - want) / want)
+            assert rel < 1e-15, f"c_{k}: relative error {float(rel):.3e}"
 
 
 def test_special_values():
@@ -53,9 +72,7 @@ def test_special_values():
     assert li3(0.5) == pytest.approx(7 * z3 / 8 - z2 * ln2 / 2 + ln2**3 / 6, abs=1e-14)
     assert li2(1.0) == pytest.approx(z2, abs=1e-14)
     assert li3(1.0) == pytest.approx(z3, abs=1e-14)
-    # u = -1 sits at the far edge of the expansion disk (|log u| = pi), so
-    # a few ulps of imaginary dust survive; compare with the grid tolerance
-    assert abs(li2(-1.0) - (-z2 / 2)) < 5e-13
+    assert li2(-1.0) == pytest.approx(-z2 / 2, abs=1e-14)
     assert li2(0.0) == 0.0 and li3(0.0) == 0.0
 
 
