@@ -14,17 +14,10 @@ from .analysis import golden_section_max
 from .boundary_measure import BoundaryMeasure
 from .correspondence import spirallike_of
 from .errors import DomainError, InconsistencyError, ParameterError
-from .representation import SpiralFunction
+from .representation import SpiralFunction, _as_disk_points
 from .spiral_geometry import STARLIKE
 
 DEFAULT_C0 = 2.0 * np.e**2
-
-
-def _as_disk(z):
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("evaluation requires |z| < 1")
-    return z
 
 
 def _w_over_z(z):
@@ -42,14 +35,14 @@ def g0_correction(z):
     Analytic on the disk with G(0) = 1; its real part stays above
     G(-1) = 1/(2 log 2).
     """
-    z = _as_disk(z)
+    z = _as_disk_points(z)
     out = 1.0 / ((1.0 - z) * _w_over_z(z))
     return out if out.ndim else complex(out)
 
 
 def g0_log_derivative(z):
     """z g0'(z)/g0(z) = z/(1-z) + G(z); value 1 at z = 0."""
-    z = _as_disk(z)
+    z = _as_disk_points(z)
     out = z / (1.0 - z) + 1.0 / ((1.0 - z) * _w_over_z(z))
     return out if out.ndim else complex(out)
 
@@ -68,7 +61,7 @@ class G0Function(SpiralFunction):
         super().__init__(STARLIKE, starlike_certified=True, known_max_jump=np.pi)
 
     def log_f_over_z(self, z):
-        z = _as_disk(z)
+        z = _as_disk_points(z)
         w = -np.log1p(-z)
         out = np.log(_w_over_z(z)) + w
         return out if out.ndim else complex(out)
@@ -103,12 +96,12 @@ class KoebePower(SpiralFunction):
         self.exponent = exponent
 
     def log_f_over_z(self, z):
-        z = _as_disk(z)
+        z = _as_disk_points(z)
         out = -self.exponent * np.log1p(-z)
         return out if out.ndim else complex(out)
 
     def log_derivative(self, z):
-        z = _as_disk(z)
+        z = _as_disk_points(z)
         out = 1.0 + self.exponent * z / (1.0 - z)
         return out if out.ndim else complex(out)
 
@@ -248,13 +241,13 @@ class HansenFunction(SpiralFunction):
         return base
 
     def log_f_over_z(self, z):
-        z = _as_disk(z)
+        z = _as_disk_points(z)
         p = self.params
         out = -p.alpha * np.log1p(-z) + p.beta_exp * np.log(self._base(z))
         return out if out.ndim else complex(out)
 
     def log_derivative(self, z):
-        z = _as_disk(z)
+        z = _as_disk_points(z)
         p = self.params
         out = 1.0 + p.alpha * z / (1.0 - z) + p.beta_exp * p.c * z / (
             (1.0 - z) * self._base(z)

@@ -2,17 +2,29 @@
 
 Piecewise-linear density parts of a boundary measure integrate against
 log(1 - exp(-i*t)z) in closed form through Li_2 and Li_3 evaluated at
-points u with |u| <= 1.  Two regimes: the defining power series for
-|u| <= 1/2, and the zeta-series expansion of Li_n(exp(w)) around w = 0
-otherwise (|w| = |Log u| <= sqrt(log(2)^2 + pi^2) < 2*pi, so the
-expansion converges geometrically with ratio below 0.52).
+points u with |u| <= 1.  One route with two regimes, split at |log u| = 1:
 
-The expansion coefficients zeta(n - k)/k! need zeta(2), zeta(3) and zeta at
-the non-positive integers; the latter are exact rationals in the Bernoulli
-numbers, built once at import with exact fractions, so every coefficient is
-the correctly rounded double.  The module needs numpy only.
+- near, |w| <= 1 with w = log u: the expansion of Li_n(e^w) about w = 0,
+  sum_k zeta(n - k) w^k/k! with the logarithmic k = n - 1 term written
+  out.  zeta vanishes at the negative even integers, so past k = n the
+  regular part is w^(n-1) times a series in w^2.
+- far, the rest of the disk: the series in x = -log(1 - u) with Bernoulli
+  coefficients ('t Hooft & Veltman 1979), Li_2 = sum_k B_k x^(k+1)/(k+1)!
+  and Li_3 from dLi_3/dx = Li_2/(e^x - 1).  There |x| <= 1.0717 (the
+  maximum is at u = e^(+-i)) and |1 - u|^2 >= 0.39.
+
+Every coefficient is an exact fraction rounded once (Bernoulli numbers
+B_0..B_22 only), and each table ends before its first nonzero term c_k with
+|c_k| R^k < 2^-56 on its regime's radius R, relative to its leading term.
+Both series converge with ratio |w|/(2 pi) or |x|/(2 pi) < 0.18.
+Logarithms come from real ufuncs (abs, angle, log, log1p), which cost a
+small fraction of numpy's complex log.  Every operation is elementwise, so
+a point's value does not depend on the array it arrives in.  The module
+needs numpy only.
 """
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,78 +32,120 @@ import numpy as np
 
 from .errors import DomainError
 
-_DIRECT_TERMS = 56
-_EXPANSION_TERMS = 72
 _ABS_TOL = 1e-12
+_TAIL = 2.0**-56
+_FAR_RADIUS = 1.0717
 
 _ZETA = {2: math.pi**2 / 6.0, 3: 1.2020569031595942}
 
 
-def _bernoulli_numbers(n):
-    """Exact B_0..B_n (B_1 = -1/2) from sum_k C(m+1, k) B_k = 0 over k = 0..m."""
-    b = [Fraction(1)]
-    for m in range(1, n + 1):
-        # odd Bernoulli numbers past B_1 vanish, so only k = 0, 1 and even k add
-        acc = sum(math.comb(m + 1, k) * b[k] for k in range(m) if k < 2 or k % 2 == 0)
-        b.append(-acc / (m + 1))
-    return b
+@functools.cache
+def _bernoulli(m):
+    """Exact B_m (B_1 = -1/2) from sum_k C(m+1, k) B_k = 0 over k = 0..m."""
+    if m == 0:
+        return Fraction(1)
+    if m > 1 and m % 2:
+        return Fraction(0)
+    return -sum(math.comb(m + 1, k) * _bernoulli(k) for k in range(m)) / (m + 1)
 
 
-def _expansion_coefficients(n, bernoulli):
-    """Coefficients c_k = zeta(n - k)/k! of Li_n(e^w), skipping k = n - 1."""
-    coefs = np.zeros(_EXPANSION_TERMS + 1)
-    for k in range(_EXPANSION_TERMS + 1):
-        s = n - k
-        if s >= 2:
-            coefs[k] = _ZETA[s] / math.factorial(k)
-        elif s <= 0:
-            # zeta(-m) = (-1)^m B_{m+1} / (m+1), rounded once at the end
-            m = -s
-            coefs[k] = float((-1) ** m * bernoulli[m + 1] / ((m + 1) * math.factorial(k)))
-    return coefs
+def _trimmed(coefs, radius):
+    """Round exact coefficients c_0, c_1, ... once, stopping at the first
+    nonzero c_k with |c_k| radius^k < 2^-56 (later terms shrink faster)."""
+    table = []
+    for k, c in enumerate(coefs):
+        if c and abs(c) * radius**k < _TAIL:
+            return np.trim_zeros(np.array(table), "b")
+        table.append(float(c))
 
 
-_BERNOULLI = _bernoulli_numbers(_EXPANSION_TERMS)
-_COEFS = {n: _expansion_coefficients(n, _BERNOULLI) for n in (2, 3)}
+def _near_coefficients(n):
+    # zeta(1 - 2j)/(n - 1 + 2j)! for j >= 1, with zeta(1 - 2j) = -B_2j/(2j)
+    for j in itertools.count(1):
+        yield -_bernoulli(2 * j) / (2 * j * math.factorial(n - 1 + 2 * j))
+
+
+def _far_coefficients(n):
+    for k in itertools.count():
+        if n == 2:
+            yield _bernoulli(k) / math.factorial(k + 1)
+        else:
+            yield sum(
+                _bernoulli(j) * _bernoulli(k - j) / (math.factorial(j + 1) * math.factorial(k - j))
+                for j in range(k + 1)
+            ) / (k + 1)
+
+
+# Li_n(e^w) = sum_{k < n-1} zeta(n-k) w^k/k!
+#             + w^(n-1) [(H_{n-1} - log(-w))/(n-1)! + zeta(0) w/n! + w^2 P_n(w^2)]
+_NEAR = {n: _trimmed(_near_coefficients(n), 1.0) for n in (2, 3)}
+# Li_n(u) = x F_n(x), x = -log(1 - u)
+_FAR = {n: _trimmed(_far_coefficients(n), _FAR_RADIUS) for n in (2, 3)}
+# F_n(x) = E_n(x^2) + x O_n(x^2); the odd part of F_2 is the single -1/4
+_FAR_PARTS = {n: (t[0::2], np.trim_zeros(t[1::2], "b")) for n, t in _FAR.items()}
 _HARMONIC = {2: 1.0, 3: 1.5}
-_FACT = {2: 1.0, 3: 2.0}
 
 
-def _direct_series(n, u):
-    acc = np.zeros_like(u)
-    for m in range(_DIRECT_TERMS, 0, -1):
-        acc = acc * u + 1.0 / m**n
-    return acc * u
-
-
-def _zeta_expansion(n, u):
-    w = np.log(u)
-    acc = np.zeros_like(w)
-    coefs = _COEFS[n]
-    for k in range(_EXPANSION_TERMS, -1, -1):
-        acc = acc * w + coefs[k]
-    # The k = n - 1 term carries the logarithmic singularity at u = 1.
-    acc = acc + w ** (n - 1) / _FACT[n] * (_HARMONIC[n] - np.log(-w))
+def _horner(coefs, x):
+    acc = np.full_like(x, coefs[-1])
+    for c in coefs[-2::-1]:
+        acc = acc * x + c
     return acc
+
+
+def _complex(re, im):
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _near(n, lr, th):
+    """Li_n(e^w) for w = lr + i th, 0 < |w| <= 1."""
+    w = _complex(lr, th)
+    inv_fact = 1.0 / math.factorial(n - 1)
+    # log(-w) from its modulus and its argument
+    log_mw = _complex(np.log(np.abs(w)), np.arctan2(-th, -lr))
+    s = w * w
+    acc = _horner(_NEAR[n], s) * s
+    acc = acc + (_HARMONIC[n] * inv_fact - inv_fact * log_mw) + w * (-0.5 / math.factorial(n))
+    for k in range(n - 2, -1, -1):
+        acc = acc * w + _ZETA[n - k] / math.factorial(k)
+    return acc
+
+
+def _far(n, u, r):
+    """Li_n(u) through x = -log(1 - u); r = |u|."""
+    ur = u.real
+    # Re x = -log|1 - u| = -log1p(|u|^2 - 2 Re u)/2: accurate relative to |u|
+    # near 0, and |1 - u|^2 >= 0.39 keeps log1p well conditioned elsewhere.
+    x = _complex(-0.5 * np.log1p(r * r - 2.0 * ur), np.arctan2(u.imag, 1.0 - ur))
+    s = x * x
+    even, odd = _FAR_PARTS[n]
+    return (_horner(even, s) + x * _horner(odd, s)) * x
 
 
 def _polylog(n, u):
     u = np.asarray(u, dtype=complex)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    if np.any(np.abs(u) > 1.0 + _ABS_TOL):
-        raise DomainError("polylogarithms evaluated only for |u| <= 1")
-    out = np.empty_like(u)
-    at_one = u == 1.0
-    small = (np.abs(u) <= 0.5) & ~at_one
-    large = ~small & ~at_one
-    if np.any(small):
-        out[small] = _direct_series(n, u[small])
-    if np.any(large):
-        out[large] = _zeta_expansion(n, u[large])
-    if np.any(at_one):
-        out[at_one] = _ZETA[n]
-    return complex(out[0]) if scalar else out
+    flat = u.ravel()
+    r = np.abs(flat)
+    if not np.all(r <= 1.0 + _ABS_TOL):
+        raise DomainError("polylogarithms evaluated only for finite u with |u| <= 1")
+    # |u| < 1/4 gives |log u| > log 4 > 1, so clamping there keeps log finite
+    # without moving any point across the seam.
+    lr = np.log(np.maximum(r, 0.25))
+    th = np.angle(flat)
+    w2 = lr * lr + th * th
+    # index arrays: gathering and scattering by index is several times
+    # cheaper than by a boolean mask; u = 1 keeps the initial zeta(n)
+    near = np.flatnonzero((w2 <= 1.0) & (flat != 1.0))
+    far = np.flatnonzero(w2 > 1.0)
+    out = np.full_like(flat, _ZETA[n])
+    if near.size:
+        out.put(near, _near(n, lr.take(near), th.take(near)))
+    if far.size:
+        out.put(far, _far(n, flat.take(far), r.take(far)))
+    return complex(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
 def li2(u):

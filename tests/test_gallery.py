@@ -95,6 +95,21 @@ def test_g0_flags():
     assert g0.measure is None
 
 
+@pytest.mark.parametrize("bad", [np.nan, complex(0.2, np.nan), np.inf, 1.0, -1j])
+def test_closed_forms_reject_points_off_the_open_disk(bad):
+    # non-finite points are rejected like |z| >= 1, never returned as NaN
+    handles = [G0Function(), koebe_power(1.5), counterexample_for(SpiralAngle(PI / 4), PI)]
+    for f in handles:
+        for name in ("evaluate", "log_f_over_z", "log_derivative"):
+            with pytest.raises(DomainError):
+                getattr(f, name)(bad)
+            with pytest.raises(DomainError):
+                getattr(f, name)(np.array([0.5, bad]))
+    for fn in (g0_correction, g0_log_derivative):
+        with pytest.raises(DomainError):
+            fn(bad)
+
+
 # -- koebe powers -----------------------------------------------------------------
 
 

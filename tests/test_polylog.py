@@ -1,11 +1,13 @@
 """Dilogarithm / trilogarithm on the closed unit disk.
 
 Oracle: mpmath.polylog at 30 digits, evaluated on a deterministic grid that
-exercises both evaluation regimes (direct series for |u| <= 0.5, zeta-type
-expansion about u = 1 for the annulus 0.5 < |u| <= 1) plus the boundary
-circle, where the series would converge too slowly to be usable.  The
-expansion coefficients zeta(n - k)/k! are checked one by one against the
-same oracle.
+exercises both evaluation regimes (the expansion of Li_n(e^w) about w = 0
+for |w| = |log u| <= 1, the Bernoulli series in x = -log(1 - u) elsewhere)
+plus the boundary circle, where the defining series would converge too
+slowly to be usable.  Points on both sides of the seam |log u| = 1 go
+through each regime directly; tiny |u| checks relative accuracy on both
+axes.  Every coefficient of both regimes' tables is checked one by one
+against the same oracle, and so is the bound at which each table stops.
 """
 
 import math
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spirallike import DomainError, li2, li3
-from spirallike.polylog import _COEFS
+from spirallike import polylog
 
 mpmath.mp.dps = 30
 
@@ -45,23 +47,100 @@ def test_against_mpmath_grid(n, fn):
     got = fn(pts)
     want = np.array([oracle(n, u) for u in pts])
     err = np.max(np.abs(got - want))
-    assert err < 5e-15, f"max polylog error {err:.3e}"
+    assert err < 2e-15, f"max polylog error {err:.3e}"
+
+
+def near_coefficient(n, k):
+    # coefficient of w^(n-1) s^(k+1), s = w^2, in Li_n(e^w): zeta(n - m)/m!
+    # at m = n + 1 + 2k, where zeta(n - m) = zeta(-1 - 2k) is nonzero
+    m = n + 1 + 2 * k
+    return mpmath.zeta(n - m) / mpmath.factorial(m)
+
+
+def far_coefficient(n, k):
+    # coefficient of x^(k+1) in Li_n(1 - e^(-x))
+    b, f = mpmath.bernoulli, mpmath.factorial
+    if n == 2:
+        return b(k) / f(k + 1)
+    return mpmath.fsum(b(j) * b(k - j) / (f(j + 1) * f(k - j)) for j in range(k + 1)) / (k + 1)
+
+
+def assert_table(table, want, radius):
+    for k, got in enumerate(table):
+        w = want(k)
+        if w == 0:
+            assert got == 0.0, f"c_{k} = {got!r}, want 0"
+        else:
+            assert abs((got - w) / w) < 1e-15, f"c_{k}: relative error {float(abs((got - w) / w)):.3e}"
+    # the table ends at its last term not below 2^-56 on its radius; the
+    # next nonzero term is below
+    last = len(table) - 1
+    assert abs(want(last)) * radius**last >= 2.0**-56
+    k = last + 1
+    while want(k) == 0:
+        k += 1
+    assert abs(want(k)) * radius**k < 2.0**-56
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_expansion_coefficients_against_mpmath(n):
-    # c_k = zeta(n - k)/k!, with the k = n - 1 slot (the pole of zeta at 1)
-    # left at zero; zeta vanishes at the negative even integers.
-    for k, got in enumerate(_COEFS[n]):
-        if k == n - 1:
-            assert got == 0.0
-            continue
-        want = mpmath.zeta(n - k) / mpmath.factorial(k)
-        if want == 0:
-            assert got == 0.0, f"c_{k} = {got!r}, want 0"
-        else:
-            rel = abs((got - want) / want)
-            assert rel < 1e-15, f"c_{k}: relative error {float(rel):.3e}"
+def test_near_coefficients_against_mpmath(n):
+    assert_table(polylog._NEAR[n], lambda k: near_coefficient(n, k), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_far_coefficients_against_mpmath(n):
+    assert_table(polylog._FAR[n], lambda k: far_coefficient(n, k), polylog._FAR_RADIUS)
+
+
+def test_far_radius_covers_far_regime():
+    # max |log(1 - u)| over |u| <= 1 with |log u| >= 1 is attained at
+    # u = e^(+-i), a corner of the region
+    corner = abs(mpmath.log(1 - mpmath.expj(1)))
+    assert corner <= polylog._FAR_RADIUS < corner + 1e-4
+    phi = np.linspace(np.pi / 2, 3 * np.pi / 2, 2001)
+    seam = np.exp(np.exp(1j * phi))
+    assert np.max(np.abs(np.log(1.0 - seam))) <= corner + 1e-15
+
+
+@pytest.mark.parametrize("n,fn", [(2, li2), (3, li3)])
+def test_relative_accuracy_at_tiny_modulus(n, fn):
+    # both axes and both signs, |u| = 1e-300 .. 1e-1: Li_n(u) ~ u, so the
+    # error must be small relative to |u|, not only absolutely
+    worst = 0.0
+    for e in range(-300, 0, 3):
+        for d in (1, -1, 1j, -1j):
+            u = 10.0**e * d
+            want = mpmath.polylog(n, mpmath.mpc(u))
+            worst = max(worst, float(abs(mpmath.mpc(fn(u)) - want) / abs(want)))
+    assert worst < 1e-15, f"relative error {worst:.3e}"
+
+
+@pytest.mark.parametrize("n,fn", [(2, li2), (3, li3)])
+@pytest.mark.parametrize("u", [1.0 - 1e-15, np.exp(1e-12j), np.exp(-1e-12j)])
+def test_next_to_one(n, fn, u):
+    want = mpmath.polylog(n, mpmath.mpc(u))
+    assert float(abs(mpmath.mpc(fn(u)) - want) / abs(want)) < 1e-15
+
+
+def test_zero():
+    for fn in (li2, li3):
+        assert fn(0.0) == 0.0
+        assert fn(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("side", [1.0 - 1e-13, 1.0 + 1e-13])
+def test_both_regimes_at_the_seam(n, side):
+    # |log u| = 1 -/+ 1e-13: each regime on its own, and the public route,
+    # agree with the oracle on either side of the split
+    phi = np.linspace(np.pi / 2, 3 * np.pi / 2, 9)
+    u = np.exp(side * np.exp(1j * phi))
+    w = np.log(u)
+    want = np.array([complex(mpmath.polylog(n, mpmath.mpc(x))) for x in u])
+    near = polylog._near(n, w.real, w.imag)
+    far = polylog._far(n, u, np.abs(u))
+    for got in (near, far, polylog._polylog(n, u)):
+        assert np.max(np.abs(got - want)) < 2e-15
 
 
 def test_special_values():
@@ -99,6 +178,14 @@ def test_domain_error_outside_disk():
         li2(1.0 + 1e-6)
     with pytest.raises(DomainError):
         li3(np.array([0.5, 1.5j]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.5, np.nan), np.inf])
+def test_domain_error_for_non_finite(bad):
+    with pytest.raises(DomainError):
+        li2(bad)
+    with pytest.raises(DomainError):
+        li3(np.array([bad, 0.5]))
 
 
 def test_vectorization_and_scalars():

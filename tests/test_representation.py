@@ -298,3 +298,69 @@ def test_power_transform_scalar_matches_array(make):
         assert all(isinstance(v, complex) for v in scalar)
         mismatches = sum(a != b for a, b in zip(scalar, single))
         assert mismatches == 0, f"{name}: {mismatches} of {zs.size} differ"
+
+
+def atoms_and_knots(n_atoms, n_knots, seed):
+    """Atoms carrying 60% of the mass plus a non-constant n_knots density."""
+    rng = np.random.default_rng(seed)
+    atom_t = np.sort(rng.uniform(0.0, TWO_PI, n_atoms))
+    jumps = rng.uniform(0.2, 1.0, n_atoms)
+    jumps *= 0.6 * TWO_PI / jumps.sum()
+    knot_t = np.arange(n_knots) * (TWO_PI / n_knots) + 0.1
+    values = rng.uniform(0.2, 1.0, n_knots)
+    # the density's mass is the mean knot value times 2 pi on an even grid
+    values *= 0.4 / values.mean()
+    return BoundaryMeasure(
+        atoms=tuple(zip(atom_t.tolist(), jumps.tolist())),
+        density_knots=tuple(zip(knot_t.tolist(), values.tolist())),
+    )
+
+
+@pytest.mark.parametrize(
+    "n_atoms,n_knots,lam", [(2, 4, 0.0), (2, 4, 0.7), (24, 12, 0.3)], ids=["mixed", "mixed_l07", "wide"]
+)
+def test_point_value_independent_of_batch(n_atoms, n_knots, lam):
+    # A point gets the same bits alone, inside arrays of any size (across
+    # the block size of the blocked kernel, at its edges) and in a 2-d grid.
+    f = MeasureFunction(atoms_and_knots(n_atoms, n_knots, seed=n_atoms), SpiralAngle(lam))
+    block = f._block
+    rng = np.random.default_rng(5)
+    r = np.concatenate([0.5 * np.sqrt(rng.uniform(0, 1, 100)), 1.0 - 10.0 ** rng.uniform(-6, -0.3, 200)])
+    points = r * np.exp(2j * PI * rng.uniform(0, 1, r.size))
+
+    def filler(size):
+        return 0.95 * np.sqrt(rng.uniform(0, 1, size)) * np.exp(2j * PI * rng.uniform(0, 1, size))
+
+    for name in ("log_f_over_z", "log_derivative", "evaluate"):
+        method = getattr(f, name)
+        alone = np.array([method(complex(p)) for p in points])
+        assert all(isinstance(method(complex(p)), complex) for p in points[:3])
+        for size in (1, 3, block - 1, block, block + 1, 3 * block):
+            # the points in groups that fit, at spread positions and at the
+            # first and last slot of each block
+            edges = [0, size - 1] + [k for b in range(block, size, block) for k in (b - 1, b)]
+            for first in range(0, points.size, size):
+                group = points[first : first + size]
+                spread = np.linspace(0, size - 1, group.size).astype(int)
+                pos = np.unique(np.concatenate([edges, spread]))[: group.size]
+                zs = filler(size)
+                zs[pos] = group[: pos.size]
+                got = method(zs)
+                assert got.shape == (size,)
+                same = got[pos] == alone[first : first + pos.size]
+                assert same.all(), f"{name}: size {size}, {np.count_nonzero(~same)} differ"
+        grid = filler(7 * (points.size // 7 + 1))
+        grid[: points.size] = points
+        got = method(grid.reshape(-1, 7))
+        assert got.shape == (grid.size // 7, 7) and (got.ravel()[: points.size] == alone).all()
+        assert method(np.array([], dtype=complex)).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.2), np.inf, complex(0.3, np.inf)])
+def test_measure_function_rejects_non_finite(bad):
+    f = MeasureFunction(atoms_and_knots(2, 4, seed=2), SpiralAngle(0.7))
+    for name in ("log_f_over_z", "log_derivative", "evaluate"):
+        with pytest.raises(DomainError):
+            getattr(f, name)(bad)
+        with pytest.raises(DomainError):
+            getattr(f, name)(np.array([0.5, bad]))
