@@ -67,11 +67,21 @@ def golden_section_max(f, a, b, tol=1e-12):
 
 
 def _grid_size(n, name):
-    """A grid or sample count as an int; DomainError unless it is at least 1."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"{name} must be at least 1, got {n}")
-    return n
+    """A grid or sample count as an int; DomainError unless it is a whole number >= 1."""
+    try:
+        count = int(n)
+        valid = count >= 1 and count == float(n)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise DomainError(f"{name} must be a whole number at least 1, got {n!r}")
+    return count
+
+
+def _check_unit_radius(r_max):
+    """DomainError unless 0 < r_max < 1."""
+    if not (0.0 < r_max < 1.0):
+        raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
 
 
 # -- the continuous spiral argument ------------------------------------------
@@ -243,8 +253,7 @@ def spirallikeness_margin(fn, angle=None, r_max=0.999, grid=(48, 512)):
     Positive values certify the spirallike condition on the grid.
     """
     angle = fn.angle if angle is None else angle
-    if not (0.0 < r_max < 1.0):
-        raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
+    _check_unit_radius(r_max)
     n_r, n_theta = (_grid_size(n, "grid size") for n in grid)
     radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_r)
     thetas = np.arange(n_theta) * (TWO_PI / n_theta)
@@ -263,6 +272,7 @@ def goodman_check(g, grid=(512, 32), r_max=0.999):
     """
     if not g.starlike_certified:
         raise DomainError("bound applies to certified starlike functions")
+    _check_unit_radius(r_max)
     n_theta, n_steps = (_grid_size(n, "grid size") for n in grid)
     thetas = np.arange(n_theta) * (TWO_PI / n_theta)
     rho = _radial_ladder(r_max, n_steps)[1:]
@@ -374,13 +384,18 @@ def hansen_ratio(fn, q0, r_schedule=None, coarse=1024):
     An unbounded increase exhibits failure of the O((1-r)^-q0) bound.  M(r)
     for the whole schedule comes from one batched max_modulus call.
     """
-    if q0 < 0:
-        raise DomainError(f"q0 must be nonnegative, got {q0!r}")
+    if not (0.0 <= q0 < np.inf):
+        raise DomainError(f"q0 must be finite and nonnegative, got {q0!r}")
     if r_schedule is None:
         r_schedule = default_r_schedule(2, 8)
     r_schedule = tuple(r_schedule)
     peaks = max_modulus(fn, np.array(r_schedule, dtype=float), coarse=coarse).tolist()
-    return [(r, M * (1.0 - r) ** q0) for r, M in zip(r_schedule, peaks)]
+    return list(zip(r_schedule, _bound_ratios(r_schedule, peaks, q0)))
+
+
+def _bound_ratios(radii, peaks, q0):
+    """M(r) * (1-r)^q0 for each radius r and its maximum modulus M(r)."""
+    return [M * (1.0 - r) ** q0 for r, M in zip(radii, peaks)]
 
 
 # -- maximal sectors ---------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    _bound_ratios,
     beta_trace,
     default_r_schedule,
     growth_exponent,
@@ -211,7 +212,8 @@ def cmd_growth(cfg):
     fn, angle = build_function(cfg)
     schedule = default_r_schedule(cfg.k_min, cfg.k_max)
     report = growth_exponent(fn, angle, r_schedule=schedule, coarse=cfg.coarse)
-    ratios = [M * (1.0 - r) ** report.predicted_q0 for r, M, _ in report.rows]
+    radii, peaks, _ = zip(*report.rows)
+    ratios = _bound_ratios(radii, peaks, report.predicted_q0)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     fails = increasing and len(ratios) >= 2 and ratios[-1] > 1.5 * ratios[0]
     if cfg.fmt == "json":

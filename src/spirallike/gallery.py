@@ -10,23 +10,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import golden_section_max
+from .analysis import _check_unit_radius, _grid_size, golden_section_max
 from .boundary_measure import BoundaryMeasure
 from .correspondence import spirallike_of
 from .errors import DomainError, InconsistencyError, ParameterError
-from .representation import SpiralFunction, _as_disk_points
+from .polylog import _complex
+from .representation import MeasureFunction, SpiralFunction, _log1m, _pointwise
 from .spiral_geometry import STARLIKE
 
 DEFAULT_C0 = 2.0 * np.e**2
 
 
-def _w_over_z(z):
-    """log(1/(1-z))/z, analytic with value 1 at 0 and Re > 0 on the disk."""
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 0.0, z)
-    safe = np.where(small, 1.0, zs)
-    series = 1.0 + z * (0.5 + z * (1.0 / 3.0 + z * (0.25 + z * 0.2)))
-    return np.where(small, series, -np.log1p(-zs) / safe)
+def _log(v):
+    """Principal log of v from real ufuncs."""
+    return _complex(np.log(np.abs(v)), np.arctan2(v.imag, v.real))
+
+
+def _w_over_z(w, z):
+    """w/z for w = log(1/(1-z)): analytic with value 1 at 0 and Re > 0 on the disk."""
+    return np.divide(w, z, out=np.ones_like(w), where=z != 0)
+
+
+def _g0_correction(z):
+    return 1.0 / ((1.0 - z) * _w_over_z(-_log1m(z), z))
+
+
+def _g0_log_derivative(z):
+    return z / (1.0 - z) + _g0_correction(z)
 
 
 def g0_correction(z):
@@ -35,16 +45,12 @@ def g0_correction(z):
     Analytic on the disk with G(0) = 1; its real part stays above
     G(-1) = 1/(2 log 2).
     """
-    z = _as_disk_points(z)
-    out = 1.0 / ((1.0 - z) * _w_over_z(z))
-    return out if out.ndim else complex(out)
+    return _pointwise(_g0_correction, z)
 
 
 def g0_log_derivative(z):
     """z g0'(z)/g0(z) = z/(1-z) + G(z); value 1 at z = 0."""
-    z = _as_disk_points(z)
-    out = z / (1.0 - z) + 1.0 / ((1.0 - z) * _w_over_z(z))
-    return out if out.ndim else complex(out)
+    return _pointwise(_g0_log_derivative, z)
 
 
 class G0Function(SpiralFunction):
@@ -55,59 +61,30 @@ class G0Function(SpiralFunction):
     stress case: M(r, g0) carries a log(1/(1-r)) factor beyond exponent 1.
     """
 
-    kind = "g0"
-
     def __init__(self):
         super().__init__(STARLIKE, starlike_certified=True, known_max_jump=np.pi)
 
-    def log_f_over_z(self, z):
-        z = _as_disk_points(z)
-        w = -np.log1p(-z)
-        out = np.log(_w_over_z(z)) + w
-        return out if out.ndim else complex(out)
+    def _log_f_over_z(self, z):
+        w = -_log1m(z)
+        return _log(_w_over_z(w, z)) + w
 
-    def log_derivative(self, z):
-        return g0_log_derivative(z)
-
-
-class KoebePower(SpiralFunction):
-    """f(z) = z (1-z)^(-exponent), starlike for exponents in [0, 2].
-
-    exponent 2 is the Koebe function; the boundary measure is an atom of
-    pi*exponent at t = 0 plus a constant density filling the rest.
-    """
-
-    kind = "koebe_power"
-
-    def __init__(self, exponent):
-        exponent = float(exponent)
-        if not (0.0 <= exponent <= 2.0):
-            raise ParameterError(
-                f"exponent {exponent} outside [0, 2]: f would not be starlike"
-            )
-        atoms = ((0.0, np.pi * exponent),) if exponent > 0 else ()
-        knots = ((0.0, 1.0 - exponent / 2.0),) if exponent < 2.0 else ()
-        super().__init__(
-            STARLIKE,
-            starlike_certified=True,
-            known_max_jump=np.pi * exponent,
-            measure=BoundaryMeasure(atoms=atoms, density_knots=knots),
-        )
-        self.exponent = exponent
-
-    def log_f_over_z(self, z):
-        z = _as_disk_points(z)
-        out = -self.exponent * np.log1p(-z)
-        return out if out.ndim else complex(out)
-
-    def log_derivative(self, z):
-        z = _as_disk_points(z)
-        out = 1.0 + self.exponent * z / (1.0 - z)
-        return out if out.ndim else complex(out)
+    _log_derivative = staticmethod(_g0_log_derivative)
 
 
 def koebe_power(exponent=2.0):
-    return KoebePower(exponent)
+    """f(z) = z (1-z)^(-exponent), starlike for exponents in [0, 2].
+
+    exponent 2 is the Koebe function.  The boundary measure is an atom of
+    pi*exponent at t = 0 plus a constant density filling the rest; a
+    constant density has no slope changes, so its MeasureFunction is the
+    closed form -exponent*log(1-z) of log(f/z).
+    """
+    exponent = float(exponent)
+    if not (0.0 <= exponent <= 2.0):
+        raise ParameterError(f"exponent {exponent} outside [0, 2]: f would not be starlike")
+    atoms = ((0.0, np.pi * exponent),) if exponent > 0 else ()
+    knots = ((0.0, 1.0 - exponent / 2.0),) if exponent < 2.0 else ()
+    return MeasureFunction(BoundaryMeasure(atoms=atoms, density_knots=knots), STARLIKE)
 
 
 # -- Q(theta) and C0 ---------------------------------------------------------
@@ -120,7 +97,7 @@ def q_function(theta):
     at 0+ is approached without cancellation.
     """
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0) or np.any(theta >= np.pi / 2.0):
+    if not np.all((theta > 0.0) & (theta < np.pi / 2.0)):
         raise DomainError("Q is defined on the open interval (0, pi/2)")
     s = np.sin(0.5 * theta)
     lc = np.log1p(-2.0 * s * s)
@@ -134,7 +111,7 @@ def c0_constant(grid=100000):
     monotone reports whether Q was non-increasing across the grid; it is an
     observation, not an assumption used elsewhere.
     """
-    grid = int(grid)
+    grid = _grid_size(grid, "grid")
     if grid < 1000:
         raise DomainError("need at least 1000 grid points")
     theta = np.linspace(0.0, np.pi / 2.0, grid + 2)[1:-1]
@@ -156,13 +133,14 @@ def lemma_c_margins(C, grid=(64, 256), r_max=0.999):
     must be positive for C at or above the threshold.
     """
     C = float(C)
-    if C < 2.0:
-        raise DomainError(f"threshold inequalities need C >= 2, got {C}")
-    n_r, n_theta = grid
-    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, int(n_r))
-    thetas = np.arange(int(n_theta)) * (2.0 * np.pi / int(n_theta))
+    if not (2.0 <= C < np.inf):
+        raise DomainError(f"threshold inequalities need finite C >= 2, got {C}")
+    _check_unit_radius(r_max)
+    n_r, n_theta = (_grid_size(n, "grid size") for n in grid)
+    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_r)
+    thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     z = radii[:, None] * np.exp(1j * thetas)[None, :]
-    p = 1.0 / ((1.0 - z) * (np.log(C) - np.log1p(-z)))
+    p = 1.0 / ((1.0 - z) * (np.log(C) - _log1m(z)))
     b = 1.0 / (2.0 * np.log(C / 2.0))
     return float(np.min(p.real) - b), float(np.min((z * p).real) + b)
 
@@ -219,40 +197,30 @@ class HansenParams:
 class HansenFunction(SpiralFunction):
     """g(z) = z (1-z)^(-alpha) (1 + c log(1/(1-z)))^beta_exp, starlike."""
 
-    kind = "hansen"
-
     def __init__(self, params):
-        super().__init__(
-            STARLIKE,
-            starlike_certified=True,
-            known_max_jump=np.pi * params.alpha,
-        )
+        super().__init__(STARLIKE, starlike_certified=True, known_max_jump=np.pi * params.alpha)
         self.params = params
 
-    def _base(self, z):
-        base = 1.0 + self.params.c * -np.log1p(-z)
+    def _base(self, w):
+        base = 1.0 + self.params.c * w
         # Admissible c keeps Re(1 + c*w) >= 1 - c*log 2 > 0: principal
         # powers of the base are single-valued on the disk.
-        if not np.all(base.real > 0.0):
+        if not (base.real > 0.0).all():
             raise InconsistencyError(
                 f"base 1 + c*log(1/(1-z)) leaves the right half-plane for c = "
                 f"{self.params.c}; build the function with hansen_build"
             )
         return base
 
-    def log_f_over_z(self, z):
-        z = _as_disk_points(z)
+    def _log_f_over_z(self, z):
         p = self.params
-        out = -p.alpha * np.log1p(-z) + p.beta_exp * np.log(self._base(z))
-        return out if out.ndim else complex(out)
+        w = -_log1m(z)
+        return p.alpha * w + p.beta_exp * _log(self._base(w))
 
-    def log_derivative(self, z):
-        z = _as_disk_points(z)
+    def _log_derivative(self, z):
         p = self.params
-        out = 1.0 + p.alpha * z / (1.0 - z) + p.beta_exp * p.c * z / (
-            (1.0 - z) * self._base(z)
-        )
-        return out if out.ndim else complex(out)
+        base = self._base(-_log1m(z))
+        return 1.0 + p.alpha * z / (1.0 - z) + p.beta_exp * p.c * z / ((1.0 - z) * base)
 
 
 def hansen_build(params, c0=DEFAULT_C0):

@@ -8,11 +8,6 @@ kernel against the density leaves sum_j sigma_j * Li_3(z exp(-i*t_j)) over the
 density's slope changes sigma_j, so constant densities contribute nothing.
 The tests cross-check this closed form against a periodic trapezoid
 quadrature of the same integral.
-
-A MeasureFunction evaluates its points in flattened blocks of about
-16384/(atoms + slope changes) points, so the (points, terms) temporaries
-stay in the L2 cache; every step is elementwise or a row sum, so a point
-gets the same bits alone as inside any array.
 """
 
 import numpy as np
@@ -22,24 +17,68 @@ from .polylog import _complex, li2, li3
 
 _ALIAS_TARGET = 1e-12
 _MAX_FFT = 1 << 20
-_BLOCK_TERMS = 16384
+# A block of points times terms holds fewer than 16384 complex values (256
+# KiB): at that size numpy starts to reuse temporaries as outputs, and its
+# in-place complex multiply rounds differently from the out-of-place one.
+_BLOCK_TERMS = 16383
 
 
 def _as_disk_points(z):
     """z as a complex array; DomainError unless every point is finite with |z| < 1."""
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.abs(z) < 1.0):
+    if not (np.abs(z) < 1.0).all():
         raise DomainError("evaluation requires finite z with |z| < 1")
     return z
+
+
+def _pointwise(kernel, z, block=_BLOCK_TERMS):
+    """kernel over the disk-checked, flattened points of z in blocks of block points.
+
+    A scalar z goes through the same array arithmetic as an array and is
+    unwrapped once, so z alone and z inside any array get the same bits
+    (Python complex and numpy's loops round differently).
+    """
+    z = _as_disk_points(z)
+    flat = z.ravel()
+    parts = [kernel(flat[i : i + block]) for i in range(0, max(flat.size, 1), block)]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+
+
+def _log1m(u):
+    """log(1 - u) for |u| < 1 from real ufuncs, which cost less than complex log1p.
+
+    log|1 - u| is log1p(s)/2 with s = |u|^2 - 2 Re u = |1 - u|^2 - 1, accurate
+    relative to |u| near 0, where |1 - u|^2 >= 0.39 keeps log1p well
+    conditioned; nearer u = 1 it is log(|1 - u|^2)/2, whose 1 - Re u has
+    no rounding error for Re u >= 1/2.
+    """
+    x, y = u.real, u.imag
+    a = 1.0 - x
+    yy = y * y
+    q = a * a + yy
+    re = np.log(q)
+    # log1p only where it is used: next to u = 1, s rounds to -1
+    np.log1p((x - 2.0) * x + yy, out=re, where=q >= 0.39)
+    re *= 0.5
+    return _complex(re, np.arctan2(-y, a))
 
 
 class SpiralFunction:
     """Evaluatable analytic function handle on the unit disk.
 
-    Subclasses provide log_f_over_z and log_derivative; both accept scalars
-    or arrays of points with |z| < 1.  log_f_over_z returns the branch of
-    log(f(z)/z) vanishing at 0; log_derivative returns z*f'(z)/f(z).
+    log_f_over_z returns the branch of log(f(z)/z) vanishing at 0,
+    log_derivative returns z*f'(z)/f(z), and evaluate returns f(z).  Each
+    takes a scalar or an array of points with |z| < 1; it checks the domain,
+    flattens, and evaluates blocks of self._block points.  A MeasureFunction
+    uses blocks of about 16384/(atoms + slope changes) points, so that its
+    (points, terms) temporaries stay in the L2 cache.  Every step of a kernel
+    is elementwise or a row sum, so a point gets the same bits alone as
+    inside any array.  Subclasses implement _log_f_over_z and
+    _log_derivative on 1-d arrays of checked points.
     """
+
+    _block = _BLOCK_TERMS
 
     def __init__(self, angle, starlike_certified=False, known_max_jump=None, measure=None):
         self.angle = angle
@@ -47,18 +86,20 @@ class SpiralFunction:
         self.known_max_jump = known_max_jump
         self.measure = measure
 
+    def _evaluate(self, z):
+        return z * np.exp(self._log_f_over_z(z))
+
     def log_f_over_z(self, z):
-        raise NotImplementedError
+        return _pointwise(self._log_f_over_z, z, self._block)
 
     def log_derivative(self, z):
-        raise NotImplementedError
+        return _pointwise(self._log_derivative, z, self._block)
+
+    def evaluate(self, z):
+        return _pointwise(self._evaluate, z, self._block)
 
     def f_over_z(self, z):
         return np.exp(self.log_f_over_z(z))
-
-    def evaluate(self, z):
-        out = np.asarray(z, dtype=complex) * self.f_over_z(z)
-        return out if out.ndim else complex(out)
 
     def taylor_coefficients(self, n_max, radius=0.5):
         """Coefficients a_1..a_n_max of f at 0 via circle sampling.
@@ -103,41 +144,23 @@ class MeasureFunction(SpiralFunction):
         self._sigma_rot = np.exp(-1j * sigma_t)
         self._block = max(1, _BLOCK_TERMS // max(1, atom_t.size + sigma_t.size))
 
-    def _blockwise(self, z, kernel):
-        """kernel over the flattened points of z in blocks of self._block."""
-        z = _as_disk_points(z)
-        flat = z.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for start in range(0, flat.size, self._block):
-            out[start : start + self._block] = kernel(flat[start : start + self._block])
-        return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
-
     def _log_f_over_z(self, z):
-        # Integral of log(1 - exp(-i*t)z) d(beta)(t) in closed form; an atom
-        # term is d (log|1 - u| + i arg(1 - u)) from real ufuncs.
+        # Integral of log(1 - exp(-i*t)z) d(beta)(t) in closed form
         total = np.zeros(z.shape, dtype=complex)
         if self._atom_d.size:
-            v = 1.0 - z[:, None] * self._atom_rot
-            d = self._atom_d
-            total += _complex(np.sum(d * np.log(np.abs(v)), axis=-1), np.sum(d * np.angle(v), axis=-1))
+            total += (self._atom_d * _log1m(z[:, None] * self._atom_rot)).sum(axis=-1)
         if self._sigma.size:
-            total += np.sum(self._sigma * li3(z[:, None] * self._sigma_rot), axis=-1)
+            total += (self._sigma * li3(z[:, None] * self._sigma_rot)).sum(axis=-1)
         return -(self.angle.mu / np.pi) * total
 
     def _log_derivative(self, z):
         total = np.zeros(z.shape, dtype=complex)
         if self._atom_d.size:
             u = z[:, None] * self._atom_rot
-            total += np.sum(self._atom_d * u / (1.0 - u), axis=-1)
+            total += (self._atom_d * u / (1.0 - u)).sum(axis=-1)
         if self._sigma.size:
-            total -= np.sum(self._sigma * li2(z[:, None] * self._sigma_rot), axis=-1)
+            total -= (self._sigma * li2(z[:, None] * self._sigma_rot)).sum(axis=-1)
         return 1.0 + (self.angle.mu / np.pi) * total
-
-    def log_f_over_z(self, z):
-        return self._blockwise(z, self._log_f_over_z)
-
-    def log_derivative(self, z):
-        return self._blockwise(z, self._log_derivative)
 
 
 class PowerTransform(SpiralFunction):
@@ -152,17 +175,10 @@ class PowerTransform(SpiralFunction):
         )
         self.base = base
         self.power = complex(power)
+        self._block = base._block
 
-    # A scalar z goes through the same array arithmetic as an array and is
-    # unwrapped once, so evaluating z alone or inside an array gives the
-    # same bits (Python complex and numpy's loop round differently).
+    def _log_f_over_z(self, z):
+        return self.power * self.base._log_f_over_z(z)
 
-    def log_f_over_z(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = self.power * self.base.log_f_over_z(np.atleast_1d(z))
-        return complex(out[0]) if z.ndim == 0 else out
-
-    def log_derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = 1.0 + self.power * (self.base.log_derivative(np.atleast_1d(z)) - 1.0)
-        return complex(out[0]) if z.ndim == 0 else out
+    def _log_derivative(self, z):
+        return 1.0 + self.power * (self.base._log_derivative(z) - 1.0)

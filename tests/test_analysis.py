@@ -546,13 +546,11 @@ def test_sector_inconsistent_function_is_caught():
     # identity disk image with a koebe measure attached: the sector samples
     # leave the image, so certification must fail loudly
     class Lying(MeasureFunction):
-        def log_f_over_z(self, z):
-            out = np.zeros(np.asarray(z, dtype=complex).shape, dtype=complex)
-            return out if out.ndim else complex(out)
+        def _log_f_over_z(self, z):
+            return np.zeros(z.shape, dtype=complex)
 
-        def log_derivative(self, z):
-            out = np.ones(np.asarray(z, dtype=complex).shape, dtype=complex)
-            return out if out.ndim else complex(out)
+        def _log_derivative(self, z):
+            return np.ones(z.shape, dtype=complex)
 
     with pytest.raises(InconsistencyError):
         detect_maximal_sector(Lying(BoundaryMeasure.single_atom(), STARLIKE))

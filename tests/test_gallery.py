@@ -13,6 +13,7 @@ Closed-form oracles, worked by hand:
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,11 +28,14 @@ from spirallike import (
     InconsistencyError,
     ParameterError,
     SpiralAngle,
+    beta_trace,
     c0_constant,
     counterexample_for,
     g0_correction,
     g0_log_derivative,
+    goodman_check,
     hansen_build,
+    hansen_ratio,
     koebe_power,
     lemma_c_margins,
     q_function,
@@ -82,6 +86,32 @@ def test_g0_correction_series_seam():
         assert abs(g0_correction(z) - direct) < 1e-10
 
 
+def test_g0_closed_forms_against_mpmath_near_zero():
+    # with w = log(1/(1-z)): log(g0/z) = w + log(w/z), G = z/((1-z)w) and
+    # zg0'/g0 = z/(1-z) + G; small |z| is where a complex log1p loses digits
+    z = np.concatenate([r * np.exp(2j * PI * np.arange(16) / 16) for r in (1.01e-4, 1e-3, 1e-2)])
+    z = np.append(z, 0.0)
+    want = {"log_f_over_z": [0j] * z.size, "log_derivative": [1 + 0j] * z.size}
+    want["g0_correction"] = list(want["log_derivative"])
+    with mpmath.workdps(40):
+        for k, p in enumerate(z[:-1]):
+            zm = mpmath.mpc(p)
+            w = -mpmath.log(1 - zm)
+            G = zm / ((1 - zm) * w)
+            want["log_f_over_z"][k] = complex(w + mpmath.log(w / zm))
+            want["log_derivative"][k] = complex(zm / (1 - zm) + G)
+            want["g0_correction"][k] = complex(G)
+    g0 = G0Function()
+    got = {
+        "log_f_over_z": g0.log_f_over_z(z),
+        "log_derivative": g0.log_derivative(z),
+        "g0_correction": g0_correction(z),
+    }
+    for name, values in got.items():
+        err = float(np.max(np.abs(values - np.array(want[name]))))
+        assert err < 1e-14, f"{name}: {err:.3g}"
+
+
 def test_g0_log_derivative_decomposition():
     z = 0.3 + 0.2j
     assert abs(g0_log_derivative(z) - (z / (1 - z) + g0_correction(z))) < 1e-14
@@ -110,12 +140,50 @@ def test_closed_forms_reject_points_off_the_open_disk(bad):
             fn(bad)
 
 
+# -- argument contracts ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lemma_c_margins(np.nan),
+        lambda: lemma_c_margins(np.inf),
+        lambda: lemma_c_margins(20.0, grid=(0, 4)),
+        lambda: lemma_c_margins(20.0, r_max=1.0),
+        lambda: q_function(np.nan),
+        lambda: c0_constant("x"),
+        lambda: beta_trace(koebe_power(), t_grid=np.nan),
+        lambda: goodman_check(G0Function(), r_max=1.0),
+        lambda: goodman_check(G0Function(), r_max=0.0),
+        lambda: goodman_check(G0Function(), r_max=np.nan),
+        lambda: hansen_ratio(koebe_power(), q0=np.nan),
+    ],
+    ids=[
+        "lemma_c-nan",
+        "lemma_c-inf",
+        "lemma_c-grid0",
+        "lemma_c-r_max1",
+        "q-nan",
+        "c0-grid-str",
+        "beta_trace-t_grid-nan",
+        "goodman-r_max1",
+        "goodman-r_max0",
+        "goodman-r_max-nan",
+        "hansen_ratio-q0-nan",
+    ],
+)
+def test_bad_arguments_raise_domain_error(call):
+    # never a raw numpy or Python exception, a warning or a NaN result
+    with pytest.raises(DomainError):
+        call()
+
+
 # -- koebe powers -----------------------------------------------------------------
 
 
 def test_koebe_power_default_is_koebe():
     f = koebe_power()
-    assert f.exponent == 2.0
+    assert f.measure.max_jump() == TWO_PI
     assert abs(f.evaluate(0.5) - 2.0) < 1e-14
     assert f.measure.atoms == ((0.0, TWO_PI),)
     assert f.measure.density_knots == ()
@@ -130,6 +198,17 @@ def test_koebe_power_intermediate():
     assert f.measure.density_at(2.0) == pytest.approx(0.5)
     assert f.measure.total_mass() == pytest.approx(TWO_PI)
     assert spirallikeness_margin(f, grid=(16, 128)) > 0.4
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5, 1.0, 1.5, 2.0])
+def test_koebe_power_closed_form(e):
+    # the MeasureFunction of an atom pi*e plus a constant density is
+    # log(f/z) = -e log(1-z), zf'/f = 1 + e z/(1-z)
+    f = koebe_power(e)
+    rng = np.random.default_rng(3)
+    z = 0.95 * np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * PI * rng.uniform(0, 1, 200))
+    assert np.max(np.abs(f.log_f_over_z(z) + e * np.log(1 - z))) < 1e-14
+    assert np.max(np.abs(f.log_derivative(z) - (1 + e * z / (1 - z)))) < 1e-13
 
 
 def test_koebe_power_zero_is_identity():

@@ -23,11 +23,15 @@ from spirallike import (
     AccuracyError,
     BoundaryMeasure,
     DomainError,
+    G0Function,
+    HansenParams,
     MeasureFunction,
     MeasureValidationError,
     PowerTransform,
     SpiralAngle,
     counterexample_for,
+    hansen_build,
+    koebe_power,
     spirallike_of,
 )
 
@@ -277,29 +281,6 @@ def test_power_transform_composes_logs():
     assert g.measure is base.measure
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: counterexample_for(SpiralAngle(PI / 4), PI),
-        lambda: spirallike_of(koebe(), SpiralAngle(0.7)),
-    ],
-    ids=["counterexample", "spirallike_koebe"],
-)
-def test_power_transform_scalar_matches_array(make):
-    # A scalar z must give the bits of z inside an array: batched callers
-    # (max_modulus over many radii) and scalar callers then agree exactly.
-    f = make()
-    rng = np.random.default_rng(11)
-    zs = 0.9 * np.exp(2j * PI * rng.uniform(0, 1, 2000))
-    for name in ("log_f_over_z", "log_derivative", "evaluate"):
-        method = getattr(f, name)
-        scalar = [method(complex(z)) for z in zs]
-        single = [method(np.array([z]))[0] for z in zs]
-        assert all(isinstance(v, complex) for v in scalar)
-        mismatches = sum(a != b for a, b in zip(scalar, single))
-        assert mismatches == 0, f"{name}: {mismatches} of {zs.size} differ"
-
-
 def atoms_and_knots(n_atoms, n_knots, seed):
     """Atoms carrying 60% of the mass plus a non-constant n_knots density."""
     rng = np.random.default_rng(seed)
@@ -316,13 +297,26 @@ def atoms_and_knots(n_atoms, n_knots, seed):
     )
 
 
-@pytest.mark.parametrize(
-    "n_atoms,n_knots,lam", [(2, 4, 0.0), (2, 4, 0.7), (24, 12, 0.3)], ids=["mixed", "mixed_l07", "wide"]
-)
-def test_point_value_independent_of_batch(n_atoms, n_knots, lam):
+# one handle of every SpiralFunction class: measures with atoms and
+# non-constant densities, the gallery closed forms and power transforms
+HANDLES = {
+    "mixed": lambda: MeasureFunction(atoms_and_knots(2, 4, seed=2), STARLIKE),
+    "mixed_l07": lambda: MeasureFunction(atoms_and_knots(2, 4, seed=2), SpiralAngle(0.7)),
+    "wide": lambda: MeasureFunction(atoms_and_knots(24, 12, seed=24), SpiralAngle(0.3)),
+    "g0": G0Function,
+    "hansen": lambda: hansen_build(HansenParams(1.3, 2.0, 0.2)),
+    "counterexample": lambda: counterexample_for(SpiralAngle(PI / 4), PI),
+    "spirallike_koebe": lambda: spirallike_of(koebe(), SpiralAngle(0.7)),
+    "koebe_power": lambda: koebe_power(1.5),
+}
+
+
+@pytest.mark.parametrize("make", HANDLES.values(), ids=HANDLES.keys())
+def test_point_value_independent_of_batch(make):
     # A point gets the same bits alone, inside arrays of any size (across
-    # the block size of the blocked kernel, at its edges) and in a 2-d grid.
-    f = MeasureFunction(atoms_and_knots(n_atoms, n_knots, seed=n_atoms), SpiralAngle(lam))
+    # the block size of the blocked kernel, at its edges) and in a 2-d grid:
+    # batched callers (max_modulus over many radii) and scalar callers agree.
+    f = make()
     block = f._block
     rng = np.random.default_rng(5)
     r = np.concatenate([0.5 * np.sqrt(rng.uniform(0, 1, 100)), 1.0 - 10.0 ** rng.uniform(-6, -0.3, 200)])
@@ -358,9 +352,10 @@ def test_point_value_independent_of_batch(n_atoms, n_knots, lam):
 
 @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.2), np.inf, complex(0.3, np.inf)])
 def test_measure_function_rejects_non_finite(bad):
-    f = MeasureFunction(atoms_and_knots(2, 4, seed=2), SpiralAngle(0.7))
-    for name in ("log_f_over_z", "log_derivative", "evaluate"):
-        with pytest.raises(DomainError):
-            getattr(f, name)(bad)
-        with pytest.raises(DomainError):
-            getattr(f, name)(np.array([0.5, bad]))
+    for make in HANDLES.values():
+        f = make()
+        for name in ("log_f_over_z", "log_derivative", "evaluate"):
+            with pytest.raises(DomainError):
+                getattr(f, name)(bad)
+            with pytest.raises(DomainError):
+                getattr(f, name)(np.array([0.5, bad]))
