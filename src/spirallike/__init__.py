@@ -31,7 +31,6 @@ from .errors import (
     InconsistencyError,
     MeasureValidationError,
     ParameterError,
-    RefinementRequiredError,
     SpirallikeError,
 )
 from .gallery import (
@@ -55,11 +54,9 @@ from .spiral_geometry import (
     SpiralAngle,
     SpiralSector,
     arg_lambda,
-    continuous_arg_lambda,
     principal_angle,
     sector_contains,
     spiral_point,
-    spiral_segment_sample,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +78,6 @@ __all__ = [
     "MeasureValidationError",
     "ParameterError",
     "PowerTransform",
-    "RefinementRequiredError",
     "STARLIKE",
     "SpiralAngle",
     "SpiralFunction",
@@ -90,7 +86,6 @@ __all__ = [
     "arg_lambda",
     "beta_trace",
     "c0_constant",
-    "continuous_arg_lambda",
     "counterexample_for",
     "default_r_schedule",
     "detect_maximal_sector",
@@ -113,7 +108,6 @@ __all__ = [
     "refine_jump",
     "sector_contains",
     "spiral_point",
-    "spiral_segment_sample",
     "spirallike_of",
     "spirallikeness_margin",
     "starlike_of",

@@ -84,6 +84,19 @@ def _check_unit_radius(r_max):
         raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
 
 
+def _polar_grid(r_max, grid):
+    """Points r*exp(i*theta) of shape grid = (n_r, n_theta), checked like r_max and grid sizes.
+
+    The n_r radii 1 - (1 - r_max)^s for s uniform in [0, 1] run from 0 to
+    r_max, refining toward r_max; the n_theta angles are uniform.
+    """
+    _check_unit_radius(r_max)
+    n_r, n_theta = (_grid_size(n, "grid size") for n in grid)
+    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_r)
+    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
+    return radii[:, None] * np.exp(1j * thetas)[None, :]
+
+
 # -- the continuous spiral argument ------------------------------------------
 
 
@@ -177,6 +190,8 @@ def estimate_max_jump(trace, gap_threshold=None):
     t = trace.t_samples
     v = trace.beta_values
     n = len(t)
+    if n == 0:
+        raise DomainError("the trace has no samples")
     gaps = np.diff(np.concatenate((v, [v[0] + TWO_PI])))
     if float(np.min(gaps)) < -_MONOTONE_TOL:
         k = int(np.argmin(gaps))
@@ -253,12 +268,7 @@ def spirallikeness_margin(fn, angle=None, r_max=0.999, grid=(48, 512)):
     Positive values certify the spirallike condition on the grid.
     """
     angle = fn.angle if angle is None else angle
-    _check_unit_radius(r_max)
-    n_r, n_theta = (_grid_size(n, "grid size") for n in grid)
-    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_r)
-    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
-    z = radii[:, None] * np.exp(1j * thetas)[None, :]
-    values = np.exp(-1j * angle.lam) * fn.log_derivative(z)
+    values = np.exp(-1j * angle.lam) * fn.log_derivative(_polar_grid(r_max, grid))
     return float(np.min(values.real))
 
 

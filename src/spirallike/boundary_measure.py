@@ -267,8 +267,10 @@ class BoundaryMeasure:
         merged = {}
         for t, w in pairs:
             t, w = float(t), float(w)
-            if not (w > 0):
-                raise ParameterError(f"atom weight {w} is not strictly positive")
+            if not np.isfinite(t):
+                raise ParameterError(f"atom position {t} is not finite")
+            if not (0.0 < w < np.inf):
+                raise ParameterError(f"atom weight {w} is not finite and strictly positive")
             merged[t] = merged.get(t, 0.0) + w
         total = sum(merged.values())
         if total == 0.0:

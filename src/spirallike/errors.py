@@ -24,14 +24,6 @@ class ParameterError(SpirallikeError):
     """A named parameter constraint is violated; message states which."""
 
 
-class RefinementRequiredError(SpirallikeError):
-    """A continuation step was too coarse to track an argument branch."""
-
-    def __init__(self, message, where=None):
-        self.where = where
-        super().__init__(message)
-
-
 class AccuracyError(SpirallikeError):
     """A numerical routine could not reach its accuracy target."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _check_unit_radius, _grid_size, golden_section_max
+from .analysis import _grid_size, _polar_grid, golden_section_max
 from .boundary_measure import BoundaryMeasure
 from .correspondence import spirallike_of
 from .errors import DomainError, InconsistencyError, ParameterError
@@ -135,11 +135,7 @@ def lemma_c_margins(C, grid=(64, 256), r_max=0.999):
     C = float(C)
     if not (2.0 <= C < np.inf):
         raise DomainError(f"threshold inequalities need finite C >= 2, got {C}")
-    _check_unit_radius(r_max)
-    n_r, n_theta = (_grid_size(n, "grid size") for n in grid)
-    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_r)
-    thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    z = radii[:, None] * np.exp(1j * thetas)[None, :]
+    z = _polar_grid(r_max, grid)
     p = 1.0 / ((1.0 - z) * (np.log(C) - _log1m(z)))
     b = 1.0 / (2.0 * np.log(C / 2.0))
     return float(np.min(p.real) - b), float(np.min((z * p).real) + b)

@@ -68,7 +68,8 @@ class SpiralFunction:
     """Evaluatable analytic function handle on the unit disk.
 
     log_f_over_z returns the branch of log(f(z)/z) vanishing at 0,
-    log_derivative returns z*f'(z)/f(z), and evaluate returns f(z).  Each
+    log_derivative returns z*f'(z)/f(z), evaluate returns f(z) and f_over_z
+    returns f(z)/z.  Each
     takes a scalar or an array of points with |z| < 1; it checks the domain,
     flattens, and evaluates blocks of self._block points.  A MeasureFunction
     uses blocks of about 16384/(atoms + slope changes) points, so that its
@@ -89,6 +90,9 @@ class SpiralFunction:
     def _evaluate(self, z):
         return z * np.exp(self._log_f_over_z(z))
 
+    def _f_over_z(self, z):
+        return np.exp(self._log_f_over_z(z))
+
     def log_f_over_z(self, z):
         return _pointwise(self._log_f_over_z, z, self._block)
 
@@ -99,7 +103,7 @@ class SpiralFunction:
         return _pointwise(self._evaluate, z, self._block)
 
     def f_over_z(self, z):
-        return np.exp(self.log_f_over_z(z))
+        return _pointwise(self._f_over_z, z, self._block)
 
     def taylor_coefficients(self, n_max, radius=0.5):
         """Coefficients a_1..a_n_max of f at 0 via circle sampling.

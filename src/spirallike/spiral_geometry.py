@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RefinementRequiredError
+from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,12 +78,14 @@ class SpiralSector:
 
 
 def arg_lambda(w, angle):
-    """Spiral argument Arg(w) - tan(lam)*log|w| of nonzero points w.
+    """Spiral argument Arg(w) - tan(lam)*log|w| of finite nonzero points w.
 
-    Vectorized; raises DomainError if any entry is zero.  For lam = 0 this
-    is numpy.angle exactly.
+    Vectorized; raises DomainError if any entry is zero or not finite.  For
+    lam = 0 this is numpy.angle exactly.
     """
     w = np.asarray(w, dtype=complex)
+    if not np.isfinite(w).all():
+        raise DomainError("spiral argument needs finite points")
     if np.any(w == 0):
         raise DomainError("spiral argument is undefined at the origin")
     out = np.angle(w) - angle.tan_lambda * np.log(np.abs(w))
@@ -94,29 +96,13 @@ def spiral_point(theta0, angle, t):
     """Point exp(i*theta0 + exp(i*lam)*t) on the spiral labeled theta0.
 
     t = 0 gives the unit-circle point; t < 0 moves toward the origin.
+    theta0 and t must be finite.
     """
     t = np.asarray(t, dtype=float)
+    if not (np.isfinite(theta0).all() and np.isfinite(t).all()):
+        raise DomainError("spiral points need a finite label theta0 and finite t")
     w = np.exp(np.exp(1j * angle.lam) * t + 1j * theta0)
     return w if w.ndim else complex(w)
-
-
-def spiral_segment_sample(w, angle, n, t_min):
-    """Sample the inward spiral arc ending at w.
-
-    Returns the n points w * exp(exp(i*lam)*t) for t on a uniform grid
-    [t_min, 0]; the last entry is w exactly.  Requires t_min < 0 and n >= 2.
-    """
-    if not (t_min < 0):
-        raise DomainError(f"t_min must be negative, got {t_min!r}")
-    if n < 2:
-        raise DomainError(f"need at least two sample points, got {n!r}")
-    w = complex(w)
-    if w == 0:
-        raise DomainError("spiral arcs through the origin are degenerate")
-    t = np.linspace(t_min, 0.0, int(n))
-    pts = w * np.exp(np.exp(1j * angle.lam) * t)
-    pts[-1] = w
-    return pts
 
 
 def sector_contains(sector, w):
@@ -125,29 +111,3 @@ def sector_contains(sector, w):
     inside = np.abs(offs) < sector.opening / 2.0
     return inside if np.ndim(inside) else bool(inside)
 
-
-def continuous_arg_lambda(path, angle):
-    """Continuous branch of the spiral argument along a discrete path.
-
-    path: complex samples of a curve starting at exactly 1, where the
-        branch is pinned to arg_lam = 0.
-    Consecutive turning increments must stay below pi in magnitude or the
-    branch is ambiguous; then RefinementRequiredError reports the first
-    offending step so the caller can resample.
-    """
-    path = np.asarray(path, dtype=complex)
-    if path.ndim != 1 or path.size == 0:
-        raise DomainError("path must be a nonempty 1-d array")
-    if path[0] != 1:
-        raise DomainError("path must start at 1, where the branch is pinned")
-    if np.any(path == 0):
-        raise DomainError("path passes through the origin")
-    inc = np.angle(path[1:] / path[:-1])
-    bad = np.abs(inc) >= np.pi
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise RefinementRequiredError(
-            f"argument step {k}->{k + 1} reaches pi; refine the path", where=k
-        )
-    arg = np.concatenate(([0.0], np.cumsum(inc)))
-    return arg - angle.tan_lambda * np.log(np.abs(path))

@@ -130,7 +130,8 @@ def test_criterion_04_beta_recovery():
 
 
 def test_criterion_05_correspondence():
-    from spirallike import continuous_arg_lambda, spirallike_of, starlike_of
+    from _oracles import continuous_arg_lambda
+    from spirallike import spirallike_of, starlike_of
 
     m = BoundaryMeasure.from_atoms([(0.3, 1.0), (2.0, 2.0), (5.5, 0.5)])
     g = MeasureFunction(m, STARLIKE)

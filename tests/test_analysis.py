@@ -34,7 +34,6 @@ from spirallike import (
     SpiralSector,
     arg_lambda,
     beta_trace,
-    continuous_arg_lambda,
     counterexample_for,
     default_r_schedule,
     detect_maximal_sector,
@@ -52,6 +51,8 @@ from spirallike import (
     spiral_point,
 )
 from spirallike.analysis import _arg_lambda_f_over_z, _certify_sector, _sector_image
+
+from _oracles import continuous_arg_lambda
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi

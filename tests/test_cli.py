@@ -11,7 +11,19 @@ import math
 import numpy as np
 import pytest
 
-from spirallike import BoundaryMeasure
+from spirallike import (
+    STARLIKE,
+    BoundaryMeasure,
+    MeasureFunction,
+    SpiralAngle,
+    beta_trace,
+    c0_constant,
+    counterexample_for,
+    default_r_schedule,
+    growth_exponent,
+    hansen_ratio,
+    q_function,
+)
 from spirallike.cli import main, parse_complex, parse_r_schedule
 from spirallike.errors import ConfigError
 
@@ -304,6 +316,47 @@ def test_exit_codes():
 def test_removed_noop_flags_exit_2(capsys):
     assert main(["eval", "--gallery", "koebe", "--threads", "2"]) == 2
     assert main(["eval", "--gallery", "koebe", "--quadrature-nodes", "64"]) == 2
+    # qtheta builds no function, so it takes none of the function flags
+    for flag, value in (
+        ("--measure", "m.json"), ("--gallery", "koebe"), ("--lambda", "0.3"),
+        ("--alpha", "1.0"), ("--beta-exp", "2"), ("--c", "0.2"), ("--A", "2"),
+    ):
+        assert main(["qtheta", "--qtheta-grid", "1000", flag, value]) == 2
+
+
+def table_lines(header, rows):
+    return [header] + [",".join(f"{x:.15g}" for x in row) for row in rows]
+
+
+def test_csv_tables_match_per_row_formatting(capsys):
+    # each table row is the library's values, each formatted as f"{x:.15g}"
+    koebe = MeasureFunction(BoundaryMeasure.single_atom(), STARLIKE)
+    trace = beta_trace(koebe, t_grid=64, r_schedule=default_r_schedule(2, 6))
+    rc, out, _ = run(capsys, "beta", "--gallery", "koebe", "--t-grid", "64", "--format", "csv")
+    assert rc == 0
+    assert out.splitlines() == table_lines(
+        "t,beta_estimate", zip(trace.t_samples, trace.beta_values)
+    )
+
+    fn = counterexample_for(SpiralAngle(PI / 4), PI)
+    schedule = default_r_schedule(2, 5)
+    report = growth_exponent(fn, r_schedule=schedule, coarse=128)
+    ratios = hansen_ratio(fn, report.predicted_q0, r_schedule=schedule, coarse=128)
+    rc, out, _ = run(
+        capsys, "growth", "--gallery", "hansen", "--lambda", str(PI / 4), "--A", str(PI),
+        "--r-k", "2:5", "--coarse", "128",
+    )
+    assert rc == 0
+    rows = [(r, M, E, ratio) for (r, M, E), (_, ratio) in zip(report.rows, ratios)]
+    assert out.splitlines()[: len(rows) + 1] == table_lines("r,M,E,ratio", rows)
+
+    sup_q, c0, _ = c0_constant(1000)
+    theta = np.linspace(0.0, PI / 2.0, 1002)[1:-1]
+    rc, out, _ = run(capsys, "qtheta", "--qtheta-grid", "1000")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[:2] == [f"# sup_Q = {sup_q:.15g}", f"# C0 = {c0:.15g}"]
+    assert lines[3:] == table_lines("theta,Q", zip(theta, q_function(theta)))
 
 
 def test_hansen_inadmissible_parameters_exit_2(capsys):

@@ -20,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from spirallike import (
     DEFAULT_C0,
+    STARLIKE,
+    BetaTrace,
     BoundaryMeasure,
     DomainError,
     G0Function,
@@ -28,9 +30,11 @@ from spirallike import (
     InconsistencyError,
     ParameterError,
     SpiralAngle,
+    arg_lambda,
     beta_trace,
     c0_constant,
     counterexample_for,
+    estimate_max_jump,
     g0_correction,
     g0_log_derivative,
     goodman_check,
@@ -39,6 +43,7 @@ from spirallike import (
     koebe_power,
     lemma_c_margins,
     q_function,
+    spiral_point,
     spirallikeness_margin,
 )
 
@@ -157,6 +162,11 @@ def test_closed_forms_reject_points_off_the_open_disk(bad):
         lambda: goodman_check(G0Function(), r_max=0.0),
         lambda: goodman_check(G0Function(), r_max=np.nan),
         lambda: hansen_ratio(koebe_power(), q0=np.nan),
+        lambda: estimate_max_jump(BetaTrace(np.array([]), np.array([]), 0.99, ())),
+        lambda: arg_lambda(np.nan, STARLIKE),
+        lambda: arg_lambda(np.array([0.5, complex(0.1, np.inf)]), SpiralAngle(0.3)),
+        lambda: spiral_point(np.nan, STARLIKE, 0.0),
+        lambda: spiral_point(0.5, SpiralAngle(0.3), np.array([-1.0, np.nan])),
     ],
     ids=[
         "lemma_c-nan",
@@ -170,12 +180,28 @@ def test_closed_forms_reject_points_off_the_open_disk(bad):
         "goodman-r_max0",
         "goodman-r_max-nan",
         "hansen_ratio-q0-nan",
+        "max_jump-empty-trace",
+        "arg_lambda-nan",
+        "arg_lambda-inf",
+        "spiral_point-theta0-nan",
+        "spiral_point-t-nan",
     ],
 )
 def test_bad_arguments_raise_domain_error(call):
     # never a raw numpy or Python exception, a warning or a NaN result
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(np.nan, 1.0)], [(0.5, np.inf)], [(0.5, 1.0), (np.inf, 2.0)]],
+    ids=["position-nan", "weight-inf", "position-inf"],
+)
+def test_bad_atoms_raise_parameter_error(pairs):
+    # rejected when the measure is built, not when it is first used
+    with pytest.raises(ParameterError):
+        BoundaryMeasure.from_atoms(pairs)
 
 
 # -- koebe powers -----------------------------------------------------------------

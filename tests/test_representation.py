@@ -325,10 +325,11 @@ def test_point_value_independent_of_batch(make):
     def filler(size):
         return 0.95 * np.sqrt(rng.uniform(0, 1, size)) * np.exp(2j * PI * rng.uniform(0, 1, size))
 
-    for name in ("log_f_over_z", "log_derivative", "evaluate"):
+    for name in ("log_f_over_z", "log_derivative", "evaluate", "f_over_z"):
         method = getattr(f, name)
         alone = np.array([method(complex(p)) for p in points])
-        assert all(isinstance(method(complex(p)), complex) for p in points[:3])
+        # a Python complex, not a numpy scalar
+        assert all(type(method(complex(p))) is complex for p in points[:3])
         for size in (1, 3, block - 1, block, block + 1, 3 * block):
             # the points in groups that fit, at spread positions and at the
             # first and last slot of each block
@@ -354,7 +355,7 @@ def test_point_value_independent_of_batch(make):
 def test_measure_function_rejects_non_finite(bad):
     for make in HANDLES.values():
         f = make()
-        for name in ("log_f_over_z", "log_derivative", "evaluate"):
+        for name in ("log_f_over_z", "log_derivative", "evaluate", "f_over_z"):
             with pytest.raises(DomainError):
                 getattr(f, name)(bad)
             with pytest.raises(DomainError):

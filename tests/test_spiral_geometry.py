@@ -1,4 +1,4 @@
-"""Geometry layer: spiral arguments, sectors, branch continuation.
+"""Geometry layer: spiral arguments, sectors, and the radial-continuation oracle.
 
 Oracle for the frozen arg_lambda value: a point w = R*exp(i*phi) lies on
 the spiral through exp(i*theta0) iff phi = theta0 + t*sin(lam) and
@@ -15,16 +15,15 @@ from hypothesis import given, settings, strategies as st
 from spirallike import (
     STARLIKE,
     DomainError,
-    RefinementRequiredError,
     SpiralAngle,
     SpiralSector,
     arg_lambda,
-    continuous_arg_lambda,
     principal_angle,
     sector_contains,
     spiral_point,
-    spiral_segment_sample,
 )
+
+from _oracles import continuous_arg_lambda
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,27 +145,6 @@ def test_spiral_point_t_zero_is_unit_circle():
     assert np.angle(w) == pytest.approx(1.1)
 
 
-def test_spiral_segment_sample_endpoints():
-    a = SpiralAngle(-0.5)
-    w = 0.4 + 0.3j
-    pts = spiral_segment_sample(w, a, 7, -2.0)
-    assert pts.shape == (7,)
-    assert pts[-1] == w
-    th = arg_lambda(w, a)
-    for p in pts:
-        assert wrap_dist(arg_lambda(p, a), th) < 1e-10
-
-
-def test_spiral_segment_sample_validation():
-    a = SpiralAngle(0.2)
-    with pytest.raises(DomainError):
-        spiral_segment_sample(0.5, a, 7, 0.0)
-    with pytest.raises(DomainError):
-        spiral_segment_sample(0.5, a, 1, -1.0)
-    with pytest.raises(DomainError):
-        spiral_segment_sample(0.0, a, 5, -1.0)
-
-
 # -- sectors -----------------------------------------------------------------
 
 
@@ -221,9 +199,8 @@ def test_continuous_arg_lambda_requires_fine_grid():
     # a half-turn step has ambiguous winding; any larger step aliases below
     # pi under the principal angle, so the half turn is the detectable case
     path = np.array([1.0, 1j, -1j])
-    with pytest.raises(RefinementRequiredError) as exc:
+    with pytest.raises(DomainError, match=r"step 1->2"):
         continuous_arg_lambda(path, STARLIKE)
-    assert exc.value.where == 1
 
 
 def test_continuous_arg_lambda_validation():
