@@ -411,12 +411,11 @@ def _bound_ratios(radii, peaks, q0):
 # -- maximal sectors ---------------------------------------------------------
 
 
-def _sector_image(fn, angle, image_grid, cluster_points):
-    """arg_lambda and log|.| of fn's values on the sector detection grid.
+def _sector_grid(fn, image_grid, cluster_points):
+    """Radii and angles of the sector detection grid.
 
-    The grid has n_r radii refining toward the circle times n_theta uniform
-    angles plus cluster_points angles on each side of every atom, closing in
-    geometrically; both arrays are flattened.
+    n_r radii refine toward the circle; the angles are n_theta uniform ones
+    plus cluster_points on each side of every atom, closing in geometrically.
     """
     n_r, n_theta = image_grid
     radii = 1.0 - np.geomspace(1e-5, 0.5, n_r)
@@ -425,22 +424,45 @@ def _sector_image(fn, angle, image_grid, cluster_points):
     for t_atom, _ in fn.measure.atoms:
         thetas.append(t_atom + offsets)
         thetas.append(t_atom - offsets)
-    thetas = np.concatenate(thetas)
-    W = fn.evaluate(radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    return arg_lambda(W, angle), np.log(np.abs(W))
+    return radii, np.concatenate(thetas)
+
+
+def _sector_image(fn, angle, image_grid, cluster_points):
+    """arg_lambda and log|.| of fn's values on the sector detection grid, flattened.
+
+    Both are read off L = log(f/z) at z = r*exp(i*theta) without forming f:
+    log|f| is log r + Re L, and theta + Im L is an argument of f, so the
+    spiral argument is right modulo 2*pi, which is all that certification
+    uses.
+    """
+    radii, thetas = _sector_grid(fn, image_grid, cluster_points)
+    L = fn.log_f_over_z(radii[:, None] * np.exp(1j * thetas)[None, :])
+    if not np.isfinite(L).all():
+        raise DomainError("spiral argument needs finite points")
+    logmod = np.log(radii)[:, None] + L.real
+    return (thetas + L.imag - angle.tan_lambda * logmod).ravel(), logmod.ravel()
+
+
+_SAMPLE_T = (-3.0, -1.5, 0.0, 1.5, 3.0)
 
 
 def _certify_sector(sector, grid_arg, grid_logmod, arg_tol, inner):
     """Raise InconsistencyError unless the grid covers every sector sample.
 
-    A sample w is covered by a grid value whose spiral argument is within
-    arg_tol of w's and whose modulus is at least |w| (so w lies on its inward
-    spiral segment).  The grid arguments are reduced to (-pi, pi] and sorted
-    once; each sample then applies that test only to the grid values whose
-    reduced argument falls in its window, widened by a pad that exceeds the
-    rounding of the reductions, and split at the -pi/pi cut.  Every grid
-    value the test accepts lies in the window, so the decision is that of a
-    scan over the whole grid, at O(N log N + samples x window) cost.
+    The samples are five points (t in _SAMPLE_T) on each of nine spirals
+    whose labels phi span the inner part of the opening.  A sample w is
+    covered by a grid value whose spiral argument is within arg_tol of w's
+    and whose modulus is at least |w| (so w lies on its inward spiral
+    segment).  The grid arguments are reduced to (-pi, pi] and sorted once.
+    The five samples of one label share one window of reduced arguments:
+    the hull of their own windows, each widened by a pad that exceeds the
+    rounding of the reductions, searched at shifts -2*pi, 0 and 2*pi across
+    the -pi/pi cut (a label whose samples reduce to both sides of the cut
+    gets the whole circle).  The five are tested together against the grid
+    values in it, then checked in (phi, t) order, sector membership before
+    coverage.  Every grid value the test accepts lies in the window, so
+    decisions and messages are those of a scan over the whole grid, at
+    O(N log N + labels x samples x window) cost.
     """
     angle = sector.angle
     reduced = principal_angle(grid_arg)
@@ -449,24 +471,25 @@ def _certify_sector(sector, grid_arg, grid_logmod, arg_tol, inner):
     scale = float(np.max(np.abs(grid_arg), where=np.isfinite(grid_arg), initial=0.0))
     phis = sector.center_angle + inner * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
     for phi in phis:
-        for t in (-3.0, -1.5, 0.0, 1.5, 3.0):
-            w = spiral_point(phi, angle, t)
-            if not sector_contains(sector, w):
+        w = [spiral_point(phi, angle, t) for t in _SAMPLE_T]
+        a = np.array([arg_lambda(x, angle) for x in w])
+        # each reduction mod 2*pi loses a few ulps of its input's magnitude
+        half_width = arg_tol + 1e-9 * (1.0 + scale + np.abs(a))
+        a0 = principal_angle(a)
+        lo, hi = np.min(a0 - half_width), np.max(a0 + half_width)
+        cand = np.concatenate([
+            order[np.searchsorted(keys, lo + s, "left"):np.searchsorted(keys, hi + s, "right")]
+            for s in (-TWO_PI, 0.0, TWO_PI)
+        ])
+        dist = np.abs(principal_angle(grid_arg[cand] - a[:, None]))
+        floor = np.array([np.log(np.abs(x)) for x in w]) - 1e-9
+        covered = ((dist <= arg_tol) & (grid_logmod[cand] >= floor[:, None])).any(axis=1)
+        for x, t, hit in zip(w, _SAMPLE_T, covered):
+            if not sector_contains(sector, x):
                 raise InconsistencyError(
                     f"sample point for spiral argument {phi:.6f} left the sector"
                 )
-            a = arg_lambda(w, angle)
-            # each reduction mod 2*pi loses a few ulps of its input's magnitude
-            half_width = arg_tol + 1e-9 * (1.0 + scale + abs(a))
-            a0 = principal_angle(a)
-            lo, hi = a0 - half_width, a0 + half_width
-            cand = np.concatenate([
-                order[np.searchsorted(keys, lo + s, "left"):np.searchsorted(keys, hi + s, "right")]
-                for s in (-TWO_PI, 0.0, TWO_PI)
-            ])
-            dist = np.abs(principal_angle(grid_arg[cand] - a))
-            hit = (dist <= arg_tol) & (grid_logmod[cand] >= np.log(np.abs(w)) - 1e-9)
-            if not np.any(hit):
+            if not hit:
                 raise InconsistencyError(
                     f"sector sample at spiral argument {phi:.6f}, t = {t} "
                     "is not covered by the image grid"
@@ -489,9 +512,11 @@ def detect_maximal_sector(
     certified inside the image: each must lie, within arg_tol on the spiral
     argument, on the inward spiral segment of some value of fn on a fine
     disk grid (images of spirallike functions contain these segments).  The
-    grid's N spiral arguments are sorted once and each sample looks only at
-    the window of those within arg_tol of its own, so certification costs
-    O(N log N + samples x window) on top of the grid evaluation.
+    grid's spiral arguments and log-moduli are read off one log_f_over_z
+    call.  Its N spiral arguments are sorted once; the five samples on each
+    of the nine sampled spirals share one window, those within arg_tol of
+    any of their own, so certification costs O(N log N + samples x window)
+    on top of the grid evaluation.
     """
     angle = fn.angle if angle is None else angle
     image_grid = tuple(_grid_size(n, "image_grid size") for n in image_grid)

@@ -256,8 +256,11 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
         code, text = args.run(args)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.out}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return code

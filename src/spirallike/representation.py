@@ -17,8 +17,8 @@ from .polylog import _complex, li2, li3
 
 _ALIAS_TARGET = 1e-12
 _MAX_FFT = 1 << 20
-# A block of points times terms holds fewer than 16384 complex values (256
-# KiB): at that size numpy starts to reuse temporaries as outputs, and its
+# A (terms, points) block holds fewer than 16384 complex values (256 KiB):
+# at that size numpy starts to reuse temporaries as outputs, and its
 # in-place complex multiply rounds differently from the out-of-place one.
 _BLOCK_TERMS = 16383
 
@@ -64,6 +64,16 @@ def _log1m(u):
     return _complex(re, np.arctan2(-y, a))
 
 
+def _term_sum(rows):
+    """Sum over the rows of a (terms, points) array, added strictly in row order.
+
+    The running sum adds row k to rows 0..k-1 for any number of points, so a
+    point gets the same bits alone as in a batch; rows.sum(axis=0) would sum
+    a single point's column pairwise instead.  rows is overwritten.
+    """
+    return np.add.accumulate(rows, axis=0, out=rows)[-1]
+
+
 class SpiralFunction:
     """Evaluatable analytic function handle on the unit disk.
 
@@ -72,11 +82,13 @@ class SpiralFunction:
     returns f(z)/z.  Each
     takes a scalar or an array of points with |z| < 1; it checks the domain,
     flattens, and evaluates blocks of self._block points.  A MeasureFunction
-    uses blocks of about 16384/(atoms + slope changes) points, so that its
-    (points, terms) temporaries stay in the L2 cache.  Every step of a kernel
-    is elementwise or a row sum, so a point gets the same bits alone as
-    inside any array.  Subclasses implement _log_f_over_z and
-    _log_derivative on 1-d arrays of checked points.
+    lays its terms out term-major, one row of a (terms, points) array per
+    atom or slope change, and uses blocks of about 16384/(atoms + slope
+    changes) points, so that those temporaries stay in the L2 cache.  Every
+    step of a kernel is elementwise or a sum over terms in term order
+    (_term_sum), so a point gets the same bits alone as inside any array.
+    Subclasses implement _log_f_over_z and _log_derivative on 1-d arrays of
+    checked points.
     """
 
     _block = _BLOCK_TERMS
@@ -109,7 +121,8 @@ class SpiralFunction:
         """Coefficients a_1..a_n_max of f at 0 via circle sampling.
 
         The sample count grows until the aliasing bound (n_max + N)*radius^N
-        for univalent coefficient growth drops below 1e-12.
+        for univalent coefficient growth drops below 1e-12.  AccuracyError
+        when n_max is not below the sample count N.
         """
         n_max = int(n_max)
         if n_max < 1:
@@ -124,6 +137,8 @@ class SpiralFunction:
                     "aliasing target unreachable at this radius",
                     achieved=(n_max + N // 2) * radius ** (N // 2),
                 )
+        if n_max >= N:
+            raise AccuracyError(f"n_max = {n_max} is not below the {N} circle samples")
         zs = radius * np.exp(2j * np.pi * np.arange(N) / N)
         coef = np.fft.fft(self.evaluate(zs)) / N
         m = np.arange(1, n_max + 1)
@@ -141,29 +156,31 @@ class MeasureFunction(SpiralFunction):
             known_max_jump=measure.max_jump(),
             measure=measure,
         )
-        atom_t = np.array([t for t, _ in measure.atoms], dtype=float)
-        self._atom_d = np.array([d for _, d in measure.atoms], dtype=float)
-        sigma_t, self._sigma = measure.slope_changes()
-        self._atom_rot = np.exp(-1j * atom_t)
-        self._sigma_rot = np.exp(-1j * sigma_t)
-        self._block = max(1, _BLOCK_TERMS // max(1, atom_t.size + sigma_t.size))
+        atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
+        sigma_t, sigma = measure.slope_changes()
+        # (terms, 1) columns, so that rot * z is a (terms, points) array
+        self._atom_rot = np.exp(-1j * atoms[:, :1])
+        self._atom_d = atoms[:, 1:]
+        self._sigma_rot = np.exp(-1j * sigma_t)[:, None]
+        self._sigma = sigma[:, None]
+        self._block = max(1, _BLOCK_TERMS // max(1, len(atoms) + sigma_t.size))
 
     def _log_f_over_z(self, z):
         # Integral of log(1 - exp(-i*t)z) d(beta)(t) in closed form
         total = np.zeros(z.shape, dtype=complex)
         if self._atom_d.size:
-            total += (self._atom_d * _log1m(z[:, None] * self._atom_rot)).sum(axis=-1)
+            total += _term_sum(self._atom_d * _log1m(self._atom_rot * z))
         if self._sigma.size:
-            total += (self._sigma * li3(z[:, None] * self._sigma_rot)).sum(axis=-1)
+            total += _term_sum(self._sigma * li3(self._sigma_rot * z))
         return -(self.angle.mu / np.pi) * total
 
     def _log_derivative(self, z):
         total = np.zeros(z.shape, dtype=complex)
         if self._atom_d.size:
-            u = z[:, None] * self._atom_rot
-            total += (self._atom_d * u / (1.0 - u)).sum(axis=-1)
+            u = self._atom_rot * z
+            total += _term_sum(self._atom_d * u / (1.0 - u))
         if self._sigma.size:
-            total -= (self._sigma * li2(z[:, None] * self._sigma_rot)).sum(axis=-1)
+            total -= _term_sum(self._sigma * li2(self._sigma_rot * z))
         return 1.0 + (self.angle.mu / np.pi) * total
 
 

@@ -52,7 +52,7 @@ from spirallike import (
 )
 from spirallike.analysis import _arg_lambda_f_over_z, _certify_sector, _sector_image
 
-from _oracles import continuous_arg_lambda
+from _oracles import continuous_arg_lambda, sector_image_from_values
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -616,25 +616,82 @@ def assert_sector_decisions_match(fn, tols):
     return sector, outcomes
 
 
-@pytest.mark.parametrize(
-    "make, crosses_cut",
-    [
-        (koebe, False),
-        (lambda: koebe(SpiralAngle(PI / 4)), False),
-        (two_atom, False),
-        # rotated Koebe: the sample at spiral argument pi - 0.01 has a window
-        # across the -pi/pi cut
-        (lambda: MeasureFunction(BoundaryMeasure.single_atom(1.0106), STARLIKE), True),
-    ],
-    ids=["koebe", "koebe_pi4", "two_atom", "rotated_koebe"],
-)
-def test_sector_windows_match_full_scan(make, crosses_cut):
-    sector, outcomes = assert_sector_decisions_match(make(), (0.025, 1e-5))
+SECTOR_HANDLES = {
+    "koebe": koebe,
+    "koebe_pi4": lambda: koebe(SpiralAngle(PI / 4)),
+    "two_atom": two_atom,
+    # rotated Koebe: the sample at spiral argument pi - 0.01 has a window
+    # across the -pi/pi cut
+    "rotated_koebe": lambda: MeasureFunction(BoundaryMeasure.single_atom(1.0106), STARLIKE),
+}
+
+
+@pytest.mark.parametrize("name", SECTOR_HANDLES)
+def test_sector_windows_match_full_scan(name):
+    sector, outcomes = assert_sector_decisions_match(SECTOR_HANDLES[name](), (0.025, 1e-5))
     assert outcomes[0] is None
     # at tolerance 1e-5 the grid no longer covers every sample
     assert outcomes[1] is not None
     args = np.array([arg_lambda(w, sector.angle) for _, _, w in sector_samples(sector)])
-    assert (np.max(np.abs(principal_angle(args))) + 0.025 > PI) == crosses_cut
+    assert (np.max(np.abs(principal_angle(args))) + 0.025 > PI) == (name == "rotated_koebe")
+
+
+@pytest.mark.parametrize("name", SECTOR_HANDLES)
+def test_sector_image_matches_values_of_f(name):
+    # the image read off log(f/z) against arg_lambda and log|.| of f's values
+    fn = SECTOR_HANDLES[name]()
+    grid_arg, grid_logmod = _sector_image(fn, fn.angle, *SECTOR_GRID)
+    want_arg, want_logmod = sector_image_from_values(fn, fn.angle, *SECTOR_GRID)
+    arg_err = np.max(np.abs(principal_angle(grid_arg - want_arg)))
+    assert arg_err <= 1e-12 * (1.0 + np.max(np.abs(want_arg)))
+    assert np.max(np.abs(grid_logmod - want_logmod)) <= 1e-12
+    sector = expected_sector(fn)
+    for tol in (0.025, 1e-5):
+        assert decision(_certify_sector, sector, grid_arg, grid_logmod, tol, 0.9) == decision(
+            _certify_sector, sector, want_arg, want_logmod, tol, 0.9
+        )
+
+
+def test_sector_image_rejects_non_finite_values():
+    class Overflowing:
+        measure = BoundaryMeasure.single_atom()
+
+        @staticmethod
+        def log_f_over_z(z):
+            return np.full(z.shape, complex(np.inf, 0.0))
+
+    with pytest.raises(DomainError):
+        _sector_image(Overflowing(), STARLIKE, (2, 8), 2)
+
+
+@pytest.mark.parametrize(
+    "inner, short, dropped",
+    [(0.9, 2, 6), (1.2, None, 0)],
+    ids=["third_label_uncovered", "left_sector"],
+)
+def test_per_label_certification_raises_the_full_scan_message(inner, short, dropped):
+    # one grid value on the spiral argument of every sample, at the sample's
+    # own modulus, except that the values of label `short` stop at t = 0's
+    # modulus and label `dropped` has none.  At inner 0.9 the first failure
+    # in (phi, t) order is t = 1.5 of the third label (t = 3 after it, and
+    # the seventh label's t = -3, fail too).  At inner 1.2 the first label
+    # lies outside the sector and is uncovered: membership is reported first.
+    sector = SpiralSector(center_angle=2.5, opening=2.0, angle=SpiralAngle(0.7))
+    samples = sector_samples(sector, inner)
+    kept = [(j // 5, t, w) for j, (_, t, w) in enumerate(samples) if j // 5 != dropped]
+    grid_arg = np.array([arg_lambda(w, sector.angle) for _, _, w in kept])
+    grid_logmod = np.array(
+        [0.0 if label == short and t > 0.0 else math.log(abs(w)) for label, t, w in kept]
+    )
+    want = decision(certify_full_scan, sector, grid_arg, grid_logmod, 0.025, inner)
+    if short is not None:
+        phi = samples[5 * short][0]
+        assert want == (
+            f"sector sample at spiral argument {phi:.6f}, t = 1.5 is not covered by the image grid"
+        )
+    else:
+        assert want == f"sample point for spiral argument {samples[0][0]:.6f} left the sector"
+    assert decision(_certify_sector, sector, grid_arg, grid_logmod, 0.025, inner) == want
 
 
 @settings(max_examples=6, deadline=None)

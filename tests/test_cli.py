@@ -276,6 +276,16 @@ def test_out_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("quantity,re,im")
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "x.txt"
+    rc, out, err = run(capsys, "eval", "--gallery", "koebe", "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
 def test_measure_file_roundtrip(tmp_path, capsys):
     m = BoundaryMeasure.from_atoms([(0.0, 2.0), (2.0, 1.0)], uniform_density_mass=1.0)
     p = tmp_path / "m.json"

@@ -34,6 +34,7 @@ from spirallike import (
     koebe_power,
     spirallike_of,
 )
+from spirallike.representation import _term_sum
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -266,6 +267,15 @@ def test_taylor_validation():
         f.taylor_coefficients(5, radius=1.5)
 
 
+@pytest.mark.parametrize("n_max", [128, 129, 1000])
+def test_taylor_past_sample_count_raises_accuracy_error(n_max):
+    # 128 circle samples at radius 1/2 resolve a_1..a_127 only: a package
+    # error, never numpy's broadcast ValueError
+    with pytest.raises(AccuracyError, match="not below the 128 circle samples"):
+        koebe().taylor_coefficients(n_max)
+    assert koebe().taylor_coefficients(127).shape == (127,)
+
+
 # -- power transforms --------------------------------------------------------------
 
 
@@ -349,6 +359,25 @@ def test_point_value_independent_of_batch(make):
         got = method(grid.reshape(-1, 7))
         assert got.shape == (grid.size // 7, 7) and (got.ravel()[: points.size] == alone).all()
         assert method(np.array([], dtype=complex)).shape == (0,)
+
+
+def test_term_sum_adds_rows_in_term_order():
+    # _term_sum equals a row-by-row running sum bit for bit for every batch
+    # size, a single point included, where numpy's reductions sum pairwise;
+    # magnitudes spread over 16 decades make any reordering round differently
+    rng = np.random.default_rng(11)
+    for terms in (1, 2, 7, 8, 9, 40):
+        for points in (1, 2, 3, 1000):
+            shape = (terms, points)
+            rows = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(
+                -8, 8, shape
+            )
+            want = rows[0].copy()
+            for row in rows[1:]:
+                want = want + row
+            got = _term_sum(rows.copy())
+            assert got.shape == (points,)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (terms, points)
 
 
 @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.2), np.inf, complex(0.3, np.inf)])
