@@ -14,12 +14,12 @@ from .analysis import (
     default_r_schedule,
     detect_maximal_sector,
     estimate_max_jump,
-    golden_section_max,
     goodman_check,
     growth_exponent,
     hansen_ratio,
     max_modulus,
     refine_jump,
+    section_search_max,
     spirallikeness_margin,
 )
 from .boundary_measure import BoundaryMeasure, load_measure
@@ -92,7 +92,6 @@ __all__ = [
     "estimate_max_jump",
     "g0_correction",
     "g0_log_derivative",
-    "golden_section_max",
     "goodman_check",
     "growth_exponent",
     "hansen_build",
@@ -106,6 +105,7 @@ __all__ = [
     "principal_angle",
     "q_function",
     "refine_jump",
+    "section_search_max",
     "sector_contains",
     "spiral_point",
     "spirallike_of",

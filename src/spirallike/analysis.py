@@ -29,41 +29,59 @@ def default_r_schedule(k_min=2, k_max=6):
     return tuple(1.0 - 10.0**-k for k in range(int(k_min), int(k_max) + 1))
 
 
-def golden_section_max(f, a, b, tol=1e-12):
-    """Golden-section search for the maximum of a unimodal f on [a, b].
+# interior points per lane and step of section_search_max
+_SECTION_POINTS = 8
+
+
+def section_search_max(f, a, b, tol=1e-12):
+    """Maximum of a unimodal f on [a, b] by an m-point section search.
 
     a and b may also be arrays of one shape, each entry the bracket of an
-    independent lane.  The lanes run in lockstep: f gets one array of lane
-    points per step and returns one value per lane, and a lane freezes once
-    its own bracket is within tol (its points are still sampled, inside the
-    final bracket, until every lane is done, and the values are discarded).
-    Each lane ends exactly where the scalar search on its bracket would.
-    Returns (x, f(x)) at the bracket midpoints: floats for scalar brackets,
-    else arrays.
+    independent lane.  Each step samples m = _SECTION_POINTS equally spaced
+    interior points of every lane in one call: f gets an array of shape
+    a.shape + (m,) and returns one value per point.  A lane's bracket then
+    shrinks to the two neighbours of its best sample (the bracket ends count
+    as neighbours), a factor of about 2/(m + 1) per step.  A lane freezes
+    once its bracket is within tol or stops shrinking at float spacing (its
+    points are still sampled, inside the final bracket, until every lane is
+    done, and the values are discarded), so each lane ends exactly where the
+    search on its bracket alone would.  Returns (x, f(x)) at the best point
+    sampled: floats for scalar brackets, else arrays.  DomainError unless
+    tol is finite and positive and every bracket is finite with a <= b;
+    AccuracyError when a lane sampled no finite value.
     """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    if not (0.0 < tol < np.inf):
+        raise DomainError(f"search tolerance must be finite and positive, got {tol!r}")
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    live = (b - a) > tol
-    while np.any(live):
-        keep_left = fc >= fd
-        left, right = live & keep_left, live & ~keep_left
-        # left and right lanes are disjoint: the second line reads d and fd
-        # where the first left them unchanged
-        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
-        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fx = f(x)
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
-        live = (b - a) > tol
-    x = 0.5 * (a + b)
-    fx = f(x)
-    if x.ndim == 0:
-        return float(x), float(fx)
-    return x, fx
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and (a <= b).all()):
+        raise DomainError("search brackets must be finite with a <= b")
+    shape, m = a.shape, _SECTION_POINTS
+    a, b = a.ravel(), b.ravel()
+    lanes = np.arange(a.size)
+    frac = np.arange(1, m + 1) / (m + 1)
+    best_x = np.full(a.size, np.nan)
+    best_f = np.full(a.size, -np.inf)
+    live = np.ones(a.size, dtype=bool)
+    while live.any():
+        # row i holds lane i's nodes a, x_1 .. x_m, b
+        lo, hi = a[:, None], b[:, None]
+        nodes = np.concatenate((lo, lo + (hi - lo) * frac, hi), axis=1)
+        fx = np.asarray(f(nodes[:, 1:-1].reshape(shape + (m,))), dtype=float).reshape(-1, m)
+        k = np.argmax(fx, axis=1)
+        top = fx[lanes, k]
+        gain = live & (top > best_f)
+        best_x = np.where(gain, nodes[lanes, k + 1], best_x)
+        best_f = np.where(gain, top, best_f)
+        # x_m can round past b; the clamp keeps each bracket inside the last
+        lo, hi = nodes[lanes, k], np.minimum(nodes[lanes, k + 2], b)
+        live &= hi - lo < b - a
+        a, b = np.where(live, lo, a), np.where(live, hi, b)
+        live &= b - a > tol
+    if not np.isfinite(best_f).all():
+        raise AccuracyError("the search sampled no finite value of f")
+    if not shape:
+        return float(best_x[0]), float(best_f[0])
+    return best_x.reshape(shape), best_f.reshape(shape)
 
 
 def _grid_size(n, name):
@@ -292,15 +310,18 @@ def goodman_check(g, grid=(512, 32), r_max=0.999):
 
 
 def max_modulus(fn, r, coarse=1024):
-    """Max of |f| on |z| = r: coarse circle scan plus golden refinement.
+    """Max of |f| on |z| = r: coarse circle scan plus section-search refinement.
 
     r is one radius (returns a float) or a 1-d array of radii (returns an
     array, one maximum per radius); every radius is checked before any work.
     One evaluate call scans all the circles at the coarse angles.  The top
     three cyclic local maxima of each scan are refined over one coarse
-    spacing each, all of them lanes of one lockstep golden search.  The
-    result is a lower bound tight to the search tolerance for peaks that are
-    unimodal at that scale.
+    spacing each, all of them lanes of one lockstep section_search_max with
+    tol 1e-12, one evaluate call per search step (16 steps at the default
+    coarse = 1024).  The result is the largest value sampled, a lower bound
+    on the maximum: for a peak unimodal at that scale it lies within
+    kappa * tol^2 / 8 of it relatively before rounding, kappa =
+    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).
     """
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1:
@@ -324,9 +345,9 @@ def max_modulus(fn, r, coarse=1024):
     lane_theta = thetas[lane_peak]
 
     def profile(theta):
-        return np.abs(fn.evaluate(lane_r * np.exp(1j * theta)))
+        return np.abs(fn.evaluate(lane_r[:, None] * np.exp(1j * theta)))
 
-    _, refined = golden_section_max(profile, lane_theta - h, lane_theta + h)
+    _, refined = section_search_max(profile, lane_theta - h, lane_theta + h)
     best = np.max(vals, axis=1).tolist()
     for i, fx in zip(lane_row, refined.tolist()):
         best[i] = max(best[i], fx)
@@ -446,46 +467,55 @@ def _sector_image(fn, angle, image_grid, cluster_points):
 _SAMPLE_T = (-3.0, -1.5, 0.0, 1.5, 3.0)
 
 
+def _sector_samples(sector, inner):
+    """The sector samples as (9, 5) arrays over (label phi, t in _SAMPLE_T).
+
+    Returns the nine labels, which span the inner part of the opening, and
+    the sample points' spiral arguments, log-moduli and sector memberships.
+    """
+    angle = sector.angle
+    phis = sector.center_angle + inner * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
+    w = spiral_point(phis[:, None], angle, np.array(_SAMPLE_T))
+    return phis, arg_lambda(w, angle), np.log(np.abs(w)), sector_contains(sector, w)
+
+
 def _certify_sector(sector, grid_arg, grid_logmod, arg_tol, inner):
     """Raise InconsistencyError unless the grid covers every sector sample.
 
     The samples are five points (t in _SAMPLE_T) on each of nine spirals
-    whose labels phi span the inner part of the opening.  A sample w is
-    covered by a grid value whose spiral argument is within arg_tol of w's
-    and whose modulus is at least |w| (so w lies on its inward spiral
-    segment).  The grid arguments are reduced to (-pi, pi] and sorted once.
-    The five samples of one label share one window of reduced arguments:
-    the hull of their own windows, each widened by a pad that exceeds the
-    rounding of the reductions, searched at shifts -2*pi, 0 and 2*pi across
-    the -pi/pi cut (a label whose samples reduce to both sides of the cut
-    gets the whole circle).  The five are tested together against the grid
-    values in it, then checked in (phi, t) order, sector membership before
-    coverage.  Every grid value the test accepts lies in the window, so
+    whose labels phi span the inner part of the opening, computed as (9, 5)
+    arrays by _sector_samples.  A sample w is covered by a grid value whose
+    spiral argument is within arg_tol of w's and whose modulus is at least
+    |w| (so w lies on its inward spiral segment).  The grid arguments are
+    reduced to (-pi, pi] and sorted once.  The five samples of one label
+    share one window of reduced arguments: the hull of their own windows,
+    each widened by a pad that exceeds the rounding of the reductions,
+    searched at shifts -2*pi, 0 and 2*pi across the -pi/pi cut (a label
+    whose samples reduce to both sides of the cut gets the whole circle).
+    The nine windows are located by two searchsorted calls.  The five are
+    tested together against the grid values in it, then checked in (phi, t)
+    order, sector membership before coverage.  Every grid value the test accepts lies in the window, so
     decisions and messages are those of a scan over the whole grid, at
     O(N log N + labels x samples x window) cost.
     """
-    angle = sector.angle
     reduced = principal_angle(grid_arg)
     order = np.argsort(reduced)
     keys = reduced[order]
     scale = float(np.max(np.abs(grid_arg), where=np.isfinite(grid_arg), initial=0.0))
-    phis = sector.center_angle + inner * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
-    for phi in phis:
-        w = [spiral_point(phi, angle, t) for t in _SAMPLE_T]
-        a = np.array([arg_lambda(x, angle) for x in w])
-        # each reduction mod 2*pi loses a few ulps of its input's magnitude
-        half_width = arg_tol + 1e-9 * (1.0 + scale + np.abs(a))
-        a0 = principal_angle(a)
-        lo, hi = np.min(a0 - half_width), np.max(a0 + half_width)
-        cand = np.concatenate([
-            order[np.searchsorted(keys, lo + s, "left"):np.searchsorted(keys, hi + s, "right")]
-            for s in (-TWO_PI, 0.0, TWO_PI)
-        ])
-        dist = np.abs(principal_angle(grid_arg[cand] - a[:, None]))
-        floor = np.array([np.log(np.abs(x)) for x in w]) - 1e-9
-        covered = ((dist <= arg_tol) & (grid_logmod[cand] >= floor[:, None])).any(axis=1)
-        for x, t, hit in zip(w, _SAMPLE_T, covered):
-            if not sector_contains(sector, x):
+    phis, a, logmod, inside = _sector_samples(sector, inner)
+    floor = logmod - 1e-9
+    # each reduction mod 2*pi loses a few ulps of its input's magnitude
+    half_width = arg_tol + 1e-9 * (1.0 + scale + np.abs(a))
+    a0 = principal_angle(a)
+    shifts = np.array([-TWO_PI, 0.0, TWO_PI])
+    starts = np.searchsorted(keys, np.min(a0 - half_width, axis=1)[:, None] + shifts, "left")
+    stops = np.searchsorted(keys, np.max(a0 + half_width, axis=1)[:, None] + shifts, "right")
+    for i, phi in enumerate(phis):
+        cand = np.concatenate([order[lo:hi] for lo, hi in zip(starts[i], stops[i])])
+        dist = np.abs(principal_angle(grid_arg[cand] - a[i][:, None]))
+        covered = ((dist <= arg_tol) & (grid_logmod[cand] >= floor[i][:, None])).any(axis=1)
+        for t, within, hit in zip(_SAMPLE_T, inside[i], covered):
+            if not within:
                 raise InconsistencyError(
                     f"sample point for spiral argument {phi:.6f} left the sector"
                 )

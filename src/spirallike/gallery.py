@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _grid_size, _polar_grid, golden_section_max
+from .analysis import _grid_size, _polar_grid, section_search_max
 from .boundary_measure import BoundaryMeasure
 from .correspondence import spirallike_of
 from .errors import DomainError, InconsistencyError, ParameterError
@@ -106,7 +106,10 @@ def q_function(theta):
 
 
 def c0_constant(grid=100000):
-    """Grid supremum of Q with golden refinement: (sup_q, 2*exp(sup_q), monotone).
+    """Grid supremum of Q with section-search refinement: (sup_q, 2*exp(sup_q), monotone).
+
+    The largest grid value is refined by section_search_max over its two
+    grid neighbours (down to 1e-9 at the left end), to tol 1e-12.
 
     monotone reports whether Q was non-increasing across the grid; it is an
     observation, not an assumption used elsewhere.
@@ -120,7 +123,7 @@ def c0_constant(grid=100000):
     k = int(np.argmax(values))
     lo = theta[k - 1] if k > 0 else 1e-9
     hi = theta[k + 1] if k + 1 < len(theta) else theta[-1]
-    _, sup_q = golden_section_max(lambda t: q_function(float(t)), lo, hi)
+    _, sup_q = section_search_max(q_function, lo, hi)
     sup_q = max(sup_q, float(values[k]))
     return float(sup_q), float(2.0 * np.exp(sup_q)), monotone
 

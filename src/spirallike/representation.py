@@ -65,12 +65,16 @@ def _log1m(u):
 
 
 def _term_sum(rows):
-    """Sum over the rows of a (terms, points) array, added strictly in row order.
+    """Sum over the rows of a C-contiguous (terms, points) array, added strictly in row order.
 
-    The running sum adds row k to rows 0..k-1 for any number of points, so a
-    point gets the same bits alone as in a batch; rows.sum(axis=0) would sum
-    a single point's column pairwise instead.  rows is overwritten.
+    For two or more points numpy's reduce over axis 0 adds the rows one
+    after another, each in one pass over the points.  A single point's
+    column is contiguous, and the reduce would sum it pairwise, so one point
+    takes the running sum, which adds row k to rows 0..k-1.  Either way a
+    point gets the same bits alone as in a batch.  rows may be overwritten.
     """
+    if rows.shape[1] > 1:
+        return np.add.reduce(rows, axis=0)
     return np.add.accumulate(rows, axis=0, out=rows)[-1]
 
 
@@ -86,7 +90,8 @@ class SpiralFunction:
     atom or slope change, and uses blocks of about 16384/(atoms + slope
     changes) points, so that those temporaries stay in the L2 cache.  Every
     step of a kernel is elementwise or a sum over terms in term order
-    (_term_sum), so a point gets the same bits alone as inside any array.
+    (_term_sum: one reduce over the term axis, a running sum for a single
+    point), so a point gets the same bits alone as inside any array.
     Subclasses implement _log_f_over_z and _log_derivative on 1-d arrays of
     checked points.
     """

@@ -6,9 +6,13 @@ Oracles:
     sector is the full plane minus a ray (opening 2*pi, center 0)
   * two-atom + uniform-density measure: beta_at supplies the exact trace
     and jump values through the measure's canonical offset
-  * max_modulus is cross-checked against a 2^16-point dense scan, and its
-    batched form against the per-radius scalar route it replaced
-  * lockstep golden-search lanes equal scalar searches bit for bit
+  * max_modulus is cross-checked against a 2^16-point dense scan, its
+    batched form against per-radius searches (bit for bit), and its
+    section search against the golden-section oracle (within the bound
+    that the shared 1e-12 bracket leaves)
+  * lockstep search lanes, of the package's section search and of the
+    golden-section oracle it replaced, equal single-lane searches bit for
+    bit; both searches find the same maxima within their shared tolerance
   * sorted-window sector certification makes the decisions of a scan of
     the whole image grid
   * the continuous arg_lambda of f/z read off the analytic branch of
@@ -23,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from spirallike import (
     STARLIKE,
+    AccuracyError,
     BetaTrace,
     BoundaryMeasure,
     DomainError,
@@ -38,21 +43,28 @@ from spirallike import (
     default_r_schedule,
     detect_maximal_sector,
     estimate_max_jump,
-    golden_section_max,
     goodman_check,
     growth_exponent,
     hansen_ratio,
     max_modulus,
     principal_angle,
     refine_jump,
+    section_search_max,
     sector_contains,
     spirallike_of,
     spirallikeness_margin,
     spiral_point,
 )
-from spirallike.analysis import _arg_lambda_f_over_z, _certify_sector, _sector_image
+from spirallike.analysis import (
+    _SAMPLE_T,
+    _SECTION_POINTS,
+    _arg_lambda_f_over_z,
+    _certify_sector,
+    _sector_image,
+    _sector_samples,
+)
 
-from _oracles import continuous_arg_lambda, sector_image_from_values
+from _oracles import continuous_arg_lambda, golden_section_max, sector_image_from_values
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -119,6 +131,96 @@ def test_golden_section_lanes_match_scalar_searches():
         assert x == xs[i] and fx == fxs[i]
     assert len(set(steps)) == len(steps)
     assert lockstep_calls == max(steps)
+
+
+def test_section_search_max_values():
+    # the best sample lies within tol/2 of the peak, so its value is full
+    # precision and its location sqrt(eps)-accurate (f is flat there)
+    x, fx = section_search_max(np.sin, 0.0, PI)
+    assert x == pytest.approx(PI / 2, abs=1e-7)
+    assert fx == pytest.approx(1.0, abs=1e-15)
+    x, fx = section_search_max(lambda u: u * u - u**4, 0.0, 1.0)
+    assert x == pytest.approx(1 / math.sqrt(2), abs=1e-7)
+    assert fx == pytest.approx(0.25, abs=1e-15)
+    assert type(x) is float and type(fx) is float
+    # a peak at a bracket end
+    x, fx = section_search_max(lambda u: -u, 2.0, 5.0)
+    assert 2.0 <= x <= 2.0 + 1e-12 and fx == -x
+
+
+def test_section_search_lanes_match_scalar_searches():
+    # widths 3 .. 5e-13 and 0 take different step counts; the last two are
+    # within tol from the start and take one step
+    a = np.array([0.1, 0.5, 0.9, 1.2, 1.0, 2.0, 2.5])
+    b = np.array([3.1, 0.6, 0.901, 1.2 + 1e-6, 1.0 + 1e-11, 2.0 + 5e-13, 2.5])
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.sin(x) * np.exp(-0.3 * x)
+
+    xs, fxs = section_search_max(f, a, b)
+    lockstep_calls = len(calls)
+    assert all(shape == a.shape + (_SECTION_POINTS,) for shape in calls)
+    steps = []
+    for i in range(len(a)):
+        calls.clear()
+        x, fx = section_search_max(f, a[i], b[i])
+        steps.append(len(calls))
+        assert x == xs[i] and fx == fxs[i]
+        assert a[i] <= x <= b[i]
+    assert len(set(steps)) == 6 and steps[-2:] == [1, 1]
+    assert lockstep_calls == max(steps)
+
+
+def capped(f, cap=200):
+    """f that counts its calls and raises on call cap + 1, so a search that never ends fails."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(1)
+        if len(calls) > cap:
+            raise RuntimeError(f"search still running after {cap} calls")
+        return f(x)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_section_search_rejects_bad_tolerance(tol):
+    f, calls = capped(np.sin)
+    with pytest.raises(DomainError, match="tolerance"):
+        section_search_max(f, 0.0, 3.0, tol=tol)
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (1.0, 0.0), ([0.0, 1.0], [1.0, 0.5])],
+)
+def test_section_search_rejects_bad_bracket(a, b):
+    f, calls = capped(np.sin)
+    with pytest.raises(DomainError, match="bracket"):
+        section_search_max(f, a, b)
+    assert not calls
+
+
+@pytest.mark.parametrize("tol", [1e-20, 5e-324])
+def test_section_search_ends_below_float_spacing(tol):
+    # the bracket cannot shrink below float spacing, so the lanes stop when
+    # it stops shrinking; the golden oracle never ends on these inputs
+    f, calls = capped(np.sin)
+    x, fx = section_search_max(f, 0.0, 3.0, tol=tol)
+    assert len(calls) < 60
+    assert fx == pytest.approx(1.0, abs=1e-15) and x == pytest.approx(PI / 2, abs=1e-7)
+    calls.clear()
+    xs, fxs = section_search_max(f, [0.0, 1e300, -1e-300], [3.0, 2e300, 1e-300], tol=tol)
+    assert len(calls) < 200 and (fxs <= 1.0).all()
+
+
+def test_section_search_rejects_f_without_finite_values():
+    with pytest.raises(AccuracyError):
+        section_search_max(lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0)
 
 
 # -- beta traces ----------------------------------------------------------------
@@ -393,24 +495,20 @@ def test_max_modulus_scalar_and_array_radii():
     assert both.tolist() == [max_modulus(f, 0.5), got]
 
 
-def scalar_max_modulus(fn, r, coarse=1024):
-    """Per-radius oracle: the scalar route max_modulus took before batching."""
-    coarse = int(coarse)
+def per_radius_max_modulus(fn, r, search, coarse=1024):
+    """Oracle: max_modulus at the single radius r, its top-3 peaks refined by search."""
     thetas = np.arange(coarse) * (TWO_PI / coarse)
     vals = np.abs(fn.evaluate(r * np.exp(1j * thetas)))
     local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.flatnonzero(local)
     peaks = peaks[np.argsort(vals[peaks])][::-1][:3]
     h = TWO_PI / coarse
-    best = float(np.max(vals))
 
     def profile(theta):
-        return float(np.abs(fn.evaluate(r * np.exp(1j * theta))))
+        return np.abs(fn.evaluate(r * np.exp(1j * theta)))
 
-    for k in peaks:
-        _, fx = golden_section_max(profile, thetas[k] - h, thetas[k] + h)
-        best = max(best, fx)
-    return best
+    _, refined = search(profile, thetas[peaks] - h, thetas[peaks] + h)
+    return max(float(np.max(vals)), *refined.tolist())
 
 
 @pytest.mark.parametrize(
@@ -419,15 +517,61 @@ def scalar_max_modulus(fn, r, coarse=1024):
     ids=["koebe_l07", "hansen_counterexample"],
 )
 def test_growth_and_ratio_match_per_radius_oracle(make):
+    # batching radii into one lockstep search must not change any lane
     fn = make()
     schedule = default_r_schedule(2, 8)
-    want = [scalar_max_modulus(fn, r) for r in schedule]
+    want = [per_radius_max_modulus(fn, r, section_search_max) for r in schedule]
     rows = growth_exponent(fn, r_schedule=schedule).rows
     assert rows == tuple(
         (r, M, float(np.log(M) / np.log(1.0 / (1.0 - r)))) for r, M in zip(schedule, want)
     )
     ratios = hansen_ratio(fn, 0.5, r_schedule=schedule)
     assert ratios == [(r, M * (1.0 - r) ** 0.5) for r, M in zip(schedule, want)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, -0.5, 1.2])
+def test_max_modulus_matches_golden_search_within_the_bracket_bound(lam):
+    # Both searches end on a bracket of width <= tol = 1e-12 around the peak
+    # and report a value at most tol/2 from it: the golden oracle at the
+    # final midpoint, the section search at its best sample, the middle
+    # node of a final bracket two node spacings wide.  At a smooth peak,
+    # where log|f| = log M - kappa (theta - theta*)^2 / 2 + ..., each value
+    # is thus at most M kappa tol^2 / 8 below M before rounding.  Rounding
+    # z = r exp(i theta) by about eps moves |f| by about |zf'/f| eps
+    # relatively, and the evaluation adds a few ulps: 4 eps (1 + |zf'/f|)
+    # covers the difference of the two values (the largest seen is about
+    # an eighth of that).  For Koebe at inclination lam,
+    # log f = log z - 2 mu log(1 - z), so
+    # kappa = |Re(2 mu z / (1 - z)^2)| <= 2 cos(lam) r / (1 - r)^2 (equality
+    # at lam = 0: 2.5e-9 relative at r = 1 - 1e-8) and
+    # |zf'/f| <= 1 + 2 cos(lam) r / (1 - r).
+    fn = koebe(SpiralAngle(lam))
+    radii = np.array([0.5, 0.9] + [1.0 - 10.0**-k for k in range(2, 9)])
+    eps = np.finfo(float).eps
+    for r, M in zip(radii, max_modulus(fn, radii)):
+        gold = per_radius_max_modulus(fn, r, golden_section_max)
+        kappa = 2.0 * math.cos(lam) * r / (1.0 - r) ** 2
+        q = 1.0 + 2.0 * math.cos(lam) * r / (1.0 - r)
+        assert abs(M - gold) <= M * (kappa * 1e-24 / 8.0 + 4.0 * eps * (1.0 + q)), r
+
+
+def test_max_modulus_evaluate_calls():
+    # one coarse scan, then one call per search step: the bracket 2h shrinks
+    # by 2/(m + 1) per step down to tol = 1e-12
+    class Counting(MeasureFunction):
+        calls = 0
+
+        def evaluate(self, z):
+            Counting.calls += 1
+            return super().evaluate(z)
+
+    fn = Counting(crit4_measure(), SpiralAngle(0.3))
+    m = _SECTION_POINTS
+    for coarse in (64, 1024):
+        Counting.calls = 0
+        max_modulus(fn, np.array([0.5, 0.9, 0.99]), coarse=coarse)
+        steps = math.ceil(math.log(2 * TWO_PI / coarse / 1e-12) / math.log((m + 1) / 2))
+        assert Counting.calls <= 2 + steps, (coarse, Counting.calls, steps)
 
 
 def test_growth_exponent_koebe():
@@ -624,6 +768,24 @@ SECTOR_HANDLES = {
     # across the -pi/pi cut
     "rotated_koebe": lambda: MeasureFunction(BoundaryMeasure.single_atom(1.0106), STARLIKE),
 }
+
+
+@pytest.mark.parametrize("lam", [-1.2, -0.7, -0.3, 0.0, 0.3, 0.7, 1.2])
+def test_sector_samples_match_scalar_route(lam):
+    # the (9, 5) sample arrays carry the bits of the scalar route of the
+    # full-scan oracle: 7 inclinations x 4 sectors x 45 = 1,260 samples
+    angle = SpiralAngle(lam)
+    for center, opening in ((0.0, TWO_PI), (PI / 2, PI), (-3.0, 1.0), (2.5, 0.3)):
+        sector = SpiralSector(center_angle=center, opening=opening, angle=angle)
+        phis, args, logmods, inside = _sector_samples(sector, 0.9)
+        assert args.shape == logmods.shape == inside.shape == (9, len(_SAMPLE_T))
+        want = sector_samples(sector)
+        assert [(phi, t) for phi, t, _ in want] == [(p, t) for p in phis for t in _SAMPLE_T]
+        for k, (_, _, w) in enumerate(want):
+            i, j = divmod(k, len(_SAMPLE_T))
+            assert args[i, j] == arg_lambda(w, angle)
+            assert logmods[i, j] == np.log(np.abs(w))
+            assert inside[i, j] == sector_contains(sector, w)
 
 
 @pytest.mark.parametrize("name", SECTOR_HANDLES)

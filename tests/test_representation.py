@@ -363,11 +363,13 @@ def test_point_value_independent_of_batch(make):
 
 def test_term_sum_adds_rows_in_term_order():
     # _term_sum equals a row-by-row running sum bit for bit for every batch
-    # size, a single point included, where numpy's reductions sum pairwise;
-    # magnitudes spread over 16 decades make any reordering round differently
+    # size: the reduce of 2 or more points must add the rows in term order,
+    # and a single point, whose contiguous column numpy's reduce would sum
+    # pairwise, takes the running sum; magnitudes spread over 16 decades make
+    # any reordering round differently
     rng = np.random.default_rng(11)
-    for terms in (1, 2, 7, 8, 9, 40):
-        for points in (1, 2, 3, 1000):
+    for terms in range(1, 41):
+        for points in [*range(1, 18), 1000]:
             shape = (terms, points)
             rows = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(
                 -8, 8, shape
