@@ -204,7 +204,10 @@ def estimate_max_jump(trace, gap_threshold=None):
     at that sample (an atom aligned with the grid splits its mass between
     the two neighboring gaps).  Returns jump 0 when nothing exceeds the
     threshold, which defaults to 10 grid spacings of median trace slope.
+    DomainError for a threshold that is not finite and nonnegative.
     """
+    if gap_threshold is not None and not (0.0 <= gap_threshold < np.inf):
+        raise DomainError(f"gap_threshold must be finite and nonnegative, got {gap_threshold!r}")
     t = trace.t_samples
     v = trace.beta_values
     n = len(t)
@@ -250,14 +253,21 @@ def refine_jump(fn, bracket, angle=None, r=1.0 - 1e-12, windows=(1e-4, 1e-5, 1e-
     O(w) are exponentially small in x and wreck the polynomial fit when the
     fit's extrapolation leverage (~6x here) amplifies them; r must then be
     close enough to 1 that boundary smoothing stays below the smallest
-    window.  Returns (jump, t0).
+    window.  Returns (jump, t0).  DomainError unless the bracket is finite
+    with t_lo < t_hi and windows holds at least 3 distinct values in (0, 1),
+    as the quadratic fit needs.
     """
     angle = fn.angle if angle is None else angle
+    t_lo, t_hi = float(bracket[0]), float(bracket[1])
+    if not (-np.inf < t_lo < t_hi < np.inf):
+        raise DomainError(f"bracket must be finite with t_lo < t_hi, got {bracket!r}")
+    w = np.asarray(windows, dtype=float)
+    if w.ndim != 1 or np.unique(w).size < 3 or not ((0.0 < w) & (w < 1.0)).all():
+        raise DomainError(f"windows must be at least 3 distinct values in (0, 1), got {windows!r}")
 
     def trace_at(ts):
         return ts + _arg_lambda_f_over_z(fn, angle, r * np.exp(1j * ts))
 
-    t_lo, t_hi = float(bracket[0]), float(bracket[1])
     lo, hi = trace_at(np.array([t_lo, t_hi]))
     mid = 0.5 * (lo + hi)
     t0 = 0.5 * (t_lo + t_hi)
@@ -270,7 +280,6 @@ def refine_jump(fn, bracket, angle=None, r=1.0 - 1e-12, windows=(1e-4, 1e-5, 1e-
         else:
             t_hi = t0
         t0 = 0.5 * (t_lo + t_hi)
-    w = np.asarray(windows, dtype=float)
     E = trace_at(t0 + w) - trace_at(t0 - w)
     x = 1.0 / np.log(1.0 / w)
     coeffs = np.polyfit(x, E, 2)

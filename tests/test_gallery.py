@@ -43,6 +43,7 @@ from spirallike import (
     koebe_power,
     lemma_c_margins,
     q_function,
+    refine_jump,
     spiral_point,
     spirallikeness_margin,
 )
@@ -147,6 +148,10 @@ def test_closed_forms_reject_points_off_the_open_disk(bad):
 
 # -- argument contracts ------------------------------------------------------------
 
+# refine_jump's bracket around g0's jump at t = 0, and a jump-free trace
+SPACING = TWO_PI / 256
+RAMP = BetaTrace(np.arange(32) * (TWO_PI / 32), np.arange(32) * (TWO_PI / 32), 0.99, ())
+
 
 @pytest.mark.parametrize(
     "call",
@@ -167,6 +172,22 @@ def test_closed_forms_reject_points_off_the_open_disk(bad):
         lambda: arg_lambda(np.array([0.5, complex(0.1, np.inf)]), SpiralAngle(0.3)),
         lambda: spiral_point(np.nan, STARLIKE, 0.0),
         lambda: spiral_point(0.5, SpiralAngle(0.3), np.array([-1.0, np.nan])),
+        lambda: koebe_power().taylor_coefficients(np.nan),
+        lambda: koebe_power().taylor_coefficients(np.inf),
+        lambda: koebe_power().taylor_coefficients("x"),
+        lambda: koebe_power().taylor_coefficients(2.5),
+        lambda: refine_jump(G0Function(), (SPACING, -SPACING)),
+        lambda: refine_jump(G0Function(), (-SPACING, -SPACING)),
+        lambda: refine_jump(G0Function(), (-np.inf, SPACING)),
+        lambda: refine_jump(G0Function(), (np.nan, SPACING)),
+        lambda: refine_jump(G0Function(), (-SPACING, SPACING), windows=(1e-4, 1e-5)),
+        lambda: refine_jump(G0Function(), (-SPACING, SPACING), windows=(1e-4, 1e-5, 1e-5)),
+        lambda: refine_jump(G0Function(), (-SPACING, SPACING), windows=(1e-4, 1e-5, -1e-6)),
+        lambda: refine_jump(G0Function(), (-SPACING, SPACING), windows=(1.0, 1e-5, 1e-6)),
+        lambda: refine_jump(G0Function(), (-SPACING, SPACING), windows=(np.nan, 1e-5, 1e-6)),
+        lambda: estimate_max_jump(RAMP, gap_threshold=np.nan),
+        lambda: estimate_max_jump(RAMP, gap_threshold=np.inf),
+        lambda: estimate_max_jump(RAMP, gap_threshold=-0.1),
     ],
     ids=[
         "lemma_c-nan",
@@ -185,6 +206,22 @@ def test_closed_forms_reject_points_off_the_open_disk(bad):
         "arg_lambda-inf",
         "spiral_point-theta0-nan",
         "spiral_point-t-nan",
+        "taylor-n_max-nan",
+        "taylor-n_max-inf",
+        "taylor-n_max-str",
+        "taylor-n_max-fraction",
+        "refine_jump-reversed",
+        "refine_jump-empty",
+        "refine_jump-inf",
+        "refine_jump-nan",
+        "refine_jump-two-windows",
+        "refine_jump-repeated-window",
+        "refine_jump-negative-window",
+        "refine_jump-window1",
+        "refine_jump-window-nan",
+        "max_jump-threshold-nan",
+        "max_jump-threshold-inf",
+        "max_jump-threshold-negative",
     ],
 )
 def test_bad_arguments_raise_domain_error(call):

@@ -12,7 +12,9 @@ The quadrature oracle below integrates the kernel against the measure
 directly and is an independent check of the polylogarithm closed form.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +34,11 @@ from spirallike import (
     counterexample_for,
     hansen_build,
     koebe_power,
+    li2,
+    li3,
     spirallike_of,
 )
+from spirallike import representation
 from spirallike.representation import _term_sum
 
 PI = math.pi
@@ -391,3 +396,119 @@ def test_measure_function_rejects_non_finite(bad):
                 getattr(f, name)(bad)
             with pytest.raises(DomainError):
                 getattr(f, name)(np.array([0.5, bad]))
+
+
+# -- the density's moment series inside |z| <= 1/2 -----------------------------------
+
+
+def _eval_kernel_measures():
+    """The mixed and wide measures of the benchmark's eval_kernel workload."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    specs = dict(inputs.kernel_specs())
+    return {"mixed": specs["mixed_l0"][1], "wide": specs["wide"][1]}
+
+
+SERIES_MEASURES = _eval_kernel_measures()
+SERIES_METHODS = ("log_f_over_z", "log_derivative", "evaluate", "f_over_z")
+
+
+def _circle_points(rng, radius, count):
+    """Points radius*exp(i*theta) whose computed modulus is exactly radius."""
+    z = radius * np.exp(2j * PI * rng.uniform(0, 1, 4 * count))
+    return z[np.abs(z) == radius][:count]
+
+
+def _series_points(rng):
+    """(inner, outer): area-uniform in |z| <= 1/2 plus the circle |z| = 1/2 and
+    1 ulp inside it; 1 ulp outside it plus 1 - |z| log-uniform in (1e-6, 1/2)."""
+    half = 0.5
+    inner = np.concatenate((
+        half * np.sqrt(rng.uniform(0, 1, 2000)) * np.exp(2j * PI * rng.uniform(0, 1, 2000)),
+        _circle_points(rng, half, 50),
+        _circle_points(rng, np.nextafter(half, 0.0), 50),
+        [0.0, half, -half, half * 1j, 0.3 + 0.4j],
+    ))
+    gap = 0.5 * (2e-6) ** rng.uniform(0, 1, 500)
+    outer = np.concatenate((
+        _circle_points(rng, np.nextafter(half, 1.0), 50),
+        (1.0 - gap) * np.exp(2j * PI * rng.uniform(0, 1, 500)),
+    ))
+    assert (np.abs(inner) <= half).all() and (np.abs(outer) > half).all()
+    return inner, outer
+
+
+def _polylog_term_sum(measure, z, n):
+    """sum_j sigma_j Li_n(exp(-i*t_j) z), one polylog per slope change, in term order."""
+    polylog = {2: li2, 3: li3}[n]
+    rows = [s * polylog(np.exp(-1j * t) * z) for t, s in zip(*measure.slope_changes())]
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return total
+
+
+@pytest.mark.parametrize("name", SERIES_MEASURES)
+def test_density_series_matches_polylog_term_sum(name):
+    # inside |z| <= 1/2 the moment series agrees with one polylog per slope
+    # change within 1e-15 (1 + sum|sigma|); outside it the sum is that term
+    # sum, bit for bit
+    measure = SERIES_MEASURES[name]
+    f = MeasureFunction(measure, STARLIKE)
+    tol = 1e-15 * (1.0 + np.abs(measure.slope_changes()[1]).sum())
+    inner, outer = _series_points(np.random.default_rng(8))
+    for n in (2, 3):
+        # M terms: the first m with 2^-m/m^n < 2^-56, so the tail is below that
+        M = f._series[n].size
+        assert 0.5**M / M**n < 2.0**-56 <= 0.5 ** (M - 1) / (M - 1) ** n
+        got = f._density_sum(inner, n)
+        want = _polylog_term_sum(measure, inner, n)
+        assert np.abs(got - want).max() <= tol, (n, np.abs(got - want).max())
+        # the circle |z| = 1/2 itself takes the series: its bits differ
+        on_circle = np.abs(inner) == 0.5
+        assert not np.array_equal(got[on_circle], want[on_circle])
+        got = f._density_sum(outer, n)
+        want = _polylog_term_sum(measure, outer, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("name", SERIES_MEASURES)
+def test_density_series_regime_through_the_methods(name, lam, monkeypatch):
+    # every method against the same handle with the series switched off
+    # (each slope change through li2/li3, the route for all points before):
+    # bit-equal outside |z| <= 1/2, within the series tolerance inside it
+    measure = SERIES_MEASURES[name]
+    f = MeasureFunction(measure, SpiralAngle(lam))
+    tol = 1e-15 * (1.0 + np.abs(measure.slope_changes()[1]).sum())
+    inner, outer = _series_points(np.random.default_rng(9))
+    z = np.concatenate((inner, outer))
+    series = {m: getattr(f, m)(z) for m in SERIES_METHODS}
+    monkeypatch.setattr(representation, "_SERIES_RADIUS", -1.0)
+    for m in SERIES_METHODS:
+        direct = getattr(f, m)(z)
+        got_in, want_in = series[m][: inner.size], direct[: inner.size]
+        if m.startswith("log"):
+            bound = tol + 4e-16 * (1.0 + np.abs(want_in))
+        else:
+            # f = z exp(L): an error in L is a relative error in f
+            bound = (tol + 4e-16) * np.abs(want_in)
+        assert (np.abs(got_in - want_in) <= bound).all(), m
+        got_out, want_out = series[m][inner.size :], direct[inner.size :]
+        assert np.array_equal(got_out.view(np.uint64), want_out.view(np.uint64)), m
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        BoundaryMeasure.single_atom(),
+        BoundaryMeasure.from_atoms([(0.0, PI), (PI, PI)]),
+        BoundaryMeasure.uniform(),
+    ],
+    ids=["koebe", "two_atoms", "uniform"],
+)
+def test_measures_without_slope_changes_have_no_series(measure):
+    f = MeasureFunction(measure, SpiralAngle(0.7))
+    assert f._series == {} and f._sigma.size == 0
