@@ -13,7 +13,6 @@ import numpy as np
 from .errors import AccuracyError, DomainError, InconsistencyError
 from .spiral_geometry import (
     SpiralSector,
-    arg_lambda,
     principal_angle,
     sector_contains,
     spiral_point,
@@ -106,11 +105,13 @@ def _polar_grid(r_max, grid):
     """Points r*exp(i*theta) of shape grid = (n_r, n_theta), checked like r_max and grid sizes.
 
     The n_r radii 1 - (1 - r_max)^s for s uniform in [0, 1] run from 0 to
-    r_max, refining toward r_max; the n_theta angles are uniform.
+    r_max, refining toward r_max; a single radius is r_max, the circle where
+    the minimum principle puts the minimum of a harmonic function.  The
+    n_theta angles are uniform.
     """
     _check_unit_radius(r_max)
     n_r, n_theta = (_grid_size(n, "grid size") for n in grid)
-    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_r)
+    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_r) if n_r > 1 else np.array([r_max])
     thetas = np.arange(n_theta) * (TWO_PI / n_theta)
     return radii[:, None] * np.exp(1j * thetas)[None, :]
 
@@ -196,6 +197,21 @@ def beta_trace(fn, angle=None, t_grid=256, r_schedule=None):
     )
 
 
+def _trace_gaps(t, values):
+    """Increments of a trace sampled at angles t over one turn, the last wrapping by 2*pi.
+
+    The trace of a spirallike function increases along every circle, so an
+    increment below -_MONOTONE_TOL raises InconsistencyError.
+    """
+    gaps = np.diff(np.concatenate((values, [values[0] + TWO_PI])))
+    if float(np.min(gaps)) < -_MONOTONE_TOL:
+        k = int(np.argmin(gaps))
+        raise InconsistencyError(
+            f"trace decreases by {-float(np.min(gaps)):.3g} near t = {t[k]:.6f}"
+        )
+    return gaps
+
+
 def estimate_max_jump(trace, gap_threshold=None):
     """Largest jump of a boundary trace: (jump, location, center).
 
@@ -213,12 +229,7 @@ def estimate_max_jump(trace, gap_threshold=None):
     n = len(t)
     if n == 0:
         raise DomainError("the trace has no samples")
-    gaps = np.diff(np.concatenate((v, [v[0] + TWO_PI])))
-    if float(np.min(gaps)) < -_MONOTONE_TOL:
-        k = int(np.argmin(gaps))
-        raise InconsistencyError(
-            f"trace decreases by {-float(np.min(gaps)):.3g} near t = {t[k]:.6f}"
-        )
+    gaps = _trace_gaps(t, v)
     if gap_threshold is None:
         gap_threshold = max(10.0 * float(np.median(gaps)), 1e-6)
     t_next = np.concatenate((t[1:], [t[0] + TWO_PI]))
@@ -242,20 +253,20 @@ def estimate_max_jump(trace, gap_threshold=None):
 def refine_jump(fn, bracket, angle=None, r=1.0 - 1e-12, windows=(1e-4, 1e-5, 1e-6)):
     """Sharpened jump estimate at a single boundary point.
 
-    bracket: (t_lo, t_hi) containing exactly one jump.  The trace
-    t + arg_lambda(f/z) = arg_lambda(f) increases along circles for
-    spirallike f, so bisection locates the jump point (to 1e-10) where the
-    trace crosses the midpoint of its bracket values; the two-sided trace
-    difference E(w) over shrinking windows w still carries a
-    mass ~ jump_density/log(1/w) from any logarithmically divergent density
-    next to the atom, so E is extrapolated quadratically in x = 1/log(1/w)
-    to window 0.  The windows sit well below 1e-3 because terms of size
-    O(w) are exponentially small in x and wreck the polynomial fit when the
-    fit's extrapolation leverage (~6x here) amplifies them; r must then be
-    close enough to 1 that boundary smoothing stays below the smallest
-    window.  Returns (jump, t0).  DomainError unless the bracket is finite
-    with t_lo < t_hi and windows holds at least 3 distinct values in (0, 1),
-    as the quadratic fit needs.
+    bracket: (t_lo, t_hi) containing exactly one jump.  The trace t +
+    arg_lambda(f/z) = arg_lambda(f) increases along circles for spirallike
+    f, so section_search_max on -|trace - mid| locates the jump point (to
+    2e-10) where the trace crosses the midpoint mid of its bracket values;
+    the two-sided trace difference E(w) over shrinking windows w still
+    carries a mass ~ jump_density/log(1/w) from any logarithmically
+    divergent density next to the atom, so E is extrapolated quadratically
+    in x = 1/log(1/w) to window 0.  The windows sit well below 1e-3 because
+    terms of size O(w) are exponentially small in x and wreck the polynomial
+    fit when the fit's extrapolation leverage (~6x here) amplifies them; r
+    must then be close enough to 1 that boundary smoothing stays below the
+    smallest window.  Returns (jump, t0).  DomainError unless the bracket is
+    finite with t_lo < t_hi and windows holds at least 3 distinct values in
+    (0, 1), as the quadratic fit needs.
     """
     angle = fn.angle if angle is None else angle
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
@@ -270,16 +281,7 @@ def refine_jump(fn, bracket, angle=None, r=1.0 - 1e-12, windows=(1e-4, 1e-5, 1e-
 
     lo, hi = trace_at(np.array([t_lo, t_hi]))
     mid = 0.5 * (lo + hi)
-    t0 = 0.5 * (t_lo + t_hi)
-    while t_hi - t_lo > 2e-10:
-        value = trace_at(t0)
-        if value == mid:
-            break
-        if value < mid:
-            t_lo = t0
-        else:
-            t_hi = t0
-        t0 = 0.5 * (t_lo + t_hi)
+    t0, _ = section_search_max(lambda t: -np.abs(trace_at(t) - mid), t_lo, t_hi, tol=2e-10)
     E = trace_at(t0 + w) - trace_at(t0 - w)
     x = 1.0 / np.log(1.0 / w)
     coeffs = np.polyfit(x, E, 2)
@@ -440,126 +442,101 @@ def _bound_ratios(radii, peaks, q0):
 
 # -- maximal sectors ---------------------------------------------------------
 
+# the circle on which the boundary trace is inverted, and its scan
+_SECTOR_RADIUS = 1.0 - 1e-5
+_SECTOR_SCAN = 256
 
-def _sector_grid(fn, image_grid, cluster_points):
-    """Radii and angles of the sector detection grid.
-
-    n_r radii refine toward the circle; the angles are n_theta uniform ones
-    plus cluster_points on each side of every atom, closing in geometrically.
-    """
-    n_r, n_theta = image_grid
-    radii = 1.0 - np.geomspace(1e-5, 0.5, n_r)
-    thetas = [np.arange(n_theta) * (TWO_PI / n_theta)]
-    offsets = np.geomspace(1e-7, 0.5, cluster_points)
-    for t_atom, _ in fn.measure.atoms:
-        thetas.append(t_atom + offsets)
-        thetas.append(t_atom - offsets)
-    return radii, np.concatenate(thetas)
-
-
-def _sector_image(fn, angle, image_grid, cluster_points):
-    """arg_lambda and log|.| of fn's values on the sector detection grid, flattened.
-
-    Both are read off L = log(f/z) at z = r*exp(i*theta) without forming f:
-    log|f| is log r + Re L, and theta + Im L is an argument of f, so the
-    spiral argument is right modulo 2*pi, which is all that certification
-    uses.
-    """
-    radii, thetas = _sector_grid(fn, image_grid, cluster_points)
-    L = fn.log_f_over_z(radii[:, None] * np.exp(1j * thetas)[None, :])
-    if not np.isfinite(L).all():
-        raise DomainError("spiral argument needs finite points")
-    logmod = np.log(radii)[:, None] + L.real
-    return (thetas + L.imag - angle.tan_lambda * logmod).ravel(), logmod.ravel()
-
-
+# the sample spirals span this share of the opening; the samples on each
+# sit at these t
+_SAMPLE_INNER = 0.9
 _SAMPLE_T = (-3.0, -1.5, 0.0, 1.5, 3.0)
 
 
-def _sector_samples(sector, inner):
+def _sector_samples(sector):
     """The sector samples as (9, 5) arrays over (label phi, t in _SAMPLE_T).
 
-    Returns the nine labels, which span the inner part of the opening, and
-    the sample points' spiral arguments, log-moduli and sector memberships.
+    Returns the nine labels, which span the inner _SAMPLE_INNER of the
+    opening, and the sample points' log-moduli and sector memberships.
     """
     angle = sector.angle
-    phis = sector.center_angle + inner * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
+    half = _SAMPLE_INNER * sector.opening / 2.0
+    phis = sector.center_angle + half * np.linspace(-1.0, 1.0, 9)
     w = spiral_point(phis[:, None], angle, np.array(_SAMPLE_T))
-    return phis, arg_lambda(w, angle), np.log(np.abs(w)), sector_contains(sector, w)
+    return phis, np.log(np.abs(w)), sector_contains(sector, w)
 
 
-def _certify_sector(sector, grid_arg, grid_logmod, arg_tol, inner):
-    """Raise InconsistencyError unless the grid covers every sector sample.
+def _sector_crossings(fn, angle, phis):
+    """Where the circle |z| = _SECTOR_RADIUS meets the spiral of each label.
 
-    The samples are five points (t in _SAMPLE_T) on each of nine spirals
-    whose labels phi span the inner part of the opening, computed as (9, 5)
-    arrays by _sector_samples.  A sample w is covered by a grid value whose
-    spiral argument is within arg_tol of w's and whose modulus is at least
-    |w| (so w lies on its inward spiral segment).  The grid arguments are
-    reduced to (-pi, pi] and sorted once.  The five samples of one label
-    share one window of reduced arguments: the hull of their own windows,
-    each widened by a pad that exceeds the rounding of the reductions,
-    searched at shifts -2*pi, 0 and 2*pi across the -pi/pi cut (a label
-    whose samples reduce to both sides of the cut gets the whole circle).
-    The nine windows are located by two searchsorted calls.  The five are
-    tested together against the grid values in it, then checked in (phi, t)
-    order, sector membership before coverage.  Every grid value the test accepts lies in the window, so
-    decisions and messages are those of a scan over the whole grid, at
-    O(N log N + labels x samples x window) cost.
+    The trace theta + arg_lambda(f/z) on the circle differs from
+    arg_lambda f by the constant -tan(lam) * log r and increases by 2*pi in
+    one turn, so each label phi is the spiral argument of f at one angle
+    theta, modulo 2*pi.  A scan of _SECTOR_SCAN angles brackets each
+    crossing (InconsistencyError if the scan decreases, as in
+    estimate_max_jump); one lockstep section_search_max on
+    -|trace - target|, unimodal on each bracket, locates all of them.
+    Returns the angles theta and log|f| there, both of the shape of phis.
     """
-    reduced = principal_angle(grid_arg)
-    order = np.argsort(reduced)
-    keys = reduced[order]
-    scale = float(np.max(np.abs(grid_arg), where=np.isfinite(grid_arg), initial=0.0))
-    phis, a, logmod, inside = _sector_samples(sector, inner)
-    floor = logmod - 1e-9
-    # each reduction mod 2*pi loses a few ulps of its input's magnitude
-    half_width = arg_tol + 1e-9 * (1.0 + scale + np.abs(a))
-    a0 = principal_angle(a)
-    shifts = np.array([-TWO_PI, 0.0, TWO_PI])
-    starts = np.searchsorted(keys, np.min(a0 - half_width, axis=1)[:, None] + shifts, "left")
-    stops = np.searchsorted(keys, np.max(a0 + half_width, axis=1)[:, None] + shifts, "right")
-    for i, phi in enumerate(phis):
-        cand = np.concatenate([order[lo:hi] for lo, hi in zip(starts[i], stops[i])])
-        dist = np.abs(principal_angle(grid_arg[cand] - a[i][:, None]))
-        covered = ((dist <= arg_tol) & (grid_logmod[cand] >= floor[i][:, None])).any(axis=1)
-        for t, within, hit in zip(_SAMPLE_T, inside[i], covered):
+    r = _SECTOR_RADIUS
+
+    def trace(theta):
+        return theta + _arg_lambda_f_over_z(fn, angle, r * np.exp(1j * theta))
+
+    thetas = np.arange(_SECTOR_SCAN + 1) * (TWO_PI / _SECTOR_SCAN)
+    L = fn.log_f_over_z(r * np.exp(1j * thetas[:-1]))
+    if not np.isfinite(L).all():
+        raise DomainError("spiral argument needs finite points")
+    scan = thetas[:-1] + (L.imag - angle.tan_lambda * L.real)
+    _trace_gaps(thetas[:-1], scan)
+    # the trace values of the labels, inside the scanned turn
+    offset = np.mod(phis + angle.tan_lambda * np.log(r) - scan[0], TWO_PI)
+    targets = scan[0] + offset
+    k = np.searchsorted(np.append(scan, scan[0] + TWO_PI), targets, "right") - 1
+    # an offset just below 2*pi can round up to the end of the turn
+    k = np.minimum(k, _SECTOR_SCAN - 1)
+    theta, _ = section_search_max(
+        lambda x: -np.abs(trace(x) - targets[..., None]), thetas[k], thetas[k + 1]
+    )
+    return theta, np.log(r) + fn.log_f_over_z(r * np.exp(1j * theta)).real
+
+
+def _certify_sector(phis, logmod, inside, reach):
+    """Raise InconsistencyError unless the image covers every sector sample.
+
+    phis, logmod and inside come from _sector_samples; reach[i] is log|f| at
+    a point where f's spiral argument is phis[i].  The image of a spirallike
+    function contains the inward spiral arc from each of its points, so a
+    sample on spiral i is covered when its log-modulus is at most reach[i]
+    (within 1e-9).  Samples are checked in (phi, t) order, sector membership
+    before coverage.
+    """
+    for phi, row_logmod, row_inside, top in zip(phis, logmod, inside, reach):
+        for t, sample_logmod, within in zip(_SAMPLE_T, row_logmod, row_inside):
             if not within:
                 raise InconsistencyError(
                     f"sample point for spiral argument {phi:.6f} left the sector"
                 )
-            if not hit:
+            if not top >= sample_logmod - 1e-9:
                 raise InconsistencyError(
                     f"sector sample at spiral argument {phi:.6f}, t = {t} "
-                    "is not covered by the image grid"
+                    "is not covered by the image"
                 )
 
 
-def detect_maximal_sector(
-    fn,
-    angle=None,
-    image_grid=(32, 2048),
-    cluster_points=384,
-    arg_tol=0.025,
-    inner=0.9,
-):
+def detect_maximal_sector(fn, angle=None):
     """Maximal spiral sector of the image, from the largest measure atom.
 
     Returns S_lambda(center, opening) with opening the largest atom's jump
     and center the measure's boundary function there (center-pinned branch),
-    or None for an atomless measure.  Sample points of the sector are then
-    certified inside the image: each must lie, within arg_tol on the spiral
-    argument, on the inward spiral segment of some value of fn on a fine
-    disk grid (images of spirallike functions contain these segments).  The
-    grid's spiral arguments and log-moduli are read off one log_f_over_z
-    call.  Its N spiral arguments are sorted once; the five samples on each
-    of the nine sampled spirals share one window, those within arg_tol of
-    any of their own, so certification costs O(N log N + samples x window)
-    on top of the grid evaluation.
+    or None for an atomless measure.  Five sample points on each of nine
+    spirals of the sector are then certified inside the image: the spiral
+    meets f(|z| = 1 - 1e-5) at a point located by inverting the boundary
+    trace (_sector_crossings), and the image contains the spiral arc inward
+    from there, so a sample is covered when its modulus is at most |f| at
+    that point.  InconsistencyError when a sample is not covered or the
+    trace decreases along the circle.
     """
     angle = fn.angle if angle is None else angle
-    image_grid = tuple(_grid_size(n, "image_grid size") for n in image_grid)
-    cluster_points = _grid_size(cluster_points, "cluster_points")
     measure = fn.measure
     if measure is None:
         raise DomainError("sector detection requires a measure-built function")
@@ -572,6 +549,7 @@ def detect_maximal_sector(
         principal_angle(measure.beta_at(t0) - measure.canonical_offset())
     )
     sector = SpiralSector(center_angle=center, opening=opening, angle=angle)
-    grid_arg, grid_logmod = _sector_image(fn, angle, image_grid, cluster_points)
-    _certify_sector(sector, grid_arg, grid_logmod, arg_tol, inner)
+    phis, logmod, inside = _sector_samples(sector)
+    _, reach = _sector_crossings(fn, angle, phis)
+    _certify_sector(phis, logmod, inside, reach)
     return sector

@@ -133,11 +133,11 @@ def lemma_c_margins(C, grid=(64, 256), r_max=0.999):
 
     For p(z) = 1/((1-z) log(C/(1-z))) and b = 1/(2 log(C/2)), returns
     (min Re p - b, min Re zp + b) over a polar grid with r <= r_max; both
-    must be positive for C at or above the threshold.
+    must be positive for C at or above the threshold.  b needs C > 2.
     """
     C = float(C)
-    if not (2.0 <= C < np.inf):
-        raise DomainError(f"threshold inequalities need finite C >= 2, got {C}")
+    if not (2.0 < C < np.inf):
+        raise DomainError(f"threshold inequalities need finite C > 2, got {C}")
     z = _polar_grid(r_max, grid)
     p = 1.0 / ((1.0 - z) * (np.log(C) - _log1m(z)))
     b = 1.0 / (2.0 * np.log(C / 2.0))

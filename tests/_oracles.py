@@ -5,8 +5,11 @@ summing principal-angle increments (radial continuation).  The package reads
 the same branch off the analytic branch of log(f/z) instead; the tests
 compare the two.
 
-sector_image_from_values builds the sector detection image from the values
-of f, where the package reads it off log(f/z) without forming f.
+certify_full_scan is the sector certification the package's inversion of
+the boundary trace replaced: it evaluates f on a fine disk grid
+(sector_image_from_values) and accepts a sample when some grid value lies
+within 0.025 of it in spiral argument and reaches at least its modulus;
+the tests compare the decisions of the two.
 
 golden_section_max is the one-point-per-step search that the package's
 m-point section_search_max replaced; the tests compare maxima found by the
@@ -15,8 +18,16 @@ two.
 
 import numpy as np
 
-from spirallike import DomainError, arg_lambda
-from spirallike.analysis import _sector_grid
+from spirallike import (
+    DomainError,
+    InconsistencyError,
+    arg_lambda,
+    principal_angle,
+    sector_contains,
+    spiral_point,
+)
+
+TWO_PI = 2.0 * np.pi
 
 
 def continuous_arg_lambda(path, angle):
@@ -43,11 +54,53 @@ def continuous_arg_lambda(path, angle):
     return arg - angle.tan_lambda * np.log(np.abs(path))
 
 
-def sector_image_from_values(fn, angle, image_grid, cluster_points):
-    """arg_lambda and log|.| of W = f(z) on the sector detection grid, flattened."""
-    radii, thetas = _sector_grid(fn, image_grid, cluster_points)
-    W = fn.evaluate(radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    return arg_lambda(W, angle), np.log(np.abs(W))
+def sector_image_from_values(fn):
+    """arg_lambda and log|.| of W = f(z) on the sector detection grid, flattened.
+
+    32 radii refine toward the circle |z| = 1 - 1e-5; the angles are 2048
+    uniform ones plus 384 on each side of every atom, closing in
+    geometrically.
+    """
+    radii = 1.0 - np.geomspace(1e-5, 0.5, 32)
+    thetas = [np.arange(2048) * (TWO_PI / 2048)]
+    offsets = np.geomspace(1e-7, 0.5, 384)
+    for t_atom, _ in fn.measure.atoms:
+        thetas.append(t_atom + offsets)
+        thetas.append(t_atom - offsets)
+    z = radii[:, None] * np.exp(1j * np.concatenate(thetas))[None, :]
+    W = fn.evaluate(z).ravel()
+    return arg_lambda(W, fn.angle), np.log(np.abs(W))
+
+
+def sector_samples(sector, inner=0.9):
+    """(phi, t, w) of the sector samples, in certification order."""
+    phis = sector.center_angle + inner * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
+    return [
+        (phi, t, spiral_point(phi, sector.angle, t))
+        for phi in phis
+        for t in (-3.0, -1.5, 0.0, 1.5, 3.0)
+    ]
+
+
+def certify_full_scan(sector, grid_arg, grid_logmod, inner=0.9):
+    """Test every sector sample against the whole image grid.
+
+    A sample w is covered by a grid value whose spiral argument is within
+    0.025 of w's and whose log-modulus is at least log|w| - 1e-9.
+    InconsistencyError, with the package's messages, at the first sample in
+    (phi, t) order that leaves the sector or is not covered.
+    """
+    for phi, t, w in sector_samples(sector, inner):
+        if not sector_contains(sector, w):
+            raise InconsistencyError(
+                f"sample point for spiral argument {phi:.6f} left the sector"
+            )
+        dist = np.abs(principal_angle(grid_arg - arg_lambda(w, sector.angle)))
+        hit = (dist <= 0.025) & (grid_logmod >= np.log(np.abs(w)) - 1e-9)
+        if not np.any(hit):
+            raise InconsistencyError(
+                f"sector sample at spiral argument {phi:.6f}, t = {t} is not covered by the image"
+            )
 
 
 def golden_section_max(f, a, b, tol=1e-12):

@@ -13,8 +13,10 @@ Oracles:
   * lockstep search lanes, of the package's section search and of the
     golden-section oracle it replaced, equal single-lane searches bit for
     bit; both searches find the same maxima within their shared tolerance
-  * sorted-window sector certification makes the decisions of a scan of
-    the whole image grid
+  * sector certification by inverting the boundary trace fails no later
+    than a full scan of an image grid, and only where the scan covers a
+    sample from a spiral within its arg tolerance; the crossings it
+    locates lie on their spirals
   * the continuous arg_lambda of f/z read off the analytic branch of
     log(f/z) equals the radial lift of continuous_arg_lambda
 """
@@ -55,16 +57,24 @@ from spirallike import (
     spirallikeness_margin,
     spiral_point,
 )
+from spirallike import analysis
 from spirallike.analysis import (
     _SAMPLE_T,
     _SECTION_POINTS,
+    _SECTOR_RADIUS,
     _arg_lambda_f_over_z,
     _certify_sector,
-    _sector_image,
+    _sector_crossings,
     _sector_samples,
 )
 
-from _oracles import continuous_arg_lambda, golden_section_max, sector_image_from_values
+from _oracles import (
+    certify_full_scan,
+    continuous_arg_lambda,
+    golden_section_max,
+    sector_image_from_values,
+    sector_samples,
+)
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -420,6 +430,11 @@ def test_margin_identity_is_one():
 def test_margin_koebe_positive_but_small():
     margin = spirallikeness_margin(koebe())
     assert 0.0 < margin < 0.01  # boundary point z = -r nearly kills Re
+    # one radius is the circle |z| = r_max, where the minimum (1 - r)/(1 + r)
+    # of Re (1 + z)/(1 - z) sits, at z = -r
+    one_circle = spirallikeness_margin(koebe(), grid=(1, 512))
+    assert one_circle == pytest.approx(0.001 / 1.999, rel=1e-9)
+    assert one_circle == pytest.approx(margin, rel=1e-12)
 
 
 def test_margin_detects_wrong_inclination():
@@ -631,9 +646,6 @@ def test_hansen_ratio_validation():
         lambda f: max_modulus(f, 0.9, coarse=-4),
         lambda f: growth_exponent(f, coarse=0),
         lambda f: hansen_ratio(f, 2.0, coarse=0),
-        lambda f: detect_maximal_sector(f, image_grid=(0, 2048)),
-        lambda f: detect_maximal_sector(f, image_grid=(32, 0)),
-        lambda f: detect_maximal_sector(f, cluster_points=0),
     ],
     ids=[
         "beta_trace-t_grid",
@@ -645,9 +657,6 @@ def test_hansen_ratio_validation():
         "max_modulus-coarse-4",
         "growth-coarse",
         "hansen-coarse",
-        "sector-n_r",
-        "sector-n_theta",
-        "sector-cluster",
     ],
 )
 def test_grid_sizes_below_one_raise_domain_error(call):
@@ -689,7 +698,8 @@ def test_sector_requires_measure():
 
 def test_sector_inconsistent_function_is_caught():
     # identity disk image with a koebe measure attached: the sector samples
-    # leave the image, so certification must fail loudly
+    # leave the image, so certification must fail loudly, at the full
+    # scan's first failure
     class Lying(MeasureFunction):
         def _log_f_over_z(self, z):
             return np.zeros(z.shape, dtype=complex)
@@ -697,39 +707,34 @@ def test_sector_inconsistent_function_is_caught():
         def _log_derivative(self, z):
             return np.ones(z.shape, dtype=complex)
 
-    with pytest.raises(InconsistencyError):
-        detect_maximal_sector(Lying(BoundaryMeasure.single_atom(), STARLIKE))
+    got, want = assert_sector_decisions_agree(Lying(BoundaryMeasure.single_atom(), STARLIKE))
+    assert got == want == coverage_message(-0.9 * PI, 0.0)
+
+
+def test_sector_decreasing_trace_is_caught():
+    # arg(f/z) = -2 arg z: the trace theta + arg(f/z) runs backwards
+    class Backwards(MeasureFunction):
+        def _log_f_over_z(self, z):
+            return -2j * np.angle(z)
+
+    with pytest.raises(InconsistencyError, match="trace decreases"):
+        detect_maximal_sector(Backwards(BoundaryMeasure.single_atom(), STARLIKE))
+
+
+def test_sector_non_finite_trace_raises_domain_error():
+    class Overflowing(MeasureFunction):
+        def _log_f_over_z(self, z):
+            return np.full(z.shape, complex(np.inf, 0.0))
+
+    with pytest.raises(DomainError):
+        detect_maximal_sector(Overflowing(BoundaryMeasure.single_atom(), SpiralAngle(0.7)))
 
 
 # -- sector certification against a full scan -------------------------------------
 
-SECTOR_GRID = ((32, 2048), 384)
 
-
-def sector_samples(sector, inner=0.9):
-    """(phi, t, w) of the sector samples, in certification order."""
-    phis = sector.center_angle + inner * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
-    return [
-        (phi, t, spiral_point(phi, sector.angle, t))
-        for phi in phis
-        for t in (-3.0, -1.5, 0.0, 1.5, 3.0)
-    ]
-
-
-def certify_full_scan(sector, grid_arg, grid_logmod, arg_tol, inner=0.9):
-    """Oracle: test every sample against the whole image grid."""
-    for phi, t, w in sector_samples(sector, inner):
-        if not sector_contains(sector, w):
-            raise InconsistencyError(
-                f"sample point for spiral argument {phi:.6f} left the sector"
-            )
-        dist = np.abs(principal_angle(grid_arg - arg_lambda(w, sector.angle)))
-        hit = (dist <= arg_tol) & (grid_logmod >= np.log(np.abs(w)) - 1e-9)
-        if not np.any(hit):
-            raise InconsistencyError(
-                f"sector sample at spiral argument {phi:.6f}, t = {t} "
-                "is not covered by the image grid"
-            )
+def coverage_message(phi, t):
+    return f"sector sample at spiral argument {phi:.6f}, t = {t} is not covered by the image"
 
 
 def decision(certify, *args):
@@ -747,24 +752,49 @@ def expected_sector(fn):
     return SpiralSector(center_angle=center, opening=min(jump, TWO_PI), angle=fn.angle)
 
 
-def assert_sector_decisions_match(fn, tols):
+def assert_sector_decisions_agree(fn):
+    """The package's and the full-scan oracle's decisions on fn's sector.
+
+    The crossings located on the circle lie on their spirals within 1e-6.
+    The package fails no later than the oracle in (phi, t) order.  Where it
+    fails earlier, the oracle covered the sample from another spiral within
+    its arg_tol of 0.025: the highest grid value covering the sample lies
+    inside the image the package sees on that value's own spiral.  Returns
+    (package message, oracle message), None for a pass.
+    """
+    angle = fn.angle
     sector = expected_sector(fn)
-    grid_arg, grid_logmod = _sector_image(fn, fn.angle, *SECTOR_GRID)
-    outcomes = []
-    for tol in tols:
-        got = decision(_certify_sector, sector, grid_arg, grid_logmod, tol, 0.9)
-        assert got == decision(certify_full_scan, sector, grid_arg, grid_logmod, tol)
-        outcomes.append(got)
-    if outcomes[0] is None:
+    phis, logmod, inside = _sector_samples(sector)
+    theta, reach = _sector_crossings(fn, angle, phis)
+    w = fn.evaluate(_SECTOR_RADIUS * np.exp(1j * theta))
+    assert np.max(np.abs(principal_angle(arg_lambda(w, angle) - phis))) <= 1e-6
+    assert np.max(np.abs(reach - np.log(np.abs(w)))) <= 1e-9 * (1.0 + np.max(np.abs(reach)))
+    got = decision(detect_maximal_sector, fn)
+    if got is None:
         assert detect_maximal_sector(fn) == sector
-    return sector, outcomes
+    grid_arg, grid_logmod = sector_image_from_values(fn)
+    want = decision(certify_full_scan, sector, grid_arg, grid_logmod)
+    assert inside.all()
+    order = [coverage_message(phi, t) for phi in phis for t in _SAMPLE_T] + [None]
+    k = order.index(got)
+    assert k <= order.index(want)
+    if k < order.index(want):
+        i, j = divmod(k, len(_SAMPLE_T))
+        sample = spiral_point(phis[i], angle, _SAMPLE_T[j])
+        dist = np.abs(principal_angle(grid_arg - arg_lambda(sample, angle)))
+        covering = np.where(dist <= 0.025, grid_logmod, -np.inf)
+        g = int(np.argmax(covering))
+        assert covering[g] >= logmod[i, j] - 1e-9 > reach[i]
+        _, boundary = _sector_crossings(fn, angle, grid_arg[g : g + 1])
+        assert grid_logmod[g] <= boundary[0] + 1e-6
+    return got, want
 
 
 SECTOR_HANDLES = {
     "koebe": koebe,
     "koebe_pi4": lambda: koebe(SpiralAngle(PI / 4)),
     "two_atom": two_atom,
-    # rotated Koebe: the sample at spiral argument pi - 0.01 has a window
+    # rotated Koebe: the labels run from 1.0106 - 0.9 pi to 1.0106 + 0.9 pi,
     # across the -pi/pi cut
     "rotated_koebe": lambda: MeasureFunction(BoundaryMeasure.single_atom(1.0106), STARLIKE),
 }
@@ -777,53 +807,19 @@ def test_sector_samples_match_scalar_route(lam):
     angle = SpiralAngle(lam)
     for center, opening in ((0.0, TWO_PI), (PI / 2, PI), (-3.0, 1.0), (2.5, 0.3)):
         sector = SpiralSector(center_angle=center, opening=opening, angle=angle)
-        phis, args, logmods, inside = _sector_samples(sector, 0.9)
-        assert args.shape == logmods.shape == inside.shape == (9, len(_SAMPLE_T))
+        phis, logmods, inside = _sector_samples(sector)
+        assert logmods.shape == inside.shape == (9, len(_SAMPLE_T))
         want = sector_samples(sector)
         assert [(phi, t) for phi, t, _ in want] == [(p, t) for p in phis for t in _SAMPLE_T]
         for k, (_, _, w) in enumerate(want):
             i, j = divmod(k, len(_SAMPLE_T))
-            assert args[i, j] == arg_lambda(w, angle)
             assert logmods[i, j] == np.log(np.abs(w))
             assert inside[i, j] == sector_contains(sector, w)
 
 
 @pytest.mark.parametrize("name", SECTOR_HANDLES)
-def test_sector_windows_match_full_scan(name):
-    sector, outcomes = assert_sector_decisions_match(SECTOR_HANDLES[name](), (0.025, 1e-5))
-    assert outcomes[0] is None
-    # at tolerance 1e-5 the grid no longer covers every sample
-    assert outcomes[1] is not None
-    args = np.array([arg_lambda(w, sector.angle) for _, _, w in sector_samples(sector)])
-    assert (np.max(np.abs(principal_angle(args))) + 0.025 > PI) == (name == "rotated_koebe")
-
-
-@pytest.mark.parametrize("name", SECTOR_HANDLES)
-def test_sector_image_matches_values_of_f(name):
-    # the image read off log(f/z) against arg_lambda and log|.| of f's values
-    fn = SECTOR_HANDLES[name]()
-    grid_arg, grid_logmod = _sector_image(fn, fn.angle, *SECTOR_GRID)
-    want_arg, want_logmod = sector_image_from_values(fn, fn.angle, *SECTOR_GRID)
-    arg_err = np.max(np.abs(principal_angle(grid_arg - want_arg)))
-    assert arg_err <= 1e-12 * (1.0 + np.max(np.abs(want_arg)))
-    assert np.max(np.abs(grid_logmod - want_logmod)) <= 1e-12
-    sector = expected_sector(fn)
-    for tol in (0.025, 1e-5):
-        assert decision(_certify_sector, sector, grid_arg, grid_logmod, tol, 0.9) == decision(
-            _certify_sector, sector, want_arg, want_logmod, tol, 0.9
-        )
-
-
-def test_sector_image_rejects_non_finite_values():
-    class Overflowing:
-        measure = BoundaryMeasure.single_atom()
-
-        @staticmethod
-        def log_f_over_z(z):
-            return np.full(z.shape, complex(np.inf, 0.0))
-
-    with pytest.raises(DomainError):
-        _sector_image(Overflowing(), STARLIKE, (2, 8), 2)
+def test_sector_matches_full_scan(name):
+    assert assert_sector_decisions_agree(SECTOR_HANDLES[name]()) == (None, None)
 
 
 @pytest.mark.parametrize(
@@ -831,13 +827,17 @@ def test_sector_image_rejects_non_finite_values():
     [(0.9, 2, 6), (1.2, None, 0)],
     ids=["third_label_uncovered", "left_sector"],
 )
-def test_per_label_certification_raises_the_full_scan_message(inner, short, dropped):
+def test_per_label_certification_raises_the_full_scan_message(
+    monkeypatch, inner, short, dropped
+):
     # one grid value on the spiral argument of every sample, at the sample's
     # own modulus, except that the values of label `short` stop at t = 0's
-    # modulus and label `dropped` has none.  At inner 0.9 the first failure
-    # in (phi, t) order is t = 1.5 of the third label (t = 3 after it, and
-    # the seventh label's t = -3, fail too).  At inner 1.2 the first label
-    # lies outside the sector and is uncovered: membership is reported first.
+    # modulus and label `dropped` has none; the reach of each label is its
+    # highest grid value.  At inner 0.9 the first failure in (phi, t) order
+    # is t = 1.5 of the third label (t = 3 after it, and the seventh label's
+    # t = -3, fail too).  At inner 1.2 the first label lies outside the
+    # sector and is uncovered: membership is reported first.
+    monkeypatch.setattr(analysis, "_SAMPLE_INNER", inner)
     sector = SpiralSector(center_angle=2.5, opening=2.0, angle=SpiralAngle(0.7))
     samples = sector_samples(sector, inner)
     kept = [(j // 5, t, w) for j, (_, t, w) in enumerate(samples) if j // 5 != dropped]
@@ -845,19 +845,19 @@ def test_per_label_certification_raises_the_full_scan_message(inner, short, drop
     grid_logmod = np.array(
         [0.0 if label == short and t > 0.0 else math.log(abs(w)) for label, t, w in kept]
     )
-    want = decision(certify_full_scan, sector, grid_arg, grid_logmod, 0.025, inner)
+    labels = np.array([label for label, _, _ in kept])
+    reach = [np.max(grid_logmod[labels == i], initial=-np.inf) for i in range(9)]
+    want = decision(certify_full_scan, sector, grid_arg, grid_logmod, inner)
     if short is not None:
-        phi = samples[5 * short][0]
-        assert want == (
-            f"sector sample at spiral argument {phi:.6f}, t = 1.5 is not covered by the image grid"
-        )
+        assert want == coverage_message(samples[5 * short][0], 1.5)
     else:
         assert want == f"sample point for spiral argument {samples[0][0]:.6f} left the sector"
-    assert decision(_certify_sector, sector, grid_arg, grid_logmod, 0.025, inner) == want
+    assert decision(_certify_sector, *_sector_samples(sector), reach) == want
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(
+    st.sampled_from([0.0, 0.7, -1.2]),
     st.lists(
         st.tuples(
             st.floats(min_value=0.0, max_value=6.2), st.floats(min_value=0.2, max_value=3.0)
@@ -865,51 +865,24 @@ def test_per_label_certification_raises_the_full_scan_message(inner, short, drop
         min_size=1,
         max_size=4,
         unique_by=lambda kv: round(kv[0], 2),
-    )
-)
-def test_sector_windows_match_full_scan_atomic_measures(pairs):
-    f = MeasureFunction(BoundaryMeasure.from_atoms(pairs), STARLIKE)
-    assert_sector_decisions_match(f, (0.025, 1e-3))
-
-
-EDGE_VALUE = st.tuples(
-    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
-    st.floats(min_value=-1e-12, max_value=1e-12),
-    st.integers(min_value=-10**8, max_value=10**8),
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.one_of(st.floats(min_value=-PI, max_value=PI), st.sampled_from([PI - 0.01, -PI + 0.01])),
-    st.sampled_from([0.0, 0.7, -1.2]),
-    st.floats(min_value=0.1, max_value=TWO_PI),
-    st.lists(
-        st.tuples(EDGE_VALUE, st.floats(min_value=0.0, max_value=1.0)), min_size=45, max_size=45
-    ),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=44),
-            EDGE_VALUE,
-            st.floats(min_value=-1.0, max_value=1.0),
-        ),
-        max_size=40,
     ),
 )
-def test_sector_windows_match_full_scan_at_window_edges(center, lam, opening, own, extra):
-    # every sample gets one grid value at or near an edge of its window
-    # (shifted by up to 1e8 turns, where a reduction mod 2*pi loses 1e-7),
-    # plus values of other samples with log-moduli on either side; a center
-    # next to -pi/pi puts the middle samples' windows across the cut
-    sector = SpiralSector(center_angle=center, opening=opening, angle=SpiralAngle(lam))
-    samples = sector_samples(sector)
-    tol = 0.025
-    entries = [(j, edge, excess) for j, (edge, excess) in enumerate(own)] + extra
-    grid_arg = np.array([
-        arg_lambda(samples[j][2], sector.angle) + side * tol * (1.0 + tiny) + TWO_PI * k
-        for j, (side, tiny, k), _ in entries
-    ])
-    grid_logmod = np.array([math.log(abs(samples[j][2])) + excess for j, _, excess in entries])
-    assert decision(_certify_sector, sector, grid_arg, grid_logmod, tol, 0.9) == decision(
-        certify_full_scan, sector, grid_arg, grid_logmod, tol
+def test_sector_matches_full_scan_atomic_measures(lam, pairs):
+    assert_sector_decisions_agree(
+        MeasureFunction(BoundaryMeasure.from_atoms(pairs), SpiralAngle(lam))
     )
+
+
+def test_sector_rejects_a_sample_the_full_scan_covers_within_its_tolerance():
+    # the image reaches only log|w| = 0.48592 on the spiral -2.825192, below
+    # the t = 1.5 sample's 0.49276; the full scan covers that sample from a
+    # grid value 0.025 away in spiral argument and first fails at t = 3
+    pairs = [
+        (5.312189868474961, 1.7842517249672387),
+        (1.9386971873246495, 0.9862610829299455),
+        (0.5604099577434623, 0.5593753232702976),
+    ]
+    fn = MeasureFunction(BoundaryMeasure.from_atoms(pairs), SpiralAngle(-1.2360761205905157))
+    got, want = assert_sector_decisions_agree(fn)
+    assert got == coverage_message(-2.825192, 1.5)
+    assert want == coverage_message(-2.825192, 3.0)

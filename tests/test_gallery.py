@@ -158,6 +158,7 @@ RAMP = BetaTrace(np.arange(32) * (TWO_PI / 32), np.arange(32) * (TWO_PI / 32), 0
     [
         lambda: lemma_c_margins(np.nan),
         lambda: lemma_c_margins(np.inf),
+        lambda: lemma_c_margins(2.0),
         lambda: lemma_c_margins(20.0, grid=(0, 4)),
         lambda: lemma_c_margins(20.0, r_max=1.0),
         lambda: q_function(np.nan),
@@ -192,6 +193,7 @@ RAMP = BetaTrace(np.arange(32) * (TWO_PI / 32), np.arange(32) * (TWO_PI / 32), 0
     ids=[
         "lemma_c-nan",
         "lemma_c-inf",
+        "lemma_c-C2",
         "lemma_c-grid0",
         "lemma_c-r_max1",
         "q-nan",
@@ -337,6 +339,10 @@ def test_lemma_c_margins():
     assert m1 > 0.0 and m2 > 0.0
     m1, m2 = lemma_c_margins(DEFAULT_C0, grid=(256, 256))
     assert m1 > 0.0 and m2 > 0.0
+    # one radius is the circle |z| = r_max, where the harmonic Re p and Re zp
+    # take their minima over the disk
+    m1, m2 = lemma_c_margins(DEFAULT_C0, grid=(1, 256))
+    assert (m1, m2) == pytest.approx(lemma_c_margins(DEFAULT_C0), rel=1e-12)
     # far above the threshold both inequalities hold with visible slack
     m1, m2 = lemma_c_margins(100.0)
     assert m1 > 0.0 and m2 > 0.0
