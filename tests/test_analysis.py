@@ -721,7 +721,7 @@ def test_sector_decreasing_trace_is_caught():
         detect_maximal_sector(Backwards(BoundaryMeasure.single_atom(), STARLIKE))
 
 
-def test_sector_non_finite_trace_raises_domain_error():
+def test_sector_image_rejects_non_finite_values():
     class Overflowing(MeasureFunction):
         def _log_f_over_z(self, z):
             return np.full(z.shape, complex(np.inf, 0.0))
@@ -752,11 +752,27 @@ def expected_sector(fn):
     return SpiralSector(center_angle=center, opening=min(jump, TWO_PI), angle=fn.angle)
 
 
+def crossings_against_values_of_f(fn, sector):
+    """The sector samples, and the crossings read off log(f/z) checked against f.
+
+    At each angle located on the circle, the value W = f(z) lies on its
+    label's spiral within 1e-6 and log|W| is the reach within 1e-9 relative.
+    Returns the samples (phis, logmod, inside), the reach and log|W|.
+    """
+    phis, logmod, inside = _sector_samples(sector)
+    theta, reach = _sector_crossings(fn, fn.angle, phis)
+    w = fn.evaluate(_SECTOR_RADIUS * np.exp(1j * theta))
+    assert np.max(np.abs(principal_angle(arg_lambda(w, fn.angle) - phis))) <= 1e-6
+    assert np.max(np.abs(reach - np.log(np.abs(w)))) <= 1e-9 * (1.0 + np.max(np.abs(reach)))
+    return (phis, logmod, inside), reach, np.log(np.abs(w))
+
+
 def assert_sector_decisions_agree(fn):
     """The package's and the full-scan oracle's decisions on fn's sector.
 
-    The crossings located on the circle lie on their spirals within 1e-6.
-    The package fails no later than the oracle in (phi, t) order.  Where it
+    The crossings located on the circle lie on their spirals within 1e-6
+    (crossings_against_values_of_f).  The package fails no later than the
+    oracle in (phi, t) order.  Where it
     fails earlier, the oracle covered the sample from another spiral within
     its arg_tol of 0.025: the highest grid value covering the sample lies
     inside the image the package sees on that value's own spiral.  Returns
@@ -764,11 +780,7 @@ def assert_sector_decisions_agree(fn):
     """
     angle = fn.angle
     sector = expected_sector(fn)
-    phis, logmod, inside = _sector_samples(sector)
-    theta, reach = _sector_crossings(fn, angle, phis)
-    w = fn.evaluate(_SECTOR_RADIUS * np.exp(1j * theta))
-    assert np.max(np.abs(principal_angle(arg_lambda(w, angle) - phis))) <= 1e-6
-    assert np.max(np.abs(reach - np.log(np.abs(w)))) <= 1e-9 * (1.0 + np.max(np.abs(reach)))
+    (phis, logmod, inside), reach, _ = crossings_against_values_of_f(fn, sector)
     got = decision(detect_maximal_sector, fn)
     if got is None:
         assert detect_maximal_sector(fn) == sector
@@ -818,8 +830,20 @@ def test_sector_samples_match_scalar_route(lam):
 
 
 @pytest.mark.parametrize("name", SECTOR_HANDLES)
-def test_sector_matches_full_scan(name):
+def test_sector_windows_match_full_scan(name):
+    # each label's window of the image is the spiral arc inward from its
+    # crossing of the circle; the decisions are those of the full scan
     assert assert_sector_decisions_agree(SECTOR_HANDLES[name]()) == (None, None)
+
+
+@pytest.mark.parametrize("name", SECTOR_HANDLES)
+def test_sector_image_matches_values_of_f(name):
+    # the crossings read off log(f/z) against arg_lambda and log|.| of f's
+    # values there; certification decides alike on either reach
+    fn = SECTOR_HANDLES[name]()
+    samples, reach, logmod_of_values = crossings_against_values_of_f(fn, expected_sector(fn))
+    assert decision(_certify_sector, *samples, reach) is None
+    assert decision(_certify_sector, *samples, logmod_of_values) is None
 
 
 @pytest.mark.parametrize(
@@ -867,7 +891,7 @@ def test_per_label_certification_raises_the_full_scan_message(
         unique_by=lambda kv: round(kv[0], 2),
     ),
 )
-def test_sector_matches_full_scan_atomic_measures(lam, pairs):
+def test_sector_windows_match_full_scan_atomic_measures(lam, pairs):
     assert_sector_decisions_agree(
         MeasureFunction(BoundaryMeasure.from_atoms(pairs), SpiralAngle(lam))
     )
