@@ -442,9 +442,11 @@ def _bound_ratios(radii, peaks, q0):
 
 # -- maximal sectors ---------------------------------------------------------
 
-# the circle on which the boundary trace is inverted, and its scan
+# the circle on which the boundary trace is inverted, its scan, and the
+# distance in spiral argument within which an image point covers samples
 _SECTOR_RADIUS = 1.0 - 1e-5
 _SECTOR_SCAN = 256
+_SECTOR_ARG_TOL = 0.025
 
 # the sample spirals span this share of the opening; the samples on each
 # sit at these t
@@ -466,16 +468,15 @@ def _sector_samples(sector):
 
 
 def _sector_crossings(fn, angle, phis):
-    """Where the circle |z| = _SECTOR_RADIUS meets the spiral of each label.
+    """Angles theta where the circle |z| = _SECTOR_RADIUS meets the spirals phis, and log|f| there.
 
-    The trace theta + arg_lambda(f/z) on the circle differs from
-    arg_lambda f by the constant -tan(lam) * log r and increases by 2*pi in
-    one turn, so each label phi is the spiral argument of f at one angle
-    theta, modulo 2*pi.  A scan of _SECTOR_SCAN angles brackets each
-    crossing (InconsistencyError if the scan decreases, as in
-    estimate_max_jump); one lockstep section_search_max on
-    -|trace - target|, unimodal on each bracket, locates all of them.
-    Returns the angles theta and log|f| there, both of the shape of phis.
+    The trace theta + arg_lambda(f/z) on the circle is arg_lambda f minus
+    tan(lam) * log r and increases by 2*pi in one turn.  A scan of
+    _SECTOR_SCAN angles brackets each crossing (InconsistencyError if it
+    decreases, as in estimate_max_jump); one lockstep section_search_max on
+    -|trace - target| locates them.  InconsistencyError when a located
+    point misses its spiral by more than 1e-6, as a trace that turns back
+    between scan angles can make it.
     """
     r = _SECTOR_RADIUS
 
@@ -483,32 +484,54 @@ def _sector_crossings(fn, angle, phis):
         return theta + _arg_lambda_f_over_z(fn, angle, r * np.exp(1j * theta))
 
     thetas = np.arange(_SECTOR_SCAN + 1) * (TWO_PI / _SECTOR_SCAN)
-    L = fn.log_f_over_z(r * np.exp(1j * thetas[:-1]))
-    if not np.isfinite(L).all():
+    scan = trace(thetas[:-1])
+    if not np.isfinite(scan).all():
         raise DomainError("spiral argument needs finite points")
-    scan = thetas[:-1] + (L.imag - angle.tan_lambda * L.real)
     _trace_gaps(thetas[:-1], scan)
     # the trace values of the labels, inside the scanned turn
-    offset = np.mod(phis + angle.tan_lambda * np.log(r) - scan[0], TWO_PI)
-    targets = scan[0] + offset
+    targets = scan[0] + np.mod(phis + angle.tan_lambda * np.log(r) - scan[0], TWO_PI)
     k = np.searchsorted(np.append(scan, scan[0] + TWO_PI), targets, "right") - 1
     # an offset just below 2*pi can round up to the end of the turn
     k = np.minimum(k, _SECTOR_SCAN - 1)
-    theta, _ = section_search_max(
+    theta, closeness = section_search_max(
         lambda x: -np.abs(trace(x) - targets[..., None]), thetas[k], thetas[k + 1]
     )
+    i = int(np.argmin(closeness))
+    if closeness.flat[i] < -1e-6:
+        miss = f"{phis.flat[i]:.6f} by {-closeness.flat[i]:.3g}"
+        raise InconsistencyError(f"the boundary trace misses spiral argument {miss}")
     return theta, np.log(r) + fn.log_f_over_z(r * np.exp(1j * theta)).real
+
+
+def _sector_reach(fn, angle, phis):
+    """Highest log|f| on the circle within _SECTOR_ARG_TOL of each spiral phi.
+
+    The trace increases, so those points form the arc between the crossings
+    of phi -+ _SECTOR_ARG_TOL: the reach is the larger of log|f| at the
+    arc's ends and one lockstep section_search_max along it.  A search that
+    misses a second peak lowers the reach: it can reject a sample, never
+    cover one.
+    """
+    r = _SECTOR_RADIUS
+    edges = phis[:, None] + np.array([-_SECTOR_ARG_TOL, _SECTOR_ARG_TOL])
+    theta, ends = _sector_crossings(fn, angle, edges)
+
+    def logmod(x):
+        return np.log(r) + fn.log_f_over_z(r * np.exp(1j * x)).real
+
+    # an arc may run across theta = 2*pi
+    lo, hi = theta[:, 0], theta[:, 0] + np.mod(theta[:, 1] - theta[:, 0], TWO_PI)
+    return np.maximum(section_search_max(logmod, lo, hi)[1], np.max(ends, axis=1))
 
 
 def _certify_sector(phis, logmod, inside, reach):
     """Raise InconsistencyError unless the image covers every sector sample.
 
-    phis, logmod and inside come from _sector_samples; reach[i] is log|f| at
-    a point where f's spiral argument is phis[i].  The image of a spirallike
-    function contains the inward spiral arc from each of its points, so a
-    sample on spiral i is covered when its log-modulus is at most reach[i]
-    (within 1e-9).  Samples are checked in (phi, t) order, sector membership
-    before coverage.
+    phis, logmod and inside come from _sector_samples, reach from
+    _sector_reach.  The image contains the inward spiral arc from each of
+    its points, so a sample on spiral i counts as covered when its
+    log-modulus is at most reach[i] (within 1e-9).  Samples are checked in
+    (phi, t) order, sector membership before coverage.
     """
     for phi, row_logmod, row_inside, top in zip(phis, logmod, inside, reach):
         for t, sample_logmod, within in zip(_SAMPLE_T, row_logmod, row_inside):
@@ -529,12 +552,13 @@ def detect_maximal_sector(fn, angle=None):
     Returns S_lambda(center, opening) with opening the largest atom's jump
     and center the measure's boundary function there (center-pinned branch),
     or None for an atomless measure.  Five sample points on each of nine
-    spirals of the sector are then certified inside the image: the spiral
-    meets f(|z| = 1 - 1e-5) at a point located by inverting the boundary
-    trace (_sector_crossings), and the image contains the spiral arc inward
-    from there, so a sample is covered when its modulus is at most |f| at
-    that point.  InconsistencyError when a sample is not covered or the
-    trace decreases along the circle.
+    spirals phi of the sector are then certified inside the image of |z| <=
+    1 - 1e-5, which contains the spiral arc inward from each of its points;
+    a point covers the samples within 0.025 of its spiral argument.  So a
+    sample is covered when its modulus is at most the highest |f| on the
+    arc of that circle between the spirals phi -+ 0.025, whose ends come
+    from inverting the boundary trace.  InconsistencyError when a sample is
+    not covered, the trace decreases or its inversion misses a spiral.
     """
     angle = fn.angle if angle is None else angle
     measure = fn.measure
@@ -544,12 +568,8 @@ def detect_maximal_sector(fn, angle=None):
     if largest is None:
         return None
     t0, jump = largest
-    opening = min(jump, TWO_PI)
-    center = float(
-        principal_angle(measure.beta_at(t0) - measure.canonical_offset())
-    )
-    sector = SpiralSector(center_angle=center, opening=opening, angle=angle)
+    center = float(principal_angle(measure.beta_at(t0) - measure.canonical_offset()))
+    sector = SpiralSector(center_angle=center, opening=min(jump, TWO_PI), angle=angle)
     phis, logmod, inside = _sector_samples(sector)
-    _, reach = _sector_crossings(fn, angle, phis)
-    _certify_sector(phis, logmod, inside, reach)
+    _certify_sector(phis, logmod, inside, _sector_reach(fn, angle, phis))
     return sector

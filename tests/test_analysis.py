@@ -13,10 +13,11 @@ Oracles:
   * lockstep search lanes, of the package's section search and of the
     golden-section oracle it replaced, equal single-lane searches bit for
     bit; both searches find the same maxima within their shared tolerance
-  * sector certification by inverting the boundary trace fails no later
-    than a full scan of an image grid, and only where the scan covers a
-    sample from a spiral within its arg tolerance; the crossings it
-    locates lie on their spirals
+  * sector certification by inverting the boundary trace rejects no
+    sample that a full scan of an image grid covers; where it covers a
+    sample the scan rejects, a value of f on the circle covers the sample
+    by the scan's own rule; the crossings it locates lie on their spirals
+    and each label's reach is the highest value of f in its window
   * the continuous arg_lambda of f/z read off the analytic branch of
     log(f/z) equals the radial lift of continuous_arg_lambda
 """
@@ -55,16 +56,17 @@ from spirallike import (
     sector_contains,
     spirallike_of,
     spirallikeness_margin,
-    spiral_point,
 )
 from spirallike import analysis
 from spirallike.analysis import (
     _SAMPLE_T,
     _SECTION_POINTS,
+    _SECTOR_ARG_TOL,
     _SECTOR_RADIUS,
     _arg_lambda_f_over_z,
     _certify_sector,
     _sector_crossings,
+    _sector_reach,
     _sector_samples,
 )
 
@@ -721,6 +723,18 @@ def test_sector_decreasing_trace_is_caught():
         detect_maximal_sector(Backwards(BoundaryMeasure.single_atom(), STARLIKE))
 
 
+def test_sector_trace_turning_back_between_scan_angles_is_caught():
+    # koebe with arg(f/z) lowered by 0.01 sin^2(128 arg z): the trace agrees
+    # with koebe's at the 256 scan angles and dips between them, so the
+    # search for the spiral 0.025 stalls off it (accepted without the check)
+    class Dipping(MeasureFunction):
+        def _log_f_over_z(self, z):
+            return super()._log_f_over_z(z) - 0.01j * np.sin(128 * np.angle(z)) ** 2
+
+    with pytest.raises(InconsistencyError, match="misses spiral argument 0.025000"):
+        detect_maximal_sector(Dipping(BoundaryMeasure.single_atom(), STARLIKE))
+
+
 def test_sector_image_rejects_non_finite_values():
     class Overflowing(MeasureFunction):
         def _log_f_over_z(self, z):
@@ -752,35 +766,45 @@ def expected_sector(fn):
     return SpiralSector(center_angle=center, opening=min(jump, TWO_PI), angle=fn.angle)
 
 
-def crossings_against_values_of_f(fn, sector):
-    """The sector samples, and the crossings read off log(f/z) checked against f.
+def crossings_against_values_of_f(fn, phis):
+    """The circle's crossings with the spirals phis, checked against f.
 
     At each angle located on the circle, the value W = f(z) lies on its
-    label's spiral within 1e-6 and log|W| is the reach within 1e-9 relative.
-    Returns the samples (phis, logmod, inside), the reach and log|W|.
+    spiral within 1e-6 and log|W| is the located log|f| within 1e-9
+    relative.  Returns the angles and log|W|.
     """
-    phis, logmod, inside = _sector_samples(sector)
-    theta, reach = _sector_crossings(fn, fn.angle, phis)
+    theta, logmod = _sector_crossings(fn, fn.angle, phis)
     w = fn.evaluate(_SECTOR_RADIUS * np.exp(1j * theta))
     assert np.max(np.abs(principal_angle(arg_lambda(w, fn.angle) - phis))) <= 1e-6
-    assert np.max(np.abs(reach - np.log(np.abs(w)))) <= 1e-9 * (1.0 + np.max(np.abs(reach)))
-    return (phis, logmod, inside), reach, np.log(np.abs(w))
+    assert np.max(np.abs(logmod - np.log(np.abs(w)))) <= 1e-9 * (1.0 + np.max(np.abs(logmod)))
+    return theta, np.log(np.abs(w))
+
+
+def window_values_of_f(fn, phi, n=4097):
+    """arg_lambda and log|.| of f at n angles of the circle spanning phi's window.
+
+    The window's ends are the crossings of the spirals phi -+ _SECTOR_ARG_TOL.
+    """
+    edges = phi + np.array([-_SECTOR_ARG_TOL, _SECTOR_ARG_TOL])
+    (lo, hi), _ = crossings_against_values_of_f(fn, edges)
+    x = np.linspace(lo, lo + np.mod(hi - lo, TWO_PI), n)
+    w = fn.evaluate(_SECTOR_RADIUS * np.exp(1j * x))
+    return arg_lambda(w, fn.angle), np.log(np.abs(w))
 
 
 def assert_sector_decisions_agree(fn):
     """The package's and the full-scan oracle's decisions on fn's sector.
 
-    The crossings located on the circle lie on their spirals within 1e-6
-    (crossings_against_values_of_f).  The package fails no later than the
-    oracle in (phi, t) order.  Where it
-    fails earlier, the oracle covered the sample from another spiral within
-    its arg_tol of 0.025: the highest grid value covering the sample lies
-    inside the image the package sees on that value's own spiral.  Returns
+    The package rejects no sample that the oracle covers: it fails no
+    earlier in (phi, t) order, so it passes wherever the oracle passes.  The
+    oracle's grid holds only some points of the circle, so the package may
+    fail later or pass where the oracle fails; then a value of f on the
+    circle covers the oracle's first failing sample by the oracle's own rule
+    (within 0.025 in spiral argument, at least its modulus).  Returns
     (package message, oracle message), None for a pass.
     """
-    angle = fn.angle
     sector = expected_sector(fn)
-    (phis, logmod, inside), reach, _ = crossings_against_values_of_f(fn, sector)
+    phis, logmod, inside = _sector_samples(sector)
     got = decision(detect_maximal_sector, fn)
     if got is None:
         assert detect_maximal_sector(fn) == sector
@@ -788,18 +812,18 @@ def assert_sector_decisions_agree(fn):
     want = decision(certify_full_scan, sector, grid_arg, grid_logmod)
     assert inside.all()
     order = [coverage_message(phi, t) for phi in phis for t in _SAMPLE_T] + [None]
-    k = order.index(got)
-    assert k <= order.index(want)
-    if k < order.index(want):
+    k = order.index(want)
+    assert order.index(got) >= k
+    if order.index(got) > k:
         i, j = divmod(k, len(_SAMPLE_T))
-        sample = spiral_point(phis[i], angle, _SAMPLE_T[j])
-        dist = np.abs(principal_angle(grid_arg - arg_lambda(sample, angle)))
-        covering = np.where(dist <= 0.025, grid_logmod, -np.inf)
-        g = int(np.argmax(covering))
-        assert covering[g] >= logmod[i, j] - 1e-9 > reach[i]
-        _, boundary = _sector_crossings(fn, angle, grid_arg[g : g + 1])
-        assert grid_logmod[g] <= boundary[0] + 1e-6
+        arg, values = window_values_of_f(fn, phis[i])
+        near = np.abs(principal_angle(arg - phis[i])) <= 0.025
+        assert np.max(values[near]) >= logmod[i, j] - 1e-9
     return got, want
+
+
+def atomic_function(pairs, lam):
+    return MeasureFunction(BoundaryMeasure.from_atoms(pairs), SpiralAngle(lam))
 
 
 SECTOR_HANDLES = {
@@ -809,6 +833,23 @@ SECTOR_HANDLES = {
     # rotated Koebe: the labels run from 1.0106 - 0.9 pi to 1.0106 + 0.9 pi,
     # across the -pi/pi cut
     "rotated_koebe": lambda: MeasureFunction(BoundaryMeasure.single_atom(1.0106), STARLIKE),
+    # t = 3 samples covered only from spirals near their own, not from
+    # their own spirals: certified on the exact spirals these fail
+    "four_atoms_l110": lambda: atomic_function(
+        [
+            (4.235001898319677, 1.296549532624073),
+            (1.160965932264608, 1.1686898636008527),
+            (3.168609036131378, 2.6953863466016217),
+            (4.808496443330675, 1.0908104817230482),
+        ],
+        1.102963930917743,
+    ),
+    "two_atoms_l-12": lambda: atomic_function(
+        [(4.526076029906061, 1.3854114981328296), (0.07249425545396913, 2.014243021324838)], -1.2
+    ),
+    "two_atoms_l-12_b": lambda: atomic_function(
+        [(3.8779368786002997, 0.9306222147102896), (0.4190522709274013, 2.078422333809136)], -1.2
+    ),
 }
 
 
@@ -831,19 +872,25 @@ def test_sector_samples_match_scalar_route(lam):
 
 @pytest.mark.parametrize("name", SECTOR_HANDLES)
 def test_sector_windows_match_full_scan(name):
-    # each label's window of the image is the spiral arc inward from its
-    # crossing of the circle; the decisions are those of the full scan
+    # each label's window is the arc of the circle between the spirals
+    # 0.025 to either side of it; both routes pass
     assert assert_sector_decisions_agree(SECTOR_HANDLES[name]()) == (None, None)
 
 
 @pytest.mark.parametrize("name", SECTOR_HANDLES)
 def test_sector_image_matches_values_of_f(name):
     # the crossings read off log(f/z) against arg_lambda and log|.| of f's
-    # values there; certification decides alike on either reach
+    # values there; each label's reach is the highest log|f| in its window,
+    # found among 4097 values of f on the arc between the window's ends
     fn = SECTOR_HANDLES[name]()
-    samples, reach, logmod_of_values = crossings_against_values_of_f(fn, expected_sector(fn))
-    assert decision(_certify_sector, *samples, reach) is None
-    assert decision(_certify_sector, *samples, logmod_of_values) is None
+    phis, logmod, inside = _sector_samples(expected_sector(fn))
+    crossings_against_values_of_f(fn, phis)
+    reach = _sector_reach(fn, fn.angle, phis)
+    for phi, top in zip(phis, reach):
+        arg, values = window_values_of_f(fn, phi)
+        assert np.max(np.abs(principal_angle(arg - phi))) <= _SECTOR_ARG_TOL + 1e-6
+        assert top - 1e-6 <= np.max(values) <= top + 1e-9
+    assert decision(_certify_sector, phis, logmod, inside, reach) is None
 
 
 @pytest.mark.parametrize(
@@ -892,21 +939,31 @@ def test_per_label_certification_raises_the_full_scan_message(
     ),
 )
 def test_sector_windows_match_full_scan_atomic_measures(lam, pairs):
-    assert_sector_decisions_agree(
-        MeasureFunction(BoundaryMeasure.from_atoms(pairs), SpiralAngle(lam))
-    )
+    assert_sector_decisions_agree(atomic_function(pairs, lam))
 
 
-def test_sector_rejects_a_sample_the_full_scan_covers_within_its_tolerance():
-    # the image reaches only log|w| = 0.48592 on the spiral -2.825192, below
-    # the t = 1.5 sample's 0.49276; the full scan covers that sample from a
-    # grid value 0.025 away in spiral argument and first fails at t = 3
+def test_sector_covers_a_sample_from_a_spiral_within_the_tolerance():
+    # the image reaches only log|w| = 0.48592 on the spiral -2.825192 itself,
+    # below the t = 1.5 sample's 0.49276, but further out within 0.025 of
+    # it; both routes first fail at t = 3
     pairs = [
         (5.312189868474961, 1.7842517249672387),
         (1.9386971873246495, 0.9862610829299455),
         (0.5604099577434623, 0.5593753232702976),
     ]
-    fn = MeasureFunction(BoundaryMeasure.from_atoms(pairs), SpiralAngle(-1.2360761205905157))
+    fn = atomic_function(pairs, -1.2360761205905157)
+    phis, logmod, _ = _sector_samples(expected_sector(fn))
+    _, on_spiral = crossings_against_values_of_f(fn, phis[:1])
+    assert on_spiral[0] < logmod[0, 3] <= _sector_reach(fn, fn.angle, phis)[0]
     got, want = assert_sector_decisions_agree(fn)
-    assert got == coverage_message(-2.825192, 1.5)
-    assert want == coverage_message(-2.825192, 3.0)
+    assert got == want == coverage_message(-2.825192, 3.0)
+
+
+def test_sector_covers_a_sample_between_the_full_scan_grid_points():
+    # the full scan's grid misses the values of f on the circle that cover
+    # the t = 3 sample of the spiral -0.661184; the package finds them
+    pairs = [(4.689600635552913, 1.0616567855131838), (1.1285358570580422, 2.2601644256603493)]
+    fn = atomic_function(pairs, -1.2)
+    got, want = assert_sector_decisions_agree(fn)
+    assert got is None
+    assert want == coverage_message(-0.661184, 3.0)
