@@ -95,27 +95,6 @@ def _grid_size(n, name):
     return count
 
 
-def _check_unit_radius(r_max):
-    """DomainError unless 0 < r_max < 1."""
-    if not (0.0 < r_max < 1.0):
-        raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
-
-
-def _polar_grid(r_max, grid):
-    """Points r*exp(i*theta) of shape grid = (n_r, n_theta), checked like r_max and grid sizes.
-
-    The n_r radii 1 - (1 - r_max)^s for s uniform in [0, 1] run from 0 to
-    r_max, refining toward r_max; a single radius is r_max, the circle where
-    the minimum principle puts the minimum of a harmonic function.  The
-    n_theta angles are uniform.
-    """
-    _check_unit_radius(r_max)
-    n_r, n_theta = (_grid_size(n, "grid size") for n in grid)
-    radii = 1.0 - np.geomspace(1.0, 1.0 - r_max, n_r) if n_r > 1 else np.array([r_max])
-    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
-    return radii[:, None] * np.exp(1j * thetas)[None, :]
-
-
 # -- the continuous spiral argument ------------------------------------------
 
 
@@ -129,7 +108,7 @@ def _radial_ladder(r, min_steps):
     return 1.0 - gap ** (np.arange(J + 1) / J)
 
 
-def _arg_lambda_f_over_z(fn, angle, z):
+def _arg_lambda_f_over_z(fn, z):
     """Continuous arg_lambda of f(z)/z, pinned to 0 at the disk center.
 
     log_f_over_z is the branch of log(f/z) that vanishes at 0 and is
@@ -137,7 +116,7 @@ def _arg_lambda_f_over_z(fn, angle, z):
     of f/z and its real part is log|f/z|.
     """
     L = fn.log_f_over_z(z)
-    return L.imag - angle.tan_lambda * L.real
+    return L.imag - fn.angle.tan_lambda * L.real
 
 
 # -- boundary traces -------------------------------------------------------
@@ -166,7 +145,7 @@ class JumpEstimate(NamedTuple):
     center: float
 
 
-def beta_trace(fn, angle=None, t_grid=256, r_schedule=None):
+def beta_trace(fn, t_grid=256, r_schedule=None):
     """Estimate the boundary function on a uniform t grid over [0, 2*pi).
 
     The estimate at each radius r of the increasing schedule is
@@ -174,7 +153,6 @@ def beta_trace(fn, angle=None, t_grid=256, r_schedule=None):
     branch vanishing at the center; successive radii document convergence
     toward the boundary limit.
     """
-    angle = fn.angle if angle is None else angle
     if r_schedule is None:
         r_schedule = default_r_schedule()
     r_schedule = tuple(float(r) for r in r_schedule)
@@ -185,7 +163,7 @@ def beta_trace(fn, angle=None, t_grid=256, r_schedule=None):
     n_t = _grid_size(t_grid, "t_grid")
     t = np.arange(n_t) * (TWO_PI / n_t)
     z = np.array(r_schedule)[:, None] * np.exp(1j * t)[None, :]
-    estimates = t + _arg_lambda_f_over_z(fn, angle, z)
+    estimates = t + _arg_lambda_f_over_z(fn, z)
     deltas = np.max(np.abs(np.diff(estimates, axis=0)), axis=1)
     record = [(r_schedule[0], np.nan)]
     record.extend((r, float(d)) for r, d in zip(r_schedule[1:], deltas))
@@ -212,26 +190,22 @@ def _trace_gaps(t, values):
     return gaps
 
 
-def estimate_max_jump(trace, gap_threshold=None):
+def estimate_max_jump(trace):
     """Largest jump of a boundary trace: (jump, location, center).
 
-    Adjacent-sample increments above gap_threshold are jump candidates; two
-    above-threshold increments sharing a sample merge into one jump located
-    at that sample (an atom aligned with the grid splits its mass between
-    the two neighboring gaps).  Returns jump 0 when nothing exceeds the
-    threshold, which defaults to 10 grid spacings of median trace slope.
-    DomainError for a threshold that is not finite and nonnegative.
+    Adjacent-sample increments above a threshold of 10 median increments
+    (at least 1e-6) are jump candidates; two above-threshold increments
+    sharing a sample merge into one jump located at that sample (an atom
+    aligned with the grid splits its mass between the two neighboring
+    gaps).  Returns jump 0 when nothing exceeds the threshold.
     """
-    if gap_threshold is not None and not (0.0 <= gap_threshold < np.inf):
-        raise DomainError(f"gap_threshold must be finite and nonnegative, got {gap_threshold!r}")
     t = trace.t_samples
     v = trace.beta_values
     n = len(t)
     if n == 0:
         raise DomainError("the trace has no samples")
     gaps = _trace_gaps(t, v)
-    if gap_threshold is None:
-        gap_threshold = max(10.0 * float(np.median(gaps)), 1e-6)
+    gap_threshold = max(10.0 * float(np.median(gaps)), 1e-6)
     t_next = np.concatenate((t[1:], [t[0] + TWO_PI]))
     v_next = np.concatenate((v[1:], [v[0] + TWO_PI]))
     best = JumpEstimate(0.0, np.nan, np.nan)
@@ -250,34 +224,35 @@ def estimate_max_jump(trace, gap_threshold=None):
     return best
 
 
-def refine_jump(fn, bracket, angle=None, r=1.0 - 1e-12, windows=(1e-4, 1e-5, 1e-6)):
+# refine_jump's circle and its trace windows.  The windows sit well below
+# 1e-3 because terms of size O(w) are exponentially small in x = 1/log(1/w)
+# and wreck the quadratic fit in x when its extrapolation leverage (~6x
+# here) amplifies them; the radius is then close enough to 1 that boundary
+# smoothing stays below the smallest window.
+_REFINE_RADIUS = 1.0 - 1e-12
+_REFINE_WINDOWS = (1e-4, 1e-5, 1e-6)
+
+
+def refine_jump(fn, bracket):
     """Sharpened jump estimate at a single boundary point.
 
     bracket: (t_lo, t_hi) containing exactly one jump.  The trace t +
     arg_lambda(f/z) = arg_lambda(f) increases along circles for spirallike
     f, so section_search_max on -|trace - mid| locates the jump point (to
     2e-10) where the trace crosses the midpoint mid of its bracket values;
-    the two-sided trace difference E(w) over shrinking windows w still
+    the two-sided trace difference E(w) over the shrinking windows w still
     carries a mass ~ jump_density/log(1/w) from any logarithmically
     divergent density next to the atom, so E is extrapolated quadratically
-    in x = 1/log(1/w) to window 0.  The windows sit well below 1e-3 because
-    terms of size O(w) are exponentially small in x and wreck the polynomial
-    fit when the fit's extrapolation leverage (~6x here) amplifies them; r
-    must then be close enough to 1 that boundary smoothing stays below the
-    smallest window.  Returns (jump, t0).  DomainError unless the bracket is
-    finite with t_lo < t_hi and windows holds at least 3 distinct values in
-    (0, 1), as the quadratic fit needs.
+    in x = 1/log(1/w) to window 0.  Returns (jump, t0).  DomainError unless
+    the bracket is finite with t_lo < t_hi.
     """
-    angle = fn.angle if angle is None else angle
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not (-np.inf < t_lo < t_hi < np.inf):
         raise DomainError(f"bracket must be finite with t_lo < t_hi, got {bracket!r}")
-    w = np.asarray(windows, dtype=float)
-    if w.ndim != 1 or np.unique(w).size < 3 or not ((0.0 < w) & (w < 1.0)).all():
-        raise DomainError(f"windows must be at least 3 distinct values in (0, 1), got {windows!r}")
+    w = np.array(_REFINE_WINDOWS)
 
     def trace_at(ts):
-        return ts + _arg_lambda_f_over_z(fn, angle, r * np.exp(1j * ts))
+        return ts + _arg_lambda_f_over_z(fn, _REFINE_RADIUS * np.exp(1j * ts))
 
     lo, hi = trace_at(np.array([t_lo, t_hi]))
     mid = 0.5 * (lo + hi)
@@ -291,14 +266,17 @@ def refine_jump(fn, bracket, angle=None, r=1.0 - 1e-12, windows=(1e-4, 1e-5, 1e-
 # -- pointwise certificates -------------------------------------------------
 
 
-def spirallikeness_margin(fn, angle=None, r_max=0.999, grid=(48, 512)):
-    """Minimum of Re(exp(-i*lam) * zf'/f) over a polar grid, r <= r_max.
+def spirallikeness_margin(fn, r_max=0.999, n_theta=512):
+    """Minimum of Re(exp(-i*lam) * zf'/f) over the disk |z| <= r_max.
 
-    Positive values certify the spirallike condition on the grid.
+    zf'/f = 1 + z d/dz log(f/z) is analytic on the disk, so the real part is
+    harmonic and its minimum lies on the circle |z| = r_max: _circle_max
+    takes it there from n_theta refined angles.  Positive values certify the
+    spirallike condition.
     """
-    angle = fn.angle if angle is None else angle
-    values = np.exp(-1j * angle.lam) * fn.log_derivative(_polar_grid(r_max, grid))
-    return float(np.min(values.real))
+    rotation = np.exp(-1j * fn.angle.lam)
+    n_theta = _grid_size(n_theta, "n_theta")
+    return -_circle_max(lambda z: -(rotation * fn.log_derivative(z)).real, r_max, n_theta)
 
 
 def goodman_check(g, grid=(512, 32), r_max=0.999):
@@ -311,28 +289,26 @@ def goodman_check(g, grid=(512, 32), r_max=0.999):
     """
     if not g.starlike_certified:
         raise DomainError("bound applies to certified starlike functions")
-    _check_unit_radius(r_max)
+    if not (0.0 < r_max < 1.0):
+        raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
     n_theta, n_steps = (_grid_size(n, "grid size") for n in grid)
     thetas = np.arange(n_theta) * (TWO_PI / n_theta)
     rho = _radial_ladder(r_max, n_steps)[1:]
-    U = _arg_lambda_f_over_z(g, g.angle, rho[None, :] * np.exp(1j * thetas)[:, None])
+    U = _arg_lambda_f_over_z(g, rho[None, :] * np.exp(1j * thetas)[:, None])
     excess = np.abs(U) - 2.0 * np.arcsin(rho)[None, :]
     return float(np.max(excess))
 
 
-def max_modulus(fn, r, coarse=1024):
-    """Max of |f| on |z| = r: coarse circle scan plus section-search refinement.
+def _circle_max(values, r, coarse):
+    """Max of a real function values(z) on |z| = r: coarse scan plus section-search refinement.
 
     r is one radius (returns a float) or a 1-d array of radii (returns an
     array, one maximum per radius); every radius is checked before any work.
-    One evaluate call scans all the circles at the coarse angles.  The top
+    One values call scans all the circles at the coarse angles.  The top
     three cyclic local maxima of each scan are refined over one coarse
     spacing each, all of them lanes of one lockstep section_search_max with
-    tol 1e-12, one evaluate call per search step (16 steps at the default
-    coarse = 1024).  The result is the largest value sampled, a lower bound
-    on the maximum: for a peak unimodal at that scale it lies within
-    kappa * tol^2 / 8 of it relatively before rounding, kappa =
-    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).
+    tol 1e-12, one values call per search step (16 steps at coarse = 1024).
+    The result is the largest value sampled, a lower bound on the maximum.
     """
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1:
@@ -341,9 +317,8 @@ def max_modulus(fn, r, coarse=1024):
     bad = [x for x in rows.tolist() if not (0.0 < x < 1.0)]
     if bad:
         raise DomainError(f"radius must lie in (0, 1), got {bad[0]!r}")
-    coarse = _grid_size(coarse, "coarse")
     thetas = np.arange(coarse) * (TWO_PI / coarse)
-    vals = np.abs(fn.evaluate(rows[:, None] * np.exp(1j * thetas)))
+    vals = values(rows[:, None] * np.exp(1j * thetas))
     local = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
     lane_row, lane_peak = [], []
     for i, row in enumerate(vals):
@@ -356,13 +331,25 @@ def max_modulus(fn, r, coarse=1024):
     lane_theta = thetas[lane_peak]
 
     def profile(theta):
-        return np.abs(fn.evaluate(lane_r[:, None] * np.exp(1j * theta)))
+        return values(lane_r[:, None] * np.exp(1j * theta))
 
     _, refined = section_search_max(profile, lane_theta - h, lane_theta + h)
     best = np.max(vals, axis=1).tolist()
     for i, fx in zip(lane_row, refined.tolist()):
         best[i] = max(best[i], fx)
     return best[0] if radii.ndim == 0 else np.array(best)
+
+
+def max_modulus(fn, r, coarse=1024):
+    """Max of |f| on |z| = r from _circle_max: a float for one radius, else an array.
+
+    The result is the largest value sampled, a lower bound on the maximum:
+    for a peak unimodal at one coarse spacing it lies within kappa * tol^2 / 8
+    of it relatively before rounding, tol = 1e-12 and kappa =
+    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).
+    """
+    coarse = _grid_size(coarse, "coarse")
+    return _circle_max(lambda z: np.abs(fn.evaluate(z)), r, coarse)
 
 
 # -- growth experiments ------------------------------------------------------
@@ -377,7 +364,7 @@ class GrowthReport:
     a_estimate: float
 
 
-def growth_exponent(fn, angle=None, r_schedule=None, coarse=1024):
+def growth_exponent(fn, r_schedule=None, coarse=1024):
     """Growth table for fn with the jump-based exponent prediction.
 
     M(r) for the whole schedule comes from one batched max_modulus call.
@@ -385,7 +372,6 @@ def growth_exponent(fn, angle=None, r_schedule=None, coarse=1024):
     else from a declared closed-form jump, else from a boundary-trace
     refinement; predicted_q0 = a_estimate * cos(lam)^2 / pi.
     """
-    angle = fn.angle if angle is None else angle
     if r_schedule is None:
         r_schedule = default_r_schedule(2, 8)
     r_schedule = tuple(float(r) for r in r_schedule)
@@ -403,16 +389,14 @@ def growth_exponent(fn, angle=None, r_schedule=None, coarse=1024):
     elif fn.known_max_jump is not None:
         a_estimate = float(fn.known_max_jump)
     else:
-        trace = beta_trace(fn, angle)
+        trace = beta_trace(fn)
         guess = estimate_max_jump(trace)
         if guess.jump == 0.0:
             a_estimate = 0.0
         else:
             spacing = TWO_PI / len(trace.t_samples)
-            a_estimate, _ = refine_jump(
-                fn, (guess.location - spacing, guess.location + spacing), angle
-            )
-    cos_lam = np.cos(angle.lam)
+            a_estimate, _ = refine_jump(fn, (guess.location - spacing, guess.location + spacing))
+    cos_lam = np.cos(fn.angle.lam)
     return GrowthReport(
         rows=tuple(rows),
         predicted_q0=float(a_estimate * cos_lam * cos_lam / np.pi),
@@ -467,7 +451,7 @@ def _sector_samples(sector):
     return phis, np.log(np.abs(w)), sector_contains(sector, w)
 
 
-def _sector_crossings(fn, angle, phis):
+def _sector_crossings(fn, phis):
     """Angles theta where the circle |z| = _SECTOR_RADIUS meets the spirals phis, and log|f| there.
 
     The trace theta + arg_lambda(f/z) on the circle is arg_lambda f minus
@@ -481,7 +465,7 @@ def _sector_crossings(fn, angle, phis):
     r = _SECTOR_RADIUS
 
     def trace(theta):
-        return theta + _arg_lambda_f_over_z(fn, angle, r * np.exp(1j * theta))
+        return theta + _arg_lambda_f_over_z(fn, r * np.exp(1j * theta))
 
     thetas = np.arange(_SECTOR_SCAN + 1) * (TWO_PI / _SECTOR_SCAN)
     scan = trace(thetas[:-1])
@@ -489,7 +473,7 @@ def _sector_crossings(fn, angle, phis):
         raise DomainError("spiral argument needs finite points")
     _trace_gaps(thetas[:-1], scan)
     # the trace values of the labels, inside the scanned turn
-    targets = scan[0] + np.mod(phis + angle.tan_lambda * np.log(r) - scan[0], TWO_PI)
+    targets = scan[0] + np.mod(phis + fn.angle.tan_lambda * np.log(r) - scan[0], TWO_PI)
     k = np.searchsorted(np.append(scan, scan[0] + TWO_PI), targets, "right") - 1
     # an offset just below 2*pi can round up to the end of the turn
     k = np.minimum(k, _SECTOR_SCAN - 1)
@@ -503,7 +487,7 @@ def _sector_crossings(fn, angle, phis):
     return theta, np.log(r) + fn.log_f_over_z(r * np.exp(1j * theta)).real
 
 
-def _sector_reach(fn, angle, phis):
+def _sector_reach(fn, phis):
     """Highest log|f| on the circle within _SECTOR_ARG_TOL of each spiral phi.
 
     The trace increases, so those points form the arc between the crossings
@@ -514,7 +498,7 @@ def _sector_reach(fn, angle, phis):
     """
     r = _SECTOR_RADIUS
     edges = phis[:, None] + np.array([-_SECTOR_ARG_TOL, _SECTOR_ARG_TOL])
-    theta, ends = _sector_crossings(fn, angle, edges)
+    theta, ends = _sector_crossings(fn, edges)
 
     def logmod(x):
         return np.log(r) + fn.log_f_over_z(r * np.exp(1j * x)).real
@@ -546,7 +530,7 @@ def _certify_sector(phis, logmod, inside, reach):
                 )
 
 
-def detect_maximal_sector(fn, angle=None):
+def detect_maximal_sector(fn):
     """Maximal spiral sector of the image, from the largest measure atom.
 
     Returns S_lambda(center, opening) with opening the largest atom's jump
@@ -560,7 +544,6 @@ def detect_maximal_sector(fn, angle=None):
     from inverting the boundary trace.  InconsistencyError when a sample is
     not covered, the trace decreases or its inversion misses a spiral.
     """
-    angle = fn.angle if angle is None else angle
     measure = fn.measure
     if measure is None:
         raise DomainError("sector detection requires a measure-built function")
@@ -569,7 +552,7 @@ def detect_maximal_sector(fn, angle=None):
         return None
     t0, jump = largest
     center = float(principal_angle(measure.beta_at(t0) - measure.canonical_offset()))
-    sector = SpiralSector(center_angle=center, opening=min(jump, TWO_PI), angle=angle)
+    sector = SpiralSector(center_angle=center, opening=min(jump, TWO_PI), angle=fn.angle)
     phis, logmod, inside = _sector_samples(sector)
-    _certify_sector(phis, logmod, inside, _sector_reach(fn, angle, phis))
+    _certify_sector(phis, logmod, inside, _sector_reach(fn, phis))
     return sector

@@ -148,7 +148,7 @@ def cmd_eval(args):
 
 def cmd_verify(args):
     fn = build_function(args)
-    margin = spirallikeness_margin(fn, r_max=args.r_max, grid=(args.grid_r, args.grid_theta))
+    margin = spirallikeness_margin(fn, r_max=args.r_max, n_theta=args.grid_theta)
     code = 0 if margin > 0.0 else 1
     if args.fmt == "json":
         return code, _json({"margin": margin, "lambda": args.lam})
@@ -231,8 +231,7 @@ def _build_parser():
     p_eval.add_argument("--z", type=parse_complex, default=0.25 + 0.0j,
                         help="evaluation point 'a+bi'")
 
-    p_verify = add_command("verify", cmd_verify, "grid-check the spirallike inequality")
-    p_verify.add_argument("--grid-r", type=_grid("--grid-r"), default=48)
+    p_verify = add_command("verify", cmd_verify, "check the spirallike inequality on |z| = r_max")
     p_verify.add_argument("--grid-theta", type=_grid("--grid-theta"), default=512)
     p_verify.add_argument("--r-max", type=_R_MAX, default=0.999)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _grid_size, _polar_grid, section_search_max
+from .analysis import _circle_max, _grid_size, section_search_max
 from .boundary_measure import BoundaryMeasure
 from .correspondence import spirallike_of
 from .errors import DomainError, InconsistencyError, ParameterError
@@ -128,20 +128,26 @@ def c0_constant(grid=100000):
     return float(sup_q), float(2.0 * np.exp(sup_q)), monotone
 
 
-def lemma_c_margins(C, grid=(64, 256), r_max=0.999):
+def lemma_c_margins(C):
     """Margins of the two half-plane inequalities behind the C0 threshold.
 
     For p(z) = 1/((1-z) log(C/(1-z))) and b = 1/(2 log(C/2)), returns
-    (min Re p - b, min Re zp + b) over a polar grid with r <= r_max; both
-    must be positive for C at or above the threshold.  b needs C > 2.
+    (min Re p - b, min Re zp + b) over |z| <= 0.999; both must be positive
+    for C at or above the threshold.  b needs C > 2.  p and zp are analytic
+    on the disk, so each minimum lies on the circle |z| = 0.999 and is taken
+    there by _circle_max from 256 refined angles.
     """
     C = float(C)
     if not (2.0 < C < np.inf):
         raise DomainError(f"threshold inequalities need finite C > 2, got {C}")
-    z = _polar_grid(r_max, grid)
-    p = 1.0 / ((1.0 - z) * (np.log(C) - _log1m(z)))
+
+    def p(z):
+        return 1.0 / ((1.0 - z) * (np.log(C) - _log1m(z)))
+
     b = 1.0 / (2.0 * np.log(C / 2.0))
-    return float(np.min(p.real) - b), float(np.min((z * p).real) + b)
+    min_p = -_circle_max(lambda z: -p(z).real, 0.999, 256)
+    min_zp = -_circle_max(lambda z: -(z * p(z)).real, 0.999, 256)
+    return float(min_p - b), float(min_zp + b)
 
 
 # -- the slow-logarithmic-factor family --------------------------------------

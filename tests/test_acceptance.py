@@ -174,7 +174,7 @@ def test_criterion_05_correspondence():
 
 def test_criterion_06_g0_certification():
     g0 = G0Function()
-    margin = spirallikeness_margin(g0, grid=(48, 4096), r_max=0.999)
+    margin = spirallikeness_margin(g0, r_max=0.999, n_theta=4096)
     bound = WILKEN_FENG - 0.5  # 0.221348...
 
     trace = beta_trace(g0)
@@ -191,7 +191,7 @@ def test_criterion_06_g0_certification():
         6,
         "g0 certification",
         margin >= bound and e_jump <= 0.03 and e_coef <= 1e-8,
-        f"grid min Re(zg0'/g0) = {margin:.7f} >= {bound:.7f}; "
+        f"circle min Re(zg0'/g0) = {margin:.7f} >= {bound:.7f}; "
         f"|jump - pi| = {e_jump:.4f} (tol 0.03); max|a_n - H_n| = {e_coef:.2g} (tol 1e-8)",
     )
 
@@ -203,7 +203,7 @@ def test_criterion_07_q_and_c0():
     q_lo = q_function(1e-6)
     q_hi = q_function(PI / 2 - 1e-6)
     sup_q, c0, _ = c0_constant(grid=100000)
-    m1, m2 = lemma_c_margins(2.0 * math.e**2, grid=(256, 256))
+    m1, m2 = lemma_c_margins(2.0 * math.e**2)
     ok = (
         2.0 - 1e-3 <= q_lo <= 2.0
         and q_hi <= 1e-2

@@ -326,6 +326,7 @@ def test_exit_codes():
 def test_removed_noop_flags_exit_2(capsys):
     assert main(["eval", "--gallery", "koebe", "--threads", "2"]) == 2
     assert main(["eval", "--gallery", "koebe", "--quadrature-nodes", "64"]) == 2
+    assert main(["verify", "--gallery", "koebe", "--grid-r", "48"]) == 2
     # qtheta builds no function, so it takes none of the function flags
     for flag, value in (
         ("--measure", "m.json"), ("--gallery", "koebe"), ("--lambda", "0.3"),
