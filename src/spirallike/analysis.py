@@ -368,9 +368,9 @@ def growth_exponent(fn, r_schedule=None, coarse=1024):
     """Growth table for fn with the jump-based exponent prediction.
 
     M(r) for the whole schedule comes from one batched max_modulus call.
-    a_estimate comes from the underlying measure's max jump when available,
-    else from a declared closed-form jump, else from a boundary-trace
-    refinement; predicted_q0 = a_estimate * cos(lam)^2 / pi.
+    a_estimate is fn.known_max_jump when set (a measure's largest atom, or a
+    declared closed-form jump), else a boundary-trace refinement;
+    predicted_q0 = a_estimate * cos(lam)^2 / pi.
     """
     if r_schedule is None:
         r_schedule = default_r_schedule(2, 8)
@@ -384,9 +384,7 @@ def growth_exponent(fn, r_schedule=None, coarse=1024):
         if not np.isfinite(E):
             raise AccuracyError(f"growth entry overflowed at r = {r}", achieved=M)
         rows.append((r, float(M), float(E)))
-    if fn.measure is not None:
-        a_estimate = fn.measure.max_jump()
-    elif fn.known_max_jump is not None:
+    if fn.known_max_jump is not None:
         a_estimate = float(fn.known_max_jump)
     else:
         trace = beta_trace(fn)

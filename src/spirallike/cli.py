@@ -31,7 +31,7 @@ from .errors import (
     ParameterError,
     SpirallikeError,
 )
-from .gallery import DEFAULT_C0, G0Function, HansenParams, c0_constant, hansen_build, q_function
+from .gallery import DEFAULT_C0, G0Function, HansenParams, _q_table, hansen_build
 from .representation import MeasureFunction
 from .spiral_geometry import SpiralAngle, arg_lambda
 
@@ -193,9 +193,7 @@ def cmd_growth(args):
 
 
 def cmd_qtheta(args):
-    sup_q, c0, monotone = c0_constant(args.qtheta_grid)
-    theta = np.linspace(0.0, np.pi / 2.0, args.qtheta_grid + 2)[1:-1]
-    values = q_function(theta)
+    theta, values, (sup_q, c0, monotone) = _q_table(args.qtheta_grid)
     if args.fmt == "json":
         rows = np.column_stack((theta, values)).tolist()
         return 0, _json({"sup_q": sup_q, "c0": c0, "monotone": monotone, "rows": rows}, None)

@@ -105,15 +105,8 @@ def q_function(theta):
     return out if out.ndim else float(out)
 
 
-def c0_constant(grid=100000):
-    """Grid supremum of Q with section-search refinement: (sup_q, 2*exp(sup_q), monotone).
-
-    The largest grid value is refined by section_search_max over its two
-    grid neighbours (down to 1e-9 at the left end), to tol 1e-12.
-
-    monotone reports whether Q was non-increasing across the grid; it is an
-    observation, not an assumption used elsewhere.
-    """
+def _q_table(grid):
+    """(theta, Q(theta), (sup_q, C0, monotone)) on grid interior points of (0, pi/2)."""
     grid = _grid_size(grid, "grid")
     if grid < 1000:
         raise DomainError("need at least 1000 grid points")
@@ -125,7 +118,19 @@ def c0_constant(grid=100000):
     hi = theta[k + 1] if k + 1 < len(theta) else theta[-1]
     _, sup_q = section_search_max(q_function, lo, hi)
     sup_q = max(sup_q, float(values[k]))
-    return float(sup_q), float(2.0 * np.exp(sup_q)), monotone
+    return theta, values, (float(sup_q), float(2.0 * np.exp(sup_q)), monotone)
+
+
+def c0_constant(grid=100000):
+    """Grid supremum of Q with section-search refinement: (sup_q, 2*exp(sup_q), monotone).
+
+    The largest grid value is refined by section_search_max over its two
+    grid neighbours (down to 1e-9 at the left end), to tol 1e-12.
+
+    monotone reports whether Q was non-increasing across the grid; it is an
+    observation, not an assumption used elsewhere.
+    """
+    return _q_table(grid)[2]
 
 
 def lemma_c_margins(C):

@@ -21,7 +21,6 @@ from .analysis import _grid_size
 from .errors import AccuracyError, DomainError
 from .polylog import _TAIL, _complex, _horner, li2, li3
 
-_ALIAS_TARGET = 1e-12
 _MAX_FFT = 1 << 20
 # A (terms, points) block holds fewer than 16384 complex values (256 KiB):
 # at that size numpy starts to reuse temporaries as outputs, and its
@@ -147,30 +146,24 @@ class SpiralFunction:
     def f_over_z(self, z):
         return _pointwise(self._f_over_z, z, self._block)
 
-    def taylor_coefficients(self, n_max, radius=0.5):
-        """Coefficients a_1..a_n_max of f at 0 via circle sampling.
+    def taylor_coefficients(self, n_max):
+        """Coefficients a_1..a_n_max of f at 0 from one FFT on |z| = r = e^(-1/n_max).
 
-        The sample count grows until the aliasing bound (n_max + N)*radius^N
-        for univalent coefficient growth drops below 1e-12.  AccuracyError
-        when n_max is not below the sample count N.
+        The circle takes N samples, the power of two at or above 40*n_max,
+        so r^N <= e^-40 and aliasing adds at most (m + N)*e^-40 to a_m for
+        univalent f (|a_k| <= k).  Dividing by r^m >= 1/e raises rounding
+        by at most e: the error is about eps*e*max_{|z|=r}|f|, which is
+        e*eps*n_max^2 for Koebe.  AccuracyError, before any sampling, when N
+        would exceed 2^20 (n_max > 26214).
         """
         n_max = _grid_size(n_max, "n_max")
-        if not (0.0 < radius < 1.0):
-            raise DomainError(f"sampling radius must lie in (0, 1), got {radius!r}")
-        N = 128
-        while (n_max + N) * radius**N > _ALIAS_TARGET:
-            N *= 2
-            if N > _MAX_FFT:
-                raise AccuracyError(
-                    "aliasing target unreachable at this radius",
-                    achieved=(n_max + N // 2) * radius ** (N // 2),
-                )
-        if n_max >= N:
-            raise AccuracyError(f"n_max = {n_max} is not below the {N} circle samples")
-        zs = radius * np.exp(2j * np.pi * np.arange(N) / N)
-        coef = np.fft.fft(self.evaluate(zs)) / N
-        m = np.arange(1, n_max + 1)
-        return coef[1 : n_max + 1] / radius**m
+        N = 1 << (40 * n_max - 1).bit_length()
+        if N > _MAX_FFT:
+            raise AccuracyError(f"n_max = {n_max} needs {N} circle samples, above {_MAX_FFT}")
+        radius = np.exp(-1.0 / n_max)
+        k = np.arange(N)
+        coef = np.fft.fft(self.evaluate(radius * np.exp(2j * np.pi * k / N))) / N
+        return coef[1 : n_max + 1] / radius ** k[1 : n_max + 1]
 
 
 class MeasureFunction(SpiralFunction):

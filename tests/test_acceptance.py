@@ -183,7 +183,7 @@ def test_criterion_06_g0_certification():
     jump, _ = refine_jump(g0, (est.location - spacing, est.location + spacing))
     e_jump = abs(jump - PI)
 
-    coeffs = G0Function().taylor_coefficients(50, radius=0.85)
+    coeffs = G0Function().taylor_coefficients(50)
     harm = np.cumsum(1.0 / np.arange(1, 51))
     e_coef = float(np.max(np.abs(coeffs - harm)))
 

@@ -66,7 +66,7 @@ def test_g0_closed_form_values():
 
 
 def test_g0_taylor_coefficients_are_harmonic_numbers():
-    a = G0Function().taylor_coefficients(50, radius=0.85)
+    a = G0Function().taylor_coefficients(50)
     H = np.cumsum(1.0 / np.arange(1, 51))
     assert np.max(np.abs(a - H)) < 1e-8
 

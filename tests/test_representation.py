@@ -16,6 +16,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,17 +269,49 @@ def test_taylor_validation():
     f = koebe()
     with pytest.raises(DomainError):
         f.taylor_coefficients(0)
-    with pytest.raises(DomainError):
-        f.taylor_coefficients(5, radius=1.5)
 
 
 @pytest.mark.parametrize("n_max", [128, 129, 1000])
-def test_taylor_past_sample_count_raises_accuracy_error(n_max):
-    # 128 circle samples at radius 1/2 resolve a_1..a_127 only: a package
-    # error, never numpy's broadcast ValueError
-    with pytest.raises(AccuracyError, match="not below the 128 circle samples"):
-        koebe().taylor_coefficients(n_max)
-    assert koebe().taylor_coefficients(127).shape == (127,)
+def test_taylor_koebe_past_128_coefficients(n_max):
+    # on |z| = e^(-1/n_max) rounding grows by at most e, so the error stays
+    # near e * eps * n_max^2 for every n_max up to the sample cap
+    n = np.arange(1, n_max + 1)
+    a = koebe().taylor_coefficients(n_max)
+    assert np.max(np.abs(a - n) / n) <= 1e-9
+
+
+def _rising_ratios(x, n_max):
+    """(x)_(n-1)/(n-1)! for n = 1..n_max in mpmath, the coefficients of z(1-z)^-x."""
+    x = mpmath.mpc(x)
+    return np.array([complex(mpmath.rf(x, k) / mpmath.factorial(k)) for k in range(n_max)])
+
+
+@pytest.mark.parametrize(
+    "fn, n_max, want",
+    [
+        (G0Function, 500, lambda n: np.cumsum(1.0 / np.arange(1, n + 1))),
+        (lambda: koebe_power(1.5), 100, lambda n: _rising_ratios(1.5, n)),
+        (lambda: koebe(SpiralAngle(0.7)), 300, lambda n: _rising_ratios(2 * SpiralAngle(0.7).mu, n)),
+    ],
+    ids=["g0-harmonic", "koebe_power-gamma", "spirallike_koebe-pochhammer"],
+)
+def test_taylor_closed_forms(fn, n_max, want):
+    # g0 = -log(1-z)/(1-z) has a_n = H_n; z(1-z)^-x has a_n = (x)_(n-1)/(n-1)!,
+    # which is Gamma(n-1+x)/(Gamma(x) Gamma(n)) for koebe_power and x = 2 mu
+    # for the lambda-spirallike Koebe function
+    expected = want(n_max)
+    a = fn().taylor_coefficients(n_max)
+    assert np.max(np.abs(a - expected) / np.abs(expected)) <= 1e-11
+
+
+def test_taylor_above_sample_cap_raises_accuracy_error():
+    # 40 * n_max samples past 2^20 circle points: a package error raised
+    # before anything is allocated; 26214 is the last n_max within the cap
+    assert koebe().taylor_coefficients(26214).shape == (26214,)
+    with pytest.raises(AccuracyError, match="circle samples"):
+        koebe().taylor_coefficients(26215)
+    with pytest.raises(AccuracyError):
+        koebe().taylor_coefficients(10**12)
 
 
 # -- power transforms --------------------------------------------------------------
