@@ -48,7 +48,7 @@ from .gallery import (
     q_function,
 )
 from .polylog import li2, li3
-from .representation import MeasureFunction, PowerTransform, SpiralFunction
+from .representation import MeasureFunction, SpiralFunction
 from .spiral_geometry import (
     STARLIKE,
     SpiralAngle,
@@ -77,7 +77,6 @@ __all__ = [
     "MeasureFunction",
     "MeasureValidationError",
     "ParameterError",
-    "PowerTransform",
     "STARLIKE",
     "SpiralAngle",
     "SpiralFunction",

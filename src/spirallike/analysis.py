@@ -98,16 +98,6 @@ def _grid_size(n, name):
 # -- the continuous spiral argument ------------------------------------------
 
 
-def _radial_ladder(r, min_steps):
-    """Radii 0 = rho_0 < ... < rho_J = r refining geometrically toward r.
-
-    J is at least min_steps and grows by 24 radii per decade of 1 - r.
-    """
-    gap = 1.0 - r
-    J = max(int(min_steps), int(24.0 * np.log10(1.0 / gap)) + 16)
-    return 1.0 - gap ** (np.arange(J + 1) / J)
-
-
 def _arg_lambda_f_over_z(fn, z):
     """Continuous arg_lambda of f(z)/z, pinned to 0 at the disk center.
 
@@ -279,21 +269,27 @@ def spirallikeness_margin(fn, r_max=0.999, n_theta=512):
     return -_circle_max(lambda z: -(rotation * fn.log_derivative(z)).real, r_max, n_theta)
 
 
-def goodman_check(g, grid=(512, 32), r_max=0.999):
+# outer radius of goodman_check's polar grid
+_GOODMAN_RADIUS = 0.999
+
+
+def goodman_check(g, grid=(512, 32)):
     """Max of |arg(g(z)/z)| - 2*arcsin|z| over a polar grid.
 
     The argument is Im log(g/z) on the analytic branch vanishing at the
     center.  Nonpositive (within roundoff) for every starlike function; the
-    grid is n_theta angles times the nonzero radii of a ladder of at least
-    n_steps radii refining geometrically toward r_max.
+    grid is n_theta angles times the nonzero radii of a ladder
+    rho_j = 1 - gap^(j/J), j = 0..J, gap = 1 - 0.999, refining geometrically
+    toward 0.999: J is at least n_steps and grows by 24 radii per decade of
+    gap (87 for gap = 1e-3).
     """
-    if not g.starlike_certified:
-        raise DomainError("bound applies to certified starlike functions")
-    if not (0.0 < r_max < 1.0):
-        raise DomainError(f"r_max must lie in (0, 1), got {r_max!r}")
+    if not g.angle.is_starlike:
+        raise DomainError("bound applies to starlike functions (inclination 0)")
     n_theta, n_steps = (_grid_size(n, "grid size") for n in grid)
     thetas = np.arange(n_theta) * (TWO_PI / n_theta)
-    rho = _radial_ladder(r_max, n_steps)[1:]
+    gap = 1.0 - _GOODMAN_RADIUS
+    J = max(n_steps, int(24.0 * np.log10(1.0 / gap)) + 16)
+    rho = 1.0 - gap ** (np.arange(1, J + 1) / J)
     U = _arg_lambda_f_over_z(g, rho[None, :] * np.exp(1j * thetas)[:, None])
     excess = np.abs(U) - 2.0 * np.arcsin(rho)[None, :]
     return float(np.max(excess))
@@ -368,15 +364,18 @@ def growth_exponent(fn, r_schedule=None, coarse=1024):
     """Growth table for fn with the jump-based exponent prediction.
 
     M(r) for the whole schedule comes from one batched max_modulus call.
-    a_estimate is fn.known_max_jump when set (a measure's largest atom, or a
-    declared closed-form jump), else a boundary-trace refinement;
-    predicted_q0 = a_estimate * cos(lam)^2 / pi.
+    a_estimate is fn.known_max_jump (a measure's largest atom, or a
+    declared closed-form jump); predicted_q0 = a_estimate * cos(lam)^2 / pi.
+    DomainError when fn has no known jump.
     """
     if r_schedule is None:
         r_schedule = default_r_schedule(2, 8)
     r_schedule = tuple(float(r) for r in r_schedule)
     if len(r_schedule) < 3 or any(b <= a for a, b in zip(r_schedule, r_schedule[1:])):
         raise DomainError("r_schedule must have at least 3 strictly increasing radii")
+    if fn.known_max_jump is None:
+        raise DomainError("growth prediction needs the function's known_max_jump")
+    a_estimate = float(fn.known_max_jump)
     peaks = max_modulus(fn, np.array(r_schedule), coarse=coarse).tolist()
     rows = []
     for r, M in zip(r_schedule, peaks):
@@ -384,21 +383,11 @@ def growth_exponent(fn, r_schedule=None, coarse=1024):
         if not np.isfinite(E):
             raise AccuracyError(f"growth entry overflowed at r = {r}", achieved=M)
         rows.append((r, float(M), float(E)))
-    if fn.known_max_jump is not None:
-        a_estimate = float(fn.known_max_jump)
-    else:
-        trace = beta_trace(fn)
-        guess = estimate_max_jump(trace)
-        if guess.jump == 0.0:
-            a_estimate = 0.0
-        else:
-            spacing = TWO_PI / len(trace.t_samples)
-            a_estimate, _ = refine_jump(fn, (guess.location - spacing, guess.location + spacing))
     cos_lam = np.cos(fn.angle.lam)
     return GrowthReport(
         rows=tuple(rows),
         predicted_q0=float(a_estimate * cos_lam * cos_lam / np.pi),
-        a_estimate=float(a_estimate),
+        a_estimate=a_estimate,
     )
 
 

@@ -31,7 +31,7 @@ from .errors import (
     ParameterError,
     SpirallikeError,
 )
-from .gallery import DEFAULT_C0, G0Function, HansenParams, _q_table, hansen_build
+from .gallery import DEFAULT_C, G0Function, HansenParams, _q_table, hansen_build
 from .representation import MeasureFunction
 from .spiral_geometry import SpiralAngle, arg_lambda
 
@@ -105,8 +105,7 @@ def build_function(args):
         return spirallike_of(G0Function(), angle)
     if args.gallery == "hansen":
         alpha = args.A / np.pi if args.A is not None else args.alpha
-        c = args.c if args.c is not None else min(0.3, 0.99 / np.log(DEFAULT_C0))
-        params = HansenParams(alpha=1.0 if alpha is None else alpha, beta_exp=args.beta_exp, c=c)
+        params = HansenParams(alpha=alpha, beta_exp=args.beta_exp, c=args.c)
         return spirallike_of(hansen_build(params), angle)
     raise ConfigError("need one of --measure or --gallery")
 
@@ -216,11 +215,13 @@ def _build_parser():
             p.add_argument("--gallery", choices=GALLERY_CHOICES)
             p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=0.0,
                            help="spiral inclination in radians")
-            p.add_argument("--alpha", type=float,
-                           help="growth exponent of the hansen gallery entry")
+            jump = p.add_mutually_exclusive_group()
+            jump.add_argument("--alpha", type=float, default=1.0,
+                              help="growth exponent of the hansen gallery entry")
+            jump.add_argument("--A", type=float, help="target boundary jump; sets alpha = A/pi")
             p.add_argument("--beta-exp", type=float, default=1.0)
-            p.add_argument("--c", type=float, help="hansen log-factor coefficient")
-            p.add_argument("--A", type=float, help="target boundary jump; sets alpha = A/pi")
+            p.add_argument("--c", type=float, default=DEFAULT_C,
+                           help="hansen log-factor coefficient")
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"))
         return p

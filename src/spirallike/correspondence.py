@@ -2,39 +2,41 @@
 
 For inclination lam with mu = exp(i*lam)cos(lam), the pairing is
 log(f/z) = mu * log(g/z); f is lam-spirallike exactly when g is starlike,
-and both share the same boundary measure.
+and both share the same boundary measure.  Every SpiralFunction is the
+kernel of its starlike partner plus an inclination, so each direction is a
+shallow copy of the handle with the other inclination: the kernels,
+known_max_jump and measure travel with it.
 """
 
+import copy
+
 from .errors import DomainError, InconsistencyError
-from .representation import PowerTransform
 from .spiral_geometry import STARLIKE
 
 
-def spirallike_of(g, angle):
-    """The lam-spirallike partner f of a certified starlike g.
+def _with_angle(fn, angle):
+    out = copy.copy(fn)
+    out.angle = angle
+    return out
 
-    Returns g itself for inclination 0.
+
+def spirallike_of(g, angle):
+    """The lam-spirallike partner f of g: g's kernel at inclination lam.
+
+    DomainError unless g is starlike (inclination 0).
     """
-    if not g.starlike_certified:
-        raise DomainError("input is not certified starlike")
-    if angle.lam == 0.0:
-        return g
-    return PowerTransform(g, angle.mu, angle, starlike_certified=False)
+    if not g.angle.is_starlike:
+        raise DomainError(f"input is not starlike: its inclination is {g.angle.lam}")
+    return _with_angle(g, angle)
 
 
 def starlike_of(f, angle):
-    """The starlike partner g of a lam-spirallike f built for this angle.
+    """The starlike partner g of f: f's kernel at inclination 0.
 
-    Unwraps a matching spirallike_of result exactly; otherwise divides the
-    log by mu.  The output is marked starlike-certified, which is sound
-    precisely when f really is lam-spirallike.
+    InconsistencyError unless f was built for this angle.
     """
     if f.angle.lam != angle.lam:
         raise InconsistencyError(
             f"function was built for inclination {f.angle.lam}, not {angle.lam}"
         )
-    if angle.lam == 0.0:
-        return f
-    if isinstance(f, PowerTransform) and f.power == angle.mu and f.base.starlike_certified:
-        return f.base
-    return PowerTransform(f, 1.0 / angle.mu, STARLIKE, starlike_certified=True)
+    return _with_angle(f, STARLIKE)

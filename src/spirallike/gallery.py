@@ -19,6 +19,10 @@ from .representation import MeasureFunction, SpiralFunction, _log1m, _pointwise
 from .spiral_geometry import STARLIKE
 
 DEFAULT_C0 = 2.0 * np.e**2
+# the log-factor coefficient c of the counterexample family when none is
+# given: admissible (c <= 1/log C0) for every jump small enough that the
+# combined-growth constraint holds
+DEFAULT_C = min(0.3, 0.99 / np.log(DEFAULT_C0))
 
 
 def _log(v):
@@ -62,13 +66,14 @@ class G0Function(SpiralFunction):
     """
 
     def __init__(self):
-        super().__init__(STARLIKE, starlike_certified=True, known_max_jump=np.pi)
+        super().__init__(STARLIKE, known_max_jump=np.pi)
 
-    def _log_f_over_z(self, z):
+    def _log_g_over_z(self, z):
         w = -_log1m(z)
         return _log(_w_over_z(w, z)) + w
 
-    _log_derivative = staticmethod(_g0_log_derivative)
+    def _log_derivative_excess(self, z):
+        return z / (1.0 - z) + (_g0_correction(z) - 1.0)
 
 
 def koebe_power(exponent=2.0):
@@ -163,8 +168,8 @@ class HansenParams:
     """Parameters (alpha, beta_exp, c) of g = z(1-z)^-alpha (1+c w)^beta_exp.
 
     w = log(1/(1-z)) and C = e^(1/c).  Admissibility depends on the
-    threshold constant C0: c must not exceed 1/log(C0), and the combined
-    growth alpha + c*beta_exp/(1 - c log 2) must stay below 2.
+    threshold constant C0 = DEFAULT_C0: c must not exceed 1/log(C0), and
+    the combined growth alpha + c*beta_exp/(1 - c log 2) must stay below 2.
     """
 
     alpha: float
@@ -175,7 +180,7 @@ class HansenParams:
     def C(self):
         return float(np.exp(1.0 / self.c))
 
-    def violations(self, c0=DEFAULT_C0):
+    def violations(self):
         out = []
         if not (0.0 < self.alpha < 2.0):
             out.append(f"alpha = {self.alpha} violates 0 < alpha < 2")
@@ -184,7 +189,7 @@ class HansenParams:
         if not (self.c > 0.0):
             out.append(f"c = {self.c} violates c > 0")
             return out
-        c_cap = 1.0 / np.log(c0)
+        c_cap = 1.0 / np.log(DEFAULT_C0)
         if self.c > c_cap:
             out.append(f"c = {self.c} violates c <= 1/log(C0) = {c_cap:.6f}")
         elif self.beta_exp > 0.0:
@@ -208,7 +213,7 @@ class HansenFunction(SpiralFunction):
     """g(z) = z (1-z)^(-alpha) (1 + c log(1/(1-z)))^beta_exp, starlike."""
 
     def __init__(self, params):
-        super().__init__(STARLIKE, starlike_certified=True, known_max_jump=np.pi * params.alpha)
+        super().__init__(STARLIKE, known_max_jump=np.pi * params.alpha)
         self.params = params
 
     def _base(self, w):
@@ -222,36 +227,32 @@ class HansenFunction(SpiralFunction):
             )
         return base
 
-    def _log_f_over_z(self, z):
+    def _log_g_over_z(self, z):
         p = self.params
         w = -_log1m(z)
         return p.alpha * w + p.beta_exp * _log(self._base(w))
 
-    def _log_derivative(self, z):
+    def _log_derivative_excess(self, z):
         p = self.params
         base = self._base(-_log1m(z))
-        return 1.0 + p.alpha * z / (1.0 - z) + p.beta_exp * p.c * z / ((1.0 - z) * base)
+        return p.alpha * z / (1.0 - z) + p.beta_exp * p.c * z / ((1.0 - z) * base)
 
 
-def hansen_build(params, c0=DEFAULT_C0):
+def hansen_build(params):
     """Validated constructor for the family; names the violated inequality."""
-    problems = params.violations(c0=c0)
+    problems = params.violations()
     if problems:
         raise ParameterError("; ".join(problems))
     return HansenFunction(params)
 
 
-def counterexample_for(angle, A, beta_exp=1.0, c=None, c0=DEFAULT_C0):
+def counterexample_for(angle, A, beta_exp=1.0, c=DEFAULT_C):
     """Spirallike function whose growth beats O((1-r)^-q0), q0 = A cos^2(lam)/pi.
 
-    A in (0, 2*pi) is the target boundary jump; alpha = A/pi.  The default
-    c = min(0.3, 0.99/log(C0)) is admissible for every A small enough that
-    the combined-growth constraint holds; violations raise with the
-    inequality named.
+    A in (0, 2*pi) is the target boundary jump; alpha = A/pi.  Parameters
+    that violate the family's inequalities raise with the inequality named.
     """
     if not (0.0 < A < 2.0 * np.pi):
         raise ParameterError(f"jump A = {A} outside (0, 2*pi)")
-    if c is None:
-        c = min(0.3, 0.99 / np.log(c0))
     params = HansenParams(alpha=A / np.pi, beta_exp=beta_exp, c=c)
-    return spirallike_of(hansen_build(params, c0=c0), angle)
+    return spirallike_of(hansen_build(params), angle)

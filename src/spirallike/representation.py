@@ -100,7 +100,7 @@ def _moment_series(sigma_t, sigma, n):
 
 
 class SpiralFunction:
-    """Evaluatable analytic function handle on the unit disk.
+    """Analytic function handle on the unit disk: a starlike kernel plus an inclination.
 
     log_f_over_z returns the branch of log(f(z)/z) vanishing at 0,
     log_derivative returns z*f'(z)/f(z), evaluate returns f(z) and f_over_z
@@ -116,17 +116,28 @@ class SpiralFunction:
     (_term_sum: one reduce over the term axis, a running sum for a single
     point), and |z| alone picks a point's regime, so a point gets the same
     bits alone as inside any array.
-    Subclasses implement _log_f_over_z and _log_derivative on 1-d arrays of
-    checked points.
+
+    Subclasses implement the kernels of the starlike partner g on 1-d arrays
+    of checked points: _log_g_over_z returns log(g/z) and
+    _log_derivative_excess returns zg'/g - 1.  This class applies the
+    pairing once, with mu = exp(i*lam)cos(lam) from self.angle:
+    log(f/z) = mu*log(g/z) and zf'/f = 1 + mu*(zg'/g - 1).  known_max_jump
+    is the largest jump of the boundary measure that f and g share, and
+    measure that measure, when known.
     """
 
     _block = _BLOCK_TERMS
 
-    def __init__(self, angle, starlike_certified=False, known_max_jump=None, measure=None):
+    def __init__(self, angle, known_max_jump=None, measure=None):
         self.angle = angle
-        self.starlike_certified = starlike_certified
         self.known_max_jump = known_max_jump
         self.measure = measure
+
+    def _log_f_over_z(self, z):
+        return self.angle.mu * self._log_g_over_z(z)
+
+    def _log_derivative(self, z):
+        return 1.0 + self.angle.mu * self._log_derivative_excess(z)
 
     def _evaluate(self, z):
         return z * np.exp(self._log_f_over_z(z))
@@ -169,9 +180,13 @@ class SpiralFunction:
 class MeasureFunction(SpiralFunction):
     """The function of a (BoundaryMeasure, SpiralAngle) pair.
 
+    Its starlike kernels are log(g/z) = -(1/pi) * I(z) and
+    zg'/g - 1 = (1/pi) * z I'(z), with I(z) the integral of
+    log(1 - exp(-i*t)z) against the measure.
+
     Atoms take one log(1 - u) each.  The density's slope changes sigma_j at
-    t_j enter through sum_j sigma_j Li_n(exp(-i*t_j) z), n = 3 for log(f/z)
-    and n = 2 for z f'/f: inside |z| <= 1/2 as the series
+    t_j enter through sum_j sigma_j Li_n(exp(-i*t_j) z), n = 3 for log(g/z)
+    and n = 2 for zg'/g: inside |z| <= 1/2 as the series
     sum_m S_m z^m/m^n in the moments S_m = sum_j sigma_j exp(-i*m*t_j),
     tabulated once here (41 terms for n = 3, 46 for n = 2, truncation below
     2^-56 sum_j |sigma_j|); outside as one li3 or li2 per slope change.
@@ -181,12 +196,7 @@ class MeasureFunction(SpiralFunction):
 
     def __init__(self, measure, angle):
         measure.require_valid()
-        super().__init__(
-            angle,
-            starlike_certified=(angle.lam == 0.0),
-            known_max_jump=measure.max_jump(),
-            measure=measure,
-        )
+        super().__init__(angle, known_max_jump=measure.max_jump(), measure=measure)
         atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
         sigma_t, sigma = measure.slope_changes()
         # (terms, 1) columns, so that rot * z is a (terms, points) array
@@ -197,23 +207,23 @@ class MeasureFunction(SpiralFunction):
         self._series = {n: _moment_series(sigma_t, sigma, n) for n in (2, 3)} if sigma.size else {}
         self._block = max(1, _BLOCK_TERMS // max(1, len(atoms) + sigma_t.size))
 
-    def _log_f_over_z(self, z):
+    def _log_g_over_z(self, z):
         # Integral of log(1 - exp(-i*t)z) d(beta)(t) in closed form
         total = np.zeros(z.shape, dtype=complex)
         if self._atom_d.size:
             total += _term_sum(self._atom_d * _log1m(self._atom_rot * z))
         if self._sigma.size:
             total += self._density_sum(z, 3)
-        return -(self.angle.mu / np.pi) * total
+        return total * (-1.0 / np.pi)
 
-    def _log_derivative(self, z):
+    def _log_derivative_excess(self, z):
         total = np.zeros(z.shape, dtype=complex)
         if self._atom_d.size:
             u = self._atom_rot * z
             total += _term_sum(self._atom_d * u / (1.0 - u))
         if self._sigma.size:
             total -= self._density_sum(z, 2)
-        return 1.0 + (self.angle.mu / np.pi) * total
+        return (1.0 / np.pi) * total
 
     def _density_sum(self, z, n):
         """sum_j sigma_j Li_n(exp(-i*t_j) z) over the density's slope changes, n = 2 or 3.
@@ -232,24 +242,3 @@ class MeasureFunction(SpiralFunction):
         if far.size:
             out.put(far, _term_sum(self._sigma * _POLYLOG[n](self._sigma_rot * z.take(far))))
         return out
-
-
-class PowerTransform(SpiralFunction):
-    """Function with log(f/z) = power * log(base/z) for a complex power."""
-
-    def __init__(self, base, power, angle, starlike_certified=False, known_max_jump=None):
-        super().__init__(
-            angle,
-            starlike_certified=starlike_certified,
-            known_max_jump=base.known_max_jump if known_max_jump is None else known_max_jump,
-            measure=base.measure,
-        )
-        self.base = base
-        self.power = complex(power)
-        self._block = base._block
-
-    def _log_f_over_z(self, z):
-        return self.power * self.base._log_f_over_z(z)
-
-    def _log_derivative(self, z):
-        return 1.0 + self.power * (self.base._log_derivative(z) - 1.0)

@@ -306,7 +306,7 @@ def test_criterion_11_goodman_bound():
         pairs = [(float(rng.uniform(0, TWO_PI)), float(rng.uniform(0.2, 2.0))) for _ in range(k)]
         cases[f"random{trial}"] = MeasureFunction(BoundaryMeasure.from_atoms(pairs), STARLIKE)
     worst_name, worst = max(
-        ((name, goodman_check(fn, r_max=0.999)) for name, fn in cases.items()),
+        ((name, goodman_check(fn)) for name, fn in cases.items()),
         key=lambda kv: kv[1],
     )
     _report(

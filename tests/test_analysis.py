@@ -38,7 +38,6 @@ from spirallike import (
     InconsistencyError,
     JumpEstimate,
     MeasureFunction,
-    PowerTransform,
     SpiralAngle,
     SpiralSector,
     arg_lambda,
@@ -442,8 +441,14 @@ def test_margin_koebe_positive_but_small():
 
 def test_margin_detects_wrong_inclination():
     # koebe is starlike, not 1.2-spirallike: assessed against the wrong
-    # angle the margin goes strongly negative near the boundary
-    assert spirallikeness_margin(PowerTransform(koebe(), 1.0, SpiralAngle(1.2))) < -1.0
+    # angle the margin goes strongly negative near the boundary.  The
+    # package cannot build such a handle, so this one skips the pairing.
+    class Mislabelled(MeasureFunction):
+        def _log_derivative(self, z):
+            return 1.0 + self._log_derivative_excess(z)
+
+    f = Mislabelled(BoundaryMeasure.single_atom(), SpiralAngle(1.2))
+    assert spirallikeness_margin(f) < -1.0
 
 
 @settings(max_examples=15, deadline=None)
@@ -622,6 +627,18 @@ def test_growth_exponent_spirallike_scaling():
 def test_growth_exponent_validation():
     with pytest.raises(DomainError):
         growth_exponent(koebe(), r_schedule=(0.9, 0.99))
+
+
+def test_growth_exponent_needs_known_jump():
+    # the predicted exponent comes from the handle's known jump; a subclass
+    # that declares none gets a package error, not a guess
+    class Unknown(MeasureFunction):
+        def __init__(self, measure, angle):
+            super().__init__(measure, angle)
+            self.known_max_jump = None
+
+    with pytest.raises(DomainError, match="known_max_jump"):
+        growth_exponent(Unknown(BoundaryMeasure.single_atom(), STARLIKE))
 
 
 def test_hansen_ratio_koebe_is_r():

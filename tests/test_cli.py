@@ -318,6 +318,8 @@ def test_exit_codes():
     assert main(["verify", "--gallery", "koebe", "--r-max", "1.5"]) == 2
     assert main(["beta", "--gallery", "identity", "--t-grid", "8"]) == 2
     assert main(["qtheta", "--qtheta-grid", "100"]) == 2
+    # two ways to set one exponent: argparse rejects the pair
+    assert main(["eval", "--gallery", "hansen", "--A", "2", "--alpha", "1.0"]) == 2
     assert main(["--help"]) == 0
     assert main(["eval", "--help"]) == 0
     assert main([]) == 2  # missing subcommand

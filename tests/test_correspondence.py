@@ -18,9 +18,12 @@ from spirallike import (
     STARLIKE,
     BoundaryMeasure,
     DomainError,
+    G0Function,
+    HansenParams,
     InconsistencyError,
     MeasureFunction,
     SpiralAngle,
+    hansen_build,
     koebe_power,
     spirallike_of,
     starlike_of,
@@ -36,10 +39,35 @@ def starlike_example():
     return MeasureFunction(m, STARLIKE)
 
 
-def test_lam_zero_returns_same_object():
+def mixed_measure():
+    """Atoms 1 at 0.3 and 2 at 2.0 plus a 4-knot density, total mass 2*pi."""
+    values = np.array([0.1, 0.3, 0.5, 0.2])
+    values *= (2.0 * PI - 3.0) / (0.5 * PI * values.sum())
+    knots = tuple(zip((np.arange(4) * PI / 2).tolist(), values.tolist()))
+    return BoundaryMeasure(atoms=((0.3, 1.0), (2.0, 2.0)), density_knots=knots)
+
+
+# points across both regimes of the density sum, the center included
+_rng = np.random.default_rng(4)
+POINTS = np.concatenate((
+    [0.0, 0.5, -0.5j],
+    0.5 * np.sqrt(_rng.uniform(0, 1, 100)) * np.exp(2j * PI * _rng.uniform(0, 1, 100)),
+    (1.0 - 10.0 ** _rng.uniform(-6, -0.3, 100)) * np.exp(2j * PI * _rng.uniform(0, 1, 100)),
+))
+
+
+def assert_same_values(f, g):
+    """f and g carry one inclination and give the same bits in all four methods."""
+    assert f.angle == g.angle
+    for name in ("log_f_over_z", "log_derivative", "evaluate", "f_over_z"):
+        got, want = getattr(f, name)(POINTS), getattr(g, name)(POINTS)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_lam_zero_returns_equal_values():
     g = starlike_example()
-    assert spirallike_of(g, STARLIKE) is g
-    assert starlike_of(g, STARLIKE) is g
+    assert_same_values(spirallike_of(g, STARLIKE), g)
+    assert_same_values(starlike_of(g, STARLIKE), g)
 
 
 def test_requires_certified_starlike_input():
@@ -59,7 +87,7 @@ def test_roundtrip_unwraps_exactly():
     a = SpiralAngle(PI / 4)
     f = spirallike_of(g, a)
     back = starlike_of(f, a)
-    assert back is g
+    assert_same_values(back, g)
 
 
 @settings(max_examples=30, deadline=None)
@@ -81,20 +109,46 @@ def test_pairing_preserves_measure_and_flags():
     a = SpiralAngle(-0.8)
     f = spirallike_of(g, a)
     assert f.measure is g.measure
+    assert f.known_max_jump == g.known_max_jump
+    assert f._block == g._block
     assert f.angle == a
-    assert not f.starlike_certified
+    assert not f.angle.is_starlike
     h = starlike_of(f, a)
-    assert h.starlike_certified
+    assert h.angle.is_starlike
+    assert h.measure is g.measure
 
 
 def test_spirallike_koebe_matches_measure_route():
     # applying the pairing to the koebe function reproduces the direct
-    # single-atom construction at the same inclination
+    # single-atom construction at the same inclination, bit for bit
     a = SpiralAngle(0.9)
     via_pairing = spirallike_of(koebe_power(), a)
     direct = MeasureFunction(BoundaryMeasure.single_atom(), a)
-    z = np.array([0.5, -0.3 + 0.6j, 0.1 - 0.8j])
-    assert np.max(np.abs(via_pairing.log_f_over_z(z) - direct.log_f_over_z(z))) < 1e-12
+    assert_same_values(via_pairing, direct)
+
+
+STARLIKE_HANDLES = {
+    "mixed": lambda: MeasureFunction(mixed_measure(), STARLIKE),
+    "koebe_power": lambda: koebe_power(1.5),
+    "g0": G0Function,
+    "hansen": lambda: hansen_build(HansenParams(1.3, 2.0, 0.2)),
+}
+
+
+@pytest.mark.parametrize("lam", [0.7, -1.2, 1.4])
+@pytest.mark.parametrize("make", STARLIKE_HANDLES.values(), ids=STARLIKE_HANDLES.keys())
+def test_one_route_per_inclination(make, lam):
+    # a handle is a starlike kernel plus an inclination: the measure route
+    # and the pairing build the same function, and either way back to
+    # inclination 0 gives the starlike handle's bits
+    g = make()
+    a = SpiralAngle(lam)
+    f = spirallike_of(g, a)
+    assert_same_values(starlike_of(f, a), g)
+    if g.measure is not None:
+        direct = MeasureFunction(g.measure, a)
+        assert_same_values(f, direct)
+        assert_same_values(starlike_of(direct, a), g)
 
 
 @pytest.mark.parametrize("lam", [0.4, -0.9, 1.2])

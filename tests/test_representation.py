@@ -30,7 +30,6 @@ from spirallike import (
     HansenParams,
     MeasureFunction,
     MeasureValidationError,
-    PowerTransform,
     SpiralAngle,
     counterexample_for,
     hansen_build,
@@ -314,19 +313,22 @@ def test_taylor_above_sample_cap_raises_accuracy_error():
         koebe().taylor_coefficients(10**12)
 
 
-# -- power transforms --------------------------------------------------------------
+# -- the pairing ------------------------------------------------------------------
 
 
-def test_power_transform_composes_logs():
-    base = koebe()
+def test_pairing_composes_logs():
+    # the template scales the starlike kernel by mu: at inclination 0 it
+    # returns the kernel's bits, so log(f/z) = mu * log(g/z) holds exactly
+    # (in numpy's complex multiply; Python's rounds differently)
     a = SpiralAngle(0.6)
-    g = PowerTransform(base, a.mu, a)
-    z = 0.3 + 0.2j
-    assert abs(g.log_f_over_z(z) - a.mu * base.log_f_over_z(z)) < 1e-15
-    want = 1 + a.mu * (base.log_derivative(z) - 1)
-    assert abs(g.log_derivative(z) - want) < 1e-15
-    assert g.angle == a
-    assert g.measure is base.measure
+    z = np.array([0.3 + 0.2j, -0.7 + 0.1j, 0.99j])
+    for base in (koebe(), G0Function(), hansen_build(HansenParams(1.3, 2.0, 0.2))):
+        g = spirallike_of(base, a)
+        assert np.array_equal(g.log_f_over_z(z), a.mu * base.log_f_over_z(z))
+        want = 1 + a.mu * (base.log_derivative(z[0]) - 1)
+        assert abs(g.log_derivative(z[0]) - want) < 1e-15
+        assert g.angle == a
+        assert g.measure is base.measure
 
 
 def atoms_and_knots(n_atoms, n_knots, seed):
@@ -346,7 +348,8 @@ def atoms_and_knots(n_atoms, n_knots, seed):
 
 
 # one handle of every SpiralFunction class: measures with atoms and
-# non-constant densities, the gallery closed forms and power transforms
+# non-constant densities, the gallery closed forms and their spirallike
+# partners
 HANDLES = {
     "mixed": lambda: MeasureFunction(atoms_and_knots(2, 4, seed=2), STARLIKE),
     "mixed_l07": lambda: MeasureFunction(atoms_and_knots(2, 4, seed=2), SpiralAngle(0.7)),
