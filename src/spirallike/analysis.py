@@ -187,13 +187,22 @@ def estimate_max_jump(trace):
     (at least 1e-6) are jump candidates; two above-threshold increments
     sharing a sample merge into one jump located at that sample (an atom
     aligned with the grid splits its mass between the two neighboring
-    gaps).  Returns jump 0 when nothing exceeds the threshold.
+    gaps).  Returns jump 0 when nothing exceeds the threshold.  DomainError
+    for an empty trace, for t_samples and beta_values that are not 1-d
+    arrays of one length, for a non-finite entry, and for angles that do
+    not increase strictly within one turn.
     """
-    t = trace.t_samples
-    v = trace.beta_values
-    n = len(t)
+    t = np.asarray(trace.t_samples, dtype=float)
+    v = np.asarray(trace.beta_values, dtype=float)
+    n = t.size
     if n == 0:
         raise DomainError("the trace has no samples")
+    if t.ndim != 1 or v.shape != t.shape:
+        raise DomainError(f"the trace needs one value per angle, got {t.shape} and {v.shape}")
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise DomainError("the trace has a non-finite angle or value")
+    if (np.diff(t) <= 0.0).any() or t[-1] - t[0] >= TWO_PI:
+        raise DomainError("the trace angles must increase strictly within one turn")
     gaps = _trace_gaps(t, v)
     gap_threshold = max(10.0 * float(np.median(gaps)), 1e-6)
     t_next = np.concatenate((t[1:], [t[0] + TWO_PI]))
@@ -360,6 +369,19 @@ class GrowthReport:
     a_estimate: float
 
 
+def _growth_radii(r_schedule, least):
+    """r_schedule, default_r_schedule(2, 8) when None, as a tuple of floats.
+
+    DomainError unless it holds at least `least` strictly increasing radii.
+    """
+    if r_schedule is None:
+        r_schedule = default_r_schedule(2, 8)
+    r_schedule = tuple(float(r) for r in r_schedule)
+    if len(r_schedule) < least or any(b <= a for a, b in zip(r_schedule, r_schedule[1:])):
+        raise DomainError(f"r_schedule must have at least {least} strictly increasing radii")
+    return r_schedule
+
+
 def growth_exponent(fn, r_schedule=None, coarse=1024):
     """Growth table for fn with the jump-based exponent prediction.
 
@@ -368,11 +390,7 @@ def growth_exponent(fn, r_schedule=None, coarse=1024):
     declared closed-form jump); predicted_q0 = a_estimate * cos(lam)^2 / pi.
     DomainError when fn has no known jump.
     """
-    if r_schedule is None:
-        r_schedule = default_r_schedule(2, 8)
-    r_schedule = tuple(float(r) for r in r_schedule)
-    if len(r_schedule) < 3 or any(b <= a for a, b in zip(r_schedule, r_schedule[1:])):
-        raise DomainError("r_schedule must have at least 3 strictly increasing radii")
+    r_schedule = _growth_radii(r_schedule, 3)
     if fn.known_max_jump is None:
         raise DomainError("growth prediction needs the function's known_max_jump")
     a_estimate = float(fn.known_max_jump)
@@ -396,13 +414,13 @@ def hansen_ratio(fn, q0, r_schedule=None, coarse=1024):
 
     An unbounded increase exhibits failure of the O((1-r)^-q0) bound.  M(r)
     for the whole schedule comes from one batched max_modulus call.
+    DomainError unless the schedule holds at least one radius and increases
+    strictly.
     """
     if not (0.0 <= q0 < np.inf):
         raise DomainError(f"q0 must be finite and nonnegative, got {q0!r}")
-    if r_schedule is None:
-        r_schedule = default_r_schedule(2, 8)
-    r_schedule = tuple(r_schedule)
-    peaks = max_modulus(fn, np.array(r_schedule, dtype=float), coarse=coarse).tolist()
+    r_schedule = _growth_radii(r_schedule, 1)
+    peaks = max_modulus(fn, np.array(r_schedule), coarse=coarse).tolist()
     return list(zip(r_schedule, _bound_ratios(r_schedule, peaks, q0)))
 
 

@@ -6,11 +6,13 @@ contribute principal logarithms in closed form.  The piecewise-linear density
 part reduces exactly to trilogarithms: integrating the Fourier series of the
 kernel against the density leaves sum_j sigma_j * Li_3(z exp(-i*t_j)) over the
 density's slope changes sigma_j, so constant densities contribute nothing.
-Inside |z| <= 1/2 that sum is one power series, sum_m S_m z^m/m^3 with the
-moments S_m = sum_j sigma_j exp(-i*m*t_j), computed once per measure;
-outside it each slope change takes one li3 (li2 for z f'/f).  The tests
-cross-check this closed form against a periodic trapezoid quadrature of the
-same integral.
+Inside |z| <= 1/2 a measure with slope changes is one power series in its
+moments, atoms included: I(z) = sum_m (S_m/m^3 - A_m/m) z^m with
+A_m = sum_k d_k exp(-i*m*t_k) over the atoms and
+S_m = sum_j sigma_j exp(-i*m*t_j), computed once per measure; outside it
+each atom takes one log(1 - u) and each slope change one li3 (li2 for
+z f'/f).  The tests cross-check this closed form against a periodic
+trapezoid quadrature of the same integral.
 """
 
 import itertools
@@ -26,10 +28,9 @@ _MAX_FFT = 1 << 20
 # at that size numpy starts to reuse temporaries as outputs, and its
 # in-place complex multiply rounds differently from the out-of-place one.
 _BLOCK_TERMS = 16383
-# radius of the disk where the density's polylogarithms are summed as one
-# power series of the measure's moments
+# radius of the disk where a measure with slope changes is summed as one
+# power series of its moments
 _SERIES_RADIUS = 0.5
-_POLYLOG = {2: li2, 3: li3}
 
 
 def _as_disk_points(z):
@@ -40,8 +41,8 @@ def _as_disk_points(z):
     return z
 
 
-def _pointwise(kernel, z, block=_BLOCK_TERMS):
-    """kernel over the disk-checked, flattened points of z in blocks of block points.
+def _pointwise(kernel, z):
+    """kernel over the disk-checked, flattened points of z in blocks of _BLOCK_TERMS points.
 
     A scalar z goes through the same array arithmetic as an array and is
     unwrapped once, so z alone and z inside any array get the same bits
@@ -49,7 +50,9 @@ def _pointwise(kernel, z, block=_BLOCK_TERMS):
     """
     z = _as_disk_points(z)
     flat = z.ravel()
-    parts = [kernel(flat[i : i + block]) for i in range(0, max(flat.size, 1), block)]
+    parts = [
+        kernel(flat[i : i + _BLOCK_TERMS]) for i in range(0, max(flat.size, 1), _BLOCK_TERMS)
+    ]
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
@@ -87,16 +90,29 @@ def _term_sum(rows):
     return np.add.accumulate(rows, axis=0, out=rows)[-1]
 
 
-def _moment_series(sigma_t, sigma, n):
-    """Coefficients S_m/m^n, m = 1..M, of sum_j sigma_j Li_n(exp(-i*t_j) z) = sum_m S_m z^m/m^n.
+def _moment_series(atom_t, d, sigma_t, sigma):
+    """Power series of the two measure sums inside |z| <= 1/2, keyed by polylog order.
 
-    S_m = sum_j sigma_j exp(-i*m*t_j).  M is the first m with
-    2^-m/m^n < 2^-56 (the rule of polylog's coefficient tables), so on
-    |z| <= 1/2 the omitted tail is below 2^-M/M^n * sum_j |sigma_j|.
+    With u_k = exp(-i*t_k) z over the atoms and v_j = exp(-i*t_j) z over the
+    slope changes, key 3 holds c_m = -A_m/m + S_m/m^3 of
+    sum_k d_k log(1 - u_k) + sum_j sigma_j Li_3(v_j), and key 2 holds
+    c_m = A_m - S_m/m^2 of sum_k d_k u_k/(1 - u_k) - sum_j sigma_j Li_2(v_j),
+    in the moments A_m = sum_k d_k exp(-i*m*t_k) and
+    S_m = sum_j sigma_j exp(-i*m*t_j).  Each series ends at the first m with
+    2^-m/m^p < 2^-56 (the rule of polylog's coefficient tables), p the power
+    of its slowest part: 1 and 0 with atoms, 3 and 2 without.  So on
+    |z| <= 1/2 the omitted tail is below 2^-M/M^p (sum_k d_k + sum_j |sigma_j|).
     """
-    M = next(m for m in itertools.count(1) if _SERIES_RADIUS**m / m**n < _TAIL)
-    m = np.arange(1, M + 1)
-    return (np.exp(-1j * np.outer(m, sigma_t)) * sigma).sum(axis=1) / m**n
+    powers = {3: 1, 2: 0} if d.size else {3: 3, 2: 2}
+    size = {
+        n: next(m for m in itertools.count(1) if _SERIES_RADIUS**m / m**p < _TAIL)
+        for n, p in powers.items()
+    }
+    m = np.arange(1, max(size.values()) + 1)
+    A = (np.exp(-1j * np.outer(m, atom_t)) * d).sum(axis=1)
+    S = (np.exp(-1j * np.outer(m, sigma_t)) * sigma).sum(axis=1)
+    series = {3: -A / m + S / m**3, 2: A - S / m**2}
+    return {n: c[: size[n]] for n, c in series.items()}
 
 
 class SpiralFunction:
@@ -106,16 +122,17 @@ class SpiralFunction:
     log_derivative returns z*f'(z)/f(z), evaluate returns f(z) and f_over_z
     returns f(z)/z.  Each
     takes a scalar or an array of points with |z| < 1; it checks the domain,
-    flattens, and evaluates blocks of self._block points.  A MeasureFunction
+    flattens, and evaluates blocks of _BLOCK_TERMS points.  A MeasureFunction
     lays its terms out term-major, one row of a (terms, points) array per
-    atom or slope change, and uses blocks of about 16384/(atoms + slope
+    atom or slope change, in row blocks of about 16384/(atoms + slope
     changes) points, so that those temporaries stay in the L2 cache; at
-    points with |z| <= 1/2 all slope changes together take one Horner pass
-    over the moment series of the density instead of their rows.  Every
-    step of a kernel is elementwise or a sum over terms in term order
-    (_term_sum: one reduce over the term axis, a running sum for a single
-    point), and |z| alone picks a point's regime, so a point gets the same
-    bits alone as inside any array.
+    points with |z| <= 1/2 a measure with slope changes instead takes one
+    Horner pass over the moment series of the whole measure, atoms and
+    slope changes together, on the whole block.  Every step of a kernel is
+    elementwise or a sum over terms in term order (_term_sum: one reduce
+    over the term axis, a running sum for a single point), and |z| alone
+    picks a point's regime, so a point gets the same bits alone as inside
+    any array.
 
     Subclasses implement the kernels of the starlike partner g on 1-d arrays
     of checked points: _log_g_over_z returns log(g/z) and
@@ -125,8 +142,6 @@ class SpiralFunction:
     is the largest jump of the boundary measure that f and g share, and
     measure that measure, when known.
     """
-
-    _block = _BLOCK_TERMS
 
     def __init__(self, angle, known_max_jump=None, measure=None):
         self.angle = angle
@@ -146,16 +161,16 @@ class SpiralFunction:
         return np.exp(self._log_f_over_z(z))
 
     def log_f_over_z(self, z):
-        return _pointwise(self._log_f_over_z, z, self._block)
+        return _pointwise(self._log_f_over_z, z)
 
     def log_derivative(self, z):
-        return _pointwise(self._log_derivative, z, self._block)
+        return _pointwise(self._log_derivative, z)
 
     def evaluate(self, z):
-        return _pointwise(self._evaluate, z, self._block)
+        return _pointwise(self._evaluate, z)
 
     def f_over_z(self, z):
-        return _pointwise(self._f_over_z, z, self._block)
+        return _pointwise(self._f_over_z, z)
 
     def taylor_coefficients(self, n_max):
         """Coefficients a_1..a_n_max of f at 0 from one FFT on |z| = r = e^(-1/n_max).
@@ -184,14 +199,16 @@ class MeasureFunction(SpiralFunction):
     zg'/g - 1 = (1/pi) * z I'(z), with I(z) the integral of
     log(1 - exp(-i*t)z) against the measure.
 
-    Atoms take one log(1 - u) each.  The density's slope changes sigma_j at
-    t_j enter through sum_j sigma_j Li_n(exp(-i*t_j) z), n = 3 for log(g/z)
-    and n = 2 for zg'/g: inside |z| <= 1/2 as the series
-    sum_m S_m z^m/m^n in the moments S_m = sum_j sigma_j exp(-i*m*t_j),
-    tabulated once here (41 terms for n = 3, 46 for n = 2, truncation below
-    2^-56 sum_j |sigma_j|); outside as one li3 or li2 per slope change.
-    Measures without slope changes (atoms only, constant density) have no
-    series.
+    Outside |z| <= 1/2 atoms take one log(1 - u) each, and the density's
+    slope changes sigma_j at t_j enter through
+    sum_j sigma_j Li_n(exp(-i*t_j) z), n = 3 for log(g/z) and n = 2 for
+    zg'/g, one li3 or li2 per slope change.  Inside it a measure with slope
+    changes is one series in its moments (_moment_series), tabulated once
+    here: 51 terms for log(g/z) and 57 for zg'/g with atoms, 41 and 46
+    without, truncated below 2^-56 (sum_k d_k + sum_j |sigma_j|), so all
+    atoms and slope changes together take one Horner pass.  Measures
+    without slope changes (atoms only, constant density) have no series:
+    for a few atoms the rows cost less than a Horner pass of 51 terms.
     """
 
     def __init__(self, measure, angle):
@@ -204,41 +221,65 @@ class MeasureFunction(SpiralFunction):
         self._atom_d = atoms[:, 1:]
         self._sigma_rot = np.exp(-1j * sigma_t)[:, None]
         self._sigma = sigma[:, None]
-        self._series = {n: _moment_series(sigma_t, sigma, n) for n in (2, 3)} if sigma.size else {}
-        self._block = max(1, _BLOCK_TERMS // max(1, len(atoms) + sigma_t.size))
+        self._series = {}
+        if sigma.size:
+            self._series = _moment_series(atoms[:, 0], atoms[:, 1], sigma_t, sigma)
+        self._row_block = max(1, _BLOCK_TERMS // max(1, len(atoms) + sigma_t.size))
 
     def _log_g_over_z(self, z):
         # Integral of log(1 - exp(-i*t)z) d(beta)(t) in closed form
+        return self._measure_sum(z, self._log_rows, 3) * (-1.0 / np.pi)
+
+    def _log_derivative_excess(self, z):
+        return (1.0 / np.pi) * self._measure_sum(z, self._derivative_rows, 2)
+
+    def _log_rows(self, z):
+        """sum_k d_k log(1 - u_k) + sum_j sigma_j Li_3(v_j), one row per term."""
         total = np.zeros(z.shape, dtype=complex)
         if self._atom_d.size:
             total += _term_sum(self._atom_d * _log1m(self._atom_rot * z))
         if self._sigma.size:
-            total += self._density_sum(z, 3)
-        return total * (-1.0 / np.pi)
+            total += _term_sum(self._sigma * li3(self._sigma_rot * z))
+        return total
 
-    def _log_derivative_excess(self, z):
+    def _derivative_rows(self, z):
+        """sum_k d_k u_k/(1 - u_k) - sum_j sigma_j Li_2(v_j), one row per term."""
         total = np.zeros(z.shape, dtype=complex)
         if self._atom_d.size:
             u = self._atom_rot * z
             total += _term_sum(self._atom_d * u / (1.0 - u))
         if self._sigma.size:
-            total -= self._density_sum(z, 2)
-        return (1.0 / np.pi) * total
+            total -= _term_sum(self._sigma * li2(self._sigma_rot * z))
+        return total
 
-    def _density_sum(self, z, n):
-        """sum_j sigma_j Li_n(exp(-i*t_j) z) over the density's slope changes, n = 2 or 3.
+    def _measure_sum(self, z, rows, n):
+        """The measure sum of polylog order n at z: the series inside |z| <= 1/2, else rows.
 
-        Points with |z| <= 1/2 take one Horner pass over the moment series,
-        the others one Li_n per slope change, added in term order; |z| alone
-        picks a point's route.
+        |z| alone picks a point's route.  The split is made once per block,
+        and a block that lies in one regime pays no take/put copies.
         """
+        series = self._series.get(n)
+        if series is None:
+            return self._in_row_blocks(rows, z)
         inner = np.abs(z) <= _SERIES_RADIUS
+        if inner.all():
+            return _horner(series, z) * z
+        if not inner.any():
+            return self._in_row_blocks(rows, z)
         near = np.flatnonzero(inner)
         far = np.flatnonzero(~inner)
         out = np.empty_like(z)
-        if near.size:
-            zn = z.take(near)
-            out.put(near, _horner(self._series[n], zn) * zn)
-        if far.size:
-            out.put(far, _term_sum(self._sigma * _POLYLOG[n](self._sigma_rot * z.take(far))))
+        zn = z.take(near)
+        out.put(near, _horner(series, zn) * zn)
+        out.put(far, self._in_row_blocks(rows, z.take(far)))
+        return out
+
+    def _in_row_blocks(self, rows, z):
+        """rows over z in blocks of self._row_block points."""
+        block = self._row_block
+        if z.size <= block:
+            return rows(z)
+        out = np.empty_like(z)
+        for i in range(0, z.size, block):
+            out[i : i + block] = rows(z[i : i + block])
         return out

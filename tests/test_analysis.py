@@ -406,6 +406,34 @@ def test_estimate_max_jump_rejects_decreasing_trace():
     assert "decreases" in str(exc.value)
 
 
+def _trace_with(t_size=32, value=None, shape=None, reverse=False):
+    t = np.arange(t_size) * (TWO_PI / t_size)
+    v = np.arange(32) * (TWO_PI / 32)
+    if value is not None:
+        v[7] = value
+    if shape is not None:
+        t, v = t.reshape(shape), v.reshape(shape)
+    return BetaTrace(t[::-1].copy() if reverse else t, v, 0.999, ())
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        _trace_with(value=np.nan),
+        _trace_with(value=np.inf),
+        _trace_with(t_size=31),
+        _trace_with(t_size=33),
+        _trace_with(shape=(4, 8)),
+        _trace_with(reverse=True),
+    ],
+    ids=["nan-value", "inf-value", "fewer-angles", "more-angles", "2-d", "decreasing-angles"],
+)
+def test_estimate_max_jump_rejects_malformed_trace(trace):
+    # each of these once gave JumpEstimate(0, nan, nan)
+    with pytest.raises(DomainError):
+        estimate_max_jump(trace)
+
+
 def test_refine_jump_measure_oracle():
     m = crit4_measure()
     f = MeasureFunction(m, SpiralAngle(0.7))
@@ -652,6 +680,10 @@ def test_hansen_ratio_koebe_is_r():
 def test_hansen_ratio_validation():
     with pytest.raises(DomainError):
         hansen_ratio(koebe(), -0.5)
+    # an empty or non-increasing schedule, not an empty or unordered table
+    for schedule in ((), (0.99, 0.9), (0.9, 0.99, 0.99)):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            hansen_ratio(koebe(), 2.0, r_schedule=schedule)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spirallike import (
     STARLIKE,
@@ -365,37 +365,51 @@ HANDLES = {
 @pytest.mark.parametrize("make", HANDLES.values(), ids=HANDLES.keys())
 def test_point_value_independent_of_batch(make):
     # A point gets the same bits alone, inside arrays of any size (across
-    # the block size of the blocked kernel, at its edges) and in a 2-d grid:
-    # batched callers (max_modulus over many radii) and scalar callers agree.
+    # the blocks of the kernel, at their edges) and in a 2-d grid: batched
+    # callers (max_modulus over many radii) and scalar callers agree.  A
+    # MeasureFunction evaluates blocks of _BLOCK_TERMS points and, outside
+    # |z| <= 1/2, rows in blocks of _row_block points; points on |z| = 1/2
+    # and one ulp to either side meet both routes.
     f = make()
-    block = f._block
     rng = np.random.default_rng(5)
     r = np.concatenate([0.5 * np.sqrt(rng.uniform(0, 1, 100)), 1.0 - 10.0 ** rng.uniform(-6, -0.3, 200)])
-    points = r * np.exp(2j * PI * rng.uniform(0, 1, r.size))
+    circles = (0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0))
+    points = np.concatenate((
+        r * np.exp(2j * PI * rng.uniform(0, 1, r.size)),
+        *(_circle_points(rng, radius, 20) for radius in circles),
+    ))
 
-    def filler(size):
-        return 0.95 * np.sqrt(rng.uniform(0, 1, size)) * np.exp(2j * PI * rng.uniform(0, 1, size))
+    def filler(size, outer):
+        # area-uniform in |z| <= 0.95, or in 1/2 < |z| <= 0.95, where the
+        # row blocks fill up
+        low = (0.5 / 0.95) ** 2 if outer else 0.0
+        r = 0.95 * np.sqrt(rng.uniform(low, 1, size))
+        return r * np.exp(2j * PI * rng.uniform(0, 1, size))
 
+    blocks = [(representation._BLOCK_TERMS, (1, 3), False)]
+    if getattr(f, "_row_block", representation._BLOCK_TERMS) < representation._BLOCK_TERMS:
+        blocks.append((f._row_block, (), True))
     for name in ("log_f_over_z", "log_derivative", "evaluate", "f_over_z"):
         method = getattr(f, name)
         alone = np.array([method(complex(p)) for p in points])
         # a Python complex, not a numpy scalar
         assert all(type(method(complex(p))) is complex for p in points[:3])
-        for size in (1, 3, block - 1, block, block + 1, 3 * block):
-            # the points in groups that fit, at spread positions and at the
-            # first and last slot of each block
-            edges = [0, size - 1] + [k for b in range(block, size, block) for k in (b - 1, b)]
-            for first in range(0, points.size, size):
-                group = points[first : first + size]
-                spread = np.linspace(0, size - 1, group.size).astype(int)
-                pos = np.unique(np.concatenate([edges, spread]))[: group.size]
-                zs = filler(size)
-                zs[pos] = group[: pos.size]
-                got = method(zs)
-                assert got.shape == (size,)
-                same = got[pos] == alone[first : first + pos.size]
-                assert same.all(), f"{name}: size {size}, {np.count_nonzero(~same)} differ"
-        grid = filler(7 * (points.size // 7 + 1))
+        for block, small, outer in blocks:
+            for size in (*small, block - 1, block, block + 1, 3 * block):
+                # the points in groups that fit, at spread positions and at
+                # the first and last slot of each block
+                edges = [0, size - 1] + [k for b in range(block, size, block) for k in (b - 1, b)]
+                for first in range(0, points.size, size):
+                    group = points[first : first + size]
+                    spread = np.linspace(0, size - 1, group.size).astype(int)
+                    pos = np.unique(np.concatenate([edges, spread]))[: group.size]
+                    zs = filler(size, outer)
+                    zs[pos] = group[: pos.size]
+                    got = method(zs)
+                    assert got.shape == (size,)
+                    same = got[pos] == alone[first : first + pos.size]
+                    assert same.all(), f"{name}: size {size}, {np.count_nonzero(~same)} differ"
+        grid = filler(7 * (points.size // 7 + 1), False)
         grid[: points.size] = points
         got = method(grid.reshape(-1, 7))
         assert got.shape == (grid.size // 7, 7) and (got.ravel()[: points.size] == alone).all()
@@ -434,17 +448,21 @@ def test_measure_function_rejects_non_finite(bad):
                 getattr(f, name)(np.array([0.5, bad]))
 
 
-# -- the density's moment series inside |z| <= 1/2 -----------------------------------
+# -- the measure's moment series inside |z| <= 1/2 -----------------------------------
 
 
 def _eval_kernel_measures():
-    """The mixed and wide measures of the benchmark's eval_kernel workload."""
+    """The mixed and wide measures of the benchmark's eval_kernel workload, and
+    the mixed measure's density alone, rescaled to mass 2 pi."""
     path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("bench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     specs = dict(inputs.kernel_specs())
-    return {"mixed": specs["mixed_l0"][1], "wide": specs["wide"][1]}
+    mixed = specs["mixed_l0"][1]
+    scale = TWO_PI / BoundaryMeasure(density_knots=mixed.density_knots).total_mass()
+    density = BoundaryMeasure(density_knots=tuple((t, scale * v) for t, v in mixed.density_knots))
+    return {"mixed": mixed, "wide": specs["wide"][1], "density": density}
 
 
 SERIES_MEASURES = _eval_kernel_measures()
@@ -476,46 +494,120 @@ def _series_points(rng):
     return inner, outer
 
 
-def _polylog_term_sum(measure, z, n):
-    """sum_j sigma_j Li_n(exp(-i*t_j) z), one polylog per slope change, in term order."""
+def _measure_term_sum(measure, z, n):
+    """The measure sum of order n at z, one row per atom and per slope change.
+
+    n = 3: sum_k d_k log(1 - u_k) + sum_j sigma_j Li_3(v_j), and n = 2:
+    sum_k d_k u_k/(1 - u_k) - sum_j sigma_j Li_2(v_j), with
+    u_k = exp(-i*t_k) z and v_j = exp(-i*t_j) z; the atom rows and the
+    slope-change rows are each added in term order, then combined, as the
+    kernel adds them.
+    """
+
+    def atom_row(t, d):
+        u = np.exp(-1j * t) * z
+        return d * representation._log1m(u) if n == 3 else d * u / (1.0 - u)
+
+    def in_term_order(rows):
+        total = rows[0]
+        for row in rows[1:]:
+            total = total + row
+        return total
+
     polylog = {2: li2, 3: li3}[n]
-    rows = [s * polylog(np.exp(-1j * t) * z) for t, s in zip(*measure.slope_changes())]
-    total = rows[0]
-    for row in rows[1:]:
-        total = total + row
-    return total
+    total = np.zeros(z.shape, dtype=complex)
+    if measure.atoms:
+        total = total + in_term_order([atom_row(t, d) for t, d in measure.atoms])
+    slope_changes = zip(*measure.slope_changes())
+    density = in_term_order([s * polylog(np.exp(-1j * t) * z) for t, s in slope_changes])
+    return total + density if n == 3 else total - density
+
+
+def _series_and_rows(f, z, n):
+    """f's measure sum of order n at z through its regime split."""
+    return f._measure_sum(z, {3: f._log_rows, 2: f._derivative_rows}[n], n)
 
 
 @pytest.mark.parametrize("name", SERIES_MEASURES)
 def test_density_series_matches_polylog_term_sum(name):
-    # inside |z| <= 1/2 the moment series agrees with one polylog per slope
-    # change within 1e-15 (1 + sum|sigma|); outside it the sum is that term
-    # sum, bit for bit
+    # inside |z| <= 1/2 the whole measure's moment series, atoms and slope
+    # changes together, agrees with one row per atom and per slope change
+    # within 1e-15 (1 + sum|sigma|); outside it the sum is those rows, bit
+    # for bit
     measure = SERIES_MEASURES[name]
     f = MeasureFunction(measure, STARLIKE)
     tol = 1e-15 * (1.0 + np.abs(measure.slope_changes()[1]).sum())
     inner, outer = _series_points(np.random.default_rng(8))
+    if measure.atoms:
+        counts, powers = {3: 51, 2: 57}, {3: 1, 2: 0}
+    else:
+        counts, powers = {3: 41, 2: 46}, {3: 3, 2: 2}
     for n in (2, 3):
-        # M terms: the first m with 2^-m/m^n < 2^-56, so the tail is below that
-        M = f._series[n].size
-        assert 0.5**M / M**n < 2.0**-56 <= 0.5 ** (M - 1) / (M - 1) ** n
-        got = f._density_sum(inner, n)
-        want = _polylog_term_sum(measure, inner, n)
+        # M terms: the first m with 2^-m/m^p < 2^-56, so the tail is below that
+        M, p = f._series[n].size, powers[n]
+        assert M == counts[n]
+        assert 0.5**M / M**p < 2.0**-56 <= 0.5 ** (M - 1) / (M - 1) ** p
+        got = _series_and_rows(f, inner, n)
+        want = _measure_term_sum(measure, inner, n)
         assert np.abs(got - want).max() <= tol, (n, np.abs(got - want).max())
         # the circle |z| = 1/2 itself takes the series: its bits differ
         on_circle = np.abs(inner) == 0.5
         assert not np.array_equal(got[on_circle], want[on_circle])
-        got = f._density_sum(outer, n)
-        want = _polylog_term_sum(measure, outer, n)
+        got = _series_and_rows(f, outer, n)
+        want = _measure_term_sum(measure, outer, n)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _knots(values, count):
+    """(angles, values): count[0] to count[1] sorted distinct angles in [0, 6.2],
+    one value each."""
+    angles = st.lists(st.floats(0.0, 6.2), min_size=count[0], max_size=count[1], unique=True)
+    return angles.flatmap(
+        lambda t: st.lists(values, min_size=len(t), max_size=len(t)).map(lambda v: (sorted(t), v))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _knots(st.floats(0.05, 1.0), (1, 8)),
+    _knots(st.floats(0.0, 1.0), (2, 10)),
+    st.integers(0, 2**32 - 1),
+)
+def test_measure_series_matches_term_rows(atoms, knots, seed):
+    # random atoms plus a piecewise-linear density, scaled to mass 2 pi:
+    # inside |z| <= 1/2 the series (51 and 57 terms) agrees with the rows
+    # within 1e-15 (1 + sum|sigma| + sum d)
+    (atom_t, d), (knot_t, v) = atoms, knots
+    assume(min(np.diff(atom_t), default=1.0) > 1e-3 and min(np.diff(knot_t)) > 1e-3)
+    raw = BoundaryMeasure(atoms=tuple(zip(atom_t, d)), density_knots=tuple(zip(knot_t, v)))
+    scale = TWO_PI / raw.total_mass()
+    measure = BoundaryMeasure(
+        atoms=tuple((t, scale * x) for t, x in raw.atoms),
+        density_knots=tuple((t, scale * x) for t, x in raw.density_knots),
+    )
+    f = MeasureFunction(measure, STARLIKE)
+    assume(f._series)
+    assert {n: c.size for n, c in f._series.items()} == {3: 51, 2: 57}
+    rng = np.random.default_rng(seed)
+    z = np.concatenate((
+        0.5 * np.sqrt(rng.uniform(0, 1, 64)) * np.exp(2j * PI * rng.uniform(0, 1, 64)),
+        _circle_points(rng, 0.5, 16),
+        _circle_points(rng, np.nextafter(0.5, 0.0), 16),
+    ))
+    mass = np.abs(measure.slope_changes()[1]).sum() + sum(x for _, x in measure.atoms)
+    tol = 1e-15 * (1.0 + mass)
+    for n in (2, 3):
+        err = np.abs(_series_and_rows(f, z, n) - _measure_term_sum(measure, z, n)).max()
+        assert err <= tol, (n, err, tol)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7])
 @pytest.mark.parametrize("name", SERIES_MEASURES)
 def test_density_series_regime_through_the_methods(name, lam, monkeypatch):
     # every method against the same handle with the series switched off
-    # (each slope change through li2/li3, the route for all points before):
-    # bit-equal outside |z| <= 1/2, within the series tolerance inside it
+    # (each atom through its log(1 - u) row and each slope change through
+    # li2/li3, the route of |z| > 1/2): bit-equal outside |z| <= 1/2, within
+    # the series tolerance inside it
     measure = SERIES_MEASURES[name]
     f = MeasureFunction(measure, SpiralAngle(lam))
     tol = 1e-15 * (1.0 + np.abs(measure.slope_changes()[1]).sum())
