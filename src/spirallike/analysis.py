@@ -24,8 +24,11 @@ _MONOTONE_TOL = 1e-6
 
 
 def default_r_schedule(k_min=2, k_max=6):
-    """Radii 1 - 10^-k for k in [k_min, k_max]."""
-    return tuple(1.0 - 10.0**-k for k in range(int(k_min), int(k_max) + 1))
+    """Radii 1 - 10^-k for whole k in [k_min, k_max]; DomainError unless 1 <= k_min <= k_max."""
+    k_min, k_max = _grid_size(k_min, "k_min"), _grid_size(k_max, "k_max")
+    if k_min > k_max:
+        raise DomainError(f"k_min = {k_min} exceeds k_max = {k_max}")
+    return tuple(1.0 - 10.0**-k for k in range(k_min, k_max + 1))
 
 
 # interior points per lane and step of section_search_max

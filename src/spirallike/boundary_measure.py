@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MeasureValidationError, ParameterError
+from .spiral_geometry import _finite_angles
 
 TWO_PI = 2.0 * np.pi
 MASS_TOL = 1e-9
@@ -125,8 +126,8 @@ class BoundaryMeasure:
         return tt_ext, vv_ext, F
 
     def density_at(self, t):
-        """Periodic piecewise-linear density value(s) at t."""
-        t = np.asarray(t, dtype=float)
+        """Periodic piecewise-linear density value(s) at t; DomainError unless t is finite."""
+        t = _finite_angles(t)
         if not self.density_knots:
             out = np.zeros_like(t)
             return out if out.ndim else float(out)
@@ -152,8 +153,8 @@ class BoundaryMeasure:
         return antider(s) - antider(0.0)
 
     def density_integral(self, a, b):
-        """Exact integral of the periodic density over [a, b]."""
-        a, b = float(a), float(b)
+        """Exact integral of the periodic density over [a, b]; DomainError unless a, b finite."""
+        a, b = _finite_angles((float(a), float(b))).tolist()
         qa, sa = divmod(a, TWO_PI)
         qb, sb = divmod(b, TWO_PI)
         period_mass = float(self._density_cumulative(TWO_PI))
@@ -169,9 +170,9 @@ class BoundaryMeasure:
         return float(sum(d for _, d in self.atoms) + self.density_integral(0.0, TWO_PI))
 
     def beta_at(self, t):
-        """beta(t) with beta(0-) = 0 and midpoint values at atoms."""
+        """beta(t), beta(0-) = 0, midpoint values at atoms; DomainError unless t is finite."""
         self.require_valid()
-        t = np.asarray(t, dtype=float)
+        t = _finite_angles(t)
         q, s = np.divmod(t, TWO_PI)
         out = TWO_PI * q + self._density_cumulative(s)
         ts, ds = self._atom_arrays

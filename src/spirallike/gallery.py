@@ -14,8 +14,8 @@ from .analysis import _circle_max, _grid_size, section_search_max
 from .boundary_measure import BoundaryMeasure
 from .correspondence import spirallike_of
 from .errors import DomainError, InconsistencyError, ParameterError
-from .polylog import _complex
-from .representation import MeasureFunction, SpiralFunction, _log1m, _pointwise
+from .polylog import _li0, _li1, _log
+from .representation import MeasureFunction, SpiralFunction, _pointwise
 from .spiral_geometry import STARLIKE
 
 DEFAULT_C0 = 2.0 * np.e**2
@@ -25,22 +25,17 @@ DEFAULT_C0 = 2.0 * np.e**2
 DEFAULT_C = min(0.3, 0.99 / np.log(DEFAULT_C0))
 
 
-def _log(v):
-    """Principal log of v from real ufuncs."""
-    return _complex(np.log(np.abs(v)), np.arctan2(v.imag, v.real))
-
-
 def _w_over_z(w, z):
     """w/z for w = log(1/(1-z)): analytic with value 1 at 0 and Re > 0 on the disk."""
     return np.divide(w, z, out=np.ones_like(w), where=z != 0)
 
 
 def _g0_correction(z):
-    return 1.0 / ((1.0 - z) * _w_over_z(-_log1m(z), z))
+    return 1.0 / ((1.0 - z) * _w_over_z(_li1(z), z))
 
 
 def _g0_log_derivative(z):
-    return z / (1.0 - z) + _g0_correction(z)
+    return _li0(z) + _g0_correction(z)
 
 
 def g0_correction(z):
@@ -69,11 +64,11 @@ class G0Function(SpiralFunction):
         super().__init__(STARLIKE, known_max_jump=np.pi)
 
     def _log_g_over_z(self, z):
-        w = -_log1m(z)
+        w = _li1(z)
         return _log(_w_over_z(w, z)) + w
 
     def _log_derivative_excess(self, z):
-        return z / (1.0 - z) + (_g0_correction(z) - 1.0)
+        return _li0(z) + (_g0_correction(z) - 1.0)
 
 
 def koebe_power(exponent=2.0):
@@ -152,7 +147,7 @@ def lemma_c_margins(C):
         raise DomainError(f"threshold inequalities need finite C > 2, got {C}")
 
     def p(z):
-        return 1.0 / ((1.0 - z) * (np.log(C) - _log1m(z)))
+        return 1.0 / ((1.0 - z) * (np.log(C) + _li1(z)))
 
     b = 1.0 / (2.0 * np.log(C / 2.0))
     min_p = -_circle_max(lambda z: -p(z).real, 0.999, 256)
@@ -229,13 +224,14 @@ class HansenFunction(SpiralFunction):
 
     def _log_g_over_z(self, z):
         p = self.params
-        w = -_log1m(z)
+        w = _li1(z)
         return p.alpha * w + p.beta_exp * _log(self._base(w))
 
     def _log_derivative_excess(self, z):
         p = self.params
-        base = self._base(-_log1m(z))
-        return p.alpha * z / (1.0 - z) + p.beta_exp * p.c * z / ((1.0 - z) * base)
+        base = self._base(_li1(z))
+        li0 = _li0(z)
+        return p.alpha * li0 + p.beta_exp * p.c * li0 / base
 
 
 def hansen_build(params):

@@ -1,14 +1,16 @@
-"""Vectorized dilogarithm and trilogarithm on the closed unit disk.
+"""The polylogarithms Li_0..Li_3 on the closed unit disk, vectorized.
 
-Piecewise-linear density parts of a boundary measure integrate against
-log(1 - exp(-i*t)z) in closed form through Li_2 and Li_3 evaluated at
-points u with |u| <= 1.  One route with two regimes, split at |log u| = 1:
+Every kernel of the package is a weighted sum of Li_n(u) = sum_m u^m/m^n at
+u = exp(-i*t)z: an atom adds Li_1 = -log(1 - u) to log(g/z) and
+Li_0 = u/(1 - u) to zg'/g, a density slope change Li_3 and Li_2, and g0 and
+the log-factor family are functions of Li_1(z).  li2 and li3 take one route
+with two regimes, split at |log u| = 1:
 
 - near, |w| <= 1 with w = log u: the expansion of Li_n(e^w) about w = 0,
   sum_k zeta(n - k) w^k/k! with the logarithmic k = n - 1 term written
   out.  zeta vanishes at the negative even integers, so past k = n the
   regular part is w^(n-1) times a series in w^2.
-- far, the rest of the disk: the series in x = -log(1 - u) with Bernoulli
+- far, the rest of the disk: the series in x = Li_1(u) with Bernoulli
   coefficients ('t Hooft & Veltman 1979), Li_2 = sum_k B_k x^(k+1)/(k+1)!
   and Li_3 from dLi_3/dx = Li_2/(e^x - 1).  There |x| <= 1.0717 (the
   maximum is at u = e^(+-i)) and |1 - u|^2 >= 0.39.
@@ -17,10 +19,10 @@ Every coefficient is an exact fraction rounded once (Bernoulli numbers
 B_0..B_22 only), and each table ends before its first nonzero term c_k with
 |c_k| R^k < 2^-56 on its regime's radius R, relative to its leading term.
 Both series converge with ratio |w|/(2 pi) or |x|/(2 pi) < 0.18.
-Logarithms come from real ufuncs (abs, angle, log, log1p), which cost a
-small fraction of numpy's complex log.  Every operation is elementwise, so
-a point's value does not depend on the array it arrives in.  The module
-needs numpy only.
+Logarithms, log(1 - u) and principal ones alike, come from real ufuncs
+(abs, angle, arctan2, log, log1p), which cost a small fraction of numpy's
+complex log.  Every operation is elementwise, so a point's value does not
+depend on the array it arrives in.  The module needs numpy only.
 """
 
 import functools
@@ -100,12 +102,38 @@ def _complex(re, im):
     return out
 
 
+def _log(v):
+    """Principal log of v from its modulus and its argument."""
+    return _complex(np.log(np.abs(v)), np.arctan2(v.imag, v.real))
+
+
+def _li0(u):
+    return u / (1.0 - u)
+
+
+def _li1(u):
+    """-log(1 - u) for |u| <= 1, u != 1.
+
+    log|1 - u| is log1p(s)/2 with s = |u|^2 - 2 Re u, accurate relative to
+    |u| near 0, where |1 - u|^2 >= 0.39 keeps log1p well conditioned; nearer
+    u = 1 it is log(|1 - u|^2)/2, whose 1 - Re u is exact for Re u >= 1/2.
+    """
+    x, y = u.real, u.imag
+    a = 1.0 - x
+    yy = y * y
+    q = a * a + yy
+    re = np.log(q)
+    # log1p only where it is used: next to u = 1, s rounds to -1
+    np.log1p((x - 2.0) * x + yy, out=re, where=q >= 0.39)
+    re *= -0.5
+    return _complex(re, np.arctan2(y, a))
+
+
 def _near(n, lr, th):
     """Li_n(e^w) for w = lr + i th, 0 < |w| <= 1."""
     w = _complex(lr, th)
     inv_fact = 1.0 / math.factorial(n - 1)
-    # log(-w) from its modulus and its argument
-    log_mw = _complex(np.log(np.abs(w)), np.arctan2(-th, -lr))
+    log_mw = _log(-w)
     s = w * w
     acc = _horner(_NEAR[n], s) * s
     acc = acc + (_HARMONIC[n] * inv_fact - inv_fact * log_mw) + w * (-0.5 / math.factorial(n))
@@ -114,12 +142,9 @@ def _near(n, lr, th):
     return acc
 
 
-def _far(n, u, r):
-    """Li_n(u) through x = -log(1 - u); r = |u|."""
-    ur = u.real
-    # Re x = -log|1 - u| = -log1p(|u|^2 - 2 Re u)/2: accurate relative to |u|
-    # near 0, and |1 - u|^2 >= 0.39 keeps log1p well conditioned elsewhere.
-    x = _complex(-0.5 * np.log1p(r * r - 2.0 * ur), np.arctan2(u.imag, 1.0 - ur))
+def _far(n, u):
+    """Li_n(u) through x = -log(1 - u) = Li_1(u)."""
+    x = _li1(u)
     s = x * x
     even, odd = _FAR_PARTS[n]
     return (_horner(even, s) + x * _horner(odd, s)) * x
@@ -144,8 +169,13 @@ def _polylog(n, u):
     if near.size:
         out.put(near, _near(n, lr.take(near), th.take(near)))
     if far.size:
-        out.put(far, _far(n, flat.take(far), r.take(far)))
+        out.put(far, _far(n, flat.take(far)))
     return complex(out[0]) if u.ndim == 0 else out.reshape(u.shape)
+
+
+def _li(n, u):
+    """Li_n(u), n = 0..3, on an array; li2 and li3 are looked up at each call."""
+    return (_li0, _li1, li2, li3)[n](u)
 
 
 def li2(u):

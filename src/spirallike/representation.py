@@ -1,18 +1,18 @@
 """Spirallike functions built from boundary measures.
 
-The construction is f(z) = z * exp(-(mu/pi) * I(z)) with mu = exp(i*lam)cos(lam)
-and I(z) the integral of log(1 - exp(-i*t)z) against d(beta)(t).  Atoms
-contribute principal logarithms in closed form.  The piecewise-linear density
-part reduces exactly to trilogarithms: integrating the Fourier series of the
-kernel against the density leaves sum_j sigma_j * Li_3(z exp(-i*t_j)) over the
-density's slope changes sigma_j, so constant densities contribute nothing.
-Inside |z| <= 1/2 a measure with slope changes is one power series in its
-moments, atoms included: I(z) = sum_m (S_m/m^3 - A_m/m) z^m with
-A_m = sum_k d_k exp(-i*m*t_k) over the atoms and
-S_m = sum_j sigma_j exp(-i*m*t_j), computed once per measure; outside it
-each atom takes one log(1 - u) and each slope change one li3 (li2 for
-z f'/f).  The tests cross-check this closed form against a periodic
-trapezoid quadrature of the same integral.
+f(z) = z * exp(mu * log(g(z)/z)) with mu = exp(i*lam)cos(lam).  For a
+measure of atoms (t_k, d_k) plus a piecewise-linear density the starlike
+log(g/z), -(1/pi) times the integral of log(1 - exp(-i*t)z) d(beta)(t), is
+one weighted sum of polylogarithms over orders n,
+
+    log(g/z) = (1/pi) sum_n sum_k w_k Li_n(exp(-i*t_k) z),
+
+the atoms at n = 1 with w_k = d_k and the density's slope changes sigma_j
+at n = 3 with w_j = -sigma_j (integrating the Fourier series of the kernel
+against the density leaves trilogarithms, so a constant density adds
+nothing); zg'/g - 1 is the same sum one order down.  The tests cross-check
+this closed form against a periodic trapezoid quadrature of the same
+integral.
 """
 
 import itertools
@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import _grid_size
 from .errors import AccuracyError, DomainError
-from .polylog import _TAIL, _complex, _horner, li2, li3
+from .polylog import _TAIL, _horner, _li
 
 _MAX_FFT = 1 << 20
 # A (terms, points) block holds fewer than 16384 complex values (256 KiB):
@@ -57,25 +57,6 @@ def _pointwise(kernel, z):
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
-def _log1m(u):
-    """log(1 - u) for |u| < 1 from real ufuncs, which cost less than complex log1p.
-
-    log|1 - u| is log1p(s)/2 with s = |u|^2 - 2 Re u = |1 - u|^2 - 1, accurate
-    relative to |u| near 0, where |1 - u|^2 >= 0.39 keeps log1p well
-    conditioned; nearer u = 1 it is log(|1 - u|^2)/2, whose 1 - Re u has
-    no rounding error for Re u >= 1/2.
-    """
-    x, y = u.real, u.imag
-    a = 1.0 - x
-    yy = y * y
-    q = a * a + yy
-    re = np.log(q)
-    # log1p only where it is used: next to u = 1, s rounds to -1
-    np.log1p((x - 2.0) * x + yy, out=re, where=q >= 0.39)
-    re *= 0.5
-    return _complex(re, np.arctan2(-y, a))
-
-
 def _term_sum(rows):
     """Sum over the rows of a C-contiguous (terms, points) array, added strictly in row order.
 
@@ -90,29 +71,23 @@ def _term_sum(rows):
     return np.add.accumulate(rows, axis=0, out=rows)[-1]
 
 
-def _moment_series(atom_t, d, sigma_t, sigma):
-    """Power series of the two measure sums inside |z| <= 1/2, keyed by polylog order.
+def _moment_series(terms, shift):
+    """Power series inside |z| <= 1/2 of sum_n sum_k w_k Li_(n - shift)(exp(-i*t_k) z).
 
-    With u_k = exp(-i*t_k) z over the atoms and v_j = exp(-i*t_j) z over the
-    slope changes, key 3 holds c_m = -A_m/m + S_m/m^3 of
-    sum_k d_k log(1 - u_k) + sum_j sigma_j Li_3(v_j), and key 2 holds
-    c_m = A_m - S_m/m^2 of sum_k d_k u_k/(1 - u_k) - sum_j sigma_j Li_2(v_j),
-    in the moments A_m = sum_k d_k exp(-i*m*t_k) and
-    S_m = sum_j sigma_j exp(-i*m*t_j).  Each series ends at the first m with
-    2^-m/m^p < 2^-56 (the rule of polylog's coefficient tables), p the power
-    of its slowest part: 1 and 0 with atoms, 3 and 2 without.  So on
-    |z| <= 1/2 the omitted tail is below 2^-M/M^p (sum_k d_k + sum_j |sigma_j|).
+    terms maps each polylog order n to its (angles t_k, weights w_k).  The
+    coefficients are c_m = sum_n M_(n,m)/m^(n - shift) in the moments
+    M_(n,m) = sum_k w_k exp(-i*m*t_k).  The series ends at the first m with
+    2^-m/m^p < 2^-56 (the rule of polylog's coefficient tables), p the
+    lowest power min_n (n - shift), so on |z| <= 1/2 the omitted tail is
+    below 2^-M/M^p sum_k |w_k|.
     """
-    powers = {3: 1, 2: 0} if d.size else {3: 3, 2: 2}
-    size = {
-        n: next(m for m in itertools.count(1) if _SERIES_RADIUS**m / m**p < _TAIL)
-        for n, p in powers.items()
-    }
-    m = np.arange(1, max(size.values()) + 1)
-    A = (np.exp(-1j * np.outer(m, atom_t)) * d).sum(axis=1)
-    S = (np.exp(-1j * np.outer(m, sigma_t)) * sigma).sum(axis=1)
-    series = {3: -A / m + S / m**3, 2: A - S / m**2}
-    return {n: c[: size[n]] for n, c in series.items()}
+    p = min(terms) - shift
+    size = next(m for m in itertools.count(1) if _SERIES_RADIUS**m / m**p < _TAIL)
+    m = np.arange(1, size + 1)
+    return sum(
+        (np.exp(-1j * np.outer(m, t)) * w).sum(axis=1) / m ** (n - shift)
+        for n, (t, w) in terms.items()
+    )
 
 
 class SpiralFunction:
@@ -195,20 +170,15 @@ class SpiralFunction:
 class MeasureFunction(SpiralFunction):
     """The function of a (BoundaryMeasure, SpiralAngle) pair.
 
-    Its starlike kernels are log(g/z) = -(1/pi) * I(z) and
-    zg'/g - 1 = (1/pi) * z I'(z), with I(z) the integral of
-    log(1 - exp(-i*t)z) against the measure.
-
-    Outside |z| <= 1/2 atoms take one log(1 - u) each, and the density's
-    slope changes sigma_j at t_j enter through
-    sum_j sigma_j Li_n(exp(-i*t_j) z), n = 3 for log(g/z) and n = 2 for
-    zg'/g, one li3 or li2 per slope change.  Inside it a measure with slope
-    changes is one series in its moments (_moment_series), tabulated once
-    here: 51 terms for log(g/z) and 57 for zg'/g with atoms, 41 and 46
-    without, truncated below 2^-56 (sum_k d_k + sum_j |sigma_j|), so all
-    atoms and slope changes together take one Horner pass.  Measures
-    without slope changes (atoms only, constant density) have no series:
-    for a few atoms the rows cost less than a Horner pass of 51 terms.
+    Its terms are stored by polylog order, and one measure sum serves both
+    starlike kernels: log(g/z) at shift 0 and zg'/g - 1 at shift 1, where an
+    order-n term enters as Li_(n - shift).  Outside |z| <= 1/2 each term
+    takes one row (_rows).  Inside it a measure with slope changes is one
+    series in its moments (_moment_series), tabulated once here: 51 terms
+    for log(g/z) and 57 for zg'/g with atoms, 41 and 46 without, so all
+    terms together take one Horner pass.  Measures without slope changes
+    (atoms only, constant density) have no series: for a few atoms the rows
+    cost less than a Horner pass of 51 terms.
     """
 
     def __init__(self, measure, angle):
@@ -216,70 +186,51 @@ class MeasureFunction(SpiralFunction):
         super().__init__(angle, known_max_jump=measure.max_jump(), measure=measure)
         atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
         sigma_t, sigma = measure.slope_changes()
+        terms = {1: (atoms[:, 0], atoms[:, 1]), 3: (sigma_t, -sigma)}
+        terms = {n: (t, w) for n, (t, w) in terms.items() if w.size}
         # (terms, 1) columns, so that rot * z is a (terms, points) array
-        self._atom_rot = np.exp(-1j * atoms[:, :1])
-        self._atom_d = atoms[:, 1:]
-        self._sigma_rot = np.exp(-1j * sigma_t)[:, None]
-        self._sigma = sigma[:, None]
-        self._series = {}
-        if sigma.size:
-            self._series = _moment_series(atoms[:, 0], atoms[:, 1], sigma_t, sigma)
-        self._row_block = max(1, _BLOCK_TERMS // max(1, len(atoms) + sigma_t.size))
+        self._terms = {n: (np.exp(-1j * t)[:, None], w[:, None]) for n, (t, w) in terms.items()}
+        self._series = {shift: _moment_series(terms, shift) for shift in (0, 1) if 3 in terms}
+        self._row_block = max(1, _BLOCK_TERMS // max(1, len(atoms) + sigma.size))
 
     def _log_g_over_z(self, z):
-        # Integral of log(1 - exp(-i*t)z) d(beta)(t) in closed form
-        return self._measure_sum(z, self._log_rows, 3) * (-1.0 / np.pi)
+        return (1.0 / np.pi) * self._measure_sum(z, 0)
 
     def _log_derivative_excess(self, z):
-        return (1.0 / np.pi) * self._measure_sum(z, self._derivative_rows, 2)
+        return (1.0 / np.pi) * self._measure_sum(z, 1)
 
-    def _log_rows(self, z):
-        """sum_k d_k log(1 - u_k) + sum_j sigma_j Li_3(v_j), one row per term."""
-        total = np.zeros(z.shape, dtype=complex)
-        if self._atom_d.size:
-            total += _term_sum(self._atom_d * _log1m(self._atom_rot * z))
-        if self._sigma.size:
-            total += _term_sum(self._sigma * li3(self._sigma_rot * z))
-        return total
+    def _rows(self, z, shift):
+        """sum_n sum_k w_k Li_(n - shift)(exp(-i*t_k) z), one row per term.
 
-    def _derivative_rows(self, z):
-        """sum_k d_k u_k/(1 - u_k) - sum_j sigma_j Li_2(v_j), one row per term."""
-        total = np.zeros(z.shape, dtype=complex)
-        if self._atom_d.size:
-            u = self._atom_rot * z
-            total += _term_sum(self._atom_d * u / (1.0 - u))
-        if self._sigma.size:
-            total -= _term_sum(self._sigma * li2(self._sigma_rot * z))
-        return total
+        Evaluated in blocks of self._row_block points, so that the
+        (terms, points) temporaries stay in the L2 cache.
+        """
+        block = self._row_block
+        out = np.zeros_like(z)
+        for i in range(0, z.size, block):
+            zb, ob = z[i : i + block], out[i : i + block]
+            for n, (rot, w) in self._terms.items():
+                ob += _term_sum(w * _li(n - shift, rot * zb))
+        return out
 
-    def _measure_sum(self, z, rows, n):
-        """The measure sum of polylog order n at z: the series inside |z| <= 1/2, else rows.
+    def _measure_sum(self, z, shift):
+        """The measure sum at z: the series inside |z| <= 1/2, else the rows.
 
         |z| alone picks a point's route.  The split is made once per block,
         and a block that lies in one regime pays no take/put copies.
         """
-        series = self._series.get(n)
+        series = self._series.get(shift)
         if series is None:
-            return self._in_row_blocks(rows, z)
+            return self._rows(z, shift)
         inner = np.abs(z) <= _SERIES_RADIUS
         if inner.all():
             return _horner(series, z) * z
         if not inner.any():
-            return self._in_row_blocks(rows, z)
+            return self._rows(z, shift)
         near = np.flatnonzero(inner)
         far = np.flatnonzero(~inner)
         out = np.empty_like(z)
         zn = z.take(near)
         out.put(near, _horner(series, zn) * zn)
-        out.put(far, self._in_row_blocks(rows, z.take(far)))
-        return out
-
-    def _in_row_blocks(self, rows, z):
-        """rows over z in blocks of self._row_block points."""
-        block = self._row_block
-        if z.size <= block:
-            return rows(z)
-        out = np.empty_like(z)
-        for i in range(0, z.size, block):
-            out[i : i + block] = rows(z[i : i + block])
+        out.put(far, self._rows(z.take(far), shift))
         return out

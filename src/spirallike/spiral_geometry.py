@@ -19,13 +19,21 @@ from .errors import DomainError
 TWO_PI = 2.0 * np.pi
 
 
+def _finite_angles(t):
+    """t as a float array; DomainError unless every entry is finite."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise DomainError("angles must be finite")
+    return t
+
+
 def principal_angle(x):
     """Reduce angles to the interval (-pi, pi].
 
     Exact passthrough for inputs already inside the interval; accepts
-    scalars or arrays.
+    scalars or arrays.  DomainError unless every angle is finite.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_angles(x)
     r = x - TWO_PI * np.round(x / TWO_PI)
     r = np.where(r <= -np.pi, r + TWO_PI, r)
     return r if r.ndim else float(r)

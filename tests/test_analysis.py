@@ -106,6 +106,17 @@ def crit4_measure():
 def test_default_r_schedule():
     assert default_r_schedule() == (0.99, 0.999, 0.9999, 0.99999, 0.999999)
     assert default_r_schedule(1, 3) == (0.9, 0.99, 0.999)
+    assert default_r_schedule(4, 4) == (0.9999,)
+
+
+@pytest.mark.parametrize(
+    "k_min,k_max", [(math.nan, 6), (2, math.inf), (5, 2), (2.5, 4), (2, 4.5), (0, 3), (-1, 2)]
+)
+def test_default_r_schedule_rejects_bad_exponents(k_min, k_max):
+    # whole numbers >= 1 with k_min <= k_max only: no raw ValueError, no
+    # empty schedule and no silent truncation
+    with pytest.raises(DomainError):
+        default_r_schedule(k_min, k_max)
 
 
 def test_golden_section_max_oracle():

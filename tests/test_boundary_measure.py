@@ -15,9 +15,11 @@ from scipy.integrate import trapezoid
 
 from spirallike import (
     BoundaryMeasure,
+    DomainError,
     MeasureValidationError,
     ParameterError,
     load_measure,
+    principal_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -78,6 +80,27 @@ def test_nonfinite_entries_reported_without_mass_check():
 
 
 # -- density and integrals ----------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: triangle_measure().beta_at(t),
+        lambda t: triangle_measure().beta_at(np.array([1.0, t])),
+        lambda t: triangle_measure().density_at(t),
+        lambda t: triangle_measure().density_integral(0.0, t),
+        lambda t: triangle_measure().density_integral(t, 1.0),
+        lambda t: principal_angle(t),
+        lambda t: principal_angle(np.array([t, 0.5])),
+    ],
+    ids=["beta_at", "beta_at_array", "density_at", "integral_b", "integral_a",
+         "principal_angle", "principal_angle_array"],
+)
+def test_non_finite_angles_raise_domain_error(call, bad):
+    # NaN and +-inf are no angles: a DomainError, not a NaN and no numpy warning
+    with pytest.raises(DomainError):
+        call(bad)
 
 
 def test_density_at_interpolates_periodically():

@@ -1,4 +1,4 @@
-"""Dilogarithm / trilogarithm on the closed unit disk.
+"""The polylogarithms Li_0..Li_3 on the closed unit disk.
 
 Oracle: mpmath.polylog at 30 digits, evaluated on a deterministic grid that
 exercises both evaluation regimes (the expansion of Li_n(e^w) about w = 0
@@ -8,6 +8,8 @@ slowly to be usable.  Points on both sides of the seam |log u| = 1 go
 through each regime directly; tiny |u| checks relative accuracy on both
 axes.  Every coefficient of both regimes' tables is checked one by one
 against the same oracle, and so is the bound at which each table stops.
+Li_0 = u/(1 - u) and Li_1 = -log(1 - u) are checked against the same oracle
+on the grid and at tiny |u|.
 """
 
 import math
@@ -48,6 +50,20 @@ def test_against_mpmath_grid(n, fn):
     want = np.array([oracle(n, u) for u in pts])
     err = np.max(np.abs(got - want))
     assert err < 2e-15, f"max polylog error {err:.3e}"
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_li0_li1_against_mpmath(n):
+    # Li_0 = u/(1 - u) and Li_1 = -log(1 - u) on the grid plus tiny |u| on
+    # both axes and both signs; relative, since Li_0 reaches 1e9 next to u = 1.
+    # 1 - u keeps u = 1e-300 only at 300+ digits
+    tiny = [10.0**e * d for e in range(-300, 0, 3) for d in (1, -1, 1j, -1j)]
+    pts = np.concatenate([deterministic_grid(), tiny])
+    got = polylog._li(n, pts)
+    with mpmath.workdps(330):
+        want = np.array([oracle(n, u) for u in pts])
+    rel = np.abs(got - want) / np.abs(want)
+    assert rel.max() <= 4 * np.finfo(float).eps, f"relative error {rel.max():.3e}"
 
 
 def near_coefficient(n, k):
@@ -138,7 +154,7 @@ def test_both_regimes_at_the_seam(n, side):
     w = np.log(u)
     want = np.array([complex(mpmath.polylog(n, mpmath.mpc(x))) for x in u])
     near = polylog._near(n, w.real, w.imag)
-    far = polylog._far(n, u, np.abs(u))
+    far = polylog._far(n, u)
     for got in (near, far, polylog._polylog(n, u)):
         assert np.max(np.abs(got - want)) < 2e-15
 

@@ -38,7 +38,7 @@ from spirallike import (
     li3,
     spirallike_of,
 )
-from spirallike import representation
+from spirallike import polylog, representation
 from spirallike.representation import _term_sum
 
 PI = math.pi
@@ -494,10 +494,10 @@ def _series_points(rng):
     return inner, outer
 
 
-def _measure_term_sum(measure, z, n):
-    """The measure sum of order n at z, one row per atom and per slope change.
+def _measure_term_sum(measure, z, shift):
+    """The measure sum at z, one row per atom and per slope change.
 
-    n = 3: sum_k d_k log(1 - u_k) + sum_j sigma_j Li_3(v_j), and n = 2:
+    shift 0: sum_k d_k Li_1(u_k) - sum_j sigma_j Li_3(v_j), and shift 1:
     sum_k d_k u_k/(1 - u_k) - sum_j sigma_j Li_2(v_j), with
     u_k = exp(-i*t_k) z and v_j = exp(-i*t_j) z; the atom rows and the
     slope-change rows are each added in term order, then combined, as the
@@ -506,7 +506,7 @@ def _measure_term_sum(measure, z, n):
 
     def atom_row(t, d):
         u = np.exp(-1j * t) * z
-        return d * representation._log1m(u) if n == 3 else d * u / (1.0 - u)
+        return d * polylog._li1(u) if shift == 0 else d * (u / (1.0 - u))
 
     def in_term_order(rows):
         total = rows[0]
@@ -514,18 +514,12 @@ def _measure_term_sum(measure, z, n):
             total = total + row
         return total
 
-    polylog = {2: li2, 3: li3}[n]
+    li = {0: li3, 1: li2}[shift]
     total = np.zeros(z.shape, dtype=complex)
     if measure.atoms:
         total = total + in_term_order([atom_row(t, d) for t, d in measure.atoms])
     slope_changes = zip(*measure.slope_changes())
-    density = in_term_order([s * polylog(np.exp(-1j * t) * z) for t, s in slope_changes])
-    return total + density if n == 3 else total - density
-
-
-def _series_and_rows(f, z, n):
-    """f's measure sum of order n at z through its regime split."""
-    return f._measure_sum(z, {3: f._log_rows, 2: f._derivative_rows}[n], n)
+    return total - in_term_order([s * li(np.exp(-1j * t) * z) for t, s in slope_changes])
 
 
 @pytest.mark.parametrize("name", SERIES_MEASURES)
@@ -539,22 +533,22 @@ def test_density_series_matches_polylog_term_sum(name):
     tol = 1e-15 * (1.0 + np.abs(measure.slope_changes()[1]).sum())
     inner, outer = _series_points(np.random.default_rng(8))
     if measure.atoms:
-        counts, powers = {3: 51, 2: 57}, {3: 1, 2: 0}
+        counts, powers = {0: 51, 1: 57}, {0: 1, 1: 0}
     else:
-        counts, powers = {3: 41, 2: 46}, {3: 3, 2: 2}
-    for n in (2, 3):
+        counts, powers = {0: 41, 1: 46}, {0: 3, 1: 2}
+    for shift in (0, 1):
         # M terms: the first m with 2^-m/m^p < 2^-56, so the tail is below that
-        M, p = f._series[n].size, powers[n]
-        assert M == counts[n]
+        M, p = f._series[shift].size, powers[shift]
+        assert M == counts[shift]
         assert 0.5**M / M**p < 2.0**-56 <= 0.5 ** (M - 1) / (M - 1) ** p
-        got = _series_and_rows(f, inner, n)
-        want = _measure_term_sum(measure, inner, n)
-        assert np.abs(got - want).max() <= tol, (n, np.abs(got - want).max())
+        got = f._measure_sum(inner, shift)
+        want = _measure_term_sum(measure, inner, shift)
+        assert np.abs(got - want).max() <= tol, (shift, np.abs(got - want).max())
         # the circle |z| = 1/2 itself takes the series: its bits differ
         on_circle = np.abs(inner) == 0.5
         assert not np.array_equal(got[on_circle], want[on_circle])
-        got = _series_and_rows(f, outer, n)
-        want = _measure_term_sum(measure, outer, n)
+        got = f._measure_sum(outer, shift)
+        want = _measure_term_sum(measure, outer, shift)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -587,7 +581,7 @@ def test_measure_series_matches_term_rows(atoms, knots, seed):
     )
     f = MeasureFunction(measure, STARLIKE)
     assume(f._series)
-    assert {n: c.size for n, c in f._series.items()} == {3: 51, 2: 57}
+    assert {shift: c.size for shift, c in f._series.items()} == {0: 51, 1: 57}
     rng = np.random.default_rng(seed)
     z = np.concatenate((
         0.5 * np.sqrt(rng.uniform(0, 1, 64)) * np.exp(2j * PI * rng.uniform(0, 1, 64)),
@@ -596,9 +590,9 @@ def test_measure_series_matches_term_rows(atoms, knots, seed):
     ))
     mass = np.abs(measure.slope_changes()[1]).sum() + sum(x for _, x in measure.atoms)
     tol = 1e-15 * (1.0 + mass)
-    for n in (2, 3):
-        err = np.abs(_series_and_rows(f, z, n) - _measure_term_sum(measure, z, n)).max()
-        assert err <= tol, (n, err, tol)
+    for shift in (0, 1):
+        err = np.abs(f._measure_sum(z, shift) - _measure_term_sum(measure, z, shift)).max()
+        assert err <= tol, (shift, err, tol)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7])
@@ -639,4 +633,4 @@ def test_density_series_regime_through_the_methods(name, lam, monkeypatch):
 )
 def test_measures_without_slope_changes_have_no_series(measure):
     f = MeasureFunction(measure, SpiralAngle(0.7))
-    assert f._series == {} and f._sigma.size == 0
+    assert f._series == {} and 3 not in f._terms
