@@ -98,20 +98,6 @@ def _grid_size(n, name):
     return count
 
 
-# -- the continuous spiral argument ------------------------------------------
-
-
-def _arg_lambda_f_over_z(fn, z):
-    """Continuous arg_lambda of f(z)/z, pinned to 0 at the disk center.
-
-    log_f_over_z is the branch of log(f/z) that vanishes at 0 and is
-    continuous on the disk, so its imaginary part is the continuous argument
-    of f/z and its real part is log|f/z|.
-    """
-    L = fn.log_f_over_z(z)
-    return L.imag - fn.angle.tan_lambda * L.real
-
-
 # -- boundary traces -------------------------------------------------------
 
 
@@ -142,9 +128,10 @@ def beta_trace(fn, t_grid=256, r_schedule=None):
     """Estimate the boundary function on a uniform t grid over [0, 2*pi).
 
     The estimate at each radius r of the increasing schedule is
-    t + Im L - tan(lam) * Re L with L = log(f/z) at z = re^it, the analytic
-    branch vanishing at the center; successive radii document convergence
-    toward the boundary limit.
+    t + arg_lambda(f/z) at z = re^it, the continuous branch vanishing at the
+    center, which fn.arg_lambda_f_over_z reads as Im log(g/z) of the
+    starlike partner g; successive radii document convergence toward the
+    boundary limit.
     """
     if r_schedule is None:
         r_schedule = default_r_schedule()
@@ -156,7 +143,7 @@ def beta_trace(fn, t_grid=256, r_schedule=None):
     n_t = _grid_size(t_grid, "t_grid")
     t = np.arange(n_t) * (TWO_PI / n_t)
     z = np.array(r_schedule)[:, None] * np.exp(1j * t)[None, :]
-    estimates = t + _arg_lambda_f_over_z(fn, z)
+    estimates = t + fn.arg_lambda_f_over_z(z)
     deltas = np.max(np.abs(np.diff(estimates, axis=0)), axis=1)
     record = [(r_schedule[0], np.nan)]
     record.extend((r, float(d)) for r, d in zip(r_schedule[1:], deltas))
@@ -239,13 +226,15 @@ def refine_jump(fn, bracket):
     """Sharpened jump estimate at a single boundary point.
 
     bracket: (t_lo, t_hi) containing exactly one jump.  The trace t +
-    arg_lambda(f/z) = arg_lambda(f) increases along circles for spirallike
-    f, so section_search_max on -|trace - mid| locates the jump point (to
-    2e-10) where the trace crosses the midpoint mid of its bracket values;
-    the two-sided trace difference E(w) over the shrinking windows w still
-    carries a mass ~ jump_density/log(1/w) from any logarithmically
-    divergent density next to the atom, so E is extrapolated quadratically
-    in x = 1/log(1/w) to window 0.  Returns (jump, t0).  DomainError unless
+    arg_lambda(f/z) = arg_lambda(f), with arg_lambda(f/z) =
+    fn.arg_lambda_f_over_z = Im log(g/z) of the starlike partner g,
+    increases along circles for spirallike f, so section_search_max on
+    -|trace - mid| locates the jump point (to 2e-10) where the trace crosses
+    the midpoint mid of its bracket values; the two-sided trace difference
+    E(w) over the shrinking windows w still carries a mass ~
+    jump_density/log(1/w) from any logarithmically divergent density next
+    to the atom, so E is extrapolated quadratically in x = 1/log(1/w) to
+    window 0.  Returns (jump, t0).  DomainError unless
     the bracket is finite with t_lo < t_hi.
     """
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
@@ -254,7 +243,7 @@ def refine_jump(fn, bracket):
     w = np.array(_REFINE_WINDOWS)
 
     def trace_at(ts):
-        return ts + _arg_lambda_f_over_z(fn, _REFINE_RADIUS * np.exp(1j * ts))
+        return ts + fn.arg_lambda_f_over_z(_REFINE_RADIUS * np.exp(1j * ts))
 
     lo, hi = trace_at(np.array([t_lo, t_hi]))
     mid = 0.5 * (lo + hi)
@@ -288,9 +277,9 @@ _GOODMAN_RADIUS = 0.999
 def goodman_check(g, grid=(512, 32)):
     """Max of |arg(g(z)/z)| - 2*arcsin|z| over a polar grid.
 
-    The argument is Im log(g/z) on the analytic branch vanishing at the
-    center.  Nonpositive (within roundoff) for every starlike function; the
-    grid is n_theta angles times the nonzero radii of a ladder
+    The argument is g.arg_lambda_f_over_z, Im log(g/z) on the analytic
+    branch vanishing at the center.  Nonpositive (within roundoff) for every
+    starlike function; the grid is n_theta angles times the nonzero radii of a ladder
     rho_j = 1 - gap^(j/J), j = 0..J, gap = 1 - 0.999, refining geometrically
     toward 0.999: J is at least n_steps and grows by 24 radii per decade of
     gap (87 for gap = 1e-3).
@@ -302,7 +291,7 @@ def goodman_check(g, grid=(512, 32)):
     gap = 1.0 - _GOODMAN_RADIUS
     J = max(n_steps, int(24.0 * np.log10(1.0 / gap)) + 16)
     rho = 1.0 - gap ** (np.arange(1, J + 1) / J)
-    U = _arg_lambda_f_over_z(g, rho[None, :] * np.exp(1j * thetas)[:, None])
+    U = g.arg_lambda_f_over_z(rho[None, :] * np.exp(1j * thetas)[:, None])
     excess = np.abs(U) - 2.0 * np.arcsin(rho)[None, :]
     return float(np.max(excess))
 
@@ -459,21 +448,36 @@ def _sector_samples(sector):
     return phis, np.log(np.abs(w)), sector_contains(sector, w)
 
 
+def _sector_log_modulus(fn, theta):
+    """log|f| on the circle |z| = _SECTOR_RADIUS at the angles theta.
+
+    The trace does not read log|f/z|, so a handle whose modulus overflows
+    shows only here: DomainError unless every value is finite.
+    """
+    r = _SECTOR_RADIUS
+    logmod = np.log(r) + fn.log_f_over_z(r * np.exp(1j * theta)).real
+    if not np.isfinite(logmod).all():
+        raise DomainError("log|f| is not finite on the sector circle")
+    return logmod
+
+
 def _sector_crossings(fn, phis):
     """Angles theta where the circle |z| = _SECTOR_RADIUS meets the spirals phis, and log|f| there.
 
-    The trace theta + arg_lambda(f/z) on the circle is arg_lambda f minus
-    tan(lam) * log r and increases by 2*pi in one turn.  A scan of
-    _SECTOR_SCAN angles brackets each crossing (InconsistencyError if it
-    decreases, as in estimate_max_jump); one lockstep section_search_max on
-    -|trace - target| locates them.  InconsistencyError when a located
-    point misses its spiral by more than 1e-6, as a trace that turns back
-    between scan angles can make it.
+    The trace theta + arg_lambda(f/z) on the circle, with arg_lambda(f/z) =
+    fn.arg_lambda_f_over_z = Im log(g/z) of the starlike partner g, is
+    arg_lambda f minus tan(lam) * log r and increases by 2*pi in one turn.
+    A scan of _SECTOR_SCAN angles brackets each crossing (InconsistencyError
+    if it decreases, as in estimate_max_jump); one lockstep
+    section_search_max on -|trace - target| locates them.
+    InconsistencyError when a located point misses its spiral by more than
+    1e-6, as a trace that turns back between scan angles can make it.
+    DomainError when the trace or log|f| is not finite.
     """
     r = _SECTOR_RADIUS
 
     def trace(theta):
-        return theta + _arg_lambda_f_over_z(fn, r * np.exp(1j * theta))
+        return theta + fn.arg_lambda_f_over_z(r * np.exp(1j * theta))
 
     thetas = np.arange(_SECTOR_SCAN + 1) * (TWO_PI / _SECTOR_SCAN)
     scan = trace(thetas[:-1])
@@ -492,7 +496,7 @@ def _sector_crossings(fn, phis):
     if closeness.flat[i] < -1e-6:
         miss = f"{phis.flat[i]:.6f} by {-closeness.flat[i]:.3g}"
         raise InconsistencyError(f"the boundary trace misses spiral argument {miss}")
-    return theta, np.log(r) + fn.log_f_over_z(r * np.exp(1j * theta)).real
+    return theta, _sector_log_modulus(fn, theta)
 
 
 def _sector_reach(fn, phis):
@@ -502,18 +506,15 @@ def _sector_reach(fn, phis):
     of phi -+ _SECTOR_ARG_TOL: the reach is the larger of log|f| at the
     arc's ends and one lockstep section_search_max along it.  A search that
     misses a second peak lowers the reach: it can reject a sample, never
-    cover one.
+    cover one.  DomainError when a log|f| it reads is not finite, which
+    would otherwise cover every sample.
     """
-    r = _SECTOR_RADIUS
     edges = phis[:, None] + np.array([-_SECTOR_ARG_TOL, _SECTOR_ARG_TOL])
     theta, ends = _sector_crossings(fn, edges)
-
-    def logmod(x):
-        return np.log(r) + fn.log_f_over_z(r * np.exp(1j * x)).real
-
     # an arc may run across theta = 2*pi
     lo, hi = theta[:, 0], theta[:, 0] + np.mod(theta[:, 1] - theta[:, 0], TWO_PI)
-    return np.maximum(section_search_max(logmod, lo, hi)[1], np.max(ends, axis=1))
+    reach = section_search_max(lambda x: _sector_log_modulus(fn, x), lo, hi)[1]
+    return np.maximum(reach, np.max(ends, axis=1))
 
 
 def _certify_sector(phis, logmod, inside, reach):

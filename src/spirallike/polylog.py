@@ -126,7 +126,12 @@ def _li1(u):
     # log1p only where it is used: next to u = 1, s rounds to -1
     np.log1p((x - 2.0) * x + yy, out=re, where=q >= 0.39)
     re *= -0.5
-    return _complex(re, np.arctan2(y, a))
+    return _complex(re, _li1_arg(u))
+
+
+def _li1_arg(u):
+    """Im Li_1(u) = arg(1/(1 - u)) for |u| <= 1, u != 1, without the modulus."""
+    return np.arctan2(u.imag, 1.0 - u.real)
 
 
 def _near(n, lr, th):
@@ -176,6 +181,11 @@ def _polylog(n, u):
 def _li(n, u):
     """Li_n(u), n = 0..3, on an array; li2 and li3 are looked up at each call."""
     return (_li0, _li1, li2, li3)[n](u)
+
+
+def _li_imag(n, u):
+    """Im Li_n(u), n = 0..3, on an array; Im Li_1 is _li1_arg, which forms no modulus."""
+    return _li1_arg(u) if n == 1 else _li(n, u).imag
 
 
 def li2(u):

@@ -13,6 +13,12 @@ against the density leaves trilogarithms, so a constant density adds
 nothing); zg'/g - 1 is the same sum one order down.  The tests cross-check
 this closed form against a periodic trapezoid quadrature of the same
 integral.
+
+The continuous lam-argument of f/z, arg(f/z) - tan(lam) log|f/z|, is
+Im G for every lam, G = log(g/z): log(f/z) = mu*G and Im(mu*G) -
+tan(lam) Re(mu*G) = Im G.  arg_lambda_f_over_z reads it from the imaginary
+part of the same sum, where an atom's term is one arctan2,
+Im Li_1(u) = arg(1/(1 - u)), and no real part is formed.
 """
 
 import itertools
@@ -21,7 +27,7 @@ import numpy as np
 
 from .analysis import _grid_size
 from .errors import AccuracyError, DomainError
-from .polylog import _TAIL, _horner, _li
+from .polylog import _TAIL, _horner, _li, _li_imag
 
 _MAX_FFT = 1 << 20
 # A (terms, points) block holds fewer than 16384 complex values (256 KiB):
@@ -45,8 +51,9 @@ def _pointwise(kernel, z):
     """kernel over the disk-checked, flattened points of z in blocks of _BLOCK_TERMS points.
 
     A scalar z goes through the same array arithmetic as an array and is
-    unwrapped once, so z alone and z inside any array get the same bits
-    (Python complex and numpy's loops round differently).
+    unwrapped once, to a Python complex or, from a real kernel, a float, so
+    z alone and z inside any array get the same bits (Python complex and
+    numpy's loops round differently).
     """
     z = _as_disk_points(z)
     flat = z.ravel()
@@ -54,7 +61,7 @@ def _pointwise(kernel, z):
         kernel(flat[i : i + _BLOCK_TERMS]) for i in range(0, max(flat.size, 1), _BLOCK_TERMS)
     ]
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+    return out[0].item() if z.ndim == 0 else out.reshape(z.shape)
 
 
 def _term_sum(rows):
@@ -94,10 +101,11 @@ class SpiralFunction:
     """Analytic function handle on the unit disk: a starlike kernel plus an inclination.
 
     log_f_over_z returns the branch of log(f(z)/z) vanishing at 0,
-    log_derivative returns z*f'(z)/f(z), evaluate returns f(z) and f_over_z
-    returns f(z)/z.  Each
-    takes a scalar or an array of points with |z| < 1; it checks the domain,
-    flattens, and evaluates blocks of _BLOCK_TERMS points.  A MeasureFunction
+    log_derivative returns z*f'(z)/f(z), evaluate returns f(z), f_over_z
+    returns f(z)/z and arg_lambda_f_over_z returns the continuous
+    lam-argument of f(z)/z, 0 at the center, as a real array (a float for a
+    scalar z).  Each takes a scalar or an array of points with |z| < 1; it
+    checks the domain, flattens, and evaluates blocks of _BLOCK_TERMS points.  A MeasureFunction
     lays its terms out term-major, one row of a (terms, points) array per
     atom or slope change, in row blocks of about 16384/(atoms + slope
     changes) points, so that those temporaries stay in the L2 cache; at
@@ -113,9 +121,12 @@ class SpiralFunction:
     of checked points: _log_g_over_z returns log(g/z) and
     _log_derivative_excess returns zg'/g - 1.  This class applies the
     pairing once, with mu = exp(i*lam)cos(lam) from self.angle:
-    log(f/z) = mu*log(g/z) and zf'/f = 1 + mu*(zg'/g - 1).  known_max_jump
-    is the largest jump of the boundary measure that f and g share, and
-    measure that measure, when known.
+    log(f/z) = mu*log(g/z) and zf'/f = 1 + mu*(zg'/g - 1).  The
+    lam-argument of f/z needs no pairing, as it is arg(g/z) = Im log(g/z)
+    for every lam: _arg_g_over_z takes the imaginary part of _log_g_over_z,
+    and a subclass may replace it by a kernel that forms no real part.
+    known_max_jump is the largest jump of the boundary measure that f and g
+    share, and measure that measure, when known.
     """
 
     def __init__(self, angle, known_max_jump=None, measure=None):
@@ -135,6 +146,9 @@ class SpiralFunction:
     def _f_over_z(self, z):
         return np.exp(self._log_f_over_z(z))
 
+    def _arg_g_over_z(self, z):
+        return self._log_g_over_z(z).imag
+
     def log_f_over_z(self, z):
         return _pointwise(self._log_f_over_z, z)
 
@@ -146,6 +160,9 @@ class SpiralFunction:
 
     def f_over_z(self, z):
         return _pointwise(self._f_over_z, z)
+
+    def arg_lambda_f_over_z(self, z):
+        return _pointwise(self._arg_g_over_z, z)
 
     def taylor_coefficients(self, n_max):
         """Coefficients a_1..a_n_max of f at 0 from one FFT on |z| = r = e^(-1/n_max).
@@ -170,15 +187,17 @@ class SpiralFunction:
 class MeasureFunction(SpiralFunction):
     """The function of a (BoundaryMeasure, SpiralAngle) pair.
 
-    Its terms are stored by polylog order, and one measure sum serves both
-    starlike kernels: log(g/z) at shift 0 and zg'/g - 1 at shift 1, where an
-    order-n term enters as Li_(n - shift).  Outside |z| <= 1/2 each term
-    takes one row (_rows).  Inside it a measure with slope changes is one
-    series in its moments (_moment_series), tabulated once here: 51 terms
-    for log(g/z) and 57 for zg'/g with atoms, 41 and 46 without, so all
-    terms together take one Horner pass.  Measures without slope changes
-    (atoms only, constant density) have no series: for a few atoms the rows
-    cost less than a Horner pass of 51 terms.
+    Its terms are stored by polylog order, and one measure sum serves the
+    three starlike kernels: log(g/z) at shift 0 and zg'/g - 1 at shift 1,
+    where an order-n term enters as Li_(n - shift), and arg(g/z) at shift 0
+    with Im Li_n in place of Li_n, so that an atom's row is one real
+    arctan2.  Outside |z| <= 1/2 each term takes one row (_rows).  Inside it
+    a measure with slope changes is one series in its moments
+    (_moment_series), tabulated once here: 51 terms for log(g/z) and 57 for
+    zg'/g with atoms, 41 and 46 without, so all terms together take one
+    Horner pass.  Measures without slope changes (atoms only, constant
+    density) have no series: for a few atoms the rows cost less than a
+    Horner pass of 51 terms.
     """
 
     def __init__(self, measure, angle):
@@ -199,38 +218,49 @@ class MeasureFunction(SpiralFunction):
     def _log_derivative_excess(self, z):
         return (1.0 / np.pi) * self._measure_sum(z, 1)
 
-    def _rows(self, z, shift):
-        """sum_n sum_k w_k Li_(n - shift)(exp(-i*t_k) z), one row per term.
+    def _arg_g_over_z(self, z):
+        return (1.0 / np.pi) * self._measure_sum(z, 0, _li_imag, np.imag)
 
-        Evaluated in blocks of self._row_block points, so that the
+    def _rows(self, z, shift, term):
+        """sum_n sum_k w_k term(n - shift, exp(-i*t_k) z), one row per term.
+
+        term is _li or _li_imag, and the sum is complex or real as its rows
+        are.  Evaluated in blocks of self._row_block points, so that the
         (terms, points) temporaries stay in the L2 cache.
         """
         block = self._row_block
-        out = np.zeros_like(z)
-        for i in range(0, z.size, block):
-            zb, ob = z[i : i + block], out[i : i + block]
-            for n, (rot, w) in self._terms.items():
-                ob += _term_sum(w * _li(n - shift, rot * zb))
-        return out
+        parts = []
+        for i in range(0, max(z.size, 1), block):
+            zb = z[i : i + block]
+            rows = (
+                _term_sum(w * term(n - shift, rot * zb)) for n, (rot, w) in self._terms.items()
+            )
+            # real zeros, so that the sum takes the type of the rows
+            parts.append(sum(rows, np.zeros(zb.shape)))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def _measure_sum(self, z, shift):
-        """The measure sum at z: the series inside |z| <= 1/2, else the rows.
+    def _measure_sum(self, z, shift, term=_li, part=np.asarray):
+        """The measure sum at z: part of the series inside |z| <= 1/2, else term's rows.
 
-        |z| alone picks a point's route.  The split is made once per block,
-        and a block that lies in one regime pays no take/put copies.
+        part takes from the series' complex value what term takes from each
+        polylog: all of it (np.asarray with _li, the complex kernels) or its
+        imaginary part (np.imag with _li_imag, the argument).  |z| alone
+        picks a point's route.  The split is made once per block, and a
+        block that lies in one regime pays no take/put copies.
         """
         series = self._series.get(shift)
         if series is None:
-            return self._rows(z, shift)
+            return self._rows(z, shift, term)
         inner = np.abs(z) <= _SERIES_RADIUS
         if inner.all():
-            return _horner(series, z) * z
+            return part(_horner(series, z) * z)
         if not inner.any():
-            return self._rows(z, shift)
+            return self._rows(z, shift, term)
         near = np.flatnonzero(inner)
         far = np.flatnonzero(~inner)
-        out = np.empty_like(z)
         zn = z.take(near)
-        out.put(near, _horner(series, zn) * zn)
-        out.put(far, self._rows(z.take(far), shift))
+        inside = part(_horner(series, zn) * zn)
+        out = np.empty(z.shape, dtype=inside.dtype)
+        out.put(near, inside)
+        out.put(far, self._rows(z.take(far), shift, term))
         return out

@@ -11,6 +11,10 @@ the boundary trace replaced: it evaluates f on a fine disk grid
 within 0.025 of it in spiral argument and reaches at least its modulus;
 the tests compare the decisions of the two.
 
+arg_lambda_from_log is the package's former route to the lam-argument of
+f/z, Im L - tan(lam) Re L from the whole L = log(f/z); the package now reads
+it as Im log(g/z) from the starlike kernel, and the tests compare the two.
+
 golden_section_max is the one-point-per-step search that the package's
 m-point section_search_max replaced; the tests compare maxima found by the
 two.
@@ -52,6 +56,12 @@ def continuous_arg_lambda(path, angle):
         raise DomainError(f"argument step {k}->{k + 1} reaches pi; refine the path")
     arg = np.concatenate(([0.0], np.cumsum(inc)))
     return arg - angle.tan_lambda * np.log(np.abs(path))
+
+
+def arg_lambda_from_log(fn, z):
+    """arg_lambda(f/z) = Im L - tan(lam) Re L, L = fn.log_f_over_z(z)."""
+    L = fn.log_f_over_z(z)
+    return L.imag - fn.angle.tan_lambda * L.real
 
 
 def sector_image_from_values(fn):

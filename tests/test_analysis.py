@@ -63,7 +63,6 @@ from spirallike.analysis import (
     _SECTION_POINTS,
     _SECTOR_ARG_TOL,
     _SECTOR_RADIUS,
-    _arg_lambda_f_over_z,
     _certify_sector,
     _sector_crossings,
     _sector_reach,
@@ -309,7 +308,7 @@ def branch_vs_lift(fn, thetas):
         z = rho * np.exp(1j * theta)
         path = np.concatenate(([1.0], fn.f_over_z(z[1:])))
         lift = continuous_arg_lambda(path, fn.angle)
-        branch = _arg_lambda_f_over_z(fn, z)
+        branch = fn.arg_lambda_f_over_z(z)
         gap = max(gap, float(np.max(np.abs(lift - branch))))
         turn = max(turn, float(np.max(np.abs(fn.log_f_over_z(z).imag))))
     return gap, turn
@@ -775,8 +774,8 @@ def test_sector_inconsistent_function_is_caught():
 def test_sector_decreasing_trace_is_caught():
     # arg(f/z) = -2 arg z: the trace theta + arg(f/z) runs backwards
     class Backwards(MeasureFunction):
-        def _log_f_over_z(self, z):
-            return -2j * np.angle(z)
+        def _arg_g_over_z(self, z):
+            return -2.0 * np.angle(z)
 
     with pytest.raises(InconsistencyError, match="trace decreases"):
         detect_maximal_sector(Backwards(BoundaryMeasure.single_atom(), STARLIKE))
@@ -787,8 +786,8 @@ def test_sector_trace_turning_back_between_scan_angles_is_caught():
     # with koebe's at the 256 scan angles and dips between them, so the
     # search for the spiral 0.025 stalls off it (accepted without the check)
     class Dipping(MeasureFunction):
-        def _log_f_over_z(self, z):
-            return super()._log_f_over_z(z) - 0.01j * np.sin(128 * np.angle(z)) ** 2
+        def _arg_g_over_z(self, z):
+            return super()._arg_g_over_z(z) - 0.01 * np.sin(128 * np.angle(z)) ** 2
 
     with pytest.raises(InconsistencyError, match="misses spiral argument 0.025000"):
         detect_maximal_sector(Dipping(BoundaryMeasure.single_atom(), STARLIKE))
@@ -796,7 +795,7 @@ def test_sector_trace_turning_back_between_scan_angles_is_caught():
 
 def test_sector_image_rejects_non_finite_values():
     class Overflowing(MeasureFunction):
-        def _log_f_over_z(self, z):
+        def _log_g_over_z(self, z):
             return np.full(z.shape, complex(np.inf, 0.0))
 
     with pytest.raises(DomainError):

@@ -37,9 +37,12 @@ from spirallike import (
     li2,
     li3,
     spirallike_of,
+    starlike_of,
 )
 from spirallike import polylog, representation
 from spirallike.representation import _term_sum
+
+from _oracles import arg_lambda_from_log
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -634,3 +637,53 @@ def test_density_series_regime_through_the_methods(name, lam, monkeypatch):
 def test_measures_without_slope_changes_have_no_series(measure):
     f = MeasureFunction(measure, SpiralAngle(0.7))
     assert f._series == {} and 3 not in f._terms
+
+
+# -- the lam-argument of f/z from the starlike kernel --------------------------------
+
+# handles built at any inclination: an atomic measure, atoms plus a density,
+# many atoms and knots, and the two gallery closed forms
+ARG_HANDLES = {
+    "atoms": lambda angle: MeasureFunction(
+        BoundaryMeasure.from_atoms([(0.3, 1.0), (2.0, 2.5), (4.4, 0.7)]), angle
+    ),
+    "mixed": lambda angle: MeasureFunction(atoms_and_knots(2, 4, seed=2), angle),
+    "wide": lambda angle: MeasureFunction(atoms_and_knots(24, 12, seed=24), angle),
+    "g0": lambda angle: spirallike_of(G0Function(), angle),
+    "hansen": lambda angle: spirallike_of(hansen_build(HansenParams(1.3, 2.0, 0.2)), angle),
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, -1.2, 1.3])
+@pytest.mark.parametrize("name", ARG_HANDLES)
+def test_arg_lambda_f_over_z_is_the_starlike_argument(name, lam):
+    # arg_lambda(f/z) = Im log(g/z) for the starlike partner g, bit for bit;
+    # the old route Im L - tan(lam) Re L, L = log(f/z), agrees within
+    # 4 eps (1 + |Im L| + |tan(lam) Re L|).  Points inside, on and one ulp
+    # either side of |z| = 1/2, and down to 1 - |z| = 1e-10.
+    f = ARG_HANDLES[name](SpiralAngle(lam))
+    rng = np.random.default_rng(12)
+    inner, outer = _series_points(rng)
+    deep = (1.0 - np.geomspace(1e-6, 1e-10, 60)) * np.exp(2j * PI * rng.uniform(0, 1, 60))
+    z = np.concatenate((inner, outer, deep))
+    got = f.arg_lambda_f_over_z(z)
+    assert got.dtype == np.float64 and got.shape == z.shape
+    assert np.array_equal(got, starlike_of(f, f.angle).log_f_over_z(z).imag)
+    L = f.log_f_over_z(z)
+    scale = 1.0 + np.abs(L.imag) + np.abs(f.angle.tan_lambda * L.real)
+    assert (np.abs(got - arg_lambda_from_log(f, z)) <= 4.0 * np.finfo(float).eps * scale).all()
+    # a scalar z gives a float with the bits of the same point in the batch
+    for k in range(0, z.size, 37):
+        alone = f.arg_lambda_f_over_z(complex(z[k]))
+        assert type(alone) is float and alone == got[k]
+    assert type(f.arg_lambda_f_over_z(0.0)) is float
+
+
+@pytest.mark.parametrize("bad", [1.0, -1j, 1.5, np.nan, complex(np.nan, 0.2), np.inf, complex(0.3, np.inf)])
+@pytest.mark.parametrize("name", ARG_HANDLES)
+def test_arg_lambda_f_over_z_rejects_points_off_the_disk(name, bad):
+    f = ARG_HANDLES[name](SpiralAngle(0.7))
+    with pytest.raises(DomainError):
+        f.arg_lambda_f_over_z(bad)
+    with pytest.raises(DomainError):
+        f.arg_lambda_f_over_z(np.array([0.5, bad]))
