@@ -67,12 +67,6 @@ class G0Function(SpiralFunction):
         w = _li1(z)
         return _log(_w_over_z(w, z)) + w
 
-    def _arg_g_over_z(self, z):
-        # Im of _log_g_over_z, bit for bit, without log|w/z|
-        w = _li1(z)
-        q = _w_over_z(w, z)
-        return np.arctan2(q.imag, q.real) + w.imag
-
     def _log_derivative_excess(self, z):
         return _li0(z) + (_g0_correction(z) - 1.0)
 

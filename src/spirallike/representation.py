@@ -61,7 +61,7 @@ def _pointwise(kernel, z):
         kernel(flat[i : i + _BLOCK_TERMS]) for i in range(0, max(flat.size, 1), _BLOCK_TERMS)
     ]
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return out[0].item() if z.ndim == 0 else out.reshape(z.shape)
+    return out.item(0) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def _term_sum(rows):
@@ -162,6 +162,12 @@ class SpiralFunction:
         return _pointwise(self._f_over_z, z)
 
     def arg_lambda_f_over_z(self, z):
+        """Continuous lam-argument of f(z)/z, 0 at the center: Im log(g/z).
+
+        This is the branch the boundary traces need.  The CLI's eval key of
+        the same name prints the principal arg_lambda of f(z)/z, which can
+        differ from it by a multiple of 2*pi where f/z winds.
+        """
         return _pointwise(self._arg_g_over_z, z)
 
     def taylor_coefficients(self, n_max):
@@ -219,48 +225,48 @@ class MeasureFunction(SpiralFunction):
         return (1.0 / np.pi) * self._measure_sum(z, 1)
 
     def _arg_g_over_z(self, z):
-        return (1.0 / np.pi) * self._measure_sum(z, 0, _li_imag, np.imag)
+        return (1.0 / np.pi) * self._measure_sum(z, 0, imag=True)
 
-    def _rows(self, z, shift, term):
-        """sum_n sum_k w_k term(n - shift, exp(-i*t_k) z), one row per term.
+    def _rows(self, z, shift, imag):
+        """sum_n sum_k w_k Li_(n - shift)(exp(-i*t_k) z), one row per term.
 
-        term is _li or _li_imag, and the sum is complex or real as its rows
-        are.  Evaluated in blocks of self._row_block points, so that the
-        (terms, points) temporaries stay in the L2 cache.
+        With imag, each row is the real Im Li_(n - shift) (_li_imag), which
+        for an atom is one arctan2.  Evaluated in blocks of self._row_block
+        points, so that the (terms, points) temporaries stay in the L2 cache.
         """
+        term = _li_imag if imag else _li
         block = self._row_block
-        parts = []
-        for i in range(0, max(z.size, 1), block):
-            zb = z[i : i + block]
-            rows = (
-                _term_sum(w * term(n - shift, rot * zb)) for n, (rot, w) in self._terms.items()
-            )
-            # real zeros, so that the sum takes the type of the rows
-            parts.append(sum(rows, np.zeros(zb.shape)))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out = np.zeros(z.shape, dtype=float if imag else complex)
+        for i in range(0, z.size, block):
+            zb, ob = z[i : i + block], out[i : i + block]
+            for n, (rot, w) in self._terms.items():
+                ob += _term_sum(w * term(n - shift, rot * zb))
+        return out
 
-    def _measure_sum(self, z, shift, term=_li, part=np.asarray):
-        """The measure sum at z: part of the series inside |z| <= 1/2, else term's rows.
+    def _measure_sum(self, z, shift, imag=False):
+        """The measure sum at z: the series inside |z| <= 1/2, else the rows.
 
-        part takes from the series' complex value what term takes from each
-        polylog: all of it (np.asarray with _li, the complex kernels) or its
-        imaginary part (np.imag with _li_imag, the argument).  |z| alone
+        With imag, only its imaginary part, from Im Li_n rows.  |z| alone
         picks a point's route.  The split is made once per block, and a
         block that lies in one regime pays no take/put copies.
         """
         series = self._series.get(shift)
         if series is None:
-            return self._rows(z, shift, term)
+            return self._rows(z, shift, imag)
+
+        def series_sum(zs):
+            value = _horner(series, zs) * zs
+            return value.imag if imag else value
+
         inner = np.abs(z) <= _SERIES_RADIUS
         if inner.all():
-            return part(_horner(series, z) * z)
+            return series_sum(z)
         if not inner.any():
-            return self._rows(z, shift, term)
+            return self._rows(z, shift, imag)
         near = np.flatnonzero(inner)
         far = np.flatnonzero(~inner)
-        zn = z.take(near)
-        inside = part(_horner(series, zn) * zn)
+        inside = series_sum(z.take(near))
         out = np.empty(z.shape, dtype=inside.dtype)
         out.put(near, inside)
-        out.put(far, self._rows(z.take(far), shift, term))
+        out.put(far, self._rows(z.take(far), shift, imag))
         return out

@@ -135,7 +135,7 @@ def test_closed_forms_reject_points_off_the_open_disk(bad):
     # non-finite points are rejected like |z| >= 1, never returned as NaN
     handles = [G0Function(), koebe_power(1.5), counterexample_for(SpiralAngle(PI / 4), PI)]
     for f in handles:
-        for name in ("evaluate", "log_f_over_z", "log_derivative"):
+        for name in ("evaluate", "log_f_over_z", "log_derivative", "arg_lambda_f_over_z"):
             with pytest.raises(DomainError):
                 getattr(f, name)(bad)
             with pytest.raises(DomainError):
