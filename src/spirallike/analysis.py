@@ -31,26 +31,32 @@ def default_r_schedule(k_min=2, k_max=6):
     return tuple(1.0 - 10.0**-k for k in range(k_min, k_max + 1))
 
 
-# interior points per lane and step of section_search_max
-_SECTION_POINTS = 8
+# interior points per lane and step of section_search_max.  A step has a
+# fixed cost of 35-85 us (bookkeeping plus one kernel call) against 20-130 ns
+# per point, and the package's callers run 1-21 lanes, so more points per
+# step cost little and each saves steps: at 64 a bracket of two coarse
+# spacings (2*2*pi/1024) reaches tol 1e-12 in 7 steps.
+_SECTION_POINTS = 64
 
 
 def section_search_max(f, a, b, tol=1e-12):
     """Maximum of a unimodal f on [a, b] by an m-point section search.
 
     a and b may also be arrays of one shape, each entry the bracket of an
-    independent lane.  Each step samples m = _SECTION_POINTS equally spaced
-    interior points of every lane in one call: f gets an array of shape
-    a.shape + (m,) and returns one value per point.  A lane's bracket then
-    shrinks to the two neighbours of its best sample (the bracket ends count
-    as neighbours), a factor of about 2/(m + 1) per step.  A lane freezes
-    once its bracket is within tol or stops shrinking at float spacing (its
-    points are still sampled, inside the final bracket, until every lane is
-    done, and the values are discarded), so each lane ends exactly where the
-    search on its bracket alone would.  Returns (x, f(x)) at the best point
-    sampled: floats for scalar brackets, else arrays.  DomainError unless
-    tol is finite and positive and every bracket is finite with a <= b;
-    AccuracyError when a lane sampled no finite value.
+    independent lane.  Each step samples m = _SECTION_POINTS = 64 equally
+    spaced interior points of every lane in one call: f gets an array of
+    shape a.shape + (m,), increasing along the last axis, and returns one
+    value per point.  A lane's bracket then shrinks to the two neighbours of
+    its best sample (the bracket ends count as neighbours), a factor of
+    2/(m + 1) per step, so a bracket of width 2*2*pi/1024 reaches tol 1e-12
+    in 7 steps.  A lane freezes once its bracket is within tol or stops
+    shrinking at float spacing (its points are still sampled, inside the
+    final bracket, until every lane is done, and the values are discarded),
+    so each lane ends exactly where the search on its bracket alone would.
+    Returns (x, f(x)) at the best point sampled: floats for scalar brackets,
+    else arrays.  DomainError unless tol is finite and positive and every
+    bracket is finite with a <= b; AccuracyError when a lane sampled no
+    finite value.
     """
     if not (0.0 < tol < np.inf):
         raise DomainError(f"search tolerance must be finite and positive, got {tol!r}")
@@ -58,27 +64,32 @@ def section_search_max(f, a, b, tol=1e-12):
     if not (np.isfinite(a).all() and np.isfinite(b).all() and (a <= b).all()):
         raise DomainError("search brackets must be finite with a <= b")
     shape, m = a.shape, _SECTION_POINTS
-    a, b = a.ravel(), b.ravel()
-    lanes = np.arange(a.size)
-    frac = np.arange(1, m + 1) / (m + 1)
+    a, b = a.flatten(), b.flatten()
+    # row i of a step's nodes holds lane i's a, x_1 .. x_m, b; its best
+    # sample x_k and the two neighbours are flat entries i*(m + 2) + k + 0..2
+    frac = np.arange(m + 2) / (m + 1)
+    around = np.arange(a.size) * (m + 2) + np.arange(3)[:, None]
+    sample_rows = np.arange(a.size) * m
     best_x = np.full(a.size, np.nan)
     best_f = np.full(a.size, -np.inf)
     live = np.ones(a.size, dtype=bool)
     while live.any():
-        # row i holds lane i's nodes a, x_1 .. x_m, b
-        lo, hi = a[:, None], b[:, None]
-        nodes = np.concatenate((lo, lo + (hi - lo) * frac, hi), axis=1)
+        nodes = a[:, None] + (b - a)[:, None] * frac
+        nodes[:, 0], nodes[:, -1] = a, b
         fx = np.asarray(f(nodes[:, 1:-1].reshape(shape + (m,))), dtype=float).reshape(-1, m)
         k = np.argmax(fx, axis=1)
-        top = fx[lanes, k]
+        top = fx.ravel()[sample_rows + k]
+        lo, x, hi = nodes.ravel()[around + k]
         gain = live & (top > best_f)
-        best_x = np.where(gain, nodes[lanes, k + 1], best_x)
-        best_f = np.where(gain, top, best_f)
+        np.copyto(best_x, x, where=gain)
+        np.copyto(best_f, top, where=gain)
         # x_m can round past b; the clamp keeps each bracket inside the last
-        lo, hi = nodes[lanes, k], np.minimum(nodes[lanes, k + 2], b)
-        live &= hi - lo < b - a
-        a, b = np.where(live, lo, a), np.where(live, hi, b)
-        live &= b - a > tol
+        hi = np.minimum(hi, b)
+        width = hi - lo
+        move = live & (width < b - a)
+        np.copyto(a, lo, where=move)
+        np.copyto(b, hi, where=move)
+        live = move & (width > tol)
     if not np.isfinite(best_f).all():
         raise AccuracyError("the search sampled no finite value of f")
     if not shape:
@@ -155,19 +166,38 @@ def beta_trace(fn, t_grid=256, r_schedule=None):
     )
 
 
-def _trace_gaps(t, values):
-    """Increments of a trace sampled at angles t over one turn, the last wrapping by 2*pi.
+def _rising_gaps(t, values):
+    """Increments of a trace along the last axis of its values, sampled at angles t rising along it.
 
     The trace of a spirallike function increases along every circle, so an
     increment below -_MONOTONE_TOL raises InconsistencyError.
     """
-    gaps = np.diff(np.concatenate((values, [values[0] + TWO_PI])))
-    if float(np.min(gaps)) < -_MONOTONE_TOL:
-        k = int(np.argmin(gaps))
+    gaps = np.diff(values, axis=-1)
+    k = np.unravel_index(np.argmin(gaps), gaps.shape)
+    if gaps[k] < -_MONOTONE_TOL:
         raise InconsistencyError(
-            f"trace decreases by {-float(np.min(gaps)):.3g} near t = {t[k]:.6f}"
+            f"trace decreases by {-float(gaps[k]):.3g} near t = {float(t[k]):.6f}"
         )
     return gaps
+
+
+def _trace_gaps(t, values):
+    """Increments of a trace sampled at angles t over one turn, the last wrapping by 2*pi.
+
+    InconsistencyError, as in _rising_gaps, when one is below -_MONOTONE_TOL.
+    """
+    return _rising_gaps(t, np.append(values, values[0] + TWO_PI))
+
+
+def _rising_rows(trace):
+    """trace(t) for section_search_max: every sampled row is checked by _rising_gaps."""
+
+    def checked(t):
+        values = trace(t)
+        _rising_gaps(t, values)
+        return values
+
+    return checked
 
 
 def estimate_max_jump(trace):
@@ -229,26 +259,30 @@ def refine_jump(fn, bracket):
     arg_lambda(f/z) = arg_lambda(f), with arg_lambda(f/z) =
     fn.arg_lambda_f_over_z = Im log(g/z) of the starlike partner g,
     increases along circles for spirallike f, so section_search_max on
-    -|trace - mid| locates the jump point (to 2e-10) where the trace crosses
-    the midpoint mid of its bracket values; the two-sided trace difference
-    E(w) over the shrinking windows w still carries a mass ~
-    jump_density/log(1/w) from any logarithmically divergent density next
-    to the atom, so E is extrapolated quadratically in x = 1/log(1/w) to
-    window 0.  Returns (jump, t0).  DomainError unless
-    the bracket is finite with t_lo < t_hi.
+    -|trace - mid| locates the jump point (to 2e-10, in 6 steps from a
+    bracket of two 256-grid spacings) where the trace crosses the midpoint
+    mid of its bracket values; the two-sided trace difference E(w) over the
+    shrinking windows w still carries a mass ~ jump_density/log(1/w) from
+    any logarithmically divergent density next to the atom, so E is
+    extrapolated quadratically in x = 1/log(1/w) to window 0.  Returns
+    (jump, t0).  DomainError unless the bracket is finite with t_lo < t_hi;
+    InconsistencyError when the trace decreases by more than _MONOTONE_TOL
+    from t_lo to t_hi, along a row the search samples or across a window.
     """
     t_lo, t_hi = float(bracket[0]), float(bracket[1])
     if not (-np.inf < t_lo < t_hi < np.inf):
         raise DomainError(f"bracket must be finite with t_lo < t_hi, got {bracket!r}")
     w = np.array(_REFINE_WINDOWS)
 
+    @_rising_rows
     def trace_at(ts):
         return ts + fn.arg_lambda_f_over_z(_REFINE_RADIUS * np.exp(1j * ts))
 
     lo, hi = trace_at(np.array([t_lo, t_hi]))
     mid = 0.5 * (lo + hi)
     t0, _ = section_search_max(lambda t: -np.abs(trace_at(t) - mid), t_lo, t_hi, tol=2e-10)
-    E = trace_at(t0 + w) - trace_at(t0 - w)
+    # one row (t0 - w, t0 + w) per window
+    E = np.diff(trace_at(t0 + np.outer(w, (-1.0, 1.0))), axis=1)[:, 0]
     x = 1.0 / np.log(1.0 / w)
     coeffs = np.polyfit(x, E, 2)
     return float(np.polyval(coeffs, 0.0)), float(t0)
@@ -304,7 +338,7 @@ def _circle_max(values, r, coarse):
     One values call scans all the circles at the coarse angles.  The top
     three cyclic local maxima of each scan are refined over one coarse
     spacing each, all of them lanes of one lockstep section_search_max with
-    tol 1e-12, one values call per search step (16 steps at coarse = 1024).
+    tol 1e-12, one values call per search step (7 steps at coarse = 1024).
     The result is the largest value sampled, a lower bound on the maximum.
     """
     radii = np.asarray(r, dtype=float)
@@ -343,7 +377,9 @@ def max_modulus(fn, r, coarse=1024):
     The result is the largest value sampled, a lower bound on the maximum:
     for a peak unimodal at one coarse spacing it lies within kappa * tol^2 / 8
     of it relatively before rounding, tol = 1e-12 and kappa =
-    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).
+    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).  It
+    makes 1 + 7 fn.evaluate calls at coarse = 1024: the scan, then one per
+    search step.
     """
     coarse = _grid_size(coarse, "coarse")
     return _circle_max(lambda z: np.abs(fn.evaluate(z)), r, coarse)
@@ -467,12 +503,11 @@ def _sector_crossings(fn, phis):
     The trace theta + arg_lambda(f/z) on the circle, with arg_lambda(f/z) =
     fn.arg_lambda_f_over_z = Im log(g/z) of the starlike partner g, is
     arg_lambda f minus tan(lam) * log r and increases by 2*pi in one turn.
-    A scan of _SECTOR_SCAN angles brackets each crossing (InconsistencyError
-    if it decreases, as in estimate_max_jump); one lockstep
+    A scan of _SECTOR_SCAN angles brackets each crossing; one lockstep
     section_search_max on -|trace - target| locates them.
-    InconsistencyError when a located point misses its spiral by more than
-    1e-6, as a trace that turns back between scan angles can make it.
-    DomainError when the trace or log|f| is not finite.
+    InconsistencyError when the scan or a row the search samples decreases
+    (as in estimate_max_jump), and when a located point misses its spiral by
+    more than 1e-6.  DomainError when the trace or log|f| is not finite.
     """
     r = _SECTOR_RADIUS
 
@@ -489,8 +524,9 @@ def _sector_crossings(fn, phis):
     k = np.searchsorted(np.append(scan, scan[0] + TWO_PI), targets, "right") - 1
     # an offset just below 2*pi can round up to the end of the turn
     k = np.minimum(k, _SECTOR_SCAN - 1)
+    rows = _rising_rows(trace)
     theta, closeness = section_search_max(
-        lambda x: -np.abs(trace(x) - targets[..., None]), thetas[k], thetas[k + 1]
+        lambda x: -np.abs(rows(x) - targets[..., None]), thetas[k], thetas[k + 1]
     )
     i = int(np.argmin(closeness))
     if closeness.flat[i] < -1e-6:

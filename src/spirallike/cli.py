@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gallery import DEFAULT_C, G0Function, HansenParams, _q_table, hansen_build
 from .representation import MeasureFunction
-from .spiral_geometry import SpiralAngle, arg_lambda
+from .spiral_geometry import SpiralAngle
 
 GALLERY_CHOICES = ("koebe", "identity", "g0", "hansen")
 
@@ -127,7 +127,7 @@ def cmd_eval(args):
         "f": fn.evaluate(z),
         "log_f_over_z": fn.log_f_over_z(z),
         "log_derivative": fn.log_derivative(z),
-        "arg_lambda_f_over_z": arg_lambda(fn.f_over_z(z), fn.angle),
+        "arg_lambda_f_over_z": fn.arg_lambda_f_over_z(z),
     }
     if args.fmt == "json":
         return 0, _json({

@@ -164,9 +164,7 @@ class SpiralFunction:
     def arg_lambda_f_over_z(self, z):
         """Continuous lam-argument of f(z)/z, 0 at the center: Im log(g/z).
 
-        This is the branch the boundary traces need.  The CLI's eval key of
-        the same name prints the principal arg_lambda of f(z)/z, which can
-        differ from it by a multiple of 2*pi where f/z winds.
+        This is the branch the boundary traces need.
         """
         return _pointwise(self._arg_g_over_z, z)
 

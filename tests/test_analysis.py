@@ -171,10 +171,10 @@ def test_section_search_max_values():
 
 
 def test_section_search_lanes_match_scalar_searches():
-    # widths 3 .. 5e-13 and 0 take different step counts; the last two are
-    # within tol from the start and take one step
+    # widths 3 .. 1e-10 take 9, 8, 6, 4 and 2 steps; the last two are within
+    # tol from the start and take one step
     a = np.array([0.1, 0.5, 0.9, 1.2, 1.0, 2.0, 2.5])
-    b = np.array([3.1, 0.6, 0.901, 1.2 + 1e-6, 1.0 + 1e-11, 2.0 + 5e-13, 2.5])
+    b = np.array([3.1, 0.6, 0.901, 1.2 + 1e-6, 1.0 + 1e-10, 2.0 + 5e-13, 2.5])
     calls = []
 
     def f(x):
@@ -206,6 +206,14 @@ def capped(f, cap=200):
         return f(x)
 
     return wrapped, calls
+
+
+def test_section_search_steps_from_one_coarse_spacing():
+    # a bracket of two coarse spacings at coarse = 1024 shrinks by
+    # 2/(m + 1) = 2/65 per step: 7 steps, one call each, reach tol 1e-12
+    f, calls = capped(np.sin)
+    section_search_max(f, 1.0 - TWO_PI / 1024, 1.0 + TWO_PI / 1024)
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -459,6 +467,31 @@ def test_refine_jump_koebe_full_turn():
     assert jump == pytest.approx(TWO_PI, abs=0.002)
     assert t0 == pytest.approx(0.0, abs=1e-6)
 
+
+
+class NegatedG0(G0Function):
+    # arg(g0/z) negated: the trace falls by about pi across the jump at 0
+    def _arg_g_over_z(self, z):
+        return -super()._arg_g_over_z(z)
+
+
+class WavyKoebe(MeasureFunction):
+    # koebe with arg(f/z) lowered by 0.3 sin^2(2000 arg z): the trace turns
+    # back 4000 times a turn, 31 times inside the bracket
+    def _arg_g_over_z(self, z):
+        return super()._arg_g_over_z(z) - 0.3 * np.sin(2000 * np.angle(z)) ** 2
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [NegatedG0(), WavyKoebe(BoundaryMeasure.single_atom(), STARLIKE)],
+    ids=["negated-g0", "wavy-koebe"],
+)
+def test_refine_jump_rejects_decreasing_trace(fn):
+    # without the checks these gave jump -3.137 and 5.5e-10 (at t0 = -0.0173)
+    spacing = TWO_PI / 256
+    with pytest.raises(InconsistencyError, match="trace decreases"):
+        refine_jump(fn, (-spacing, spacing))
 
 # -- certificates -------------------------------------------------------------------
 
@@ -783,13 +816,13 @@ def test_sector_decreasing_trace_is_caught():
 
 def test_sector_trace_turning_back_between_scan_angles_is_caught():
     # koebe with arg(f/z) lowered by 0.01 sin^2(128 arg z): the trace agrees
-    # with koebe's at the 256 scan angles and dips between them, so the
-    # search for the spiral 0.025 stalls off it (accepted without the check)
+    # with koebe's at the 256 scan angles and dips between them, which the
+    # rows the crossing search samples show (accepted without the check)
     class Dipping(MeasureFunction):
         def _arg_g_over_z(self, z):
             return super()._arg_g_over_z(z) - 0.01 * np.sin(128 * np.angle(z)) ** 2
 
-    with pytest.raises(InconsistencyError, match="misses spiral argument 0.025000"):
+    with pytest.raises(InconsistencyError, match="trace decreases"):
         detect_maximal_sector(Dipping(BoundaryMeasure.single_atom(), STARLIKE))
 
 

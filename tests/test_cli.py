@@ -14,6 +14,7 @@ import pytest
 from spirallike import (
     STARLIKE,
     BoundaryMeasure,
+    HansenParams,
     MeasureFunction,
     SpiralAngle,
     beta_trace,
@@ -21,11 +22,14 @@ from spirallike import (
     counterexample_for,
     default_r_schedule,
     growth_exponent,
+    hansen_build,
     hansen_ratio,
     q_function,
+    spirallike_of,
 )
 from spirallike.cli import main, parse_complex, parse_r_schedule
 from spirallike.errors import ConfigError
+from spirallike.gallery import DEFAULT_C
 
 PI = math.pi
 
@@ -92,6 +96,19 @@ def test_eval_g0_value(capsys):
     assert lines[0] == "quantity,re,im"
     row = dict((ln.split(",")[0], ln.split(",")[1:]) for ln in lines[1:])
     assert float(row["f"][0]) == pytest.approx(2 * math.log(2), abs=1e-12)
+
+
+def test_eval_arg_lambda_is_the_continuous_branch(capsys):
+    # f/z of the Hansen handle winds near z = 1: the principal spiral
+    # argument of f(0.999)/0.999 is -2*pi, the branch pinned at the center 0
+    argv = ("eval", "--gallery", "hansen", "--lambda", "0.7853981633974483", "--z", "0.999")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    fields = dict(line.split(" = ") for line in out.strip().splitlines())
+    assert fields["arg_lambda_f_over_z"] == "0"
+    params = HansenParams(alpha=1.0, beta_exp=1.0, c=DEFAULT_C)
+    fn = spirallike_of(hansen_build(params), SpiralAngle(0.7853981633974483))
+    assert fn.arg_lambda_f_over_z(0.999) == 0.0
 
 
 def test_eval_csv_shape(capsys):
