@@ -34,7 +34,7 @@ def default_r_schedule(k_min=2, k_max=6):
 # interior points per lane and step of section_search_max.  A step has a
 # fixed cost of 35-85 us (bookkeeping plus one kernel call) against 20-130 ns
 # per point, and the package's callers run 1-21 lanes, so more points per
-# step cost little and each saves steps: at 64 a bracket of two coarse
+# step cost little and each saves steps: at 64 a bracket of two scan
 # spacings (2*2*pi/1024) reaches tol 1e-12 in 7 steps.
 _SECTION_POINTS = 64
 
@@ -53,10 +53,10 @@ def section_search_max(f, a, b, tol=1e-12):
     shrinking at float spacing (its points are still sampled, inside the
     final bracket, until every lane is done, and the values are discarded),
     so each lane ends exactly where the search on its bracket alone would.
-    Returns (x, f(x)) at the best point sampled: floats for scalar brackets,
-    else arrays.  DomainError unless tol is finite and positive and every
-    bracket is finite with a <= b; AccuracyError when a lane sampled no
-    finite value.
+    Returns (x, f(x)) at the best point sampled, where a NaN never wins:
+    floats for scalar brackets, else arrays.  DomainError unless tol is
+    finite and positive and every bracket is finite with a <= b;
+    AccuracyError when a lane sampled no finite value.
     """
     if not (0.0 < tol < np.inf):
         raise DomainError(f"search tolerance must be finite and positive, got {tol!r}")
@@ -77,6 +77,8 @@ def section_search_max(f, a, b, tol=1e-12):
         nodes = a[:, None] + (b - a)[:, None] * frac
         nodes[:, 0], nodes[:, -1] = a, b
         fx = np.asarray(f(nodes[:, 1:-1].reshape(shape + (m,))), dtype=float).reshape(-1, m)
+        # np.argmax picks a row's first NaN, which would steer the bracket
+        np.copyto(fx, -np.inf, where=np.isnan(fx))
         k = np.argmax(fx, axis=1)
         top = fx.ravel()[sample_rows + k]
         lo, x, hi = nodes.ravel()[around + k]
@@ -135,6 +137,18 @@ class JumpEstimate(NamedTuple):
     center: float
 
 
+def _radii(r_schedule, default):
+    """r_schedule, or default when None, as a tuple of floats.
+
+    DomainError unless it is nonempty and strictly increasing inside (0, 1).
+    """
+    radii = tuple(float(r) for r in (default if r_schedule is None else r_schedule))
+    # 0 < r_1 < ... < r_n < 1, False for a NaN
+    if not (radii and all(a < b for a, b in zip((0.0,) + radii, radii + (1.0,)))):
+        raise DomainError("r_schedule must be nonempty and strictly increasing inside (0, 1)")
+    return radii
+
+
 def beta_trace(fn, t_grid=256, r_schedule=None):
     """Estimate the boundary function on a uniform t grid over [0, 2*pi).
 
@@ -144,13 +158,7 @@ def beta_trace(fn, t_grid=256, r_schedule=None):
     starlike partner g; successive radii document convergence toward the
     boundary limit.
     """
-    if r_schedule is None:
-        r_schedule = default_r_schedule()
-    r_schedule = tuple(float(r) for r in r_schedule)
-    if not r_schedule or any(not (0.0 < r < 1.0) for r in r_schedule) or any(
-        b <= a for a, b in zip(r_schedule, r_schedule[1:])
-    ):
-        raise DomainError("r_schedule must be nonempty and increase strictly inside (0, 1)")
+    r_schedule = _radii(r_schedule, default_r_schedule())
     n_t = _grid_size(t_grid, "t_grid")
     t = np.arange(n_t) * (TWO_PI / n_t)
     z = np.array(r_schedule)[:, None] * np.exp(1j * t)[None, :]
@@ -170,8 +178,11 @@ def _rising_gaps(t, values):
     """Increments of a trace along the last axis of its values, sampled at angles t rising along it.
 
     The trace of a spirallike function increases along every circle, so an
-    increment below -_MONOTONE_TOL raises InconsistencyError.
+    increment below -_MONOTONE_TOL raises InconsistencyError.  DomainError
+    unless every value is finite.
     """
+    if not np.isfinite(values).all():
+        raise DomainError("the trace has a non-finite value")
     gaps = np.diff(values, axis=-1)
     k = np.unravel_index(np.argmin(gaps), gaps.shape)
     if gaps[k] < -_MONOTONE_TOL:
@@ -184,7 +195,7 @@ def _rising_gaps(t, values):
 def _trace_gaps(t, values):
     """Increments of a trace sampled at angles t over one turn, the last wrapping by 2*pi.
 
-    InconsistencyError, as in _rising_gaps, when one is below -_MONOTONE_TOL.
+    DomainError and InconsistencyError as in _rising_gaps.
     """
     return _rising_gaps(t, np.append(values, values[0] + TWO_PI))
 
@@ -291,17 +302,16 @@ def refine_jump(fn, bracket):
 # -- pointwise certificates -------------------------------------------------
 
 
-def spirallikeness_margin(fn, r_max=0.999, n_theta=512):
+def spirallikeness_margin(fn, r_max=0.999):
     """Minimum of Re(exp(-i*lam) * zf'/f) over the disk |z| <= r_max.
 
     zf'/f = 1 + z d/dz log(f/z) is analytic on the disk, so the real part is
     harmonic and its minimum lies on the circle |z| = r_max: _circle_max
-    takes it there from n_theta refined angles.  Positive values certify the
-    spirallike condition.
+    takes it there from its _CIRCLE_SCAN = 1024 refined angles.  Positive
+    values certify the spirallike condition.
     """
     rotation = np.exp(-1j * fn.angle.lam)
-    n_theta = _grid_size(n_theta, "n_theta")
-    return -_circle_max(lambda z: -(rotation * fn.log_derivative(z)).real, r_max, n_theta)
+    return -_circle_max(lambda z: -(rotation * fn.log_derivative(z)).real, r_max)
 
 
 # outer radius of goodman_check's polar grid
@@ -330,16 +340,23 @@ def goodman_check(g, grid=(512, 32)):
     return float(np.max(excess))
 
 
-def _circle_max(values, r, coarse):
-    """Max of a real function values(z) on |z| = r: coarse scan plus section-search refinement.
+# angles of _circle_max's scan, no knob: from 256 to 4096 angles the margin
+# agrees to 7e-13 relative (g0, Koebe, Hansen, 60 random atomic measures)
+# and M(r) moves only at the search tolerance (1.5e-11 relative).
+_CIRCLE_SCAN = 1024
+
+
+def _circle_max(values, r):
+    """Max of a real function values(z) on |z| = r: a scan plus section-search refinement.
 
     r is one radius (returns a float) or a 1-d array of radii (returns an
     array, one maximum per radius); every radius is checked before any work.
-    One values call scans all the circles at the coarse angles.  The top
-    three cyclic local maxima of each scan are refined over one coarse
-    spacing each, all of them lanes of one lockstep section_search_max with
-    tol 1e-12, one values call per search step (7 steps at coarse = 1024).
-    The result is the largest value sampled, a lower bound on the maximum.
+    One values call scans all the circles at _CIRCLE_SCAN angles.  Only the
+    three highest scanned local maxima of each circle are refined, so with
+    more than three peaks the result can miss the highest one; each over one
+    scan spacing, as a lane of one lockstep section_search_max (tol 1e-12,
+    7 steps, one values call each).  The result is the largest value
+    sampled, a lower bound on the maximum.
     """
     radii = np.asarray(r, dtype=float)
     if radii.ndim > 1:
@@ -348,7 +365,7 @@ def _circle_max(values, r, coarse):
     bad = [x for x in rows.tolist() if not (0.0 < x < 1.0)]
     if bad:
         raise DomainError(f"radius must lie in (0, 1), got {bad[0]!r}")
-    thetas = np.arange(coarse) * (TWO_PI / coarse)
+    thetas = np.arange(_CIRCLE_SCAN) * (TWO_PI / _CIRCLE_SCAN)
     vals = values(rows[:, None] * np.exp(1j * thetas))
     local = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
     lane_row, lane_peak = [], []
@@ -357,7 +374,7 @@ def _circle_max(values, r, coarse):
         peaks = peaks[np.argsort(row[peaks])][::-1][:3]
         lane_row.extend([i] * len(peaks))
         lane_peak.extend(peaks.tolist())
-    h = TWO_PI / coarse
+    h = TWO_PI / _CIRCLE_SCAN
     lane_r = rows[lane_row]
     lane_theta = thetas[lane_peak]
 
@@ -371,18 +388,18 @@ def _circle_max(values, r, coarse):
     return best[0] if radii.ndim == 0 else np.array(best)
 
 
-def max_modulus(fn, r, coarse=1024):
+def max_modulus(fn, r):
     """Max of |f| on |z| = r from _circle_max: a float for one radius, else an array.
 
     The result is the largest value sampled, a lower bound on the maximum:
-    for a peak unimodal at one coarse spacing it lies within kappa * tol^2 / 8
+    for a peak unimodal at one scan spacing it lies within kappa * tol^2 / 8
     of it relatively before rounding, tol = 1e-12 and kappa =
-    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).  It
-    makes 1 + 7 fn.evaluate calls at coarse = 1024: the scan, then one per
-    search step.
+    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).  Only the
+    three highest scanned local maxima are refined, so with more than three
+    peaks the result can miss the highest one.  It makes 1 + 7 fn.evaluate
+    calls: the scan of _CIRCLE_SCAN = 1024 angles, then one per search step.
     """
-    coarse = _grid_size(coarse, "coarse")
-    return _circle_max(lambda z: np.abs(fn.evaluate(z)), r, coarse)
+    return _circle_max(lambda z: np.abs(fn.evaluate(z)), r)
 
 
 # -- growth experiments ------------------------------------------------------
@@ -397,32 +414,20 @@ class GrowthReport:
     a_estimate: float
 
 
-def _growth_radii(r_schedule, least):
-    """r_schedule, default_r_schedule(2, 8) when None, as a tuple of floats.
-
-    DomainError unless it holds at least `least` strictly increasing radii.
-    """
-    if r_schedule is None:
-        r_schedule = default_r_schedule(2, 8)
-    r_schedule = tuple(float(r) for r in r_schedule)
-    if len(r_schedule) < least or any(b <= a for a, b in zip(r_schedule, r_schedule[1:])):
-        raise DomainError(f"r_schedule must have at least {least} strictly increasing radii")
-    return r_schedule
-
-
-def growth_exponent(fn, r_schedule=None, coarse=1024):
+def growth_exponent(fn, r_schedule=None):
     """Growth table for fn with the jump-based exponent prediction.
 
-    M(r) for the whole schedule comes from one batched max_modulus call.
-    a_estimate is fn.known_max_jump (a measure's largest atom, or a
-    declared closed-form jump); predicted_q0 = a_estimate * cos(lam)^2 / pi.
-    DomainError when fn has no known jump.
+    M(r) along the schedule (default_r_schedule(2, 8)) comes from one
+    batched max_modulus call.  a_estimate is fn.known_max_jump (a measure's
+    largest atom, or a declared closed-form jump); predicted_q0 = a_estimate
+    * cos(lam)^2 / pi.  DomainError when fn has no known jump, and for a
+    schedule as in hansen_ratio.
     """
-    r_schedule = _growth_radii(r_schedule, 3)
+    r_schedule = _radii(r_schedule, default_r_schedule(2, 8))
     if fn.known_max_jump is None:
         raise DomainError("growth prediction needs the function's known_max_jump")
     a_estimate = float(fn.known_max_jump)
-    peaks = max_modulus(fn, np.array(r_schedule), coarse=coarse).tolist()
+    peaks = max_modulus(fn, np.array(r_schedule)).tolist()
     rows = []
     for r, M in zip(r_schedule, peaks):
         E = np.log(M) / np.log(1.0 / (1.0 - r))
@@ -437,18 +442,18 @@ def growth_exponent(fn, r_schedule=None, coarse=1024):
     )
 
 
-def hansen_ratio(fn, q0, r_schedule=None, coarse=1024):
+def hansen_ratio(fn, q0, r_schedule=None):
     """Ratio sequence (r, M(r, fn) * (1-r)^q0) along the schedule.
 
     An unbounded increase exhibits failure of the O((1-r)^-q0) bound.  M(r)
-    for the whole schedule comes from one batched max_modulus call.
-    DomainError unless the schedule holds at least one radius and increases
-    strictly.
+    along the schedule (default_r_schedule(2, 8)) comes from one batched
+    max_modulus call.  DomainError unless the schedule is nonempty and
+    increases strictly inside (0, 1).
     """
     if not (0.0 <= q0 < np.inf):
         raise DomainError(f"q0 must be finite and nonnegative, got {q0!r}")
-    r_schedule = _growth_radii(r_schedule, 1)
-    peaks = max_modulus(fn, np.array(r_schedule), coarse=coarse).tolist()
+    r_schedule = _radii(r_schedule, default_r_schedule(2, 8))
+    peaks = max_modulus(fn, np.array(r_schedule)).tolist()
     return list(zip(r_schedule, _bound_ratios(r_schedule, peaks, q0)))
 
 
@@ -516,8 +521,6 @@ def _sector_crossings(fn, phis):
 
     thetas = np.arange(_SECTOR_SCAN + 1) * (TWO_PI / _SECTOR_SCAN)
     scan = trace(thetas[:-1])
-    if not np.isfinite(scan).all():
-        raise DomainError("spiral argument needs finite points")
     _trace_gaps(thetas[:-1], scan)
     # the trace values of the labels, inside the scanned turn
     targets = scan[0] + np.mod(phis + fn.angle.tan_lambda * np.log(r) - scan[0], TWO_PI)

@@ -147,7 +147,7 @@ def cmd_eval(args):
 
 def cmd_verify(args):
     fn = build_function(args)
-    margin = spirallikeness_margin(fn, r_max=args.r_max, n_theta=args.grid_theta)
+    margin = spirallikeness_margin(fn, r_max=args.r_max)
     code = 0 if margin > 0.0 else 1
     if args.fmt == "json":
         return code, _json({"margin": margin, "lambda": args.lam})
@@ -168,7 +168,7 @@ def cmd_beta(args):
 
 def cmd_growth(args):
     fn = build_function(args)
-    report = growth_exponent(fn, r_schedule=default_r_schedule(*args.r_k), coarse=args.coarse)
+    report = growth_exponent(fn, r_schedule=default_r_schedule(*args.r_k))
     radii, peaks, exponents = zip(*report.rows)
     ratios = _bound_ratios(radii, peaks, report.predicted_q0)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -231,7 +231,6 @@ def _build_parser():
                         help="evaluation point 'a+bi'")
 
     p_verify = add_command("verify", cmd_verify, "check the spirallike inequality on |z| = r_max")
-    p_verify.add_argument("--grid-theta", type=_grid("--grid-theta"), default=512)
     p_verify.add_argument("--r-max", type=_R_MAX, default=0.999)
 
     p_beta = add_command("beta", cmd_beta, "trace the boundary function")
@@ -241,8 +240,6 @@ def _build_parser():
 
     p_growth = add_command("growth", cmd_growth, "growth table and O-bound check")
     p_growth.add_argument("--r-k", type=parse_r_schedule, default=(2, 8))
-    p_growth.add_argument("--coarse", type=_grid("--coarse"), default=1024,
-                          help="coarse circle samples for the max modulus")
 
     p_q = add_command("qtheta", cmd_qtheta, "Q(theta) table and the C0 constant", False)
     p_q.add_argument("--qtheta-grid", type=_grid("--qtheta-grid", 1000), default=100000)

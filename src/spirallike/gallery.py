@@ -140,7 +140,7 @@ def lemma_c_margins(C):
     (min Re p - b, min Re zp + b) over |z| <= 0.999; both must be positive
     for C at or above the threshold.  b needs C > 2.  p and zp are analytic
     on the disk, so each minimum lies on the circle |z| = 0.999 and is taken
-    there by _circle_max from 256 refined angles.
+    there by _circle_max from its _CIRCLE_SCAN = 1024 refined angles.
     """
     C = float(C)
     if not (2.0 < C < np.inf):
@@ -150,8 +150,8 @@ def lemma_c_margins(C):
         return 1.0 / ((1.0 - z) * (np.log(C) + _li1(z)))
 
     b = 1.0 / (2.0 * np.log(C / 2.0))
-    min_p = -_circle_max(lambda z: -p(z).real, 0.999, 256)
-    min_zp = -_circle_max(lambda z: -(z * p(z)).real, 0.999, 256)
+    min_p = -_circle_max(lambda z: -p(z).real, 0.999)
+    min_zp = -_circle_max(lambda z: -(z * p(z)).real, 0.999)
     return float(min_p - b), float(min_zp + b)
 
 

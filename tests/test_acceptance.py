@@ -174,7 +174,7 @@ def test_criterion_05_correspondence():
 
 def test_criterion_06_g0_certification():
     g0 = G0Function()
-    margin = spirallikeness_margin(g0, r_max=0.999, n_theta=4096)
+    margin = spirallikeness_margin(g0, r_max=0.999)
     bound = WILKEN_FENG - 0.5  # 0.221348...
 
     trace = beta_trace(g0)

@@ -218,7 +218,7 @@ def test_beta_json_radius(capsys):
 
 
 def test_growth_koebe_no_flag(capsys):
-    rc, out, _ = run(capsys, "growth", "--gallery", "koebe", "--coarse", "256")
+    rc, out, _ = run(capsys, "growth", "--gallery", "koebe")
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "r,M,E,ratio"
@@ -232,7 +232,7 @@ def test_growth_koebe_no_flag(capsys):
 def test_growth_counterexample_flags_failure(capsys):
     rc, out, _ = run(
         capsys, "growth", "--gallery", "hansen", "--lambda", str(PI / 4),
-        "--A", str(PI), "--coarse", "512",
+        "--A", str(PI),
     )
     assert rc == 0
     assert "# O-bound fails: ratio column increases without settling" in out
@@ -244,7 +244,7 @@ def test_growth_counterexample_flags_failure(capsys):
 
 def test_growth_identity_near_zero_exponent(capsys):
     rc, out, _ = run(
-        capsys, "growth", "--gallery", "identity", "--r-k", "2:4", "--coarse", "64",
+        capsys, "growth", "--gallery", "identity", "--r-k", "2:4",
     )
     assert rc == 0
     rows = [ln.split(",") for ln in out.strip().splitlines()[1:-2]]
@@ -253,10 +253,19 @@ def test_growth_identity_near_zero_exponent(capsys):
         assert abs(float(row[2])) < 0.01  # E column
 
 
+def test_growth_two_radii(capsys):
+    # --r-k 2:3 parses to two radii, and growth needs no third
+    rc, out, _ = run(capsys, "growth", "--gallery", "koebe", "--r-k", "2:3")
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "r,M,E,ratio"
+    assert [ln.split(",")[0] for ln in lines[1:3]] == ["0.99", "0.999"]
+    assert lines[3].startswith("#")
+
+
 def test_growth_json(capsys):
     rc, out, _ = run(
-        capsys, "growth", "--gallery", "koebe", "--r-k", "2:4",
-        "--coarse", "64", "--format", "json",
+        capsys, "growth", "--gallery", "koebe", "--r-k", "2:4", "--format", "json",
     )
     assert rc == 0
     d = json.loads(out)
@@ -346,6 +355,8 @@ def test_removed_noop_flags_exit_2(capsys):
     assert main(["eval", "--gallery", "koebe", "--threads", "2"]) == 2
     assert main(["eval", "--gallery", "koebe", "--quadrature-nodes", "64"]) == 2
     assert main(["verify", "--gallery", "koebe", "--grid-r", "48"]) == 2
+    assert main(["verify", "--gallery", "koebe", "--grid-theta", "512"]) == 2
+    assert main(["growth", "--gallery", "koebe", "--coarse", "64"]) == 2
     # qtheta builds no function, so it takes none of the function flags
     for flag, value in (
         ("--measure", "m.json"), ("--gallery", "koebe"), ("--lambda", "0.3"),
@@ -370,11 +381,11 @@ def test_csv_tables_match_per_row_formatting(capsys):
 
     fn = counterexample_for(SpiralAngle(PI / 4), PI)
     schedule = default_r_schedule(2, 5)
-    report = growth_exponent(fn, r_schedule=schedule, coarse=128)
-    ratios = hansen_ratio(fn, report.predicted_q0, r_schedule=schedule, coarse=128)
+    report = growth_exponent(fn, r_schedule=schedule)
+    ratios = hansen_ratio(fn, report.predicted_q0, r_schedule=schedule)
     rc, out, _ = run(
         capsys, "growth", "--gallery", "hansen", "--lambda", str(PI / 4), "--A", str(PI),
-        "--r-k", "2:5", "--coarse", "128",
+        "--r-k", "2:5",
     )
     assert rc == 0
     rows = [(r, M, E, ratio) for (r, M, E), (_, ratio) in zip(report.rows, ratios)]

@@ -234,7 +234,7 @@ def test_koebe_power_intermediate():
     assert f.measure.atoms == ((0.0, PI),)
     assert f.measure.density_at(2.0) == pytest.approx(0.5)
     assert f.measure.total_mass() == pytest.approx(TWO_PI)
-    assert spirallikeness_margin(f, n_theta=128) > 0.4
+    assert spirallikeness_margin(f) > 0.4
 
 
 @pytest.mark.parametrize("e", [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -383,7 +383,7 @@ def test_hansen_margin_respects_proven_bound(alpha, beta_exp, c):
     if p.violations():
         return
     f = hansen_build(p)
-    margin = spirallikeness_margin(f, n_theta=192)
+    margin = spirallikeness_margin(f)
     assert margin >= p.margin_lower_bound() - 1e-6
 
 
