@@ -5,6 +5,7 @@ jump detection and refinement, maximal spiral sectors, maximum modulus,
 growth exponents, and the bounded-ratio experiment.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,6 +98,16 @@ def section_search_max(f, a, b, tol=1e-12):
     if not shape:
         return float(best_x[0]), float(best_f[0])
     return best_x.reshape(shape), best_f.reshape(shape)
+
+
+# room for the fixed scans (_CIRCLE_SCAN, _SECTOR_SCAN, goodman_check's
+# default 512 angles) and one more size
+@functools.lru_cache(maxsize=4)
+def _unit_circle(n):
+    """The n points exp(i*2*pi*k/n), k = 0..n-1, as a read-only array built once per n."""
+    circle = np.exp(1j * (np.arange(n) * (TWO_PI / n)))
+    circle.flags.writeable = False
+    return circle
 
 
 def _grid_size(n, name):
@@ -276,13 +287,20 @@ def refine_jump(fn, bracket):
     shrinking windows w still carries a mass ~ jump_density/log(1/w) from
     any logarithmically divergent density next to the atom, so E is
     extrapolated quadratically in x = 1/log(1/w) to window 0.  Returns
-    (jump, t0).  DomainError unless the bracket is finite with t_lo < t_hi;
-    InconsistencyError when the trace decreases by more than _MONOTONE_TOL
-    from t_lo to t_hi, along a row the search samples or across a window.
+    (jump, t0).  DomainError unless the bracket is a pair of finite numbers
+    with t_lo < t_hi; InconsistencyError when the trace decreases by more
+    than _MONOTONE_TOL from t_lo to t_hi, along a row the search samples or
+    across a window.
     """
-    t_lo, t_hi = float(bracket[0]), float(bracket[1])
-    if not (-np.inf < t_lo < t_hi < np.inf):
-        raise DomainError(f"bracket must be finite with t_lo < t_hi, got {bracket!r}")
+    try:
+        t_lo, t_hi = (float(t) for t in bracket)
+        valid = -np.inf < t_lo < t_hi < np.inf
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise DomainError(
+            f"bracket must be a pair (t_lo, t_hi), finite with t_lo < t_hi, got {bracket!r}"
+        )
     w = np.array(_REFINE_WINDOWS)
 
     @_rising_rows
@@ -318,25 +336,51 @@ def spirallikeness_margin(fn, r_max=0.999):
 _GOODMAN_RADIUS = 0.999
 
 
+@functools.lru_cache(maxsize=1)
+def _goodman_ladder(n_theta, J):
+    """goodman_check's grid and bound as read-only arrays, radii-major.
+
+    The (J, n_theta) points rho_j * exp(i*theta) and the (J, 1) bounds
+    2*arcsin(rho_j), row j at the radius rho_j = 1 - gap^(j/J), j = 1..J,
+    gap = 1 - 0.999.  Only the last grid asked for is kept.
+    """
+    gap = 1.0 - _GOODMAN_RADIUS
+    rho = 1.0 - gap ** (np.arange(1, J + 1) / J)
+    grid = rho[:, None] * _unit_circle(n_theta)
+    bound = 2.0 * np.arcsin(rho)[:, None]
+    grid.flags.writeable = bound.flags.writeable = False
+    return grid, bound
+
+
 def goodman_check(g, grid=(512, 32)):
     """Max of |arg(g(z)/z)| - 2*arcsin|z| over a polar grid.
 
     The argument is g.arg_lambda_f_over_z, Im log(g/z) on the analytic
     branch vanishing at the center.  Nonpositive (within roundoff) for every
-    starlike function; the grid is n_theta angles times the nonzero radii of a ladder
-    rho_j = 1 - gap^(j/J), j = 0..J, gap = 1 - 0.999, refining geometrically
-    toward 0.999: J is at least n_steps and grows by 24 radii per decade of
-    gap (87 for gap = 1e-3).
+    starlike function.  grid = (n_theta, n_steps): the grid is n_theta
+    angles times the nonzero radii of a ladder rho_j = 1 - gap^(j/J),
+    j = 0..J, gap = 1 - 0.999, refining geometrically toward 0.999: J is at
+    least n_steps and grows by 24 radii per decade of gap, J =
+    max(n_steps, int(24*log10(1/gap)) + 16).  That is 87 at the default,
+    not 88: 1/gap rounds to 999.99..., so int(24*log10(1/gap)) is 71.  The
+    grid is stored radii-major, one row per radius, built once per
+    (n_theta, J) and kept until a call with another grid.  DomainError
+    unless grid is a pair of whole numbers at least 1.
     """
     if not g.angle.is_starlike:
         raise DomainError("bound applies to starlike functions (inclination 0)")
-    n_theta, n_steps = (_grid_size(n, "grid size") for n in grid)
-    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
+    try:
+        n_theta, n_steps = grid
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"grid must be a pair (n_theta, n_steps) of whole numbers at least 1, got {grid!r}"
+        ) from None
+    n_theta, n_steps = _grid_size(n_theta, "grid size"), _grid_size(n_steps, "grid size")
     gap = 1.0 - _GOODMAN_RADIUS
     J = max(n_steps, int(24.0 * np.log10(1.0 / gap)) + 16)
-    rho = 1.0 - gap ** (np.arange(1, J + 1) / J)
-    U = g.arg_lambda_f_over_z(rho[None, :] * np.exp(1j * thetas)[:, None])
-    excess = np.abs(U) - 2.0 * np.arcsin(rho)[None, :]
+    points, bound = _goodman_ladder(n_theta, J)
+    excess = np.abs(g.arg_lambda_f_over_z(points))
+    excess -= bound
     return float(np.max(excess))
 
 
@@ -365,8 +409,7 @@ def _circle_max(values, r):
     bad = [x for x in rows.tolist() if not (0.0 < x < 1.0)]
     if bad:
         raise DomainError(f"radius must lie in (0, 1), got {bad[0]!r}")
-    thetas = np.arange(_CIRCLE_SCAN) * (TWO_PI / _CIRCLE_SCAN)
-    vals = values(rows[:, None] * np.exp(1j * thetas))
+    vals = values(rows[:, None] * _unit_circle(_CIRCLE_SCAN))
     local = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
     lane_row, lane_peak = [], []
     for i, row in enumerate(vals):
@@ -376,7 +419,7 @@ def _circle_max(values, r):
         lane_peak.extend(peaks.tolist())
     h = TWO_PI / _CIRCLE_SCAN
     lane_r = rows[lane_row]
-    lane_theta = thetas[lane_peak]
+    lane_theta = np.array(lane_peak) * h
 
     def profile(theta):
         return values(lane_r[:, None] * np.exp(1j * theta))
@@ -520,7 +563,7 @@ def _sector_crossings(fn, phis):
         return theta + fn.arg_lambda_f_over_z(r * np.exp(1j * theta))
 
     thetas = np.arange(_SECTOR_SCAN + 1) * (TWO_PI / _SECTOR_SCAN)
-    scan = trace(thetas[:-1])
+    scan = thetas[:-1] + fn.arg_lambda_f_over_z(r * _unit_circle(_SECTOR_SCAN))
     _trace_gaps(thetas[:-1], scan)
     # the trace values of the labels, inside the scanned turn
     targets = scan[0] + np.mod(phis + fn.angle.tan_lambda * np.log(r) - scan[0], TWO_PI)

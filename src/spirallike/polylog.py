@@ -118,7 +118,7 @@ def _li1(u):
     |u| near 0, where |1 - u|^2 >= 0.39 keeps log1p well conditioned; nearer
     u = 1 it is log(|1 - u|^2)/2, whose 1 - Re u is exact for Re u >= 1/2.
     """
-    x, y = u.real, u.imag
+    x, y = _parts(u)
     a = 1.0 - x
     yy = y * y
     q = a * a + yy
@@ -126,12 +126,23 @@ def _li1(u):
     # log1p only where it is used: next to u = 1, s rounds to -1
     np.log1p((x - 2.0) * x + yy, out=re, where=q >= 0.39)
     re *= -0.5
-    return _complex(re, _li1_arg(u))
+    return _complex(re, np.arctan2(y, a))
 
 
 def _li1_arg(u):
     """Im Li_1(u) = arg(1/(1 - u)) for |u| <= 1, u != 1, without the modulus."""
-    return np.arctan2(u.imag, 1.0 - u.real)
+    x, y = _parts(u)
+    return np.arctan2(y, 1.0 - x)
+
+
+def _parts(u):
+    """Re u and Im u as contiguous copies.
+
+    The views u.real and u.imag step over a complex array, which keeps
+    numpy's SIMD loops from reading them; the copies hold the same values,
+    so every result keeps its bits.
+    """
+    return np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
 
 
 def _near(n, lr, th):

@@ -584,6 +584,48 @@ def test_goodman_rejects_uncertified():
         goodman_check(f)
 
 
+def goodman_oracle(g, n_theta=512, n_steps=32):
+    # the angles-major grid goodman_check built on every call before its
+    # ladder was kept: one row per angle
+    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
+    gap = 1.0 - 0.999
+    J = max(n_steps, int(24.0 * np.log10(1.0 / gap)) + 16)
+    rho = 1.0 - gap ** (np.arange(1, J + 1) / J)
+    U = g.arg_lambda_f_over_z(rho[None, :] * np.exp(1j * thetas)[:, None])
+    return float(np.max(np.abs(U) - 2.0 * np.arcsin(rho)[None, :]))
+
+
+def test_goodman_matches_angles_major_oracle_bit_for_bit():
+    # criterion 11's handles, with its seeded random measures
+    rng = np.random.default_rng(3)
+    cases = [identity(), koebe(), G0Function()]
+    for _ in range(2):
+        k = int(rng.integers(2, 6))
+        pairs = [(float(rng.uniform(0, TWO_PI)), float(rng.uniform(0.2, 2.0))) for _ in range(k)]
+        cases.append(MeasureFunction(BoundaryMeasure.from_atoms(pairs), STARLIKE))
+    for g in cases:
+        assert goodman_check(g) == goodman_oracle(g)
+    # another grid replaces the kept ladder, and the default grid comes back
+    assert goodman_check(cases[1], grid=(100, 120)) == goodman_oracle(cases[1], 100, 120)
+    assert goodman_check(cases[1]) == goodman_oracle(cases[1])
+
+
+def test_scan_tables_are_read_only_and_built_once():
+    circle = analysis._unit_circle(_CIRCLE_SCAN)
+    assert analysis._unit_circle(_CIRCLE_SCAN) is circle
+    np.testing.assert_array_equal(
+        circle, np.exp(1j * (np.arange(_CIRCLE_SCAN) * (TWO_PI / _CIRCLE_SCAN)))
+    )
+    grid, bound = ladder = analysis._goodman_ladder(512, 87)
+    assert analysis._goodman_ladder(512, 87) is ladder
+    assert grid.shape == (87, 512) and bound.shape == (87, 1)
+    for table in (circle, grid, bound):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    analysis._goodman_ladder(16, 24)
+    assert analysis._goodman_ladder.cache_info().currsize == 1
+
+
 # -- max modulus and growth -----------------------------------------------------------
 
 
@@ -768,11 +810,19 @@ def test_hansen_ratio_validation():
         lambda f: beta_trace(f, t_grid=0),
         lambda f: goodman_check(f, grid=(0, 32)),
         lambda f: goodman_check(f, grid=(512, 0)),
+        lambda f: goodman_check(f, grid=512),
+        lambda f: goodman_check(f, grid=None),
+        lambda f: goodman_check(f, grid=(512,)),
+        lambda f: goodman_check(f, grid=(512, 32, 1)),
     ],
     ids=[
         "beta_trace-t_grid",
         "goodman-n_theta",
         "goodman-n_steps",
+        "goodman-int",
+        "goodman-none",
+        "goodman-one-entry",
+        "goodman-three-entries",
     ],
 )
 def test_grid_sizes_below_one_raise_domain_error(call):

@@ -174,6 +174,10 @@ SPACING = TWO_PI / 256
         lambda: refine_jump(G0Function(), (-SPACING, -SPACING)),
         lambda: refine_jump(G0Function(), (-np.inf, SPACING)),
         lambda: refine_jump(G0Function(), (np.nan, SPACING)),
+        lambda: refine_jump(G0Function(), 0.1),
+        lambda: refine_jump(G0Function(), None),
+        lambda: refine_jump(G0Function(), (0.1,)),
+        lambda: refine_jump(G0Function(), (0.1, 0.2, 0.3)),
     ],
     ids=[
         "lemma_c-nan",
@@ -196,6 +200,10 @@ SPACING = TWO_PI / 256
         "refine_jump-empty",
         "refine_jump-inf",
         "refine_jump-nan",
+        "refine_jump-float",
+        "refine_jump-none",
+        "refine_jump-one-entry",
+        "refine_jump-three-entries",
     ],
 )
 def test_bad_arguments_raise_domain_error(call):

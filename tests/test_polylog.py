@@ -204,6 +204,45 @@ def test_domain_error_for_non_finite(bad):
         li3(np.array([bad, 0.5]))
 
 
+def parent_li1(u):
+    # Li_1 as computed on the strided views u.real and u.imag
+    x, y = u.real, u.imag
+    a = 1.0 - x
+    yy = y * y
+    q = a * a + yy
+    re = np.log(q)
+    np.log1p((x - 2.0) * x + yy, out=re, where=q >= 0.39)
+    re *= -0.5
+    out = np.empty(u.shape, dtype=complex)
+    out.real = re
+    out.imag = np.arctan2(u.imag, 1.0 - u.real)
+    return out
+
+
+def li1_inputs():
+    rng = np.random.default_rng(7)
+    t = rng.uniform(0.0, 2.0 * math.pi, 5)
+    z = rng.uniform(0.0, 0.999, 300) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
+    z[:4] = [0.0, 0.999999, -0.999, 1e-300j]
+    product = np.exp(-1j * t)[:, None] * z
+    return {
+        "product": product,
+        "slice": product[::2, 1::3],
+        "one-point": z[1:2],
+    }
+
+
+@pytest.mark.parametrize("name", ["product", "slice", "one-point"])
+def test_li1_on_contiguous_parts_keeps_bits(name):
+    u = li1_inputs()[name]
+    want = parent_li1(u)
+    got = polylog._li1(u)
+    assert got.shape == u.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    arg = polylog._li1_arg(u)
+    assert np.array_equal(arg.view(np.uint64), want.imag.copy().view(np.uint64))
+
+
 def test_vectorization_and_scalars():
     u = np.array([0.1, 0.9j, -1.0])
     assert li2(u).shape == (3,)
