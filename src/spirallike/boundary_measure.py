@@ -6,7 +6,6 @@ and the midpoint convention at atoms.  Total mass must equal 2*pi within
 1e-9 so that beta gains exactly 2*pi per period.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,8 +54,9 @@ class BoundaryMeasure:
 
     # -- validation ----------------------------------------------------
 
-    def validate(self):
-        """Return the list of invariant violations (empty when valid)."""
+    @cached_property
+    def _violations(self):
+        """Invariant violations as a tuple, found once: the measure is frozen."""
         violations = []
         structural = False
         for k, (t, d) in enumerate(self.atoms):
@@ -89,12 +89,15 @@ class BoundaryMeasure:
                 violations.append(
                     f"total mass {mass!r} differs from 2*pi by more than {MASS_TOL}"
                 )
-        return violations
+        return tuple(violations)
+
+    def validate(self):
+        """Return the list of invariant violations (empty when valid)."""
+        return list(self._violations)
 
     def require_valid(self):
-        violations = self.validate()
-        if violations:
-            raise MeasureValidationError(violations)
+        if self._violations:
+            raise MeasureValidationError(self._violations)
 
     # -- density helpers -----------------------------------------------
 
@@ -326,6 +329,8 @@ class BoundaryMeasure:
 
 def load_measure(path):
     """Load a measure-spec JSON file, validating and itemizing all errors."""
+    import json  # here, not at module level: only --measure reads JSON
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

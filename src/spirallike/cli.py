@@ -7,7 +7,6 @@ measure-spec JSON file (--measure) or the gallery (--gallery).  Exit codes:
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -118,6 +117,8 @@ def _table(header, *columns):
 
 
 def _json(payload, indent=2):
+    import json  # here, not at module level: only --format json writes JSON
+
     return json.dumps(payload, indent=indent) + "\n"
 
 

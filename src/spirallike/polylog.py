@@ -15,9 +15,11 @@ with two regimes, split at |log u| = 1:
   and Li_3 from dLi_3/dx = Li_2/(e^x - 1).  There |x| <= 1.0717 (the
   maximum is at u = e^(+-i)) and |1 - u|^2 >= 0.39.
 
-Every coefficient is an exact fraction rounded once (Bernoulli numbers
-B_0..B_22 only), and each table ends before its first nonzero term c_k with
-|c_k| R^k < 2^-56 on its regime's radius R, relative to its leading term.
+The tables are float literals.  Each coefficient is an exact fraction
+(Bernoulli numbers B_0..B_22 only) rounded once, and each table ends before
+its first nonzero term c_k with |c_k| R^k < 2^-56 on its regime's radius R,
+relative to its leading term; tests/test_polylog.py rebuilds every table
+from exact rationals and checks both.
 Both series converge with ratio |w|/(2 pi) or |x|/(2 pi) < 0.18.
 Logarithms, log(1 - u) and principal ones alike, come from real ufuncs
 (abs, angle, arctan2, log, log1p), which cost a small fraction of numpy's
@@ -25,10 +27,7 @@ complex log.  Every operation is elementwise, so a point's value does not
 depend on the array it arrives in.  The module needs numpy only.
 """
 
-import functools
-import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,48 +40,41 @@ _FAR_RADIUS = 1.0717
 _ZETA = {2: math.pi**2 / 6.0, 3: 1.2020569031595942}
 
 
-@functools.cache
-def _bernoulli(m):
-    """Exact B_m (B_1 = -1/2) from sum_k C(m+1, k) B_k = 0 over k = 0..m."""
-    if m == 0:
-        return Fraction(1)
-    if m > 1 and m % 2:
-        return Fraction(0)
-    return -sum(math.comb(m + 1, k) * _bernoulli(k) for k in range(m)) / (m + 1)
-
-
-def _trimmed(coefs, radius):
-    """Round exact coefficients c_0, c_1, ... once, stopping at the first
-    nonzero c_k with |c_k| radius^k < 2^-56 (later terms shrink faster)."""
-    table = []
-    for k, c in enumerate(coefs):
-        if c and abs(c) * radius**k < _TAIL:
-            return np.trim_zeros(np.array(table), "b")
-        table.append(float(c))
-
-
-def _near_coefficients(n):
-    # zeta(1 - 2j)/(n - 1 + 2j)! for j >= 1, with zeta(1 - 2j) = -B_2j/(2j)
-    for j in itertools.count(1):
-        yield -_bernoulli(2 * j) / (2 * j * math.factorial(n - 1 + 2 * j))
-
-
-def _far_coefficients(n):
-    for k in itertools.count():
-        if n == 2:
-            yield _bernoulli(k) / math.factorial(k + 1)
-        else:
-            yield sum(
-                _bernoulli(j) * _bernoulli(k - j) / (math.factorial(j + 1) * math.factorial(k - j))
-                for j in range(k + 1)
-            ) / (k + 1)
-
-
 # Li_n(e^w) = sum_{k < n-1} zeta(n-k) w^k/k!
-#             + w^(n-1) [(H_{n-1} - log(-w))/(n-1)! + zeta(0) w/n! + w^2 P_n(w^2)]
-_NEAR = {n: _trimmed(_near_coefficients(n), 1.0) for n in (2, 3)}
-# Li_n(u) = x F_n(x), x = -log(1 - u)
-_FAR = {n: _trimmed(_far_coefficients(n), _FAR_RADIUS) for n in (2, 3)}
+#             + w^(n-1) [(H_{n-1} - log(-w))/(n-1)! + zeta(0) w/n! + w^2 P_n(w^2)],
+# P_n(s) = sum_j c_j s^j with c_j = zeta(-1 - 2j)/(n + 1 + 2j)!
+_NEAR = {
+    2: np.array([
+        -0.013888888888888888, 6.944444444444444e-05, -7.873519778281683e-07,
+        1.1482216343327455e-08, -1.8978869988971e-10, 3.387301370953521e-12,
+        -6.372636443183181e-14, 1.2462059912950672e-15, -2.5105444608999545e-17,
+    ]),
+    3: np.array([
+        -0.003472222222222222, 1.1574074074074073e-05, -9.841899722852104e-08,
+        1.1482216343327454e-09, -1.5815724990809165e-11, 2.4195009792525154e-13,
+        -3.982897776989488e-15, 6.92336661830593e-17,
+    ]),
+}
+# Li_n(u) = x F_n(x), x = -log(1 - u), F_n(x) = sum_k c_k x^k with
+# c_k = B_k/(k + 1)! for n = 2 and sum_j B_j B_(k-j)/((j + 1)! (k - j)!)/(k + 1)
+# for n = 3
+_FAR = {
+    2: np.array([
+        1.0, -0.25, 0.027777777777777776, 0.0, -0.0002777777777777778, 0.0,
+        4.72411186696901e-06, 0.0, -9.185773074661964e-08, 0.0, 1.8978869988971e-09,
+        0.0, -4.0647616451442256e-11, 0.0, 8.921691020456452e-13, 0.0,
+        -1.9939295860721074e-14, 0.0, 4.518980029619918e-16, 0.0, -1.0356517612181247e-17,
+    ]),
+    3: np.array([
+        1.0, -0.375, 0.0787037037037037, -0.008680555555555556, 0.00012962962962962963,
+        8.101851851851852e-05, -3.4193571608537595e-06, -1.328656462585034e-06,
+        8.660871756109851e-08, 2.52608759553204e-08, -2.144694468364065e-09,
+        -5.140110622012979e-10, 5.24958211460083e-11, 1.0887754406636318e-11,
+        -1.2779396094493695e-12, -2.369824177308745e-13, 3.104357887965462e-14,
+        5.261758629912506e-15, -7.538479549949265e-16, -1.1862322577752286e-16,
+        1.8316979965491384e-17,
+    ]),
+}
 # F_n(x) = E_n(x^2) + x O_n(x^2); the odd part of F_2 is the single -1/4
 _FAR_PARTS = {n: (t[0::2], np.trim_zeros(t[1::2], "b")) for n, t in _FAR.items()}
 _HARMONIC = {2: 1.0, 3: 1.5}

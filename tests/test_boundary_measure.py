@@ -79,6 +79,32 @@ def test_nonfinite_entries_reported_without_mass_check():
     assert any("non-finite" in s for s in v)
 
 
+CHECKED_CALLS = [
+    lambda m: m.beta_at(np.array([0.0, 1.5, 4.0, 7.0])),
+    lambda m: m.max_jump(),
+    lambda m: m.largest_atom(),
+]
+
+
+@pytest.mark.parametrize("call", CHECKED_CALLS, ids=["beta_at", "max_jump", "largest_atom"])
+def test_validation_is_found_once_and_reused(call):
+    # the measure is frozen, so its violations are found once; every later
+    # call sees the same answer, and validate() hands out a fresh list
+    for m in (crit4_measure(), triangle_measure()):
+        first, again = call(m), call(m)
+        np.testing.assert_array_equal(first, again)
+        np.testing.assert_array_equal(first, call(BoundaryMeasure(m.atoms, m.density_knots)))
+    bad = BoundaryMeasure(atoms=((-0.5, 1.0), (7.0, TWO_PI)))
+    want = bad.validate()
+    assert len(want) == 3  # two atom positions and the total mass
+    for _ in range(2):
+        with pytest.raises(MeasureValidationError) as exc:
+            call(bad)
+        assert exc.value.violations == want
+    bad.validate().append("changed by the caller")
+    assert bad.validate() == want
+
+
 # -- density and integrals ----------------------------------------------------
 
 

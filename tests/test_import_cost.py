@@ -2,7 +2,10 @@
 
 The runtime needs numpy only; scipy is a test extra.  scipy.special alone
 used to be most of a cold `spirallike` call.  Nor may the import build the
-analysis module's scan tables, which the first call that needs one builds.
+analysis module's scan tables, which the first call that needs one builds,
+or load the standard modules that only some calls use: json (--measure and
+--format json import it where they read or write) and fractions/decimal
+(the polylog tables are float literals).
 """
 
 import os
@@ -41,3 +44,12 @@ def test_import_builds_no_scan_table():
         "print(a._unit_circle.cache_info().currsize, a._goodman_ladder.cache_info().currsize)"
     )
     assert sizes == ["0 0"]
+
+
+def test_cli_import_loads_no_unused_module():
+    (loaded,) = _run(
+        "import sys, spirallike.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('fractions', 'decimal', 'json', 'scipy')))"
+    )
+    assert loaded == "[]"

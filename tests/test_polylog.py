@@ -6,13 +6,17 @@ for |w| = |log u| <= 1, the Bernoulli series in x = -log(1 - u) elsewhere)
 plus the boundary circle, where the defining series would converge too
 slowly to be usable.  Points on both sides of the seam |log u| = 1 go
 through each regime directly; tiny |u| checks relative accuracy on both
-axes.  Every coefficient of both regimes' tables is checked one by one
-against the same oracle, and so is the bound at which each table stops.
+axes.  Every coefficient of both regimes' tables is rebuilt from exact
+rationals (Bernoulli numbers from their recurrence) and must equal its
+exact value rounded once; the same rationals fix the bound at which each
+table stops, and are checked against mpmath's zeta and Bernoulli numbers.
 Li_0 = u/(1 - u) and Li_1 = -log(1 - u) are checked against the same oracle
 on the grid and at tiny |u|.
 """
 
+import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -66,46 +70,91 @@ def test_li0_li1_against_mpmath(n):
     assert rel.max() <= 4 * np.finfo(float).eps, f"relative error {rel.max():.3e}"
 
 
-def near_coefficient(n, k):
+@functools.cache
+def bernoulli(m):
+    """Exact B_m (B_1 = -1/2) from sum_k C(m+1, k) B_k = 0 over k = 0..m."""
+    if m == 0:
+        return Fraction(1)
+    if m > 1 and m % 2:
+        return Fraction(0)
+    return -sum(math.comb(m + 1, k) * bernoulli(k) for k in range(m)) / (m + 1)
+
+
+def near_exact(n, k):
     # coefficient of w^(n-1) s^(k+1), s = w^2, in Li_n(e^w): zeta(n - m)/m!
-    # at m = n + 1 + 2k, where zeta(n - m) = zeta(-1 - 2k) is nonzero
+    # at m = n + 1 + 2k, with zeta(-1 - 2k) = -B_(2k+2)/(2k + 2)
+    m = n + 1 + 2 * k
+    return -bernoulli(2 * k + 2) / ((2 * k + 2) * math.factorial(m))
+
+
+def far_exact(n, k):
+    # coefficient of x^(k+1) in Li_n(1 - e^(-x)); Li_3 from dLi_3/dx = Li_2/(e^x - 1)
+    if n == 2:
+        return bernoulli(k) / math.factorial(k + 1)
+    return sum(
+        bernoulli(j) * bernoulli(k - j) / (math.factorial(j + 1) * math.factorial(k - j))
+        for j in range(k + 1)
+    ) / (k + 1)
+
+
+def near_mpmath(n, k):
     m = n + 1 + 2 * k
     return mpmath.zeta(n - m) / mpmath.factorial(m)
 
 
-def far_coefficient(n, k):
-    # coefficient of x^(k+1) in Li_n(1 - e^(-x))
+def far_mpmath(n, k):
     b, f = mpmath.bernoulli, mpmath.factorial
     if n == 2:
         return b(k) / f(k + 1)
     return mpmath.fsum(b(j) * b(k - j) / (f(j + 1) * f(k - j)) for j in range(k + 1)) / (k + 1)
 
 
-def assert_table(table, want, radius):
+def assert_table(table, exact, radius):
+    # every coefficient is its exact fraction rounded once
+    assert table.dtype == np.float64
     for k, got in enumerate(table):
-        w = want(k)
-        if w == 0:
-            assert got == 0.0, f"c_{k} = {got!r}, want 0"
-        else:
-            assert abs((got - w) / w) < 1e-15, f"c_{k}: relative error {float(abs((got - w) / w)):.3e}"
+        assert got == float(exact(k)), f"c_{k} = {got!r}, want {float(exact(k))!r}"
     # the table ends at its last term not below 2^-56 on its radius; the
     # next nonzero term is below
     last = len(table) - 1
-    assert abs(want(last)) * radius**last >= 2.0**-56
+    assert exact(last) != 0
+    assert abs(exact(last)) * Fraction(radius) ** last >= Fraction(2) ** -56
     k = last + 1
-    while want(k) == 0:
+    while exact(k) == 0:
         k += 1
-    assert abs(want(k)) * radius**k < 2.0**-56
+    assert abs(exact(k)) * Fraction(radius) ** k < Fraction(2) ** -56
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_near_coefficients_are_exact(n):
+    assert_table(polylog._NEAR[n], lambda k: near_exact(n, k), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_far_coefficients_are_exact(n):
+    assert_table(polylog._FAR[n], lambda k: far_exact(n, k), polylog._FAR_RADIUS)
+
+
+def assert_rationals_match(exact, oracle):
+    # the rational formulas agree with mpmath's zeta and Bernoulli numbers
+    # at 30 digits, past the end of every table
+    for k in range(24):
+        want, got = oracle(k), exact(k)
+        if want == 0:
+            assert got == 0, f"c_{k} = {got}, want 0"
+        else:
+            rel = abs((mpmath.mpf(got.numerator) / got.denominator - want) / want)
+            assert rel < 1e-25, f"c_{k}: relative error {float(rel):.3e}"
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_near_coefficients_against_mpmath(n):
-    assert_table(polylog._NEAR[n], lambda k: near_coefficient(n, k), 1.0)
+    assert_rationals_match(lambda k: near_exact(n, k), lambda k: near_mpmath(n, k))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_far_coefficients_against_mpmath(n):
-    assert_table(polylog._FAR[n], lambda k: far_coefficient(n, k), polylog._FAR_RADIUS)
+    assert_rationals_match(lambda k: far_exact(n, k), lambda k: far_mpmath(n, k))
 
 
 def test_far_radius_covers_far_regime():
