@@ -1,9 +1,10 @@
 """Non-decreasing boundary functions beta with beta(t + 2*pi) = beta(t) + 2*pi.
 
-A boundary measure d(beta) is stored as point atoms plus a 2*pi-periodic
-piecewise-linear density.  beta_at uses the base normalization beta(0-) = 0
-and the midpoint convention at atoms.  Total mass must equal 2*pi within
-1e-9 so that beta gains exactly 2*pi per period.
+A boundary measure d(beta) is stored as two position-ordered tables of
+(position, value) pairs: point atoms (t, jump) and the knots (t, value) of a
+2*pi-periodic piecewise-linear density.  beta_at uses the base normalization
+beta(0-) = 0 and the midpoint convention at atoms.  Total mass must equal
+2*pi within 1e-9 so that beta gains exactly 2*pi per period.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,8 @@ from .spiral_geometry import _finite_angles
 
 TWO_PI = 2.0 * np.pi
 MASS_TOL = 1e-9
+# each table's JSON key and the JSON name of its value field
+_TABLES = (("atoms", "jump"), ("density_knots", "value"))
 
 
 def _segment_integral(x1, v1, x2, v2):
@@ -43,14 +46,9 @@ class BoundaryMeasure:
     density_knots: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "atoms", tuple((float(t), float(d)) for t, d in self.atoms)
-        )
-        object.__setattr__(
-            self,
-            "density_knots",
-            tuple((float(t), float(v)) for t, v in self.density_knots),
-        )
+        for name, _ in _TABLES:
+            pairs = tuple((float(t), float(x)) for t, x in getattr(self, name))
+            object.__setattr__(self, name, pairs)
 
     # -- validation ----------------------------------------------------
 
@@ -59,30 +57,22 @@ class BoundaryMeasure:
         """Invariant violations as a tuple, found once: the measure is frozen."""
         violations = []
         structural = False
-        for k, (t, d) in enumerate(self.atoms):
-            if not (np.isfinite(t) and np.isfinite(d)):
-                violations.append(f"atom {k}: non-finite entry ({t}, {d})")
-                structural = True
-                continue
-            if not (0.0 <= t < TWO_PI):
-                violations.append(f"atom {k}: position {t} outside [0, 2*pi)")
-            if not (d > 0.0):
-                violations.append(f"atom {k}: jump {d} is not strictly positive")
-        positions = [t for t, _ in self.atoms]
-        if any(b <= a for a, b in zip(positions, positions[1:])):
-            violations.append("atom positions are not strictly increasing")
-        for j, (t, v) in enumerate(self.density_knots):
-            if not (np.isfinite(t) and np.isfinite(v)):
-                violations.append(f"density knot {j}: non-finite entry ({t}, {v})")
-                structural = True
-                continue
-            if not (0.0 <= t < TWO_PI):
-                violations.append(f"density knot {j}: position {t} outside [0, 2*pi)")
-            if v < 0.0:
-                violations.append(f"density knot {j}: negative value {v}")
-        knot_ts = [t for t, _ in self.density_knots]
-        if any(b <= a for a, b in zip(knot_ts, knot_ts[1:])):
-            violations.append("density knot positions are not strictly increasing")
+        rules = (
+            ("atom", self.atoms, lambda d: d > 0.0, "jump {} is not strictly positive"),
+            ("density knot", self.density_knots, lambda v: v >= 0.0, "negative value {}"),
+        )
+        for label, pairs, value_ok, value_problem in rules:
+            for k, (t, x) in enumerate(pairs):
+                if not (np.isfinite(t) and np.isfinite(x)):
+                    violations.append(f"{label} {k}: non-finite entry ({t}, {x})")
+                    structural = True
+                    continue
+                if not (0.0 <= t < TWO_PI):
+                    violations.append(f"{label} {k}: position {t} outside [0, 2*pi)")
+                if not value_ok(x):
+                    violations.append(f"{label} {k}: " + value_problem.format(x))
+            if any(b[0] <= a[0] for a, b in zip(pairs, pairs[1:])):
+                violations.append(f"{label} positions are not strictly increasing")
         if not structural:
             mass = self.total_mass()
             if abs(mass - TWO_PI) > MASS_TOL:
@@ -99,70 +89,57 @@ class BoundaryMeasure:
         if self._violations:
             raise MeasureValidationError(self._violations)
 
-    # -- density helpers -----------------------------------------------
+    # -- the two tables as arrays -----------------------------------------
 
     @cached_property
     def _atom_arrays(self):
-        ts = np.array([t for t, _ in self.atoms], dtype=float)
-        ds = np.array([d for _, d in self.atoms], dtype=float)
-        order = np.argsort(ts, kind="stable")
-        return ts[order], ds[order]
+        """Positions, jumps and running jump sums (0 first); read after require_valid."""
+        ts, ds = np.array(self.atoms, dtype=float).reshape(-1, 2).T.copy()
+        return ts, ds, np.concatenate(([0.0], np.cumsum(ds)))
 
     @cached_property
-    def _density_ext(self):
-        """Knot arrays extended periodically to cover [0, 2*pi] fully.
+    def _knot_arrays(self):
+        """Knot positions and values, sorted by position.
 
-        Returns (tt, vv, cumulative integral F with F[0] = 0); the extension
-        spans [t_last - 2*pi, t_first + 2*pi] so every s in [0, 2*pi] lies
-        inside an interior segment.
+        Sorted because total_mass runs inside validation, before the order
+        is known.
         """
-        if not self.density_knots:
-            return None
-        tt = np.array([t for t, _ in self.density_knots], dtype=float)
-        vv = np.array([v for _, v in self.density_knots], dtype=float)
+        tt, vv = np.array(self.density_knots, dtype=float).reshape(-1, 2).T
         order = np.argsort(tt, kind="stable")
-        tt, vv = tt[order], vv[order]
-        tt_ext = np.concatenate(([tt[-1] - TWO_PI], tt, [tt[0] + TWO_PI]))
-        vv_ext = np.concatenate(([vv[-1]], vv, [vv[0]]))
-        areas = _segment_integral(tt_ext[:-1], vv_ext[:-1], tt_ext[1:], vv_ext[1:])
-        F = np.concatenate(([0.0], np.cumsum(areas)))
-        return tt_ext, vv_ext, F
+        return tt[order], vv[order]
+
+    @cached_property
+    def _density_segments(self):
+        """One period of density: knots 0 = x_0 < ... < x_m = 2*pi, values, running integral."""
+        tt, vv = self._knot_arrays
+        edge = self.density_at(0.0)  # the value at both ends, 0 and 2*pi
+        inner = tt > 0.0
+        x = np.concatenate(([0.0], tt[inner], [TWO_PI]))
+        v = np.concatenate(([edge], vv[inner], [edge]))
+        areas = _segment_integral(x[:-1], v[:-1], x[1:], v[1:])
+        return x, v, np.concatenate(([0.0], np.cumsum(areas)))
 
     def density_at(self, t):
         """Periodic piecewise-linear density value(s) at t; DomainError unless t is finite."""
         t = _finite_angles(t)
-        if not self.density_knots:
-            out = np.zeros_like(t)
-            return out if out.ndim else float(out)
-        tt = [k for k, _ in self.density_knots]
-        vv = [v for _, v in self.density_knots]
-        out = np.interp(t, tt, vv, period=TWO_PI)
+        tt, vv = self._knot_arrays
+        out = np.interp(t, tt, vv, period=TWO_PI) if tt.size else np.zeros_like(t)
         return out if out.ndim else float(out)
 
     def _density_cumulative(self, s):
         """Integral of the density over [0, s] for s in [0, 2*pi]."""
-        if self._density_ext is None:
-            return np.zeros_like(np.asarray(s, dtype=float))
-        tt, vv, F = self._density_ext
-
-        def antider(x):
-            x = np.asarray(x, dtype=float)
-            idx = np.clip(np.searchsorted(tt, x, side="right") - 1, 0, len(tt) - 2)
-            x0 = tt[idx]
-            v0 = vv[idx]
-            vx = np.interp(x, tt, vv)
-            return F[idx] + _segment_integral(x0, v0, x, vx)
-
-        return antider(s) - antider(0.0)
+        x, v, F = self._density_segments
+        idx = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
+        return F[idx] + _segment_integral(x[idx], v[idx], s, np.interp(s, x, v))
 
     def density_integral(self, a, b):
         """Exact integral of the periodic density over [a, b]; DomainError unless a, b finite."""
         a, b = _finite_angles((float(a), float(b))).tolist()
         qa, sa = divmod(a, TWO_PI)
         qb, sb = divmod(b, TWO_PI)
-        period_mass = float(self._density_cumulative(TWO_PI))
+        _, _, F = self._density_segments
         return float(
-            (qb - qa) * period_mass
+            (qb - qa) * F[-1]
             + self._density_cumulative(sb)
             - self._density_cumulative(sa)
         )
@@ -170,52 +147,39 @@ class BoundaryMeasure:
     # -- measure-level quantities ---------------------------------------
 
     def total_mass(self):
-        return float(sum(d for _, d in self.atoms) + self.density_integral(0.0, TWO_PI))
+        _, _, F = self._density_segments
+        return float(sum(d for _, d in self.atoms) + F[-1])
 
     def beta_at(self, t):
         """beta(t), beta(0-) = 0, midpoint values at atoms; DomainError unless t is finite."""
         self.require_valid()
         t = _finite_angles(t)
         q, s = np.divmod(t, TWO_PI)
-        out = TWO_PI * q + self._density_cumulative(s)
-        ts, ds = self._atom_arrays
-        if ts.size:
-            cum = np.concatenate(([0.0], np.cumsum(ds)))
-            below = cum[np.searchsorted(ts, s, side="left")]
-            through = cum[np.searchsorted(ts, s, side="right")]
-            out = out + 0.5 * (below + through)
+        ts, _, cum = self._atom_arrays
+        below = cum[np.searchsorted(ts, s, side="left")]
+        through = cum[np.searchsorted(ts, s, side="right")]
+        out = TWO_PI * q + self._density_cumulative(s) + 0.5 * (below + through)
         return out if out.ndim else float(out)
 
     def max_jump(self):
         """Largest atom jump; 0 for atomless measures."""
-        self.require_valid()
-        if not self.atoms:
-            return 0.0
-        return float(max(d for _, d in self.atoms))
+        largest = self.largest_atom()
+        return 0.0 if largest is None else largest[1]
 
     def largest_atom(self):
         """(position, jump) of the largest atom, earliest position on ties."""
         self.require_valid()
-        if not self.atoms:
+        ts, ds, _ = self._atom_arrays
+        if not ds.size:
             return None
-        ts, ds = self._atom_arrays
         k = int(np.argmax(ds))
         return float(ts[k]), float(ds[k])
 
     def first_moment(self):
         """Integral of t d(beta)(t) over the fundamental window [0, 2*pi)."""
-        moment = sum(t * d for t, d in self.atoms)
-        if self._density_ext is not None:
-            tt, vv, _ = self._density_ext
-            lo = np.maximum(tt[:-1], 0.0)
-            hi = np.minimum(tt[1:], TWO_PI)
-            keep = hi > lo
-            v_lo = np.interp(lo, tt, vv)
-            v_hi = np.interp(hi, tt, vv)
-            moment += float(
-                np.sum(_segment_moment(lo[keep], v_lo[keep], hi[keep], v_hi[keep]))
-            )
-        return float(moment)
+        x, v, _ = self._density_segments
+        density_moment = np.sum(_segment_moment(x[:-1], v[:-1], x[1:], v[1:]))
+        return float(sum(t * d for t, d in self.atoms) + density_moment)
 
     def canonical_offset(self):
         """Constant relating beta_at to the branch pinned at the disk center.
@@ -234,10 +198,7 @@ class BoundaryMeasure:
         """
         if len(self.density_knots) < 2:
             return np.array([]), np.array([])
-        tt = np.array([t for t, _ in self.density_knots], dtype=float)
-        vv = np.array([v for _, v in self.density_knots], dtype=float)
-        order = np.argsort(tt, kind="stable")
-        tt, vv = tt[order], vv[order]
+        tt, vv = self._knot_arrays
         dt = np.diff(np.concatenate((tt, [tt[0] + TWO_PI])))
         dv = np.diff(np.concatenate((vv, [vv[0]])))
         slopes = dv / dt
@@ -290,41 +251,36 @@ class BoundaryMeasure:
 
     def to_json_dict(self):
         return {
-            "atoms": [{"t": t, "jump": d} for t, d in self.atoms],
-            "density_knots": [{"t": t, "value": v} for t, v in self.density_knots],
+            name: [{"t": t, field: x} for t, x in getattr(self, name)]
+            for name, field in _TABLES
         }
 
     @classmethod
     def from_json_dict(cls, data):
-        problems = []
         if not isinstance(data, dict):
             raise MeasureValidationError(["measure spec must be a JSON object"])
-        atoms = []
-        for k, entry in enumerate(data.get("atoms", []) or []):
-            if not isinstance(entry, dict) or "t" not in entry or "jump" not in entry:
-                problems.append(f'atoms[{k}]: expected an object with "t" and "jump"')
+        problems = []
+        tables = {}
+        for name, field in _TABLES:
+            entries = data.get(name)
+            if not isinstance(entries, (list, type(None))):
+                problems.append(f"{name}: expected a list of objects, got {entries!r}")
                 continue
-            try:
-                atoms.append((float(entry["t"]), float(entry["jump"])))
-            except (TypeError, ValueError):
-                problems.append(f"atoms[{k}]: non-numeric entry {entry!r}")
-        knots = []
-        for j, entry in enumerate(data.get("density_knots", []) or []):
-            if not isinstance(entry, dict) or "t" not in entry or "value" not in entry:
-                problems.append(
-                    f'density_knots[{j}]: expected an object with "t" and "value"'
-                )
-                continue
-            try:
-                knots.append((float(entry["t"]), float(entry["value"])))
-            except (TypeError, ValueError):
-                problems.append(f"density_knots[{j}]: non-numeric entry {entry!r}")
-        unknown = set(data) - {"atoms", "density_knots"}
+            pairs = tables[name] = []
+            for k, entry in enumerate(entries or ()):
+                if not isinstance(entry, dict) or "t" not in entry or field not in entry:
+                    problems.append(f'{name}[{k}]: expected an object with "t" and "{field}"')
+                    continue
+                try:
+                    pairs.append((float(entry["t"]), float(entry[field])))
+                except (TypeError, ValueError, OverflowError):
+                    problems.append(f"{name}[{k}]: non-numeric entry {entry!r}")
+        unknown = set(data) - {name for name, _ in _TABLES}
         if unknown:
             problems.append(f"unknown keys: {sorted(unknown)}")
         if problems:
             raise MeasureValidationError(problems)
-        return cls(atoms=tuple(atoms), density_knots=tuple(knots))
+        return cls(**{name: tuple(pairs) for name, pairs in tables.items()})
 
 
 def load_measure(path):
@@ -336,7 +292,7 @@ def load_measure(path):
             data = json.load(fh)
     except OSError as exc:
         raise MeasureValidationError([f"cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise MeasureValidationError([f"invalid JSON in {path}: {exc}"]) from exc
     measure = BoundaryMeasure.from_json_dict(data)
     measure.require_valid()

@@ -63,6 +63,42 @@ def test_validation_itemizes_each_violation():
     assert len(v) >= 5
 
 
+def test_validation_strings_and_order_are_pinned():
+    # every violation kind in both tables: the atoms' block comes first, each
+    # entry's findings in entry order, the table's order check after them;
+    # a non-finite entry skips the mass check
+    m = BoundaryMeasure(
+        atoms=((math.nan, 1.0), (-0.5, 1.0), (7.0, -2.0), (1.0, 0.0)),
+        density_knots=((3.0, -1.0), (2.0, math.inf), (7.5, 0.0), (-1.0, 0.2)),
+    )
+    assert m.validate() == [
+        "atom 0: non-finite entry (nan, 1.0)",
+        "atom 1: position -0.5 outside [0, 2*pi)",
+        "atom 2: position 7.0 outside [0, 2*pi)",
+        "atom 2: jump -2.0 is not strictly positive",
+        "atom 3: jump 0.0 is not strictly positive",
+        "atom positions are not strictly increasing",
+        "density knot 0: negative value -1.0",
+        "density knot 1: non-finite entry (2.0, inf)",
+        "density knot 2: position 7.5 outside [0, 2*pi)",
+        "density knot 3: position -1.0 outside [0, 2*pi)",
+        "density knot positions are not strictly increasing",
+    ]
+    # with finite entries the mass check closes the list; a repeated
+    # position is out of order too
+    m = BoundaryMeasure(
+        atoms=((-0.5, 1.0), (0.25, 0.5), (0.25, 0.5)),
+        density_knots=((2.0, -0.5), (1.0, 0.5)),
+    )
+    assert m.validate() == [
+        "atom 0: position -0.5 outside [0, 2*pi)",
+        "atom positions are not strictly increasing",
+        "density knot 0: negative value -0.5",
+        "density knot positions are not strictly increasing",
+        "total mass 2.0 differs from 2*pi by more than 1e-09",
+    ]
+
+
 def test_mass_tolerance_is_tight():
     ok = BoundaryMeasure(atoms=((0.0, TWO_PI + 0.5e-9),))
     assert ok.validate() == []
@@ -350,6 +386,61 @@ def test_from_json_dict_errors_are_itemized():
     assert "atoms[0]" in text and "atoms[1]" in text and "unknown keys" in text
 
 
+def test_from_json_dict_messages_are_pinned():
+    bad = {
+        "atoms": [{"t": 0.0}, {"t": 1.0, "jump": "x"}, 3, {"t": 2.0, "jump": 1.0}],
+        "density_knots": [{"value": 1.0}, {"t": [1], "value": 0.5}, {"t": 1.0, "value": None}],
+        "more": 2,
+        "extra": 1,
+    }
+    with pytest.raises(MeasureValidationError) as exc:
+        BoundaryMeasure.from_json_dict(bad)
+    assert exc.value.violations == [
+        'atoms[0]: expected an object with "t" and "jump"',
+        "atoms[1]: non-numeric entry {'t': 1.0, 'jump': 'x'}",
+        'atoms[2]: expected an object with "t" and "jump"',
+        'density_knots[0]: expected an object with "t" and "value"',
+        "density_knots[1]: non-numeric entry {'t': [1], 'value': 0.5}",
+        "density_knots[2]: non-numeric entry {'t': 1.0, 'value': None}",
+        "unknown keys: ['extra', 'more']",
+    ]
+    with pytest.raises(MeasureValidationError) as exc:
+        BoundaryMeasure.from_json_dict([])
+    assert exc.value.violations == ["measure spec must be a JSON object"]
+
+
+@pytest.mark.parametrize("table", [5, True, 0, 3.5, "ab", {"t": 0.0, "jump": TWO_PI}])
+def test_from_json_dict_rejects_a_table_that_is_not_a_list(table):
+    # one itemized error naming the key, next to the other table's findings;
+    # a string is not read one character at a time
+    with pytest.raises(MeasureValidationError) as exc:
+        BoundaryMeasure.from_json_dict({"atoms": table, "density_knots": [{"t": 0.0}]})
+    assert exc.value.violations == [
+        f"atoms: expected a list of objects, got {table!r}",
+        'density_knots[0]: expected an object with "t" and "value"',
+    ]
+    with pytest.raises(MeasureValidationError) as exc:
+        BoundaryMeasure.from_json_dict({"atoms": [{"t": 0.0}], "density_knots": table})
+    assert exc.value.violations == [
+        'atoms[0]: expected an object with "t" and "jump"',
+        f"density_knots: expected a list of objects, got {table!r}",
+    ]
+
+
+def test_from_json_dict_null_table_is_empty():
+    uniform = {"atoms": None, "density_knots": [{"t": 0.0, "value": 1.0}]}
+    assert BoundaryMeasure.from_json_dict(uniform) == BoundaryMeasure.uniform()
+    empty = {"atoms": [], "density_knots": None}
+    assert BoundaryMeasure.from_json_dict(empty) == BoundaryMeasure()
+
+
+def test_from_json_dict_reports_an_integer_too_large_for_a_float():
+    big = 10**400
+    with pytest.raises(MeasureValidationError) as exc:
+        BoundaryMeasure.from_json_dict({"atoms": [{"t": 0.0, "jump": big}]})
+    assert exc.value.violations == [f"atoms[0]: non-numeric entry {{'t': 0.0, 'jump': {big}}}"]
+
+
 def test_load_measure(tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(crit4_measure().to_json_dict()))
@@ -371,3 +462,22 @@ def test_load_measure(tmp_path):
     with pytest.raises(MeasureValidationError) as exc:
         load_measure(p3)
     assert "total mass" in str(exc.value)
+
+
+def test_load_measure_reports_a_file_that_is_not_utf8(tmp_path):
+    # a UTF-16 byte-order mark and a brace: the decode error is a JSON error
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{")
+    with pytest.raises(MeasureValidationError) as exc:
+        load_measure(p)
+    assert len(exc.value.violations) == 1
+    assert exc.value.violations[0].startswith(f"invalid JSON in {p}: ")
+    assert "can't decode byte 0xff" in exc.value.violations[0]
+
+
+def test_load_measure_reports_nesting_too_deep_to_decode(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(MeasureValidationError) as exc:
+        load_measure(p)
+    assert exc.value.violations[0].startswith(f"invalid JSON in {p}: maximum recursion depth")

@@ -329,6 +329,22 @@ def test_invalid_measure_exits_2_with_itemized_errors(tmp_path, capsys):
     assert "total mass" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"atoms": 5}', b'{"atoms": true}', b'{"density_knots": 3.5}', b"\xff\xfe{",
+     b"[" * 100_000 + b"]" * 100_000],
+    ids=["atoms-int", "atoms-bool", "knots-float", "not-utf8", "too-deep"],
+)
+def test_malformed_measure_spec_exits_2(tmp_path, capsys, content):
+    p = tmp_path / "m.json"
+    p.write_bytes(content)
+    rc, out, err = run(capsys, "eval", "--measure", str(p))
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_unreadable_measure_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "eval", "--measure", str(tmp_path / "nope.json"))
     assert rc == 2

@@ -85,7 +85,8 @@ def test_g0_correction_limits():
 
 
 def test_g0_correction_series_seam():
-    # the small-|z| series route and the log route must agree at the seam
+    # _w_over_z is one formula for every z; near zero, on both sides of
+    # |z| = 1e-4, it matches the direct -z/((1-z)log(1-z)) through log1p
     for z in (0.99e-4 * np.exp(0.3j), 1.01e-4 * np.exp(0.3j), 1e-5, -1e-5 + 1e-6j):
         direct = z / ((1.0 - z) * -np.log1p(-z))
         assert abs(g0_correction(z) - direct) < 1e-10
