@@ -4,110 +4,90 @@ Construction via the exponential representation over a boundary measure,
 the spiral-argument calculus, the spirallike/starlike correspondence, and a
 numerical verification suite for boundary traces, maximal spiral sectors,
 and maximum-modulus growth exponents.
+
+`import spirallike` loads no submodule: each public name is defined in the
+submodule _EXPORTS lists it under, which loads the first time the name is
+read from the package (PEP 562), and the package always returns the object
+that submodule holds at that moment.  The `spirallike` command loads, besides
+cli and errors, only what its subcommand runs: a --measure, koebe or
+identity function loads spiral_geometry, boundary_measure, representation
+and polylog; the g0 and hansen functions and `qtheta` load gallery with
+analysis, correspondence, spiral_geometry, representation and polylog, and
+no boundary_measure; verify, beta and growth also load analysis.
 """
 
-from .analysis import (
-    BetaTrace,
-    GrowthReport,
-    JumpEstimate,
-    beta_trace,
-    default_r_schedule,
-    detect_maximal_sector,
-    estimate_max_jump,
-    goodman_check,
-    growth_exponent,
-    hansen_ratio,
-    max_modulus,
-    refine_jump,
-    section_search_max,
-    spirallikeness_margin,
-)
-from .boundary_measure import BoundaryMeasure, load_measure
-from .correspondence import spirallike_of, starlike_of
-from .errors import (
-    AccuracyError,
-    ConfigError,
-    DomainError,
-    InconsistencyError,
-    MeasureValidationError,
-    ParameterError,
-    SpirallikeError,
-)
-from .gallery import (
-    DEFAULT_C0,
-    G0Function,
-    HansenFunction,
-    HansenParams,
-    c0_constant,
-    counterexample_for,
-    g0_correction,
-    g0_log_derivative,
-    hansen_build,
-    koebe_power,
-    lemma_c_margins,
-    q_function,
-)
-from .polylog import li2, li3
-from .representation import MeasureFunction, SpiralFunction
-from .spiral_geometry import (
-    STARLIKE,
-    SpiralAngle,
-    SpiralSector,
-    arg_lambda,
-    principal_angle,
-    sector_contains,
-    spiral_point,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError",
-    "BetaTrace",
-    "BoundaryMeasure",
-    "ConfigError",
-    "DEFAULT_C0",
-    "DomainError",
-    "G0Function",
-    "GrowthReport",
-    "HansenFunction",
-    "HansenParams",
-    "InconsistencyError",
-    "JumpEstimate",
-    "MeasureFunction",
-    "MeasureValidationError",
-    "ParameterError",
-    "STARLIKE",
-    "SpiralAngle",
-    "SpiralFunction",
-    "SpiralSector",
-    "SpirallikeError",
-    "arg_lambda",
-    "beta_trace",
-    "c0_constant",
-    "counterexample_for",
-    "default_r_schedule",
-    "detect_maximal_sector",
-    "estimate_max_jump",
-    "g0_correction",
-    "g0_log_derivative",
-    "goodman_check",
-    "growth_exponent",
-    "hansen_build",
-    "hansen_ratio",
-    "koebe_power",
-    "lemma_c_margins",
-    "li2",
-    "li3",
-    "load_measure",
-    "max_modulus",
-    "principal_angle",
-    "q_function",
-    "refine_jump",
-    "section_search_max",
-    "sector_contains",
-    "spiral_point",
-    "spirallike_of",
-    "spirallikeness_margin",
-    "starlike_of",
-]
+_EXPORTS = {
+    "analysis": (
+        "BetaTrace",
+        "GrowthReport",
+        "JumpEstimate",
+        "beta_trace",
+        "default_r_schedule",
+        "detect_maximal_sector",
+        "estimate_max_jump",
+        "goodman_check",
+        "growth_exponent",
+        "hansen_ratio",
+        "max_modulus",
+        "refine_jump",
+        "section_search_max",
+        "spirallikeness_margin",
+    ),
+    "boundary_measure": ("BoundaryMeasure", "load_measure"),
+    "correspondence": ("spirallike_of", "starlike_of"),
+    "errors": (
+        "AccuracyError",
+        "ConfigError",
+        "DomainError",
+        "InconsistencyError",
+        "MeasureValidationError",
+        "ParameterError",
+        "SpirallikeError",
+    ),
+    "gallery": (
+        "DEFAULT_C0",
+        "G0Function",
+        "HansenFunction",
+        "HansenParams",
+        "c0_constant",
+        "counterexample_for",
+        "g0_correction",
+        "g0_log_derivative",
+        "hansen_build",
+        "koebe_power",
+        "lemma_c_margins",
+        "q_function",
+    ),
+    "polylog": ("li2", "li3"),
+    "representation": ("MeasureFunction", "SpiralFunction"),
+    "spiral_geometry": (
+        "STARLIKE",
+        "SpiralAngle",
+        "SpiralSector",
+        "arg_lambda",
+        "principal_angle",
+        "sector_contains",
+        "spiral_point",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # not cached in the package namespace, so that a name rebound in its
+    # submodule (a test's monkeypatch, a tracer's wrapper) reads the same here
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _EXPORTS:  # a submodule not imported yet
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

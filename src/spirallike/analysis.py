@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InconsistencyError
+from .errors import AccuracyError, DomainError, InconsistencyError, _grid_size
 from .spiral_geometry import (
     SpiralSector,
     principal_angle,
@@ -25,10 +25,15 @@ _MONOTONE_TOL = 1e-6
 
 
 def default_r_schedule(k_min=2, k_max=6):
-    """Radii 1 - 10^-k for whole k in [k_min, k_max]; DomainError unless 1 <= k_min <= k_max."""
+    """Radii 1 - 10^-k for whole k in [k_min, k_max].
+
+    DomainError unless 1 <= k_min <= k_max <= 16: 1 - 10^-17 rounds to 1.0.
+    """
     k_min, k_max = _grid_size(k_min, "k_min"), _grid_size(k_max, "k_max")
     if k_min > k_max:
         raise DomainError(f"k_min = {k_min} exceeds k_max = {k_max}")
+    if k_max > 16:
+        raise DomainError(f"k_max = {k_max} exceeds 16: 1 - 10^-k_max rounds to 1.0")
     return tuple(1.0 - 10.0**-k for k in range(k_min, k_max + 1))
 
 
@@ -108,18 +113,6 @@ def _unit_circle(n):
     circle = np.exp(1j * (np.arange(n) * (TWO_PI / n)))
     circle.flags.writeable = False
     return circle
-
-
-def _grid_size(n, name):
-    """A grid or sample count as an int; DomainError unless it is a whole number >= 1."""
-    try:
-        count = int(n)
-        valid = count >= 1 and count == float(n)
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise DomainError(f"{name} must be a whole number at least 1, got {n!r}")
-    return count
 
 
 # -- boundary traces -------------------------------------------------------

@@ -21,6 +21,16 @@ MASS_TOL = 1e-9
 _TABLES = (("atoms", "jump"), ("density_knots", "value"))
 
 
+def _json_number(value):
+    """value as a float if it is a JSON number (an int or float, not a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
 def _segment_integral(x1, v1, x2, v2):
     """Integral of the linear interpolant between (x1, v1) and (x2, v2)."""
     return 0.5 * (v1 + v2) * (x2 - x1)
@@ -271,10 +281,14 @@ class BoundaryMeasure:
                 if not isinstance(entry, dict) or "t" not in entry or field not in entry:
                     problems.append(f'{name}[{k}]: expected an object with "t" and "{field}"')
                     continue
-                try:
-                    pairs.append((float(entry["t"]), float(entry[field])))
-                except (TypeError, ValueError, OverflowError):
+                t, x = _json_number(entry["t"]), _json_number(entry[field])
+                if t is None or x is None:
                     problems.append(f"{name}[{k}]: non-numeric entry {entry!r}")
+                else:
+                    pairs.append((t, x))
+                extra = set(entry) - {"t", field}
+                if extra:
+                    problems.append(f"{name}[{k}]: unknown keys: {sorted(extra)}")
         unknown = set(data) - {name for name, _ in _TABLES}
         if unknown:
             problems.append(f"unknown keys: {sorted(unknown)}")

@@ -4,6 +4,9 @@ Subcommands: eval, verify, beta, growth, qtheta.  Functions come from a
 measure-spec JSON file (--measure) or the gallery (--gallery).  Exit codes:
 0 success, 1 failed verification, 2 invalid input, 3 domain error,
 4 accuracy not met.
+
+Importing this module loads only the package's errors; each subcommand
+imports, where it runs, the modules its branch uses.
 """
 
 import argparse
@@ -13,15 +16,6 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    _bound_ratios,
-    beta_trace,
-    default_r_schedule,
-    growth_exponent,
-    spirallikeness_margin,
-)
-from .boundary_measure import BoundaryMeasure, load_measure
-from .correspondence import spirallike_of
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -30,9 +24,6 @@ from .errors import (
     ParameterError,
     SpirallikeError,
 )
-from .gallery import DEFAULT_C, G0Function, HansenParams, _q_table, hansen_build
-from .representation import MeasureFunction
-from .spiral_geometry import SpiralAngle
 
 GALLERY_CHOICES = ("koebe", "identity", "g0", "hansen")
 
@@ -93,18 +84,29 @@ def _grid(flag, least=16):
 
 def build_function(args):
     """Construct the SpiralFunction named by --measure or --gallery."""
+    from .spiral_geometry import SpiralAngle
+
     angle = SpiralAngle(args.lam)
-    if args.measure_path:
-        return MeasureFunction(load_measure(args.measure_path), angle)
-    if args.gallery == "koebe":
-        return MeasureFunction(BoundaryMeasure.single_atom(), angle)
-    if args.gallery == "identity":
-        return MeasureFunction(BoundaryMeasure.uniform(), angle)
-    if args.gallery == "g0":
-        return spirallike_of(G0Function(), angle)
-    if args.gallery == "hansen":
+    if args.measure_path or args.gallery in ("koebe", "identity"):
+        from .boundary_measure import BoundaryMeasure, load_measure
+        from .representation import MeasureFunction
+
+        if args.measure_path:
+            measure = load_measure(args.measure_path)
+        elif args.gallery == "koebe":
+            measure = BoundaryMeasure.single_atom()
+        else:
+            measure = BoundaryMeasure.uniform()
+        return MeasureFunction(measure, angle)
+    if args.gallery in ("g0", "hansen"):
+        from .correspondence import spirallike_of
+        from .gallery import DEFAULT_C, G0Function, HansenParams, hansen_build
+
+        if args.gallery == "g0":
+            return spirallike_of(G0Function(), angle)
         alpha = args.A / np.pi if args.A is not None else args.alpha
-        params = HansenParams(alpha=alpha, beta_exp=args.beta_exp, c=args.c)
+        c = DEFAULT_C if args.c is None else args.c
+        params = HansenParams(alpha=alpha, beta_exp=args.beta_exp, c=c)
         return spirallike_of(hansen_build(params), angle)
     raise ConfigError("need one of --measure or --gallery")
 
@@ -147,6 +149,8 @@ def cmd_eval(args):
 
 
 def cmd_verify(args):
+    from .analysis import spirallikeness_margin
+
     fn = build_function(args)
     margin = spirallikeness_margin(fn, r_max=args.r_max)
     code = 0 if margin > 0.0 else 1
@@ -156,6 +160,8 @@ def cmd_verify(args):
 
 
 def cmd_beta(args):
+    from .analysis import beta_trace, default_r_schedule
+
     fn = build_function(args)
     trace = beta_trace(fn, t_grid=args.t_grid, r_schedule=default_r_schedule(*args.r_k))
     if args.fmt == "json":
@@ -168,6 +174,8 @@ def cmd_beta(args):
 
 
 def cmd_growth(args):
+    from .analysis import _bound_ratios, default_r_schedule, growth_exponent
+
     fn = build_function(args)
     report = growth_exponent(fn, r_schedule=default_r_schedule(*args.r_k))
     radii, peaks, exponents = zip(*report.rows)
@@ -193,6 +201,8 @@ def cmd_growth(args):
 
 
 def cmd_qtheta(args):
+    from .gallery import _q_table
+
     theta, values, (sup_q, c0, monotone) = _q_table(args.qtheta_grid)
     if args.fmt == "json":
         rows = np.column_stack((theta, values)).tolist()
@@ -221,8 +231,7 @@ def _build_parser():
                               help="growth exponent of the hansen gallery entry")
             jump.add_argument("--A", type=float, help="target boundary jump; sets alpha = A/pi")
             p.add_argument("--beta-exp", type=float, default=1.0)
-            p.add_argument("--c", type=float, default=DEFAULT_C,
-                           help="hansen log-factor coefficient")
+            p.add_argument("--c", type=float, help="hansen log-factor coefficient")
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"))
         return p

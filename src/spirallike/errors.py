@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that raises one."""
 
 
 class SpirallikeError(Exception):
@@ -38,3 +38,15 @@ class InconsistencyError(SpirallikeError):
 
 class ConfigError(SpirallikeError):
     """Invalid run configuration supplied to the command-line driver."""
+
+
+def _grid_size(n, name):
+    """A grid or sample count as an int; DomainError unless it is a whole number >= 1."""
+    try:
+        count = int(n)
+        valid = count >= 1 and count == float(n)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise DomainError(f"{name} must be a whole number at least 1, got {n!r}")
+    return count

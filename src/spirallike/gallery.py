@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _circle_max, _grid_size, section_search_max
-from .boundary_measure import BoundaryMeasure
+from .analysis import _circle_max, section_search_max
 from .correspondence import spirallike_of
-from .errors import DomainError, InconsistencyError, ParameterError
+from .errors import DomainError, InconsistencyError, ParameterError, _grid_size
 from .polylog import _li0, _li1, _log
 from .representation import MeasureFunction, SpiralFunction, _pointwise
 from .spiral_geometry import STARLIKE
@@ -79,6 +78,9 @@ def koebe_power(exponent=2.0):
     constant density has no slope changes, so its MeasureFunction is the
     closed form -exponent*log(1-z) of log(f/z).
     """
+    # here, not at module level: the g0 and hansen handles use no BoundaryMeasure
+    from .boundary_measure import BoundaryMeasure
+
     exponent = float(exponent)
     if not (0.0 <= exponent <= 2.0):
         raise ParameterError(f"exponent {exponent} outside [0, 2]: f would not be starlike")

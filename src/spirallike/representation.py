@@ -25,8 +25,7 @@ import itertools
 
 import numpy as np
 
-from .analysis import _grid_size
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _grid_size
 from .polylog import _TAIL, _horner, _li, _li_imag
 
 _MAX_FFT = 1 << 20

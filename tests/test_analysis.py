@@ -107,16 +107,20 @@ def test_default_r_schedule():
     assert default_r_schedule() == (0.99, 0.999, 0.9999, 0.99999, 0.999999)
     assert default_r_schedule(1, 3) == (0.9, 0.99, 0.999)
     assert default_r_schedule(4, 4) == (0.9999,)
+    # 1 - 10^-16 is the last such radius below 1.0 in float64
+    assert default_r_schedule(14, 16) == (0.99999999999999, 0.999999999999999, 0.9999999999999999)
 
 
 @pytest.mark.parametrize(
-    "k_min,k_max", [(math.nan, 6), (2, math.inf), (5, 2), (2.5, 4), (2, 4.5), (0, 3), (-1, 2)]
+    "k_min,k_max",
+    [(math.nan, 6), (2, math.inf), (5, 2), (2.5, 4), (2, 4.5), (0, 3), (-1, 2), (14, 17), (14, 18)],
 )
 def test_default_r_schedule_rejects_bad_exponents(k_min, k_max):
-    # whole numbers >= 1 with k_min <= k_max only: no raw ValueError, no
-    # empty schedule and no silent truncation
+    # whole numbers >= 1 with k_min <= k_max <= 16 only: no raw ValueError, no
+    # empty schedule, no silent truncation and no radius rounded to 1.0
     with pytest.raises(DomainError):
         default_r_schedule(k_min, k_max)
+
 
 
 def test_golden_section_max_oracle():

@@ -404,6 +404,27 @@ def test_from_json_dict_messages_are_pinned():
         "density_knots[2]: non-numeric entry {'t': 1.0, 'value': None}",
         "unknown keys: ['extra', 'more']",
     ]
+    # JSON numbers only (a bool is not one, nor is a numeric string), and no
+    # key inside an entry beyond "t" and the value field
+    bad = {
+        "atoms": [
+            {"t": False, "jump": TWO_PI},
+            {"t": "0", "jump": "6.283185307179586"},
+            {"t": 0, "jump": 6, "typo": 1},
+            {"t": True, "jump": 1.0, "z": 0, "a": 0},
+        ],
+        "density_knots": [{"t": 0.0, "value": True}, {"t": 1, "value": 2}],
+    }
+    with pytest.raises(MeasureValidationError) as exc:
+        BoundaryMeasure.from_json_dict(bad)
+    assert exc.value.violations == [
+        f"atoms[0]: non-numeric entry {{'t': False, 'jump': {TWO_PI!r}}}",
+        "atoms[1]: non-numeric entry {'t': '0', 'jump': '6.283185307179586'}",
+        "atoms[2]: unknown keys: ['typo']",
+        "atoms[3]: non-numeric entry {'t': True, 'jump': 1.0, 'z': 0, 'a': 0}",
+        "atoms[3]: unknown keys: ['a', 'z']",
+        "density_knots[0]: non-numeric entry {'t': 0.0, 'value': True}",
+    ]
     with pytest.raises(MeasureValidationError) as exc:
         BoundaryMeasure.from_json_dict([])
     assert exc.value.violations == ["measure spec must be a JSON object"]

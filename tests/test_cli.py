@@ -150,9 +150,10 @@ def test_verify_lambda_selects_construction_angle(capsys):
 def test_verify_nonpositive_margin_exits_1(capsys, monkeypatch):
     # every valid measure yields a spirallike function, so a failing margin
     # only arises from numerical breakage; force one to pin the exit code
-    import spirallike.cli as cli_mod
+    # verify imports the margin from its defining module when it runs
+    import spirallike.analysis as analysis
 
-    monkeypatch.setattr(cli_mod, "spirallikeness_margin", lambda *a, **k: -0.25)
+    monkeypatch.setattr(analysis, "spirallikeness_margin", lambda *a, **k: -0.25)
     rc, out, _ = run(capsys, "verify", "--gallery", "koebe")
     assert rc == 1
     assert float(out.split("=")[1]) == -0.25
@@ -332,8 +333,13 @@ def test_invalid_measure_exits_2_with_itemized_errors(tmp_path, capsys):
 @pytest.mark.parametrize(
     "content",
     [b'{"atoms": 5}', b'{"atoms": true}', b'{"density_knots": 3.5}', b"\xff\xfe{",
-     b"[" * 100_000 + b"]" * 100_000],
-    ids=["atoms-int", "atoms-bool", "knots-float", "not-utf8", "too-deep"],
+     b"[" * 100_000 + b"]" * 100_000,
+     b'{"atoms": [{"t": false, "jump": 6.283185307179586}]}',
+     b'{"atoms": [{"t": "0", "jump": "6.283185307179586"}]}',
+     b'{"density_knots": [{"t": 0, "value": true}]}',
+     b'{"atoms": [{"t": 0, "jump": 6.283185307179586, "typo": 1}]}'],
+    ids=["atoms-int", "atoms-bool", "knots-float", "not-utf8", "too-deep",
+         "t-bool", "numeric-strings", "value-bool", "entry-typo"],
 )
 def test_malformed_measure_spec_exits_2(tmp_path, capsys, content):
     p = tmp_path / "m.json"

@@ -6,8 +6,15 @@ analysis module's scan tables, which the first call that needs one builds,
 or load the standard modules that only some calls use: json (--measure and
 --format json import it where they read or write) and fractions/decimal
 (the polylog tables are float literals).
+
+A cold process compiles every package module it imports when no bytecode
+is cached, so `import spirallike` loads no submodule, `import spirallike.cli`
+only the errors, and each subcommand the modules its branch runs.  The
+package's public names still resolve, on first access, to the objects their
+defining modules hold.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -53,3 +60,110 @@ def test_cli_import_loads_no_unused_module():
         "if m.split('.')[0] in ('fractions', 'decimal', 'json', 'scipy')))"
     )
     assert loaded == "[]"
+
+
+# the public names by defining module
+HOME = {
+    "analysis": [
+        "BetaTrace", "GrowthReport", "JumpEstimate", "beta_trace", "default_r_schedule",
+        "detect_maximal_sector", "estimate_max_jump", "goodman_check", "growth_exponent",
+        "hansen_ratio", "max_modulus", "refine_jump", "section_search_max",
+        "spirallikeness_margin",
+    ],
+    "boundary_measure": ["BoundaryMeasure", "load_measure"],
+    "correspondence": ["spirallike_of", "starlike_of"],
+    "errors": [
+        "AccuracyError", "ConfigError", "DomainError", "InconsistencyError",
+        "MeasureValidationError", "ParameterError", "SpirallikeError",
+    ],
+    "gallery": [
+        "DEFAULT_C0", "G0Function", "HansenFunction", "HansenParams", "c0_constant",
+        "counterexample_for", "g0_correction", "g0_log_derivative", "hansen_build",
+        "koebe_power", "lemma_c_margins", "q_function",
+    ],
+    "polylog": ["li2", "li3"],
+    "representation": ["MeasureFunction", "SpiralFunction"],
+    "spiral_geometry": [
+        "STARLIKE", "SpiralAngle", "SpiralSector", "arg_lambda", "principal_angle",
+        "sector_contains", "spiral_point",
+    ],
+}
+
+_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'spirallike')"
+MEASURE_BRANCH = ["boundary_measure", "cli", "errors", "polylog", "representation",
+                  "spiral_geometry"]
+GALLERY_BRANCH = ["analysis", "cli", "correspondence", "errors", "gallery", "polylog",
+                  "representation", "spiral_geometry"]
+
+
+@pytest.mark.parametrize(
+    "module,loaded",
+    [
+        ("spirallike", ["spirallike"]),
+        ("spirallike.cli", ["spirallike", "spirallike.cli", "spirallike.errors"]),
+    ],
+    ids=["spirallike", "spirallike.cli"],
+)
+def test_import_loads_only_these_package_modules(module, loaded):
+    assert _run(f"import sys, {module}; print({_LOADED})") == [str(loaded)]
+
+
+# the calls of one cold CLI cycle in the benchmark
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["eval", "--gallery", "koebe", "--z", "0.5"], MEASURE_BRANCH),
+        (["verify", "--gallery", "hansen", "--lambda", "0.7853981633974483",
+          "--A", "3.141592653589793"], GALLERY_BRANCH),
+        (["growth", "--gallery", "hansen", "--lambda", "0.7853981633974483",
+          "--A", "3.141592653589793", "--r-k", "2:8"], GALLERY_BRANCH),
+        (["beta", "--gallery", "g0", "--lambda", "0.6"], GALLERY_BRANCH),
+        (["qtheta"], GALLERY_BRANCH),
+    ],
+    ids=["eval", "verify", "growth", "beta", "qtheta"],
+)
+def test_subcommand_loads_only_its_modules(argv, loaded):
+    rc, names = _run(
+        "import os, sys, spirallike.cli as cli; "
+        f"print(cli.main({argv!r} + ['--out', os.devnull])); print({_LOADED})"
+    )
+    assert rc == "0"
+    assert names == str(["spirallike"] + [f"spirallike.{m}" for m in loaded])
+
+
+def test_public_names_are_their_defining_modules_objects():
+    (report,) = _run(
+        "import importlib, json, spirallike\n"
+        "from spirallike import *\n"
+        f"home = {HOME!r}\n"
+        "out = {'all': spirallike.__all__, 'dir': dir(spirallike), 'bad': []}\n"
+        "for module, names in home.items():\n"
+        "    mod = importlib.import_module('spirallike.' + module)\n"
+        "    for name in names:\n"
+        "        obj = vars(mod)[name]\n"
+        "        if not (globals()[name] is obj and getattr(spirallike, name) is obj):\n"
+        "            out['bad'].append(name)\n"
+        "print(json.dumps(out))"
+    )
+    out = json.loads(report)
+    assert sorted(out["all"]) == sorted(name for names in HOME.values() for name in names)
+    assert set(out["all"]) <= set(out["dir"])
+    assert out["bad"] == []
+
+
+def test_package_attribute_follows_its_module():
+    # a rebinding in the defining module (a monkeypatch, a tracer's wrapper)
+    # and its undoing both show through the package; a submodule resolves
+    # without an explicit import
+    lines = _run(
+        "import spirallike\n"
+        "original = spirallike.beta_trace\n"
+        "import spirallike.analysis as analysis\n"
+        "analysis.beta_trace = stand_in = lambda *a: None\n"
+        "print(spirallike.beta_trace is stand_in)\n"
+        "analysis.beta_trace = original\n"
+        "print(spirallike.beta_trace is original)\n"
+        "print(spirallike.gallery.__name__)\n"
+        "print(hasattr(spirallike, 'no_such_name'))"
+    )
+    assert lines == ["True", "True", "spirallike.gallery", "False"]
