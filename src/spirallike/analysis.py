@@ -105,9 +105,9 @@ def section_search_max(f, a, b, tol=1e-12):
     return best_x.reshape(shape), best_f.reshape(shape)
 
 
-# room for the fixed scans (_CIRCLE_SCAN, _SECTOR_SCAN, goodman_check's
-# default 512 angles) and one more size
-@functools.lru_cache(maxsize=4)
+# room for the fixed scans (_CIRCLE_SCAN and goodman_check's default 512
+# angles) and one more size
+@functools.lru_cache(maxsize=3)
 def _unit_circle(n):
     """The n points exp(i*2*pi*k/n), k = 0..n-1, as a read-only array built once per n."""
     circle = np.exp(1j * (np.arange(n) * (TWO_PI / n)))
@@ -153,20 +153,27 @@ def _radii(r_schedule, default):
     return radii
 
 
+def _trace(fn, r, theta):
+    """The boundary trace theta + arg_lambda(f/z) at z = r*exp(i*theta).
+
+    arg_lambda(f/z) is the continuous branch vanishing at the center, which
+    fn.arg_lambda_f_over_z reads as Im log(g/z) of the starlike partner g;
+    the trace is arg_lambda f minus tan(lam) * log r.  r and theta broadcast.
+    """
+    return theta + fn.arg_lambda_f_over_z(r * np.exp(1j * theta))
+
+
 def beta_trace(fn, t_grid=256, r_schedule=None):
     """Estimate the boundary function on a uniform t grid over [0, 2*pi).
 
-    The estimate at each radius r of the increasing schedule is
-    t + arg_lambda(f/z) at z = re^it, the continuous branch vanishing at the
-    center, which fn.arg_lambda_f_over_z reads as Im log(g/z) of the
-    starlike partner g; successive radii document convergence toward the
+    The estimate at each radius r of the increasing schedule is the trace
+    _trace(fn, r, t); successive radii document convergence toward the
     boundary limit.
     """
     r_schedule = _radii(r_schedule, default_r_schedule())
     n_t = _grid_size(t_grid, "t_grid")
     t = np.arange(n_t) * (TWO_PI / n_t)
-    z = np.array(r_schedule)[:, None] * np.exp(1j * t)[None, :]
-    estimates = t + fn.arg_lambda_f_over_z(z)
+    estimates = _trace(fn, np.array(r_schedule)[:, None], t)
     deltas = np.max(np.abs(np.diff(estimates, axis=0)), axis=1)
     record = [(r_schedule[0], np.nan)]
     record.extend((r, float(d)) for r, d in zip(r_schedule[1:], deltas))
@@ -204,15 +211,22 @@ def _trace_gaps(t, values):
     return _rising_gaps(t, np.append(values, values[0] + TWO_PI))
 
 
-def _rising_rows(trace):
-    """trace(t) for section_search_max: every sampled row is checked by _rising_gaps."""
+def _invert_trace(fn, r, targets, lo, hi, tol=1e-12):
+    """Angles in [lo, hi] where the trace on |z| = r meets targets: (theta, -|trace - target|).
 
-    def checked(t):
-        values = trace(t)
-        _rising_gaps(t, values)
-        return values
+    One lockstep section_search_max on -|trace - target|, a lane per
+    bracket [lo, hi] and its target (arrays of one shape, or scalars).
+    Every row it samples is checked by _rising_gaps, so InconsistencyError
+    when one decreases and DomainError when one is not finite.
+    """
+    targets = np.asarray(targets)[..., None]
 
-    return checked
+    def closeness(theta):
+        values = _trace(fn, r, theta)
+        _rising_gaps(theta, values)
+        return -np.abs(values - targets)
+
+    return section_search_max(closeness, lo, hi, tol)
 
 
 def estimate_max_jump(trace):
@@ -270,16 +284,14 @@ _REFINE_WINDOWS = (1e-4, 1e-5, 1e-6)
 def refine_jump(fn, bracket):
     """Sharpened jump estimate at a single boundary point.
 
-    bracket: (t_lo, t_hi) containing exactly one jump.  The trace t +
-    arg_lambda(f/z) = arg_lambda(f), with arg_lambda(f/z) =
-    fn.arg_lambda_f_over_z = Im log(g/z) of the starlike partner g,
-    increases along circles for spirallike f, so section_search_max on
-    -|trace - mid| locates the jump point (to 2e-10, in 6 steps from a
-    bracket of two 256-grid spacings) where the trace crosses the midpoint
-    mid of its bracket values; the two-sided trace difference E(w) over the
-    shrinking windows w still carries a mass ~ jump_density/log(1/w) from
-    any logarithmically divergent density next to the atom, so E is
-    extrapolated quadratically in x = 1/log(1/w) to window 0.  Returns
+    bracket: (t_lo, t_hi) containing exactly one jump.  The trace (_trace)
+    increases along circles for spirallike f, so _invert_trace locates the
+    jump point (to 2e-10, in 6 steps from a bracket of two 256-grid
+    spacings) where the trace crosses the midpoint mid of its bracket
+    values; the two-sided trace difference E(w) over the shrinking windows
+    w still carries a mass ~ jump_density/log(1/w) from any logarithmically
+    divergent density next to the atom, so E is extrapolated quadratically
+    in x = 1/log(1/w) to window 0.  Returns
     (jump, t0).  DomainError unless the bracket is a pair of finite numbers
     with t_lo < t_hi; InconsistencyError when the trace decreases by more
     than _MONOTONE_TOL from t_lo to t_hi, along a row the search samples or
@@ -294,17 +306,14 @@ def refine_jump(fn, bracket):
         raise DomainError(
             f"bracket must be a pair (t_lo, t_hi), finite with t_lo < t_hi, got {bracket!r}"
         )
-    w = np.array(_REFINE_WINDOWS)
-
-    @_rising_rows
-    def trace_at(ts):
-        return ts + fn.arg_lambda_f_over_z(_REFINE_RADIUS * np.exp(1j * ts))
-
-    lo, hi = trace_at(np.array([t_lo, t_hi]))
-    mid = 0.5 * (lo + hi)
-    t0, _ = section_search_max(lambda t: -np.abs(trace_at(t) - mid), t_lo, t_hi, tol=2e-10)
+    r, w = _REFINE_RADIUS, np.array(_REFINE_WINDOWS)
+    ends = np.array([t_lo, t_hi])
+    lo, hi = values = _trace(fn, r, ends)
+    _rising_gaps(ends, values)
+    t0, _ = _invert_trace(fn, r, 0.5 * (lo + hi), t_lo, t_hi, tol=2e-10)
     # one row (t0 - w, t0 + w) per window
-    E = np.diff(trace_at(t0 + np.outer(w, (-1.0, 1.0))), axis=1)[:, 0]
+    rows = t0 + np.outer(w, (-1.0, 1.0))
+    E = _rising_gaps(rows, _trace(fn, r, rows))[:, 0]
     x = 1.0 / np.log(1.0 / w)
     coeffs = np.polyfit(x, E, 2)
     return float(np.polyval(coeffs, 0.0)), float(t0)
@@ -327,6 +336,10 @@ def spirallikeness_margin(fn, r_max=0.999):
 
 # outer radius of goodman_check's polar grid
 _GOODMAN_RADIUS = 0.999
+# least number of goodman_check's radii: 24 per decade of gap = 1 - 0.999,
+# plus 16.  1/gap rounds to 999.99..., so int(24*log10(1/gap)) + 16 is 87,
+# not 88.
+_GOODMAN_STEPS = 87
 
 
 @functools.lru_cache(maxsize=1)
@@ -352,13 +365,11 @@ def goodman_check(g, grid=(512, 32)):
     branch vanishing at the center.  Nonpositive (within roundoff) for every
     starlike function.  grid = (n_theta, n_steps): the grid is n_theta
     angles times the nonzero radii of a ladder rho_j = 1 - gap^(j/J),
-    j = 0..J, gap = 1 - 0.999, refining geometrically toward 0.999: J is at
-    least n_steps and grows by 24 radii per decade of gap, J =
-    max(n_steps, int(24*log10(1/gap)) + 16).  That is 87 at the default,
-    not 88: 1/gap rounds to 999.99..., so int(24*log10(1/gap)) is 71.  The
-    grid is stored radii-major, one row per radius, built once per
-    (n_theta, J) and kept until a call with another grid.  DomainError
-    unless grid is a pair of whole numbers at least 1.
+    j = 0..J, gap = 1 - 0.999, refining geometrically toward 0.999, with J =
+    max(n_steps, _GOODMAN_STEPS = 87).  The grid is stored radii-major, one
+    row per radius, built once per (n_theta, J) and kept until a call with
+    another grid.  DomainError unless grid is a pair of whole numbers at
+    least 1.
     """
     if not g.angle.is_starlike:
         raise DomainError("bound applies to starlike functions (inclination 0)")
@@ -369,9 +380,7 @@ def goodman_check(g, grid=(512, 32)):
             f"grid must be a pair (n_theta, n_steps) of whole numbers at least 1, got {grid!r}"
         ) from None
     n_theta, n_steps = _grid_size(n_theta, "grid size"), _grid_size(n_steps, "grid size")
-    gap = 1.0 - _GOODMAN_RADIUS
-    J = max(n_steps, int(24.0 * np.log10(1.0 / gap)) + 16)
-    points, bound = _goodman_ladder(n_theta, J)
+    points, bound = _goodman_ladder(n_theta, max(n_steps, _GOODMAN_STEPS))
     excess = np.abs(g.arg_lambda_f_over_z(points))
     excess -= bound
     return float(np.max(excess))
@@ -470,7 +479,7 @@ def growth_exponent(fn, r_schedule=None):
         if not np.isfinite(E):
             raise AccuracyError(f"growth entry overflowed at r = {r}", achieved=M)
         rows.append((r, float(M), float(E)))
-    cos_lam = np.cos(fn.angle.lam)
+    cos_lam = fn.angle.cos_lambda
     return GrowthReport(
         rows=tuple(rows),
         predicted_q0=float(a_estimate * cos_lam * cos_lam / np.pi),
@@ -541,32 +550,23 @@ def _sector_log_modulus(fn, theta):
 def _sector_crossings(fn, phis):
     """Angles theta where the circle |z| = _SECTOR_RADIUS meets the spirals phis, and log|f| there.
 
-    The trace theta + arg_lambda(f/z) on the circle, with arg_lambda(f/z) =
-    fn.arg_lambda_f_over_z = Im log(g/z) of the starlike partner g, is
-    arg_lambda f minus tan(lam) * log r and increases by 2*pi in one turn.
-    A scan of _SECTOR_SCAN angles brackets each crossing; one lockstep
-    section_search_max on -|trace - target| locates them.
-    InconsistencyError when the scan or a row the search samples decreases
-    (as in estimate_max_jump), and when a located point misses its spiral by
-    more than 1e-6.  DomainError when the trace or log|f| is not finite.
+    The trace (_trace) on the circle is arg_lambda f minus tan(lam) * log r
+    and increases by 2*pi in one turn.  A scan of _SECTOR_SCAN angles
+    brackets each crossing; _invert_trace locates them.  InconsistencyError
+    when the scan or a row the search samples decreases (as in
+    estimate_max_jump), and when a located point misses its spiral by more
+    than 1e-6.  DomainError when the trace or log|f| is not finite.
     """
     r = _SECTOR_RADIUS
-
-    def trace(theta):
-        return theta + fn.arg_lambda_f_over_z(r * np.exp(1j * theta))
-
     thetas = np.arange(_SECTOR_SCAN + 1) * (TWO_PI / _SECTOR_SCAN)
-    scan = thetas[:-1] + fn.arg_lambda_f_over_z(r * _unit_circle(_SECTOR_SCAN))
+    scan = _trace(fn, r, thetas[:-1])
     _trace_gaps(thetas[:-1], scan)
     # the trace values of the labels, inside the scanned turn
     targets = scan[0] + np.mod(phis + fn.angle.tan_lambda * np.log(r) - scan[0], TWO_PI)
     k = np.searchsorted(np.append(scan, scan[0] + TWO_PI), targets, "right") - 1
     # an offset just below 2*pi can round up to the end of the turn
     k = np.minimum(k, _SECTOR_SCAN - 1)
-    rows = _rising_rows(trace)
-    theta, closeness = section_search_max(
-        lambda x: -np.abs(rows(x) - targets[..., None]), thetas[k], thetas[k + 1]
-    )
+    theta, closeness = _invert_trace(fn, r, targets, thetas[k], thetas[k + 1])
     i = int(np.argmin(closeness))
     if closeness.flat[i] < -1e-6:
         miss = f"{phis.flat[i]:.6f} by {-closeness.flat[i]:.3g}"

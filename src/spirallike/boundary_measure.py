@@ -144,7 +144,7 @@ class BoundaryMeasure:
 
     def density_integral(self, a, b):
         """Exact integral of the periodic density over [a, b]; DomainError unless a, b finite."""
-        a, b = _finite_angles((float(a), float(b))).tolist()
+        a, b = _finite_angles((a, b)).tolist()
         qa, sa = divmod(a, TWO_PI)
         qb, sb = divmod(b, TWO_PI)
         _, _, F = self._density_segments

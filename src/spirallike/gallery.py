@@ -3,7 +3,8 @@
 Houses the extremal starlike function g0(z) = (1/(1-z))log(1/(1-z)), the
 Q(theta) threshold machinery with its constant C0, powers of 1/(1-z), and
 the slow-logarithmic-factor family g(z) = z(1-z)^(-alpha)(1+c log(1/(1-z)))^beta
-whose spirallike partners break the expected growth bound.
+whose spirallike partners break the expected growth bound.  A
+HansenFunction validates its parameters when it is built.
 """
 
 from dataclasses import dataclass
@@ -12,10 +13,10 @@ import numpy as np
 
 from .analysis import _circle_max, section_search_max
 from .correspondence import spirallike_of
-from .errors import DomainError, InconsistencyError, ParameterError, _grid_size
+from .errors import DomainError, ParameterError, _grid_size
 from .polylog import _li0, _li1, _log
 from .representation import MeasureFunction, SpiralFunction, _pointwise
-from .spiral_geometry import STARLIKE
+from .spiral_geometry import STARLIKE, _finite_angles
 
 DEFAULT_C0 = 2.0 * np.e**2
 # the log-factor coefficient c of the counterexample family when none is
@@ -33,10 +34,6 @@ def _g0_correction(z):
     return 1.0 / ((1.0 - z) * _w_over_z(_li1(z), z))
 
 
-def _g0_log_derivative(z):
-    return _li0(z) + _g0_correction(z)
-
-
 def g0_correction(z):
     """The term G(z) = -z/((1-z)log(1-z)) of the g0 log-derivative.
 
@@ -48,7 +45,7 @@ def g0_correction(z):
 
 def g0_log_derivative(z):
     """z g0'(z)/g0(z) = z/(1-z) + G(z); value 1 at z = 0."""
-    return _pointwise(_g0_log_derivative, z)
+    return G0Function().log_derivative(z)
 
 
 class G0Function(SpiralFunction):
@@ -98,7 +95,7 @@ def q_function(theta):
     log cos t is computed as log1p(-2 sin(t/2)^2) so that the limit value 2
     at 0+ is approached without cancellation.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _finite_angles(theta)
     if not np.all((theta > 0.0) & (theta < np.pi / 2.0)):
         raise DomainError("Q is defined on the open interval (0, pi/2)")
     s = np.sin(0.5 * theta)
@@ -207,50 +204,44 @@ class HansenParams:
 
 
 class HansenFunction(SpiralFunction):
-    """g(z) = z (1-z)^(-alpha) (1 + c log(1/(1-z)))^beta_exp, starlike."""
+    """g(z) = z (1-z)^(-alpha) (1 + c log(1/(1-z)))^beta_exp, starlike.
+
+    ParameterError, naming each violated inequality, unless params are
+    admissible.  Then c <= 1/log(C0) keeps the base 1 + c*w, w =
+    log(1/(1-z)), at Re >= 1 - c*log 2 > 0.74 on the disk, as Re w > -log 2
+    there: principal powers of the base are single-valued.
+    """
 
     def __init__(self, params):
+        problems = params.violations()
+        if problems:
+            raise ParameterError("; ".join(problems))
         super().__init__(STARLIKE, known_max_jump=np.pi * params.alpha)
         self.params = params
-
-    def _base(self, w):
-        base = 1.0 + self.params.c * w
-        # Admissible c keeps Re(1 + c*w) >= 1 - c*log 2 > 0: principal
-        # powers of the base are single-valued on the disk.
-        if not (base.real > 0.0).all():
-            raise InconsistencyError(
-                f"base 1 + c*log(1/(1-z)) leaves the right half-plane for c = "
-                f"{self.params.c}; build the function with hansen_build"
-            )
-        return base
 
     def _log_g_over_z(self, z):
         p = self.params
         w = _li1(z)
-        return p.alpha * w + p.beta_exp * _log(self._base(w))
+        return p.alpha * w + p.beta_exp * _log(1.0 + p.c * w)
 
     def _log_derivative_excess(self, z):
         p = self.params
-        base = self._base(_li1(z))
+        base = 1.0 + p.c * _li1(z)
         li0 = _li0(z)
         return p.alpha * li0 + p.beta_exp * p.c * li0 / base
 
 
 def hansen_build(params):
-    """Validated constructor for the family; names the violated inequality."""
-    problems = params.violations()
-    if problems:
-        raise ParameterError("; ".join(problems))
+    """The family's function for params: HansenFunction(params)."""
     return HansenFunction(params)
 
 
 def counterexample_for(angle, A, beta_exp=1.0, c=DEFAULT_C):
     """Spirallike function whose growth beats O((1-r)^-q0), q0 = A cos^2(lam)/pi.
 
-    A in (0, 2*pi) is the target boundary jump; alpha = A/pi.  Parameters
-    that violate the family's inequalities raise with the inequality named.
+    A is the target boundary jump and alpha = A/pi, so 0 < alpha < 2 asks A
+    in (0, 2*pi).  Parameters that violate the family's inequalities raise
+    ParameterError with the inequality named.
     """
-    if not (0.0 < A < 2.0 * np.pi):
-        raise ParameterError(f"jump A = {A} outside (0, 2*pi)")
     params = HansenParams(alpha=A / np.pi, beta_exp=beta_exp, c=c)
-    return spirallike_of(hansen_build(params), angle)
+    return spirallike_of(HansenFunction(params), angle)

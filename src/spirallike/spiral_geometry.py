@@ -20,8 +20,11 @@ TWO_PI = 2.0 * np.pi
 
 
 def _finite_angles(t):
-    """t as a float array; DomainError unless every entry is finite."""
-    t = np.asarray(t, dtype=float)
+    """t as a float array; DomainError unless every entry is a finite number."""
+    try:
+        t = np.asarray(t, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"angles must be real numbers, got {t!r}") from None
     if not np.isfinite(t).all():
         raise DomainError("angles must be finite")
     return t
@@ -50,8 +53,8 @@ class SpiralAngle:
     lam: float
 
     def __post_init__(self):
-        lam = float(self.lam)
-        if not np.isfinite(lam) or not (-np.pi / 2 < lam < np.pi / 2):
+        lam = float(_finite_angles(self.lam))
+        if not (-np.pi / 2 < lam < np.pi / 2):
             raise DomainError(f"inclination must lie in (-pi/2, pi/2), got {self.lam!r}")
         object.__setattr__(self, "lam", lam)
         c = np.cos(lam)
@@ -79,9 +82,8 @@ class SpiralSector:
     angle: SpiralAngle
 
     def __post_init__(self):
-        if not np.isfinite(self.center_angle):
-            raise DomainError("sector center must be finite")
-        if not (0.0 < self.opening <= TWO_PI):
+        _finite_angles(self.center_angle)
+        if not (0.0 < _finite_angles(self.opening) <= TWO_PI):
             raise DomainError(f"sector opening must lie in (0, 2*pi], got {self.opening!r}")
 
 
@@ -104,11 +106,9 @@ def spiral_point(theta0, angle, t):
     """Point exp(i*theta0 + exp(i*lam)*t) on the spiral labeled theta0.
 
     t = 0 gives the unit-circle point; t < 0 moves toward the origin.
-    theta0 and t must be finite.
+    DomainError unless theta0 and t are finite.
     """
-    t = np.asarray(t, dtype=float)
-    if not (np.isfinite(theta0).all() and np.isfinite(t).all()):
-        raise DomainError("spiral points need a finite label theta0 and finite t")
+    theta0, t = _finite_angles(theta0), _finite_angles(t)
     w = np.exp(np.exp(1j * angle.lam) * t + 1j * theta0)
     return w if w.ndim else complex(w)
 

@@ -488,6 +488,20 @@ def test_refine_jump_koebe_full_turn():
     assert t0 == pytest.approx(0.0, abs=1e-6)
 
 
+def test_trace_readers_keep_their_pinned_values():
+    # every trace is read by _trace and inverted by _invert_trace: pinned
+    # bit for bit, so a reader or inverter that moves a bit fails here
+    spacing = TWO_PI / 256
+    assert refine_jump(G0Function(), (-spacing, spacing)) == (
+        3.1392844829470645, 6.834062577715189e-12
+    )
+    m = BoundaryMeasure.from_atoms([(0, PI), (PI / 2, PI / 2)], uniform_density_mass=PI / 2)
+    f = MeasureFunction(m, SpiralAngle(0.7))
+    assert estimate_max_jump(beta_trace(f)) == (
+        3.1537830288862923, 0.0, -0.39269883169859915
+    )
+    assert detect_maximal_sector(f).center_angle == -0.39269908169872414
+
 
 class NegatedG0(G0Function):
     # arg(g0/z) negated: the trace falls by about pi across the jump at 0

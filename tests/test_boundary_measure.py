@@ -14,12 +14,17 @@ from hypothesis import assume, given, strategies as st
 from scipy.integrate import trapezoid
 
 from spirallike import (
+    STARLIKE,
     BoundaryMeasure,
     DomainError,
     MeasureValidationError,
     ParameterError,
+    SpiralAngle,
+    SpiralSector,
     load_measure,
     principal_angle,
+    q_function,
+    spiral_point,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -144,7 +149,11 @@ def test_validation_is_found_once_and_reused(call):
 # -- density and integrals ----------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, "a", None, object()],
+    ids=["nan", "inf", "-inf", "str", "None", "object"],
+)
 @pytest.mark.parametrize(
     "call",
     [
@@ -155,12 +164,20 @@ def test_validation_is_found_once_and_reused(call):
         lambda t: triangle_measure().density_integral(t, 1.0),
         lambda t: principal_angle(t),
         lambda t: principal_angle(np.array([t, 0.5])),
+        lambda t: spiral_point(t, STARLIKE, 1.0),
+        lambda t: spiral_point(0.0, STARLIKE, t),
+        lambda t: SpiralSector(t, 1.0, STARLIKE),
+        lambda t: SpiralSector(0.0, t, STARLIKE),
+        SpiralAngle,
+        q_function,
     ],
     ids=["beta_at", "beta_at_array", "density_at", "integral_b", "integral_a",
-         "principal_angle", "principal_angle_array"],
+         "principal_angle", "principal_angle_array", "spiral_theta0", "spiral_t",
+         "sector_center", "sector_opening", "spiral_angle", "q_function"],
 )
 def test_non_finite_angles_raise_domain_error(call, bad):
-    # NaN and +-inf are no angles: a DomainError, not a NaN and no numpy warning
+    # NaN, +-inf, a string, None and an object are no angles: a DomainError,
+    # not a NaN, a numpy warning or numpy's ValueError or TypeError
     with pytest.raises(DomainError):
         call(bad)
 

@@ -16,7 +16,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spirallike import (
     DEFAULT_C0,
@@ -27,7 +27,6 @@ from spirallike import (
     G0Function,
     HansenFunction,
     HansenParams,
-    InconsistencyError,
     ParameterError,
     SpiralAngle,
     arg_lambda,
@@ -44,8 +43,10 @@ from spirallike import (
     q_function,
     refine_jump,
     spiral_point,
+    spirallike_of,
     spirallikeness_margin,
 )
+from spirallike.polylog import _li1
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -116,6 +117,15 @@ def test_g0_closed_forms_against_mpmath_near_zero():
     for name, values in got.items():
         err = float(np.max(np.abs(values - np.array(want[name]))))
         assert err < 1e-14, f"{name}: {err:.3g}"
+
+
+def test_g0_log_derivative_is_the_g0_handles_log_derivative():
+    g0 = G0Function()
+    for z in (0.3 + 0.4j, np.array([0.0, 0.3 + 0.4j, -0.95, 0.999j, 0.5 - 0.8j])):
+        got, want = g0_log_derivative(z), g0.log_derivative(z)
+        assert type(got) is type(want)
+        got, want = np.atleast_1d(got), np.atleast_1d(want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_g0_log_derivative_decomposition():
@@ -369,16 +379,47 @@ def test_hansen_log_derivative_identity():
         assert abs((f.log_derivative(z) - 1.0) - num) < 1e-8
 
 
-def test_hansen_inadmissible_base_raises_package_error():
-    # c = 5 skips hansen_build's validation; at z = -0.99 the base
-    # 1 + c log(1/(1-z)) = 1 - 5 log 1.99 is negative, so the principal
-    # power would silently jump branches
-    f = HansenFunction(HansenParams(alpha=1.0, beta_exp=1.0, c=5.0))
-    for method in (f.log_f_over_z, f.log_derivative, f.evaluate):
-        with pytest.raises(InconsistencyError):
-            method(-0.99)
-        with pytest.raises(InconsistencyError):
-            method(np.array([0.5, -0.99]))
+def test_hansen_inadmissible_parameters_raise_at_construction():
+    # c = 5 would put the base 1 + c log(1/(1-z)) = 1 - 5 log 1.99 < 0 at
+    # z = -0.99, where the principal power jumps branches: every route to a
+    # handle refuses the parameters before any evaluation
+    bad = HansenParams(alpha=1.0, beta_exp=1.0, c=5.0)
+    builds = [
+        lambda: HansenFunction(bad),
+        lambda: hansen_build(bad),
+        lambda: counterexample_for(SpiralAngle(PI / 4), PI, c=5.0),
+        lambda: spirallike_of(HansenFunction(bad), SpiralAngle(PI / 4)),
+    ]
+    for build in builds:
+        with pytest.raises(ParameterError, match=r"1/log\(C0\)"):
+            build()
+
+
+C_CAP = 1.0 / math.log(DEFAULT_C0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=C_CAP, exclude_min=True),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.integers(min_value=1, max_value=16).map(lambda k: 1.0 - 10.0**-k),
+    ),
+    st.one_of(
+        st.floats(min_value=-PI, max_value=PI),
+        st.floats(min_value=1e-16, max_value=0.1).map(lambda d: PI - d),
+    ),
+)
+@example(C_CAP, 1.0 - 1e-16, PI)
+@example(C_CAP, 0.999999, PI - 1e-8)
+def test_hansen_base_stays_in_right_half_plane(c, r, theta):
+    # Re log(1/(1-z)) > -log 2 on the disk, so admissible c (at most
+    # 1/log C0) keeps Re(1 + c*Li_1(z)) >= 1 - c log 2 > 0.74: HansenFunction
+    # checks its parameters once and its kernels need no per-call check
+    z = np.array([r * complex(math.cos(theta), math.sin(theta))])
+    base = 1.0 + c * _li1(z)[0]
+    assert base.real >= 1.0 - c * LN2 - 1e-15
+    assert base.real > 0.74
 
 
 @settings(max_examples=20, deadline=None)
