@@ -13,7 +13,8 @@ cli and errors, only what its subcommand runs: a --measure, koebe or
 identity function loads spiral_geometry, boundary_measure, representation
 and polylog; the g0 and hansen functions and `qtheta` load gallery with
 analysis, correspondence, spiral_geometry, representation and polylog, and
-no boundary_measure; verify, beta and growth also load analysis.
+no boundary_measure; verify, beta and growth also load analysis, and the
+CSV tables of beta, growth and qtheta load formatting.
 """
 
 import importlib

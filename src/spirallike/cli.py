@@ -78,8 +78,14 @@ _LAMBDA = _checked(float, lambda v: abs(v) < np.pi / 2, "lambda = {} outside (-p
 _R_MAX = _checked(float, lambda v: 0.0 < v < 1.0, "--r-max must lie in (0, 1), got {}")
 
 
+# the largest --t-grid and --qtheta-grid: a call at 10^6 peaks near 0.25 GB,
+# and at 10^12 numpy cannot allocate its arrays
+_GRID_MAX = 10**6
+
+
 def _grid(flag, least=16):
-    return _checked(int, lambda n: n >= least, f"{flag} must be at least {least}")
+    return _checked(int, lambda n: least <= n <= _GRID_MAX,
+                    f"{flag} must lie in [{least}, {_GRID_MAX}], got {{}}")
 
 
 def build_function(args):
@@ -109,13 +115,6 @@ def build_function(args):
         params = HansenParams(alpha=alpha, beta_exp=args.beta_exp, c=c)
         return spirallike_of(hansen_build(params), angle)
     raise ConfigError("need one of --measure or --gallery")
-
-
-def _table(header, *columns):
-    """CSV header line plus one row per index of the columns, each value '%.15g'."""
-    rows = np.column_stack(columns)
-    line = ",".join(["%.15g"] * rows.shape[1]) + "\n"
-    return f"{header}\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _json(payload, indent=2):
@@ -170,7 +169,9 @@ def cmd_beta(args):
             "t": trace.t_samples.tolist(),
             "beta_estimate": trace.beta_values.tolist(),
         })
-    return 0, _table("t,beta_estimate", trace.t_samples, trace.beta_values)
+    from .formatting import csv_table
+
+    return 0, csv_table("t,beta_estimate", trace.t_samples, trace.beta_values)
 
 
 def cmd_growth(args):
@@ -192,7 +193,9 @@ def cmd_growth(args):
             "a_estimate": report.a_estimate,
             "o_bound_fails": fails,
         })
-    text = _table("r,M,E,ratio", radii, peaks, exponents, ratios)
+    from .formatting import csv_table
+
+    text = csv_table("r,M,E,ratio", radii, peaks, exponents, ratios)
     text += f"# predicted_q0 = {report.predicted_q0:.15g}\n"
     text += f"# a_estimate = {report.a_estimate:.15g}\n"
     if fails:
@@ -207,8 +210,10 @@ def cmd_qtheta(args):
     if args.fmt == "json":
         rows = np.column_stack((theta, values)).tolist()
         return 0, _json({"sup_q": sup_q, "c0": c0, "monotone": monotone, "rows": rows}, None)
+    from .formatting import csv_table
+
     head = "# sup_Q = %.15g\n# C0 = %.15g\n# monotone_decreasing = %s\n"
-    return 0, head % (sup_q, c0, str(monotone).lower()) + _table("theta,Q", theta, values)
+    return 0, head % (sup_q, c0, str(monotone).lower()) + csv_table("theta,Q", theta, values)
 
 
 def _build_parser():

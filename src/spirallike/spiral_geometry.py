@@ -30,6 +30,14 @@ def _finite_angles(t):
     return t
 
 
+def _finite_angle(t):
+    """t as a float; DomainError unless it is one finite real number."""
+    t = _finite_angles(t)
+    if t.ndim:
+        raise DomainError(f"an angle must be a scalar, got an array of shape {t.shape}")
+    return float(t)
+
+
 def principal_angle(x):
     """Reduce angles to the interval (-pi, pi].
 
@@ -53,7 +61,7 @@ class SpiralAngle:
     lam: float
 
     def __post_init__(self):
-        lam = float(_finite_angles(self.lam))
+        lam = _finite_angle(self.lam)
         if not (-np.pi / 2 < lam < np.pi / 2):
             raise DomainError(f"inclination must lie in (-pi/2, pi/2), got {self.lam!r}")
         object.__setattr__(self, "lam", lam)
@@ -82,8 +90,8 @@ class SpiralSector:
     angle: SpiralAngle
 
     def __post_init__(self):
-        _finite_angles(self.center_angle)
-        if not (0.0 < _finite_angles(self.opening) <= TWO_PI):
+        _finite_angle(self.center_angle)
+        if not (0.0 < _finite_angle(self.opening) <= TWO_PI):
             raise DomainError(f"sector opening must lie in (0, 2*pi], got {self.opening!r}")
 
 

@@ -7,9 +7,11 @@ cli.main(argv) so the tests observe exactly what a shell would.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spirallike import (
     STARLIKE,
@@ -27,6 +29,7 @@ from spirallike import (
     q_function,
     spirallike_of,
 )
+from spirallike import formatting
 from spirallike.cli import main, parse_complex, parse_r_schedule
 from spirallike.errors import ConfigError
 from spirallike.gallery import DEFAULT_C
@@ -366,11 +369,30 @@ def test_exit_codes():
     assert main(["verify", "--gallery", "koebe", "--r-max", "1.5"]) == 2
     assert main(["beta", "--gallery", "identity", "--t-grid", "8"]) == 2
     assert main(["qtheta", "--qtheta-grid", "100"]) == 2
+    assert main(["qtheta", "--qtheta-grid", "1000001"]) == 2
     # two ways to set one exponent: argparse rejects the pair
     assert main(["eval", "--gallery", "hansen", "--A", "2", "--alpha", "1.0"]) == 2
     assert main(["--help"]) == 0
     assert main(["eval", "--help"]) == 0
     assert main([]) == 2  # missing subcommand
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["qtheta", "--qtheta-grid", "1000000000000"],
+         "error: --qtheta-grid must lie in [1000, 1000000], got 1000000000000"),
+        (["beta", "--gallery", "koebe", "--t-grid", "1000000000000"],
+         "error: --t-grid must lie in [16, 1000000], got 1000000000000"),
+    ],
+    ids=["qtheta", "beta"],
+)
+def test_oversized_grid_exits_2_naming_the_bound(capsys, argv, message):
+    # argparse refuses the size before any array is allocated
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [message]
 
 
 def test_removed_noop_flags_exit_2(capsys):
@@ -420,6 +442,70 @@ def test_csv_tables_match_per_row_formatting(capsys):
     lines = out.splitlines()
     assert lines[:2] == [f"# sup_Q = {sup_q:.15g}", f"# C0 = {c0:.15g}"]
     assert lines[3:] == table_lines("theta,Q", zip(theta, q_function(theta)))
+
+
+def exact_ties():
+    """Doubles whose decimal expansion has 16 significant digits, the last a 5.
+
+    (2m + 1) * 2^-j has j decimals ending in 5: next to a 16 - j digit
+    integer part, in [0.01, 0.1) at j = 17 and in [1e-4, 1e-3) at j = 19.
+    """
+    ties = [(10 ** (16 - j) // 7 * 2**j + 2 * m + 1) / 2**j for j in range(1, 7) for m in (0, 1)]
+    ties += [m * 2.0**-17 for m in (1311, 1313, 8191, 13105)]
+    ties += [m * 2.0**-19 for m in (53, 55, 257, 523)]
+    return [x for t in ties for x in (t, -t)]
+
+
+# cells where "%.15g" changes notation, rounds across a power of ten, or
+# sits on a tie; zeros, non-finite values and subnormals
+EDGE_CELLS = [
+    1e-4, 9.99999999999999e-5, 0.00099999999999999995, 999999999999999.4,
+    999999999999999.9, 1e15, 123456789012345.5, 0.0, -0.0, math.nan, math.inf, -math.inf,
+    5e-324, 2.2250738585072014e-308, -1e-310, 1.0, 10.0, 1e14, 0.1, 0.5, 1e300,
+    *[np.nextafter(10.0**k, side) for k in range(-5, 17) for side in (0.0, math.inf)],
+    *[float(f"999999999999999e{k}") for k in range(-19, 1)],  # where log10 may round up to k + 15
+    *exact_ties(),
+]
+
+
+def per_cell_table(header, columns):
+    return "\n".join(table_lines(header, zip(*columns))) + "\n"
+
+
+def test_exact_ties_are_ties():
+    # |x| * 10^(14 - e) is an integer plus exactly 1/2
+    from fractions import Fraction
+
+    for x in exact_ties():
+        scaled = abs(Fraction(x)) * Fraction(10) ** (14 - math.floor(math.log10(abs(x))))
+        assert scaled.denominator == 2, x
+
+
+cells = st.one_of(st.floats(), st.floats(allow_subnormal=True, max_value=1e-300, min_value=-1e-300),
+                  st.sampled_from(EDGE_CELLS))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda ncols: st.lists(st.lists(cells, min_size=ncols, max_size=ncols), min_size=1, max_size=13)
+))
+def test_table_matches_per_cell_formatting(rows):
+    # blocks of 5 rows, so that most tables cross a block boundary
+    columns = [np.array(col) for col in zip(*rows)]
+    with mock.patch.object(formatting, "_CHUNK_ROWS", 5):
+        assert formatting.csv_table("h", *columns) == per_cell_table("h", columns)
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3, 4])
+def test_table_across_full_blocks_matches_per_cell_formatting(ncols):
+    rng = np.random.default_rng(ncols)
+    n = (formatting._CHUNK_ROWS + 3) * ncols
+    values = np.concatenate([
+        rng.integers(0, 2**64, n // 2, dtype=np.uint64, endpoint=False).view(np.float64),
+        10.0 ** rng.uniform(-5.0, 16.0, n - n // 2) * rng.choice([-1.0, 1.0], n - n // 2),
+    ])
+    values[rng.choice(n, len(EDGE_CELLS), replace=False)] = EDGE_CELLS
+    columns = list(rng.permutation(values).reshape(-1, ncols).T)
+    assert formatting.csv_table("h", *columns) == per_cell_table("h", columns)
 
 
 def test_hansen_inadmissible_parameters_exit_2(capsys):

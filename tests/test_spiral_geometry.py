@@ -157,6 +157,20 @@ def test_sector_validation():
         SpiralSector(math.inf, 1.0, STARLIKE)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SpiralAngle(np.array([0.1, 0.2])),
+        lambda: SpiralSector(0.0, np.array([1.0, 2.0]), STARLIKE),
+        lambda: SpiralSector(np.array([0.0, 1.0]), 1.0, STARLIKE),
+    ],
+    ids=["angle", "opening", "center"],
+)
+def test_angles_of_angle_and_sector_are_scalars(build):
+    with pytest.raises(DomainError, match="must be a scalar"):
+        build()
+
+
 def test_sector_contains_halfplane():
     # opening pi about center 0 at lam = 0 is the open right half plane
     sec = SpiralSector(0.0, math.pi, STARLIKE)
