@@ -35,7 +35,6 @@ _EXPORTS = {
         "hansen_ratio",
         "max_modulus",
         "refine_jump",
-        "section_search_max",
         "spirallikeness_margin",
     ),
     "boundary_measure": ("BoundaryMeasure", "load_measure"),
@@ -57,7 +56,6 @@ _EXPORTS = {
         "c0_constant",
         "counterexample_for",
         "g0_correction",
-        "g0_log_derivative",
         "hansen_build",
         "koebe_power",
         "lemma_c_margins",

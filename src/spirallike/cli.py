@@ -92,6 +92,12 @@ def build_function(args):
     """Construct the SpiralFunction named by --measure or --gallery."""
     from .spiral_geometry import SpiralAngle
 
+    # the hansen flags default below, so that one given with another function is refused
+    hansen = {k: getattr(args, k) for k in ("alpha", "A", "beta_exp", "c")
+              if getattr(args, k) is not None}
+    if hansen and args.gallery != "hansen":
+        flags = ", ".join("--" + k.replace("_", "-") for k in hansen)
+        raise ConfigError(f"only --gallery hansen takes {flags}")
     angle = SpiralAngle(args.lam)
     if args.measure_path or args.gallery in ("koebe", "identity"):
         from .boundary_measure import BoundaryMeasure, load_measure
@@ -106,14 +112,14 @@ def build_function(args):
         return MeasureFunction(measure, angle)
     if args.gallery in ("g0", "hansen"):
         from .correspondence import spirallike_of
-        from .gallery import DEFAULT_C, G0Function, HansenParams, hansen_build
+        from .gallery import DEFAULT_C, G0Function, HansenFunction, HansenParams
 
         if args.gallery == "g0":
             return spirallike_of(G0Function(), angle)
-        alpha = args.A / np.pi if args.A is not None else args.alpha
-        c = DEFAULT_C if args.c is None else args.c
-        params = HansenParams(alpha=alpha, beta_exp=args.beta_exp, c=c)
-        return spirallike_of(hansen_build(params), angle)
+        if "A" in hansen:
+            hansen["alpha"] = hansen.pop("A") / np.pi
+        params = HansenParams(**{"alpha": 1.0, "beta_exp": 1.0, "c": DEFAULT_C, **hansen})
+        return spirallike_of(HansenFunction(params), angle)
     raise ConfigError("need one of --measure or --gallery")
 
 
@@ -223,29 +229,31 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, run, help, builds_function=True):
+    def add_command(name, run, help, builds_function=True, formats=("csv", "json")):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         if builds_function:
-            p.add_argument("--measure", dest="measure_path", help="measure-spec JSON path")
-            p.add_argument("--gallery", choices=GALLERY_CHOICES)
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--measure", dest="measure_path", help="measure-spec JSON path")
+            source.add_argument("--gallery", choices=GALLERY_CHOICES)
             p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=0.0,
                            help="spiral inclination in radians")
             jump = p.add_mutually_exclusive_group()
-            jump.add_argument("--alpha", type=float, default=1.0,
+            jump.add_argument("--alpha", type=float,
                               help="growth exponent of the hansen gallery entry")
             jump.add_argument("--A", type=float, help="target boundary jump; sets alpha = A/pi")
-            p.add_argument("--beta-exp", type=float, default=1.0)
+            p.add_argument("--beta-exp", type=float)
             p.add_argument("--c", type=float, help="hansen log-factor coefficient")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
+        p.add_argument("--format", dest="fmt", choices=formats)
         return p
 
     p_eval = add_command("eval", cmd_eval, "evaluate f, log(f/z), zf'/f, arg_lambda(f/z)")
     p_eval.add_argument("--z", type=parse_complex, default=0.25 + 0.0j,
                         help="evaluation point 'a+bi'")
 
-    p_verify = add_command("verify", cmd_verify, "check the spirallike inequality on |z| = r_max")
+    p_verify = add_command("verify", cmd_verify, "check the spirallike inequality on |z| = r_max",
+                           formats=("json",))
     p_verify.add_argument("--r-max", type=_R_MAX, default=0.999)
 
     p_beta = add_command("beta", cmd_beta, "trace the boundary function")

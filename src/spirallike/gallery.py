@@ -7,18 +7,19 @@ whose spirallike partners break the expected growth bound.  A
 HansenFunction validates its parameters when it is built.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _circle_max, section_search_max
+from .analysis import _circle_max
 from .correspondence import spirallike_of
 from .errors import DomainError, ParameterError, _grid_size
 from .polylog import _li0, _li1, _log
 from .representation import MeasureFunction, SpiralFunction, _pointwise
 from .spiral_geometry import STARLIKE, _finite_angles
 
-DEFAULT_C0 = 2.0 * np.e**2
+DEFAULT_C0 = 2.0 * math.exp(2.0)  # 2 e^2, correctly rounded
 # the log-factor coefficient c of the counterexample family when none is
 # given: admissible (c <= 1/log C0) for every jump small enough that the
 # combined-growth constraint holds
@@ -41,11 +42,6 @@ def g0_correction(z):
     G(-1) = 1/(2 log 2).
     """
     return _pointwise(_g0_correction, z)
-
-
-def g0_log_derivative(z):
-    """z g0'(z)/g0(z) = z/(1-z) + G(z); value 1 at z = 0."""
-    return G0Function().log_derivative(z)
 
 
 class G0Function(SpiralFunction):
@@ -105,29 +101,22 @@ def q_function(theta):
 
 
 def _q_table(grid):
-    """(theta, Q(theta), (sup_q, C0, monotone)) on grid interior points of (0, pi/2)."""
+    """(theta, Q(theta), (2.0, DEFAULT_C0, monotone)) on grid interior points of (0, pi/2)."""
     grid = _grid_size(grid, "grid")
     if grid < 1000:
         raise DomainError("need at least 1000 grid points")
     theta = np.linspace(0.0, np.pi / 2.0, grid + 2)[1:-1]
     values = q_function(theta)
     monotone = bool(np.all(np.diff(values) <= 0.0))
-    k = int(np.argmax(values))
-    lo = theta[k - 1] if k > 0 else 1e-9
-    hi = theta[k + 1] if k + 1 < len(theta) else theta[-1]
-    _, sup_q = section_search_max(q_function, lo, hi)
-    sup_q = max(sup_q, float(values[k]))
-    return theta, values, (float(sup_q), float(2.0 * np.exp(sup_q)), monotone)
+    return theta, values, (2.0, DEFAULT_C0, monotone)
 
 
 def c0_constant(grid=100000):
-    """Grid supremum of Q with section-search refinement: (sup_q, 2*exp(sup_q), monotone).
+    """(sup Q, C0, monotone) = (2.0, DEFAULT_C0, monotone) on a grid of (0, pi/2).
 
-    The largest grid value is refined by section_search_max over its two
-    grid neighbours (down to 1e-9 at the left end), to tol 1e-12.
-
-    monotone reports whether Q was non-increasing across the grid; it is an
-    observation, not an assumption used elsewhere.
+    sup Q is the limit 2 of Q at 0+: Q(t) = 2 - t^2/2 + O(t^4) and Q decreases
+    on (0, pi/2), so C0 = 2 e^2.  monotone reports whether Q is non-increasing
+    across the grid, the grid's evidence that the limit is the supremum.
     """
     return _q_table(grid)[2]
 

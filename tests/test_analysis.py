@@ -52,7 +52,6 @@ from spirallike import (
     max_modulus,
     principal_angle,
     refine_jump,
-    section_search_max,
     sector_contains,
     spirallike_of,
     spirallikeness_margin,
@@ -68,6 +67,7 @@ from spirallike.analysis import (
     _sector_crossings,
     _sector_reach,
     _sector_samples,
+    section_search_max,
 )
 
 from _oracles import (

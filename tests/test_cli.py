@@ -395,7 +395,7 @@ def test_oversized_grid_exits_2_naming_the_bound(capsys, argv, message):
     assert err.splitlines() == [message]
 
 
-def test_removed_noop_flags_exit_2(capsys):
+def test_removed_noop_flags_exit_2(capsys, tmp_path):
     assert main(["eval", "--gallery", "koebe", "--threads", "2"]) == 2
     assert main(["eval", "--gallery", "koebe", "--quadrature-nodes", "64"]) == 2
     assert main(["verify", "--gallery", "koebe", "--grid-r", "48"]) == 2
@@ -407,6 +407,21 @@ def test_removed_noop_flags_exit_2(capsys):
         ("--alpha", "1.0"), ("--beta-exp", "2"), ("--c", "0.2"), ("--A", "2"),
     ):
         assert main(["qtheta", "--qtheta-grid", "1000", flag, value]) == 2
+    # flags that would change nothing: a --measure next to a --gallery, a
+    # hansen parameter with any other function, and csv from verify
+    spec = tmp_path / "koebe.json"
+    spec.write_text(json.dumps({"atoms": [{"t": 0.0, "jump": 2 * PI}]}))
+    calls = [["eval", "--measure", str(spec), "--gallery", "g0"],
+             ["verify", "--gallery", "koebe", "--format", "csv"]]
+    for source in (["--gallery", "koebe"], ["--gallery", "g0"], ["--measure", str(spec)]):
+        for flag, value in (("--alpha", "1.9"), ("--A", "2"), ("--beta-exp", "2"), ("--c", "0.2")):
+            calls.append(["eval", *source, flag, value])
+    for argv in calls:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert "error: " in err and "Traceback" not in err, argv
+    rc, _, err = run(capsys, "eval", "--gallery", "koebe", "--alpha", "1.9", "--c", "0.2")
+    assert err == "error: only --gallery hansen takes --alpha, --c\n"
 
 
 def table_lines(header, rows):

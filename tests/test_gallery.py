@@ -35,7 +35,6 @@ from spirallike import (
     counterexample_for,
     estimate_max_jump,
     g0_correction,
-    g0_log_derivative,
     hansen_build,
     hansen_ratio,
     koebe_power,
@@ -46,6 +45,7 @@ from spirallike import (
     spirallike_of,
     spirallikeness_margin,
 )
+from spirallike.gallery import DEFAULT_C
 from spirallike.polylog import _li1
 
 PI = math.pi
@@ -119,19 +119,11 @@ def test_g0_closed_forms_against_mpmath_near_zero():
         assert err < 1e-14, f"{name}: {err:.3g}"
 
 
-def test_g0_log_derivative_is_the_g0_handles_log_derivative():
-    g0 = G0Function()
-    for z in (0.3 + 0.4j, np.array([0.0, 0.3 + 0.4j, -0.95, 0.999j, 0.5 - 0.8j])):
-        got, want = g0_log_derivative(z), g0.log_derivative(z)
-        assert type(got) is type(want)
-        got, want = np.atleast_1d(got), np.atleast_1d(want)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 def test_g0_log_derivative_decomposition():
+    log_derivative = G0Function().log_derivative
     z = 0.3 + 0.2j
-    assert abs(g0_log_derivative(z) - (z / (1 - z) + g0_correction(z))) < 1e-14
-    assert abs(g0_log_derivative(0.0) - 1.0) < 1e-12
+    assert abs(log_derivative(z) - (z / (1 - z) + g0_correction(z))) < 1e-14
+    assert abs(log_derivative(0.0) - 1.0) < 1e-12
 
 
 def test_g0_flags():
@@ -151,7 +143,7 @@ def test_closed_forms_reject_points_off_the_open_disk(bad):
                 getattr(f, name)(bad)
             with pytest.raises(DomainError):
                 getattr(f, name)(np.array([0.5, bad]))
-    for fn in (g0_correction, g0_log_derivative):
+    for fn in (g0_correction, G0Function().log_derivative):
         with pytest.raises(DomainError):
             fn(bad)
 
@@ -306,12 +298,39 @@ def test_q_function_domain():
 
 
 def test_c0_constant_values():
-    sup_q, c0, monotone = c0_constant()
-    assert sup_q <= 2.0 + 1e-9
-    assert sup_q == pytest.approx(2.0, abs=1e-6)
-    assert c0 == pytest.approx(2.0 * math.e**2, abs=1e-3)
-    assert c0 == pytest.approx(DEFAULT_C0, abs=1e-3)
-    assert monotone is True
+    # sup Q is the limit 2 at 0+, not a search, so no grid moves it
+    assert c0_constant() == (2.0, DEFAULT_C0, True)
+    assert c0_constant(1000) == (2.0, DEFAULT_C0, True)
+    # DEFAULT_C0 is 2 e^2 correctly rounded
+    with mpmath.workdps(40):
+        assert DEFAULT_C0 == float(2 * mpmath.exp(2))
+    # the family's default c, min(0.3, 0.99/log C0)
+    assert DEFAULT_C == 0.3
+
+
+def mp_q(t):
+    """Q(t) from its defining formula, at the working mpmath precision."""
+    t = mpmath.mpf(t)
+    lc = mpmath.log(mpmath.cos(t))
+    return (lc * lc + t * t) / (t * mpmath.tan(t) + lc)
+
+
+def test_q_function_against_mpmath():
+    # the worst measured error is 4.1 eps, at t = 1.5
+    theta = np.concatenate([np.geomspace(1e-9, 1e-2, 40), np.linspace(1e-2, 1.5, 60)])
+    with mpmath.workdps(40):
+        for t, q in zip(theta, q_function(theta)):
+            want = mp_q(t)
+            assert abs(q - want) <= 8 * np.finfo(float).eps * abs(want), t
+
+
+def test_q_series_at_zero():
+    # Q(t) = 2 - t^2/2 + O(t^4), so sup Q is the limit 2 at 0+; the t^4
+    # coefficient is -1/36
+    with mpmath.workdps(50):
+        for t in np.geomspace(1e-6, 0.1, 60):
+            tm = mpmath.mpf(t)
+            assert abs(mp_q(t) - (2 - tm * tm / 2)) <= tm**4 / 30, t
 
 
 def test_c0_constant_grid_stability():
@@ -358,7 +377,7 @@ def test_hansen_params_violations_name_each_inequality():
 def test_hansen_build_raises_with_named_inequality():
     with pytest.raises(ParameterError) as exc:
         hansen_build(HansenParams(1.0, 1.0, 0.9))
-    assert "1/log(C0)" in str(exc.value)
+    assert str(exc.value) == "c = 0.9 violates c <= 1/log(C0) = 0.371313"
     f = hansen_build(HansenParams(1.0, 1.0, 0.3))
     assert f.angle.is_starlike
     assert f.known_max_jump == pytest.approx(PI)

@@ -67,8 +67,7 @@ HOME = {
     "analysis": [
         "BetaTrace", "GrowthReport", "JumpEstimate", "beta_trace", "default_r_schedule",
         "detect_maximal_sector", "estimate_max_jump", "goodman_check", "growth_exponent",
-        "hansen_ratio", "max_modulus", "refine_jump", "section_search_max",
-        "spirallikeness_margin",
+        "hansen_ratio", "max_modulus", "refine_jump", "spirallikeness_margin",
     ],
     "boundary_measure": ["BoundaryMeasure", "load_measure"],
     "correspondence": ["spirallike_of", "starlike_of"],
@@ -78,8 +77,8 @@ HOME = {
     ],
     "gallery": [
         "DEFAULT_C0", "G0Function", "HansenFunction", "HansenParams", "c0_constant",
-        "counterexample_for", "g0_correction", "g0_log_derivative", "hansen_build",
-        "koebe_power", "lemma_c_margins", "q_function",
+        "counterexample_for", "g0_correction", "hansen_build", "koebe_power",
+        "lemma_c_margins", "q_function",
     ],
     "polylog": ["li2", "li3"],
     "representation": ["MeasureFunction", "SpiralFunction"],
@@ -151,6 +150,16 @@ def test_public_names_are_their_defining_modules_objects():
     assert sorted(out["all"]) == sorted(name for names in HOME.values() for name in names)
     assert set(out["all"]) <= set(out["dir"])
     assert out["bad"] == []
+
+
+@pytest.mark.parametrize("name", ["section_search_max", "g0_log_derivative"])
+def test_retired_names_are_not_public(name):
+    # section_search_max is internal to analysis; g0_log_derivative was an
+    # alias of G0Function().log_derivative
+    import spirallike
+
+    with pytest.raises(AttributeError):
+        getattr(spirallike, name)
 
 
 def test_package_attribute_follows_its_module():
