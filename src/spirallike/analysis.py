@@ -11,9 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InconsistencyError, _grid_size
+from .errors import AccuracyError, DomainError, InconsistencyError, _grid_size, _real_number
 from .spiral_geometry import (
     SpiralSector,
+    _numbers,
     principal_angle,
     sector_contains,
     spiral_point,
@@ -144,9 +145,11 @@ class JumpEstimate(NamedTuple):
 def _radii(r_schedule, default):
     """r_schedule, or default when None, as a tuple of floats.
 
-    DomainError unless it is nonempty and strictly increasing inside (0, 1).
+    DomainError unless it is a nonempty sequence of numbers that increases
+    strictly inside (0, 1).
     """
-    radii = tuple(float(r) for r in (default if r_schedule is None else r_schedule))
+    radii = _numbers(default if r_schedule is None else r_schedule, float, "r_schedule")
+    radii = tuple(radii.tolist()) if radii.ndim == 1 else ()
     # 0 < r_1 < ... < r_n < 1, False for a NaN
     if not (radii and all(a < b for a, b in zip((0.0,) + radii, radii + (1.0,)))):
         raise DomainError("r_schedule must be nonempty and strictly increasing inside (0, 1)")
@@ -404,7 +407,7 @@ def _circle_max(values, r):
     7 steps, one values call each).  The result is the largest value
     sampled, a lower bound on the maximum.
     """
-    radii = np.asarray(r, dtype=float)
+    radii = _numbers(r, float, "radii")
     if radii.ndim > 1:
         raise DomainError(f"radii must be a scalar or a 1-d array, got shape {radii.shape}")
     rows = np.atleast_1d(radii)
@@ -495,7 +498,7 @@ def hansen_ratio(fn, q0, r_schedule=None):
     max_modulus call.  DomainError unless the schedule is nonempty and
     increases strictly inside (0, 1).
     """
-    if not (0.0 <= q0 < np.inf):
+    if not (0.0 <= _real_number(q0, "q0") < np.inf):
         raise DomainError(f"q0 must be finite and nonnegative, got {q0!r}")
     r_schedule = _radii(r_schedule, default_r_schedule(2, 8))
     peaks = max_modulus(fn, np.array(r_schedule)).tolist()

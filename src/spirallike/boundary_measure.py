@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MeasureValidationError, ParameterError
+from .errors import MeasureValidationError, ParameterError, _real_number
 from .spiral_geometry import _finite_angles
 
 TWO_PI = 2.0 * np.pi
@@ -56,9 +56,17 @@ class BoundaryMeasure:
     density_knots: tuple = ()
 
     def __post_init__(self):
+        problems = []
         for name, _ in _TABLES:
-            pairs = tuple((float(t), float(x)) for t, x in getattr(self, name))
-            object.__setattr__(self, name, pairs)
+            table = getattr(self, name)
+            try:
+                pairs = tuple((float(t), float(x)) for t, x in table)
+            except (TypeError, ValueError, OverflowError):
+                problems.append(f"{name}: expected pairs of real numbers, got {table!r}")
+            else:
+                object.__setattr__(self, name, pairs)
+        if problems:
+            raise MeasureValidationError(problems)
 
     # -- validation ----------------------------------------------------
 
@@ -236,12 +244,13 @@ class BoundaryMeasure:
         uniform_density_mass: portion of the 2*pi mass carried by a constant
             density instead of the atoms.
         """
-        udm = float(uniform_density_mass)
+        udm = _real_number(uniform_density_mass, "uniform density mass", ParameterError)
         if not (0.0 <= udm <= TWO_PI):
             raise ParameterError(f"uniform density mass {udm} outside [0, 2*pi]")
         merged = {}
         for t, w in pairs:
-            t, w = float(t), float(w)
+            t = _real_number(t, "atom position", ParameterError)
+            w = _real_number(w, "atom weight", ParameterError)
             if not np.isfinite(t):
                 raise ParameterError(f"atom position {t} is not finite")
             if not (0.0 < w < np.inf):

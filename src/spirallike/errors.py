@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the count check that raises one."""
+"""Exception types shared across the package, and the argument checks that raise them."""
 
 
 class SpirallikeError(Exception):
@@ -50,3 +50,11 @@ def _grid_size(n, name):
     if not valid:
         raise DomainError(f"{name} must be a whole number at least 1, got {n!r}")
     return count
+
+
+def _real_number(x, name, error=DomainError):
+    """x as a float; error (DomainError by default) unless float() takes it."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be a real number, got {x!r}") from None

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _circle_max
 from .correspondence import spirallike_of
-from .errors import DomainError, ParameterError, _grid_size
+from .errors import DomainError, ParameterError, _grid_size, _real_number
 from .polylog import _li0, _li1, _log
 from .representation import MeasureFunction, SpiralFunction, _pointwise
 from .spiral_geometry import STARLIKE, _finite_angles
@@ -74,7 +73,7 @@ def koebe_power(exponent=2.0):
     # here, not at module level: the g0 and hansen handles use no BoundaryMeasure
     from .boundary_measure import BoundaryMeasure
 
-    exponent = float(exponent)
+    exponent = _real_number(exponent, "exponent", ParameterError)
     if not (0.0 <= exponent <= 2.0):
         raise ParameterError(f"exponent {exponent} outside [0, 2]: f would not be starlike")
     atoms = ((0.0, np.pi * exponent),) if exponent > 0 else ()
@@ -130,7 +129,10 @@ def lemma_c_margins(C):
     on the disk, so each minimum lies on the circle |z| = 0.999 and is taken
     there by _circle_max from its _CIRCLE_SCAN = 1024 refined angles.
     """
-    C = float(C)
+    # here, not at module level: no other gallery routine needs analysis
+    from .analysis import _circle_max
+
+    C = _real_number(C, "C")
     if not (2.0 < C < np.inf):
         raise DomainError(f"threshold inequalities need finite C > 2, got {C}")
 
@@ -153,11 +155,18 @@ class HansenParams:
     w = log(1/(1-z)) and C = e^(1/c).  Admissibility depends on the
     threshold constant C0 = DEFAULT_C0: c must not exceed 1/log(C0), and
     the combined growth alpha + c*beta_exp/(1 - c log 2) must stay below 2.
+    Each parameter is stored as a float; ParameterError if float() refuses
+    it.
     """
 
     alpha: float
     beta_exp: float
     c: float
+
+    def __post_init__(self):
+        for name in ("alpha", "beta_exp", "c"):
+            value = _real_number(getattr(self, name), name, ParameterError)
+            object.__setattr__(self, name, value)
 
     @property
     def C(self):
@@ -232,5 +241,6 @@ def counterexample_for(angle, A, beta_exp=1.0, c=DEFAULT_C):
     in (0, 2*pi).  Parameters that violate the family's inequalities raise
     ParameterError with the inequality named.
     """
-    params = HansenParams(alpha=A / np.pi, beta_exp=beta_exp, c=c)
+    alpha = _real_number(A, "A", ParameterError) / np.pi
+    params = HansenParams(alpha=alpha, beta_exp=beta_exp, c=c)
     return spirallike_of(HansenFunction(params), angle)

@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .spiral_geometry import _numbers
 
 _ABS_TOL = 1e-12
 _TAIL = 2.0**-56
@@ -159,7 +160,7 @@ def _far(n, u):
 
 
 def _polylog(n, u):
-    u = np.asarray(u, dtype=complex)
+    u = _numbers(u, complex, "arguments")
     flat = u.ravel()
     r = np.abs(flat)
     if not np.all(r <= 1.0 + _ABS_TOL):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, _grid_size
 from .polylog import _TAIL, _horner, _li, _li_imag
+from .spiral_geometry import _numbers
 
 _MAX_FFT = 1 << 20
 # A (terms, points) block holds fewer than 16384 complex values (256 KiB):
@@ -39,8 +40,8 @@ _SERIES_RADIUS = 0.5
 
 
 def _as_disk_points(z):
-    """z as a complex array; DomainError unless every point is finite with |z| < 1."""
-    z = np.asarray(z, dtype=complex)
+    """z as a complex array; DomainError unless every point is a finite number with |z| < 1."""
+    z = _numbers(z, complex, "points")
     if not (np.abs(z) < 1.0).all():
         raise DomainError("evaluation requires finite z with |z| < 1")
     return z
@@ -104,13 +105,14 @@ class SpiralFunction:
     returns f(z)/z and arg_lambda_f_over_z returns the continuous
     lam-argument of f(z)/z, 0 at the center, as a real array (a float for a
     scalar z).  Each takes a scalar or an array of points with |z| < 1; it
-    checks the domain, flattens, and evaluates blocks of _BLOCK_TERMS points.  A MeasureFunction
-    lays its terms out term-major, one row of a (terms, points) array per
-    atom or slope change, in row blocks of about 16384/(atoms + slope
-    changes) points, so that those temporaries stay in the L2 cache; at
-    points with |z| <= 1/2 a measure with slope changes instead takes one
-    Horner pass over the moment series of the whole measure, atoms and
-    slope changes together, on the whole block.  Every step of a kernel is
+    checks the domain, flattens, and evaluates blocks of _BLOCK_TERMS
+    points.  A MeasureFunction lays its terms out term-major, one row of a
+    (terms, points) array per atom or slope change, and each polylog order
+    in its own row blocks of _BLOCK_TERMS // (that order's term count)
+    points, so that those temporaries stay in the L2 cache; at points with
+    |z| <= 1/2 a measure with slope changes instead takes one Horner pass
+    over the moment series of the whole measure, atoms and slope changes
+    together, on the whole block.  Every step of a kernel is
     elementwise or a sum over terms in term order (_term_sum: one reduce
     over the term axis, a running sum for a single point), and |z| alone
     picks a point's regime, so a point gets the same bits alone as inside
@@ -194,13 +196,16 @@ class MeasureFunction(SpiralFunction):
     three starlike kernels: log(g/z) at shift 0 and zg'/g - 1 at shift 1,
     where an order-n term enters as Li_(n - shift), and arg(g/z) at shift 0
     with Im Li_n in place of Li_n, so that an atom's row is one real
-    arctan2.  Outside |z| <= 1/2 each term takes one row (_rows).  Inside it
-    a measure with slope changes is one series in its moments
-    (_moment_series), tabulated once here: 51 terms for log(g/z) and 57 for
-    zg'/g with atoms, 41 and 46 without, so all terms together take one
-    Horner pass.  Measures without slope changes (atoms only, constant
-    density) have no series: for a few atoms the rows cost less than a
-    Horner pass of 51 terms.
+    arctan2.  Outside |z| <= 1/2 each term takes one row (_rows), and the
+    rows of each order go in blocks of _BLOCK_TERMS // (that order's term
+    count) points, so each polylog call takes as many points as the cache
+    bound allows (24 atoms and 12 slope changes: 682-point Li_1 and
+    1365-point Li_3 blocks).  Inside it a measure with slope changes is one
+    series in its moments (_moment_series), tabulated once here: 51 terms
+    for log(g/z) and 57 for zg'/g with atoms, 41 and 46 without, so all
+    terms together take one Horner pass.  Measures without slope changes
+    (atoms only, constant density) have no series: for a few atoms the rows
+    cost less than a Horner pass of 51 terms.
     """
 
     def __init__(self, measure, angle):
@@ -213,7 +218,6 @@ class MeasureFunction(SpiralFunction):
         # (terms, 1) columns, so that rot * z is a (terms, points) array
         self._terms = {n: (np.exp(-1j * t)[:, None], w[:, None]) for n, (t, w) in terms.items()}
         self._series = {shift: _moment_series(terms, shift) for shift in (0, 1) if 3 in terms}
-        self._row_block = max(1, _BLOCK_TERMS // max(1, len(atoms) + sigma.size))
 
     def _log_g_over_z(self, z):
         return (1.0 / np.pi) * self._measure_sum(z, 0)
@@ -228,16 +232,18 @@ class MeasureFunction(SpiralFunction):
         """sum_n sum_k w_k Li_(n - shift)(exp(-i*t_k) z), one row per term.
 
         With imag, each row is the real Im Li_(n - shift) (_li_imag), which
-        for an atom is one arctan2.  Evaluated in blocks of self._row_block
-        points, so that the (terms, points) temporaries stay in the L2 cache.
+        for an atom is one arctan2.  Each order is evaluated in its own row
+        blocks of _BLOCK_TERMS // (its term count) points, so that its
+        (terms, points) temporaries stay in the L2 cache and each polylog
+        call takes as many points as that allows.  A point still adds its
+        orders in term order, so its value does not depend on the blocks.
         """
         term = _li_imag if imag else _li
-        block = self._row_block
         out = np.zeros(z.shape, dtype=float if imag else complex)
-        for i in range(0, z.size, block):
-            zb, ob = z[i : i + block], out[i : i + block]
-            for n, (rot, w) in self._terms.items():
-                ob += _term_sum(w * term(n - shift, rot * zb))
+        for n, (rot, w) in self._terms.items():
+            block = max(1, _BLOCK_TERMS // rot.shape[0])
+            for i in range(0, z.size, block):
+                out[i : i + block] += _term_sum(w * term(n - shift, rot * z[i : i + block]))
         return out
 
     def _measure_sum(self, z, shift, imag=False):

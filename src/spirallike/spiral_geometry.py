@@ -19,12 +19,18 @@ from .errors import DomainError
 TWO_PI = 2.0 * np.pi
 
 
+def _numbers(x, dtype, what):
+    """x as an array of dtype (float or complex); DomainError unless every entry is a number."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError):
+        kind = "real" if dtype is float else "complex"
+        raise DomainError(f"{what} must be {kind} numbers, got {x!r}") from None
+
+
 def _finite_angles(t):
     """t as a float array; DomainError unless every entry is a finite number."""
-    try:
-        t = np.asarray(t, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"angles must be real numbers, got {t!r}") from None
+    t = _numbers(t, float, "angles")
     if not np.isfinite(t).all():
         raise DomainError("angles must be finite")
     return t
@@ -101,7 +107,7 @@ def arg_lambda(w, angle):
     Vectorized; raises DomainError if any entry is zero or not finite.  For
     lam = 0 this is numpy.angle exactly.
     """
-    w = np.asarray(w, dtype=complex)
+    w = _numbers(w, complex, "points")
     if not np.isfinite(w).all():
         raise DomainError("spiral argument needs finite points")
     if np.any(w == 0):

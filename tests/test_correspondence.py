@@ -110,7 +110,7 @@ def test_pairing_preserves_measure_and_flags():
     f = spirallike_of(g, a)
     assert f.measure is g.measure
     assert f.known_max_jump == g.known_max_jump
-    assert f._row_block == g._row_block
+    assert f._terms is g._terms
     assert f.angle == a
     assert not f.angle.is_starlike
     h = starlike_of(f, a)

@@ -27,8 +27,11 @@ from spirallike import (
     G0Function,
     HansenFunction,
     HansenParams,
+    MeasureFunction,
+    MeasureValidationError,
     ParameterError,
     SpiralAngle,
+    SpiralSector,
     arg_lambda,
     beta_trace,
     c0_constant,
@@ -39,8 +42,11 @@ from spirallike import (
     hansen_ratio,
     koebe_power,
     lemma_c_margins,
+    li2,
+    max_modulus,
     q_function,
     refine_jump,
+    sector_contains,
     spiral_point,
     spirallike_of,
     spirallikeness_margin,
@@ -181,6 +187,16 @@ SPACING = TWO_PI / 256
         lambda: refine_jump(G0Function(), None),
         lambda: refine_jump(G0Function(), (0.1,)),
         lambda: refine_jump(G0Function(), (0.1, 0.2, 0.3)),
+        lambda: li2("x"),
+        lambda: MeasureFunction(BoundaryMeasure.single_atom(), STARLIKE).evaluate("x"),
+        lambda: MeasureFunction(BoundaryMeasure.single_atom(), STARLIKE).log_derivative(["x"]),
+        lambda: arg_lambda("x", STARLIKE),
+        lambda: sector_contains(SpiralSector(0.0, 1.0, STARLIKE), "x"),
+        lambda: max_modulus(koebe_power(), "x"),
+        lambda: spirallikeness_margin(koebe_power(), "x"),
+        lambda: beta_trace(koebe_power(), r_schedule=[0.5, "x"]),
+        lambda: hansen_ratio(koebe_power(), "x"),
+        lambda: lemma_c_margins("x"),
     ],
     ids=[
         "lemma_c-nan",
@@ -207,6 +223,16 @@ SPACING = TWO_PI / 256
         "refine_jump-none",
         "refine_jump-one-entry",
         "refine_jump-three-entries",
+        "li2-str",
+        "evaluate-str",
+        "log_derivative-str-list",
+        "arg_lambda-str",
+        "sector_contains-str",
+        "max_modulus-r-str",
+        "margin-r_max-str",
+        "beta_trace-r_schedule-str",
+        "hansen_ratio-q0-str",
+        "lemma_c-str",
     ],
 )
 def test_bad_arguments_raise_domain_error(call):
@@ -216,9 +242,29 @@ def test_bad_arguments_raise_domain_error(call):
 
 
 @pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: koebe_power("x"), ParameterError),
+        (lambda: koebe_power(None), ParameterError),
+        (lambda: HansenFunction(HansenParams("x", 1.0, 0.2)), ParameterError),
+        (lambda: counterexample_for(SpiralAngle(0.5), "x"), ParameterError),
+        (lambda: BoundaryMeasure(atoms=(("a", 1.0),)), MeasureValidationError),
+        (lambda: BoundaryMeasure(atoms=5), MeasureValidationError),
+    ],
+    ids=["koebe_power-str", "koebe_power-none", "hansen-alpha-str", "counterexample-A-str",
+         "measure-atom-str", "measure-atoms-int"],
+)
+def test_non_numeric_parameters_raise_package_error(call, error):
+    # a constructor refuses a parameter that is no number with its own
+    # package error, not Python's ValueError or TypeError
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
     "pairs",
-    [[(np.nan, 1.0)], [(0.5, np.inf)], [(0.5, 1.0), (np.inf, 2.0)]],
-    ids=["position-nan", "weight-inf", "position-inf"],
+    [[(np.nan, 1.0)], [(0.5, np.inf)], [(0.5, 1.0), (np.inf, 2.0)], [("a", 1.0)]],
+    ids=["position-nan", "weight-inf", "position-inf", "position-str"],
 )
 def test_bad_atoms_raise_parameter_error(pairs):
     # rejected when the measure is built, not when it is first used

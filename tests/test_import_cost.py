@@ -95,6 +95,8 @@ GALLERY_BRANCH = ["analysis", "cli", "correspondence", "errors", "gallery", "pol
                   "representation", "spiral_geometry"]
 # and the CSV writer, for the subcommands that print a table
 TABLE_BRANCH = sorted(GALLERY_BRANCH + ["formatting"])
+# qtheta prints the Q table and runs no analysis routine
+QTHETA_BRANCH = [m for m in TABLE_BRANCH if m != "analysis"]
 
 
 @pytest.mark.parametrize(
@@ -119,7 +121,7 @@ def test_import_loads_only_these_package_modules(module, loaded):
         (["growth", "--gallery", "hansen", "--lambda", "0.7853981633974483",
           "--A", "3.141592653589793", "--r-k", "2:8"], TABLE_BRANCH),
         (["beta", "--gallery", "g0", "--lambda", "0.6"], TABLE_BRANCH),
-        (["qtheta"], TABLE_BRANCH),
+        (["qtheta"], QTHETA_BRANCH),
     ],
     ids=["eval", "verify", "growth", "beta", "qtheta"],
 )

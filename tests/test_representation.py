@@ -365,14 +365,45 @@ HANDLES = {
 }
 
 
+def _row_blocks(f):
+    """The points per row block of each polylog order of a MeasureFunction; none for other handles."""
+    terms = getattr(f, "_terms", {})
+    return [representation._BLOCK_TERMS // rot.shape[0] for rot, _ in terms.values()]
+
+
+def test_each_order_takes_its_own_row_blocks(monkeypatch):
+    # 45056 points, the first half in |z| <= 1/2 (the moment series) and the
+    # rest outside: the 22528 outer points fall in two kernel blocks, of
+    # 10238 and 12290 points, and the 12 slope changes of the wide measure
+    # take 1365-point row blocks (8 + 10 li3 calls), not one block size
+    # shared with the 24 atoms (23 + 28 calls of 455 points)
+    f = HANDLES["wide"]()
+    assert _row_blocks(f) == [682, 1365]
+    calls = []
+
+    def counted(u):
+        calls.append(u.shape)
+        return li3(u)
+
+    monkeypatch.setattr(polylog, "li3", counted)
+    rng = np.random.default_rng(7)
+    half = 45056 // 2
+    r = np.concatenate([0.5 * np.sqrt(rng.uniform(0, 1, half)), 1.0 - 10.0 ** rng.uniform(-6, -0.3, half)])
+    f.log_f_over_z(r * np.exp(2j * PI * rng.uniform(0, 1, r.size)))
+    assert len(calls) == 18
+    assert max(rows * points for rows, points in calls) < 16384
+
+
 @pytest.mark.parametrize("make", HANDLES.values(), ids=HANDLES.keys())
 def test_point_value_independent_of_batch(make):
     # A point gets the same bits alone, inside arrays of any size (across
     # the blocks of the kernel, at their edges) and in a 2-d grid: batched
     # callers (max_modulus over many radii) and scalar callers agree.  A
     # MeasureFunction evaluates blocks of _BLOCK_TERMS points and, outside
-    # |z| <= 1/2, rows in blocks of _row_block points; points on |z| = 1/2
-    # and one ulp to either side meet both routes.
+    # |z| <= 1/2, each polylog order's rows in blocks of _row_blocks(f)
+    # points (wide: 682 for its 24 atoms, 1365 for its 12 slope changes;
+    # mixed: 8191 and 4095); points on |z| = 1/2 and one ulp to either side
+    # meet both routes.
     f = make()
     rng = np.random.default_rng(5)
     r = np.concatenate([0.5 * np.sqrt(rng.uniform(0, 1, 100)), 1.0 - 10.0 ** rng.uniform(-6, -0.3, 200)])
@@ -390,8 +421,7 @@ def test_point_value_independent_of_batch(make):
         return r * np.exp(2j * PI * rng.uniform(0, 1, size))
 
     blocks = [(representation._BLOCK_TERMS, (1, 3), False)]
-    if getattr(f, "_row_block", representation._BLOCK_TERMS) < representation._BLOCK_TERMS:
-        blocks.append((f._row_block, (), True))
+    blocks += [(block, (), True) for block in _row_blocks(f) if block < representation._BLOCK_TERMS]
     for name in ("log_f_over_z", "log_derivative", "evaluate", "f_over_z", "arg_lambda_f_over_z"):
         method = getattr(f, name)
         alone = np.array([method(complex(p)) for p in points])
