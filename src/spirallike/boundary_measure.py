@@ -247,6 +247,10 @@ class BoundaryMeasure:
         udm = _real_number(uniform_density_mass, "uniform density mass", ParameterError)
         if not (0.0 <= udm <= TWO_PI):
             raise ParameterError(f"uniform density mass {udm} outside [0, 2*pi]")
+        try:
+            pairs = [(t, w) for t, w in pairs]
+        except (TypeError, ValueError):
+            raise ParameterError(f"atoms must be (position, weight) pairs, got {pairs!r}") from None
         merged = {}
         for t, w in pairs:
             t = _real_number(t, "atom position", ParameterError)

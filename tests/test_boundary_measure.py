@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from scipy.integrate import trapezoid
 
 from spirallike import (
     STARLIKE,
@@ -295,7 +294,8 @@ def test_max_jump_and_largest_atom():
 
 def moment_oracle(m):
     t = np.linspace(0.0, TWO_PI, 200001)
-    dens = trapezoid(t * m.density_at(t), t)
+    y = t * m.density_at(t)
+    dens = 0.5 * np.sum((y[1:] + y[:-1]) * np.diff(t))  # the trapezoid rule
     return dens + sum(t * d for t, d in m.atoms)
 
 
@@ -383,6 +383,10 @@ def test_from_atoms_validation():
     with pytest.raises(ParameterError):
         BoundaryMeasure.from_atoms([], uniform_density_mass=PI)
     assert BoundaryMeasure.from_atoms([], uniform_density_mass=TWO_PI).validate() == []
+    # the density's share of the mass lies in [0, 2*pi]
+    for mass in (7.0, -1.0):
+        with pytest.raises(ParameterError, match="outside"):
+            BoundaryMeasure.from_atoms([(0.0, 1.0)], uniform_density_mass=mass)
 
 
 # -- JSON ------------------------------------------------------------------------

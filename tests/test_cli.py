@@ -7,6 +7,10 @@ cli.main(argv) so the tests observe exactly what a shell would.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,7 +36,7 @@ from spirallike import (
 from spirallike import formatting
 from spirallike.cli import main, parse_complex, parse_r_schedule
 from spirallike.errors import ConfigError
-from spirallike.gallery import DEFAULT_C
+from spirallike.gallery import DEFAULT_C, _q_table
 
 PI = math.pi
 
@@ -66,6 +70,13 @@ def test_parse_r_schedule():
         parse_r_schedule("2-8")
     with pytest.raises(ConfigError):
         parse_r_schedule("a:b")
+
+
+@pytest.mark.parametrize("schedule", ["3:2", "2:13"])
+def test_r_schedule_out_of_order_or_range_exits_2(capsys, schedule):
+    rc, out, err = run(capsys, "growth", "--gallery", "koebe", "--r-k", schedule)
+    assert (rc, out) == (2, "")
+    assert err == f"error: r-schedule exponents need 0 < k_min < k_max <= 12, got {schedule}\n"
 
 
 # -- eval -----------------------------------------------------------------------
@@ -114,6 +125,19 @@ def test_eval_arg_lambda_is_the_continuous_branch(capsys):
     assert fn.arg_lambda_f_over_z(0.999) == 0.0
 
 
+@pytest.mark.parametrize("gallery", ["koebe", "identity", "g0", "hansen"])
+def test_eval_every_gallery_entry_at_lambda_07(capsys, gallery):
+    rc, out, _ = run(capsys, "eval", "--gallery", gallery, "--lambda", "0.7", "--z", "0.5")
+    assert rc == 0
+    fields = dict(line.split(" = ") for line in out.strip().splitlines())
+    assert list(fields) == ["f", "log_f_over_z", "log_derivative", "arg_lambda_f_over_z"]
+    f, log_f_over_z, log_derivative = (
+        complex(fields[k].replace("i", "j")) for k in ("f", "log_f_over_z", "log_derivative")
+    )
+    assert all(np.isfinite([f, log_f_over_z, log_derivative]))
+    assert f == pytest.approx(0.5 * np.exp(log_f_over_z), rel=1e-13)
+
+
 def test_eval_csv_shape(capsys):
     rc, out, _ = run(capsys, "eval", "--gallery", "koebe", "--format", "csv")
     assert rc == 0
@@ -140,6 +164,13 @@ def test_verify_hansen_counterexample_passes(capsys):
     )
     assert rc == 0
     assert float(out.split("=")[1]) > 0.2
+
+
+def test_verify_g0_margin_meets_criterion_6(capsys):
+    # criterion 6's bound 1/(2 log 2) - 1/2 = 0.2213475..., from the CLI
+    rc, out, _ = run(capsys, "verify", "--gallery", "g0")
+    assert rc == 0
+    assert float(out.split("=")[1]) >= 0.2213475
 
 
 def test_verify_lambda_selects_construction_angle(capsys):
@@ -291,6 +322,39 @@ def test_qtheta_summary(capsys):
     assert lines[2] == "# monotone_decreasing = true"
     assert lines[3] == "theta,Q"
     assert len(lines) == 4 + 2000
+
+
+def test_qtheta_json_reports_exact_sup_and_c0(capsys):
+    # sup Q is the limit 2 at 0+ and C0 = 2 e^2, not grid estimates
+    rc, out, _ = run(capsys, "qtheta", "--format", "json", "--qtheta-grid", "1000")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["sup_q"] == 2.0
+    assert report["c0"] == 2 * math.exp(2.0)
+    assert report["monotone"] is True
+    assert len(report["rows"]) == 1000
+
+
+def test_python_m_prints_the_default_qtheta_table_byte_for_byte():
+    # `python -m spirallike` runs the CLI and exits with its code; the
+    # default table's 100,000 rows are each "%.15g" formatting
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cold = subprocess.run(
+        [sys.executable, "-m", "spirallike", "qtheta"], env=env, capture_output=True, check=True
+    )
+    theta, values, (sup_q, c0, monotone) = _q_table(100000)
+    head = "# sup_Q = %.15g\n# C0 = %.15g\n# monotone_decreasing = %s\ntheta,Q\n"
+    text = head % (sup_q, c0, str(monotone).lower())
+    text += "".join("%.15g,%.15g\n" % row for row in zip(theta.tolist(), values.tolist()))
+    assert cold.stdout == text.encode()
+    assert cold.stderr == b""
+    refused = subprocess.run(
+        [sys.executable, "-m", "spirallike", "qtheta", "--qtheta-grid", "100"],
+        env=env, capture_output=True,
+    )
+    assert refused.returncode == 2
 
 
 # -- file IO and exit codes ------------------------------------------------------------
@@ -529,3 +593,7 @@ def test_hansen_inadmissible_parameters_exit_2(capsys):
     )
     assert rc == 2
     assert "violates" in err
+    # HansenFunction refuses the parameters when it is built
+    rc, out, err = run(capsys, "eval", "--gallery", "hansen", "--c", "5")
+    assert (rc, out) == (2, "")
+    assert err == "error: c = 5.0 violates c <= 1/log(C0) = 0.371313\n"

@@ -13,7 +13,6 @@ Closed-form oracles, worked by hand:
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -106,6 +105,7 @@ def test_g0_closed_forms_against_mpmath_near_zero():
     z = np.append(z, 0.0)
     want = {"log_f_over_z": [0j] * z.size, "log_derivative": [1 + 0j] * z.size}
     want["g0_correction"] = list(want["log_derivative"])
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for k, p in enumerate(z[:-1]):
             zm = mpmath.mpc(p)
@@ -263,11 +263,14 @@ def test_non_numeric_parameters_raise_package_error(call, error):
 
 @pytest.mark.parametrize(
     "pairs",
-    [[(np.nan, 1.0)], [(0.5, np.inf)], [(0.5, 1.0), (np.inf, 2.0)], [("a", 1.0)]],
-    ids=["position-nan", "weight-inf", "position-inf", "position-str"],
+    [[(np.nan, 1.0)], [(0.5, np.inf)], [(0.5, 1.0), (np.inf, 2.0)], [("a", 1.0)],
+     None, [(0, 1, 2)], [1]],
+    ids=["position-nan", "weight-inf", "position-inf", "position-str",
+         "none", "triple", "not-a-pair"],
 )
 def test_bad_atoms_raise_parameter_error(pairs):
-    # rejected when the measure is built, not when it is first used
+    # rejected when the measure is built, not when it is first used; entries
+    # that are not (position, weight) pairs raise no TypeError or ValueError
     with pytest.raises(ParameterError):
         BoundaryMeasure.from_atoms(pairs)
 
@@ -347,15 +350,17 @@ def test_c0_constant_values():
     # sup Q is the limit 2 at 0+, not a search, so no grid moves it
     assert c0_constant() == (2.0, DEFAULT_C0, True)
     assert c0_constant(1000) == (2.0, DEFAULT_C0, True)
-    # DEFAULT_C0 is 2 e^2 correctly rounded
-    with mpmath.workdps(40):
-        assert DEFAULT_C0 == float(2 * mpmath.exp(2))
     # the family's default c, min(0.3, 0.99/log C0)
     assert DEFAULT_C == 0.3
+    # DEFAULT_C0 is 2 e^2 correctly rounded
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        assert DEFAULT_C0 == float(2 * mpmath.exp(2))
 
 
 def mp_q(t):
     """Q(t) from its defining formula, at the working mpmath precision."""
+    mpmath = pytest.importorskip("mpmath")
     t = mpmath.mpf(t)
     lc = mpmath.log(mpmath.cos(t))
     return (lc * lc + t * t) / (t * mpmath.tan(t) + lc)
@@ -364,6 +369,7 @@ def mp_q(t):
 def test_q_function_against_mpmath():
     # the worst measured error is 4.1 eps, at t = 1.5
     theta = np.concatenate([np.geomspace(1e-9, 1e-2, 40), np.linspace(1e-2, 1.5, 60)])
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for t, q in zip(theta, q_function(theta)):
             want = mp_q(t)
@@ -373,6 +379,7 @@ def test_q_function_against_mpmath():
 def test_q_series_at_zero():
     # Q(t) = 2 - t^2/2 + O(t^4), so sup Q is the limit 2 at 0+; the t^4
     # coefficient is -1/36
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for t in np.geomspace(1e-6, 0.1, 60):
             tm = mpmath.mpf(t)

@@ -1,11 +1,11 @@
 """Import cost: importing the package or its CLI must not load scipy.
 
-The runtime needs numpy only; scipy is a test extra.  scipy.special alone
-used to be most of a cold `spirallike` call.  Nor may the import build the
-analysis module's scan tables, which the first call that needs one builds,
-or load the standard modules that only some calls use: json (--measure and
---format json import it where they read or write) and fractions/decimal
-(the polylog tables are float literals).
+The runtime needs numpy only; scipy, mpmath and hypothesis are test extras.
+scipy.special alone used to be most of a cold `spirallike` call.  Nor may
+the import build the analysis module's scan tables, which the first call
+that needs one builds, or load the standard modules that only some calls
+use: json (--measure and --format json import it where they read or write)
+and fractions/decimal (the polylog tables are float literals).
 
 A cold process compiles every package module it imports when no bytecode
 is cached, so `import spirallike` loads no submodule, `import spirallike.cli`
@@ -53,12 +53,15 @@ def test_import_builds_no_scan_table():
     assert sizes == ["0 0"]
 
 
+# top-level packages that neither the CLI import nor a subcommand may load
+_FORBIDDEN = (
+    "sorted(m for m in sys.modules if m.split('.')[0] in "
+    "('decimal', 'fractions', 'hypothesis', 'json', 'mpmath', 'scipy'))"
+)
+
+
 def test_cli_import_loads_no_unused_module():
-    (loaded,) = _run(
-        "import sys, spirallike.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('fractions', 'decimal', 'json', 'scipy')))"
-    )
+    (loaded,) = _run(f"import sys, spirallike.cli; print({_FORBIDDEN})")
     assert loaded == "[]"
 
 
@@ -126,12 +129,14 @@ def test_import_loads_only_these_package_modules(module, loaded):
     ids=["eval", "verify", "growth", "beta", "qtheta"],
 )
 def test_subcommand_loads_only_its_modules(argv, loaded):
-    rc, names = _run(
+    rc, names, forbidden = _run(
         "import os, sys, spirallike.cli as cli; "
-        f"print(cli.main({argv!r} + ['--out', os.devnull])); print({_LOADED})"
+        f"print(cli.main({argv!r} + ['--out', os.devnull])); print({_LOADED}); "
+        f"print({_FORBIDDEN})"
     )
     assert rc == "0"
     assert names == str(["spirallike"] + [f"spirallike.{m}" for m in loaded])
+    assert forbidden == "[]"
 
 
 def test_public_names_are_their_defining_modules_objects():
@@ -139,7 +144,7 @@ def test_public_names_are_their_defining_modules_objects():
         "import importlib, json, spirallike\n"
         "from spirallike import *\n"
         f"home = {HOME!r}\n"
-        "out = {'all': spirallike.__all__, 'dir': dir(spirallike), 'bad': []}\n"
+        "out = {'all': spirallike.__all__, 'bad': []}\n"
         "for module, names in home.items():\n"
         "    mod = importlib.import_module('spirallike.' + module)\n"
         "    for name in names:\n"
@@ -150,7 +155,6 @@ def test_public_names_are_their_defining_modules_objects():
     )
     out = json.loads(report)
     assert sorted(out["all"]) == sorted(name for names in HOME.values() for name in names)
-    assert set(out["all"]) <= set(out["dir"])
     assert out["bad"] == []
 
 
@@ -165,13 +169,15 @@ def test_retired_names_are_not_public(name):
 
 
 def test_package_attribute_follows_its_module():
+    # a submodule read from the package before any import is the submodule;
     # a rebinding in the defining module (a monkeypatch, a tracer's wrapper)
-    # and its undoing both show through the package; a submodule resolves
-    # without an explicit import
+    # and its undoing both show through the package
     lines = _run(
-        "import spirallike\n"
+        "import sys, spirallike\n"
+        "print('spirallike.analysis' in sys.modules)\n"
+        "analysis = spirallike.analysis\n"
+        "print(analysis is sys.modules['spirallike.analysis'])\n"
         "original = spirallike.beta_trace\n"
-        "import spirallike.analysis as analysis\n"
         "analysis.beta_trace = stand_in = lambda *a: None\n"
         "print(spirallike.beta_trace is stand_in)\n"
         "analysis.beta_trace = original\n"
@@ -179,4 +185,10 @@ def test_package_attribute_follows_its_module():
         "print(spirallike.gallery.__name__)\n"
         "print(hasattr(spirallike, 'no_such_name'))"
     )
-    assert lines == ["True", "True", "spirallike.gallery", "False"]
+    assert lines == ["False", "True", "True", "True", "spirallike.gallery", "False"]
+
+
+def test_dir_lists_every_public_name():
+    import spirallike
+
+    assert set(spirallike.__all__) <= set(dir(spirallike))
