@@ -6,15 +6,22 @@ growth exponents, and the bounded-ratio experiment.
 """
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InconsistencyError, _grid_size, _real_number
+from .errors import (
+    _MAX_POINTS,
+    AccuracyError,
+    DomainError,
+    InconsistencyError,
+    _grid_size,
+    _real_number,
+)
 from .spiral_geometry import (
     SpiralSector,
     _numbers,
+    _record,
     principal_angle,
     sector_contains,
     spiral_point,
@@ -119,7 +126,7 @@ def _unit_circle(n):
 # -- boundary traces -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class BetaTrace:
     """Sampled boundary-function estimates beta(t) = t + U_lambda(t).
 
@@ -171,10 +178,11 @@ def beta_trace(fn, t_grid=256, r_schedule=None):
 
     The estimate at each radius r of the increasing schedule is the trace
     _trace(fn, r, t); successive radii document convergence toward the
-    boundary limit.
+    boundary limit.  DomainError unless t_grid is a whole number at least 1
+    and t_grid times the number of radii is at most _MAX_POINTS = 2^24.
     """
     r_schedule = _radii(r_schedule, default_r_schedule())
-    n_t = _grid_size(t_grid, "t_grid")
+    n_t = _grid_size(t_grid, "t_grid", _MAX_POINTS // len(r_schedule))
     t = np.arange(n_t) * (TWO_PI / n_t)
     estimates = _trace(fn, np.array(r_schedule)[:, None], t)
     deltas = np.max(np.abs(np.diff(estimates, axis=0)), axis=1)
@@ -372,7 +380,7 @@ def goodman_check(g, grid=(512, 32)):
     max(n_steps, _GOODMAN_STEPS = 87).  The grid is stored radii-major, one
     row per radius, built once per (n_theta, J) and kept until a call with
     another grid.  DomainError unless grid is a pair of whole numbers at
-    least 1.
+    least 1 and the grid has at most _MAX_POINTS = 2^24 points.
     """
     if not g.angle.is_starlike:
         raise DomainError("bound applies to starlike functions (inclination 0)")
@@ -382,8 +390,9 @@ def goodman_check(g, grid=(512, 32)):
         raise DomainError(
             f"grid must be a pair (n_theta, n_steps) of whole numbers at least 1, got {grid!r}"
         ) from None
-    n_theta, n_steps = _grid_size(n_theta, "grid size"), _grid_size(n_steps, "grid size")
-    points, bound = _goodman_ladder(n_theta, max(n_steps, _GOODMAN_STEPS))
+    n_steps = max(_grid_size(n_steps, "grid n_steps"), _GOODMAN_STEPS)
+    n_theta = _grid_size(n_theta, "grid n_theta", _MAX_POINTS // n_steps)
+    points, bound = _goodman_ladder(n_theta, n_steps)
     excess = np.abs(g.arg_lambda_f_over_z(points))
     excess -= bound
     return float(np.max(excess))
@@ -453,7 +462,7 @@ def max_modulus(fn, r):
 # -- growth experiments ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class GrowthReport:
     """Rows (r, M(r), E(r) = log M / log(1/(1-r))) plus the predicted exponent."""
 

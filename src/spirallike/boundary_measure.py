@@ -7,13 +7,12 @@ beta(0-) = 0 and the midpoint convention at atoms.  Total mass must equal
 2*pi within 1e-9 so that beta gains exactly 2*pi per period.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import MeasureValidationError, ParameterError, _real_number
-from .spiral_geometry import _finite_angles
+from .spiral_geometry import _finite_angles, _record
 
 TWO_PI = 2.0 * np.pi
 MASS_TOL = 1e-9
@@ -41,7 +40,7 @@ def _segment_moment(x1, v1, x2, v2):
     return (x2 - x1) * ((2 * x1 + x2) * v1 + (x1 + 2 * x2) * v2) / 6.0
 
 
-@dataclass(frozen=True)
+@_record
 class BoundaryMeasure:
     """Atoms (t_k, jump_k) plus a periodic piecewise-linear density.
 

@@ -11,7 +11,7 @@ known_max_jump and measure travel with it.
 import copy
 
 from .errors import DomainError, InconsistencyError
-from .spiral_geometry import STARLIKE
+from .spiral_geometry import STARLIKE, _spiral_angle
 
 
 def _with_angle(fn, angle):
@@ -23,8 +23,10 @@ def _with_angle(fn, angle):
 def spirallike_of(g, angle):
     """The lam-spirallike partner f of g: g's kernel at inclination lam.
 
-    DomainError unless g is starlike (inclination 0).
+    DomainError unless g is starlike (inclination 0) and angle is a
+    SpiralAngle.
     """
+    _spiral_angle(angle)
     if not g.angle.is_starlike:
         raise DomainError(f"input is not starlike: its inclination is {g.angle.lam}")
     return _with_angle(g, angle)
@@ -33,8 +35,10 @@ def spirallike_of(g, angle):
 def starlike_of(f, angle):
     """The starlike partner g of f: f's kernel at inclination 0.
 
-    InconsistencyError unless f was built for this angle.
+    InconsistencyError unless f was built for this angle; DomainError
+    unless angle is a SpiralAngle.
     """
+    _spiral_angle(angle)
     if f.angle.lam != angle.lam:
         raise InconsistencyError(
             f"function was built for inclination {f.angle.lam}, not {angle.lam}"

@@ -40,15 +40,26 @@ class ConfigError(SpirallikeError):
     """Invalid run configuration supplied to the command-line driver."""
 
 
-def _grid_size(n, name):
-    """A grid or sample count as an int; DomainError unless it is a whole number >= 1."""
+# the most points one call builds: 2^24 complex points take 256 MiB, and a
+# kernel holds a few arrays of that size; the CLI's largest beta grid
+# (10^6 angles on 12 radii) stays inside
+_MAX_POINTS = 2**24
+
+
+def _grid_size(n, name, most=_MAX_POINTS):
+    """A grid or sample count as an int.
+
+    DomainError, before any array is built, unless n is a whole number (not
+    a bool) from 1 to most; most=None sets no upper bound.
+    """
     try:
         count = int(n)
-        valid = count >= 1 and count == float(n)
+        valid = count >= 1 and (most is None or count <= most) and count == float(n)
     except (TypeError, ValueError, OverflowError):
         valid = False
-    if not valid:
-        raise DomainError(f"{name} must be a whole number at least 1, got {n!r}")
+    if not valid or isinstance(n, bool) or getattr(n, "dtype", None) == bool:
+        bound = "" if most is None else f" and at most {most}"
+        raise DomainError(f"{name} must be a whole number at least 1{bound}, got {n!r}")
     return count
 
 

@@ -8,7 +8,6 @@ HansenFunction validates its parameters when it is built.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .correspondence import spirallike_of
 from .errors import DomainError, ParameterError, _grid_size, _real_number
 from .polylog import _li0, _li1, _log
 from .representation import MeasureFunction, SpiralFunction, _pointwise
-from .spiral_geometry import STARLIKE, _finite_angles
+from .spiral_geometry import STARLIKE, _finite_angles, _record
 
 DEFAULT_C0 = 2.0 * math.exp(2.0)  # 2 e^2, correctly rounded
 # the log-factor coefficient c of the counterexample family when none is
@@ -148,7 +147,7 @@ def lemma_c_margins(C):
 # -- the slow-logarithmic-factor family --------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class HansenParams:
     """Parameters (alpha, beta_exp, c) of g = z(1-z)^-alpha (1+c w)^beta_exp.
 

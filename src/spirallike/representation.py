@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, _grid_size
 from .polylog import _TAIL, _horner, _li, _li_imag
-from .spiral_geometry import _numbers
+from .spiral_geometry import _numbers, _spiral_angle
 
 _MAX_FFT = 1 << 20
 # A (terms, points) block holds fewer than 16384 complex values (256 KiB):
@@ -127,11 +127,12 @@ class SpiralFunction:
     for every lam: _arg_g_over_z takes the imaginary part of _log_g_over_z,
     and a subclass may replace it by a kernel that forms no real part.
     known_max_jump is the largest jump of the boundary measure that f and g
-    share, and measure that measure, when known.
+    share, and measure that measure, when known.  DomainError unless angle
+    is a SpiralAngle.
     """
 
     def __init__(self, angle, known_max_jump=None, measure=None):
-        self.angle = angle
+        self.angle = _spiral_angle(angle)
         self.known_max_jump = known_max_jump
         self.measure = measure
 
@@ -179,7 +180,7 @@ class SpiralFunction:
         e*eps*n_max^2 for Koebe.  AccuracyError, before any sampling, when N
         would exceed 2^20 (n_max > 26214).
         """
-        n_max = _grid_size(n_max, "n_max")
+        n_max = _grid_size(n_max, "n_max", most=None)
         N = 1 << (40 * n_max - 1).bit_length()
         if N > _MAX_FFT:
             raise AccuracyError(f"n_max = {n_max} needs {N} circle samples, above {_MAX_FFT}")

@@ -10,8 +10,6 @@ agree modulo 2*pi.  Inclination 0 degenerates to rays from the origin and
 arg_0 is the ordinary principal argument.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -26,6 +24,66 @@ def _numbers(x, dtype, what):
     except (TypeError, ValueError):
         kind = "real" if dtype is float else "complex"
         raise DomainError(f"{what} must be {kind} numbers, got {x!r}") from None
+
+
+def _record(cls):
+    """cls as a frozen record over the fields its own annotations name, in order.
+
+    Installs __init__ (positional or keyword fields, a class attribute of
+    the same name as the default, then self.__post_init__() where cls
+    defines one), __repr__, __eq__ and __hash__ over the field tuple, and
+    __setattr__/__delattr__ that raise AttributeError, as a frozen
+    dataclass does, but from closures rather than generated source.  The
+    methods sit on cls itself, and instances keep a __dict__, which
+    __post_init__ (through object.__setattr__) and cached_property write.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    post_init = hasattr(cls, "__post_init__")
+    qualname = cls.__qualname__
+
+    def fields(self):
+        return tuple([getattr(self, name) for name in names])
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{qualname}() takes {len(names)} arguments, got {len(args)}")
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name in values or name not in names:
+                problem = "multiple values for" if name in values else "an unexpected keyword"
+                raise TypeError(f"{qualname}() got {problem} argument {name!r}")
+        values.update(kwargs)
+        missing = [name for name in names if name not in values and name not in defaults]
+        if missing:
+            raise TypeError(f"{qualname}() missing required arguments {missing}")
+        self.__dict__.update({name: values[name] if name in values else defaults[name]
+                              for name in names})
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        return f"{qualname}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{qualname}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
 
 
 def _finite_angles(t):
@@ -56,7 +114,7 @@ def principal_angle(x):
     return r if r.ndim else float(r)
 
 
-@dataclass(frozen=True)
+@_record
 class SpiralAngle:
     """Spiral inclination lam in (-pi/2, pi/2) with cached derived constants.
 
@@ -87,7 +145,14 @@ class SpiralAngle:
 STARLIKE = SpiralAngle(0.0)
 
 
-@dataclass(frozen=True)
+def _spiral_angle(angle):
+    """angle itself; DomainError unless it is a SpiralAngle."""
+    if not isinstance(angle, SpiralAngle):
+        raise DomainError(f"an inclination must be a SpiralAngle, got {angle!r}")
+    return angle
+
+
+@_record
 class SpiralSector:
     """Open bundle of spirals: all w with |arg_lam(w) - center| < opening/2 mod 2*pi."""
 
@@ -96,6 +161,7 @@ class SpiralSector:
     angle: SpiralAngle
 
     def __post_init__(self):
+        _spiral_angle(self.angle)
         _finite_angle(self.center_angle)
         if not (0.0 < _finite_angle(self.opening) <= TWO_PI):
             raise DomainError(f"sector opening must lie in (0, 2*pi], got {self.opening!r}")
@@ -104,9 +170,10 @@ class SpiralSector:
 def arg_lambda(w, angle):
     """Spiral argument Arg(w) - tan(lam)*log|w| of finite nonzero points w.
 
-    Vectorized; raises DomainError if any entry is zero or not finite.  For
-    lam = 0 this is numpy.angle exactly.
+    Vectorized; raises DomainError if any entry is zero or not finite, or
+    unless angle is a SpiralAngle.  For lam = 0 this is numpy.angle exactly.
     """
+    _spiral_angle(angle)
     w = _numbers(w, complex, "points")
     if not np.isfinite(w).all():
         raise DomainError("spiral argument needs finite points")
@@ -120,8 +187,9 @@ def spiral_point(theta0, angle, t):
     """Point exp(i*theta0 + exp(i*lam)*t) on the spiral labeled theta0.
 
     t = 0 gives the unit-circle point; t < 0 moves toward the origin.
-    DomainError unless theta0 and t are finite.
+    DomainError unless theta0 and t are finite and angle is a SpiralAngle.
     """
+    _spiral_angle(angle)
     theta0, t = _finite_angles(theta0), _finite_angles(t)
     w = np.exp(np.exp(1j * angle.lam) * t + 1j * theta0)
     return w if w.ndim else complex(w)

@@ -848,6 +848,30 @@ def test_grid_sizes_below_one_raise_domain_error(call):
         call(koebe())
 
 
+@pytest.mark.parametrize(
+    "call,bound",
+    [
+        (lambda f: beta_trace(f, t_grid=10**13), 2**24 // 5),
+        (lambda f: beta_trace(f, t_grid=2**24 // 5 + 1), 2**24 // 5),
+        (lambda f: beta_trace(f, t_grid=2**23 + 1, r_schedule=(0.5, 0.9)), 2**23),
+        (lambda f: goodman_check(f, grid=(10**13, 1)), 2**24 // 87),
+        (lambda f: goodman_check(f, grid=(512, 10**13)), 2**24),
+        (lambda f: goodman_check(f, grid=(2**20, 100)), 2**24 // 100),
+        (lambda f: beta_trace(f, t_grid=True), 2**24 // 5),
+        (lambda f: goodman_check(f, grid=(True, 1)), 2**24 // 87),
+        (lambda f: goodman_check(f, grid=(512, np.True_)), 2**24),
+        (lambda f: default_r_schedule(True, 3), 2**24),
+    ],
+    ids=["beta-huge", "beta-one-over", "beta-two-radii", "goodman-n_theta", "goodman-n_steps",
+         "goodman-product", "beta-bool", "goodman-bool", "goodman-numpy-bool", "schedule-bool"],
+)
+def test_oversized_or_boolean_grid_sizes_raise_domain_error(call, bound):
+    # refused before any array is built: the points a call would evaluate
+    # (grid entries times radii) stay within 2^24, and True is no count
+    with pytest.raises(DomainError, match=f"at most {bound}, got"):
+        call(koebe())
+
+
 # -- sector detection ------------------------------------------------------------------
 
 

@@ -4,8 +4,9 @@ The runtime needs numpy only; scipy, mpmath and hypothesis are test extras.
 scipy.special alone used to be most of a cold `spirallike` call.  Nor may
 the import build the analysis module's scan tables, which the first call
 that needs one builds, or load the standard modules that only some calls
-use: json (--measure and --format json import it where they read or write)
-and fractions/decimal (the polylog tables are float literals).
+use: json (--measure and --format json import it where they read or write),
+fractions/decimal (the polylog tables are float literals) and dataclasses
+(the package's record types are built without it).
 
 A cold process compiles every package module it imports when no bytecode
 is cached, so `import spirallike` loads no submodule, `import spirallike.cli`
@@ -56,7 +57,7 @@ def test_import_builds_no_scan_table():
 # top-level packages that neither the CLI import nor a subcommand may load
 _FORBIDDEN = (
     "sorted(m for m in sys.modules if m.split('.')[0] in "
-    "('decimal', 'fractions', 'hypothesis', 'json', 'mpmath', 'scipy'))"
+    "('dataclasses', 'decimal', 'fractions', 'hypothesis', 'json', 'mpmath', 'scipy'))"
 )
 
 

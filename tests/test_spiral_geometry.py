@@ -14,13 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from spirallike import (
     STARLIKE,
+    BoundaryMeasure,
     DomainError,
+    MeasureFunction,
     SpiralAngle,
     SpiralSector,
     arg_lambda,
     principal_angle,
     sector_contains,
     spiral_point,
+    spirallike_of,
+    starlike_of,
 )
 
 from _oracles import continuous_arg_lambda
@@ -155,6 +159,30 @@ def test_sector_validation():
         SpiralSector(0.0, TWO_PI + 0.1, STARLIKE)
     with pytest.raises(DomainError):
         SpiralSector(math.inf, 1.0, STARLIKE)
+
+
+_KOEBE = MeasureFunction(BoundaryMeasure.single_atom(), STARLIKE)
+
+
+@pytest.mark.parametrize("angle", [0.5, None], ids=["float", "none"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: MeasureFunction(BoundaryMeasure.single_atom(), a),
+        lambda a: spirallike_of(_KOEBE, a),
+        lambda a: starlike_of(_KOEBE, a),
+        lambda a: SpiralSector(0.0, 1.0, a),
+        lambda a: arg_lambda(0.5, a),
+        lambda a: spiral_point(0.0, a, 1.0),
+    ],
+    ids=["MeasureFunction", "spirallike_of", "starlike_of", "SpiralSector", "arg_lambda",
+         "spiral_point"],
+)
+def test_an_angle_that_is_no_spiral_angle_raises_domain_error(call, angle):
+    # refused where it enters, not as a raw AttributeError on a later .mu
+    # or .tan_lambda
+    with pytest.raises(DomainError, match="must be a SpiralAngle"):
+        call(angle)
 
 
 @pytest.mark.parametrize(
