@@ -306,7 +306,10 @@ def refine_jump(fn, bracket):
     (jump, t0).  DomainError unless the bracket is a pair of finite numbers
     with t_lo < t_hi; InconsistencyError when the trace decreases by more
     than _MONOTONE_TOL from t_lo to t_hi, along a row the search samples or
-    across a window.
+    across a window, and when the crossing t0 misses the jump: E stays near
+    the jump's size across the windows at a jump but falls about 10x per
+    decade of w where the trace is smooth, so E at w = 1e-6 below a tenth of
+    E at w = 1e-4 raises.
     """
     try:
         t_lo, t_hi = (float(t) for t in bracket)
@@ -325,6 +328,8 @@ def refine_jump(fn, bracket):
     # one row (t0 - w, t0 + w) per window
     rows = t0 + np.outer(w, (-1.0, 1.0))
     E = _rising_gaps(rows, _trace(fn, r, rows))[:, 0]
+    if E[-1] < 0.1 * E[0]:
+        raise InconsistencyError(f"no jump at t = {t0!r}: the trace rises {E.tolist()} there")
     x = 1.0 / np.log(1.0 / w)
     coeffs = np.polyfit(x, E, 2)
     return float(np.polyval(coeffs, 0.0)), float(t0)
@@ -338,8 +343,9 @@ def spirallikeness_margin(fn, r_max=0.999):
 
     zf'/f = 1 + z d/dz log(f/z) is analytic on the disk, so the real part is
     harmonic and its minimum lies on the circle |z| = r_max: _circle_max
-    takes it there from its _CIRCLE_SCAN = 1024 refined angles.  Positive
-    values certify the spirallike condition.
+    takes it there from its _CIRCLE_SCAN = 1024-angle scan, every scanned
+    local extremum refined.  Positive values certify the spirallike
+    condition.
     """
     rotation = np.exp(-1j * fn.angle.lam)
     return -_circle_max(lambda z: -(rotation * fn.log_derivative(z)).real, r_max)
@@ -409,12 +415,11 @@ def _circle_max(values, r):
 
     r is one radius (returns a float) or a 1-d array of radii (returns an
     array, one maximum per radius); every radius is checked before any work.
-    One values call scans all the circles at _CIRCLE_SCAN angles.  Only the
-    three highest scanned local maxima of each circle are refined, so with
-    more than three peaks the result can miss the highest one; each over one
-    scan spacing, as a lane of one lockstep section_search_max (tol 1e-12,
-    7 steps, one values call each).  The result is the largest value
-    sampled, a lower bound on the maximum.
+    One values call scans all the circles at _CIRCLE_SCAN angles.  Every
+    scanned local maximum (a flat run counts once, a constant circle has
+    none) is refined over one scan spacing, as a lane of one lockstep
+    section_search_max (tol 1e-12, 7 steps, one values call each).  The
+    result is the largest value sampled, a lower bound on the maximum.
     """
     radii = _numbers(r, float, "radii")
     if radii.ndim > 1:
@@ -424,25 +429,19 @@ def _circle_max(values, r):
     if bad:
         raise DomainError(f"radius must lie in (0, 1), got {bad[0]!r}")
     vals = values(rows[:, None] * _unit_circle(_CIRCLE_SCAN))
-    local = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
-    lane_row, lane_peak = [], []
-    for i, row in enumerate(vals):
-        peaks = np.flatnonzero(local[i])
-        peaks = peaks[np.argsort(row[peaks])][::-1][:3]
-        lane_row.extend([i] * len(peaks))
-        lane_peak.extend(peaks.tolist())
+    peaks = (vals > np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
+    lane_row, lane_peak = np.nonzero(peaks)
     h = TWO_PI / _CIRCLE_SCAN
     lane_r = rows[lane_row]
-    lane_theta = np.array(lane_peak) * h
+    lane_theta = lane_peak * h
 
     def profile(theta):
         return values(lane_r[:, None] * np.exp(1j * theta))
 
     _, refined = section_search_max(profile, lane_theta - h, lane_theta + h)
-    best = np.max(vals, axis=1).tolist()
-    for i, fx in zip(lane_row, refined.tolist()):
-        best[i] = max(best[i], fx)
-    return best[0] if radii.ndim == 0 else np.array(best)
+    best = np.max(vals, axis=1)
+    np.maximum.at(best, lane_row, refined)
+    return float(best[0]) if radii.ndim == 0 else best
 
 
 def max_modulus(fn, r):
@@ -451,10 +450,9 @@ def max_modulus(fn, r):
     The result is the largest value sampled, a lower bound on the maximum:
     for a peak unimodal at one scan spacing it lies within kappa * tol^2 / 8
     of it relatively before rounding, tol = 1e-12 and kappa =
-    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).  Only the
-    three highest scanned local maxima are refined, so with more than three
-    peaks the result can miss the highest one.  It makes 1 + 7 fn.evaluate
-    calls: the scan of _CIRCLE_SCAN = 1024 angles, then one per search step.
+    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).  It makes
+    1 + 7 fn.evaluate calls: the scan of _CIRCLE_SCAN = 1024 angles, then one
+    per search step.
     """
     return _circle_max(lambda z: np.abs(fn.evaluate(z)), r)
 

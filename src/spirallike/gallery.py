@@ -126,7 +126,8 @@ def lemma_c_margins(C):
     (min Re p - b, min Re zp + b) over |z| <= 0.999; both must be positive
     for C at or above the threshold.  b needs C > 2.  p and zp are analytic
     on the disk, so each minimum lies on the circle |z| = 0.999 and is taken
-    there by _circle_max from its _CIRCLE_SCAN = 1024 refined angles.
+    there by _circle_max from its _CIRCLE_SCAN = 1024-angle scan, every
+    scanned local extremum refined.
     """
     # here, not at module level: no other gallery routine needs analysis
     from .analysis import _circle_max

@@ -162,8 +162,9 @@ class SpiralSector:
 
     def __post_init__(self):
         _spiral_angle(self.angle)
-        _finite_angle(self.center_angle)
-        if not (0.0 < _finite_angle(self.opening) <= TWO_PI):
+        for name in ("center_angle", "opening"):
+            object.__setattr__(self, name, _finite_angle(getattr(self, name)))
+        if not (0.0 < self.opening <= TWO_PI):
             raise DomainError(f"sector opening must lie in (0, 2*pi], got {self.opening!r}")
 
 

@@ -18,6 +18,9 @@ it as Im log(g/z) from the starlike kernel, and the tests compare the two.
 golden_section_max is the one-point-per-step search that the package's
 m-point section_search_max replaced; the tests compare maxima found by the
 two.
+
+growth_asymptote is log M(r) from a local analysis at each atom, with no
+circle search; the tests hold max_modulus to it.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ from spirallike import (
     DomainError,
     InconsistencyError,
     arg_lambda,
+    li3,
     principal_angle,
     sector_contains,
     spiral_point,
@@ -149,3 +153,35 @@ def golden_section_max(f, a, b, tol=1e-12):
     if x.ndim == 0:
         return float(x), float(fx)
     return x, fx
+
+
+def growth_asymptote(measure, angle, delta):
+    """log M(r) at r = 1 - delta for the function of (measure, angle), up to O(delta).
+
+    The measure has atoms at t_k with jumps A_k.  Near t_k, log|f| on
+    |z| = r peaks about delta*|tan(lam)| from t_k, and there log|f| =
+    q_k log(1/delta) + log C_k + O(delta), with mu = exp(i*lam) cos(lam),
+    q_k = A_k cos(lam)^2/pi and
+    log C_k = (A_k/pi) cos(lam) (cos(lam) log cos(lam) + lam sin(lam)) + Re(mu R_k).
+    R_k is the rest of log(g/z) at the boundary point
+    exp(i*t_k): (1/pi) (sum_{j != k} A_j Li_1(exp(i(t_k - t_j)))
+    - sum_j sigma_j Li_3(exp(i(t_k - s_j)))), over the other atoms and the
+    slope changes sigma_j at s_j.  Li_1(u) is -log(1 - u) in numpy; Li_3
+    takes the package's li3 on |u| = 1.  Returns max_k (q_k log(1/delta)
+    + log C_k).
+    """
+    lam = angle.lam
+    cos, mu = np.cos(lam), np.exp(1j * lam) * np.cos(lam)
+    atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
+    t, w = atoms[:, 0], atoms[:, 1]
+    s, sigma = measure.slope_changes()
+    # the diagonal's 1 - u is 0: an atom's own term is q_k and the first
+    # part of log C_k, not a part of R_k
+    one_minus_u = 1.0 - np.exp(1j * (t[:, None] - t[None, :]))
+    np.fill_diagonal(one_minus_u, 1.0)
+    rest = -np.log(one_minus_u) @ w
+    if sigma.size:
+        rest = rest - li3(np.exp(1j * (t[:, None] - s[None, :]))) @ sigma
+    q = w * cos**2 / np.pi
+    log_c = (w / np.pi) * cos * (cos * np.log(cos) + lam * np.sin(lam)) + (mu * rest / np.pi).real
+    return float(np.max(q * np.log(1.0 / delta) + log_c))

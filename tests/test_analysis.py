@@ -7,9 +7,10 @@ Oracles:
   * two-atom + uniform-density measure: beta_at supplies the exact trace
     and jump values through the measure's canonical offset
   * max_modulus is cross-checked against a 2^16-point dense scan, its
-    batched form against per-radius searches (bit for bit), and its
-    section search against the golden-section oracle (within the bound
-    that the shared 1e-12 bracket leaves)
+    batched form against per-radius searches (bit for bit), its section
+    search against the golden-section oracle (within the bound that the
+    shared 1e-12 bracket leaves), and log max_modulus on atomic and mixed
+    measures against the growth asymptote (within K * (1 - r))
   * lockstep search lanes, of the package's section search and of the
     golden-section oracle it replaced, equal single-lane searches bit for
     bit; both searches find the same maxima within their shared tolerance
@@ -22,7 +23,9 @@ Oracles:
     log(f/z) equals the radial lift of continuous_arg_lambda
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,7 @@ from spirallike import (
     goodman_check,
     growth_exponent,
     hansen_ratio,
+    koebe_power,
     max_modulus,
     principal_angle,
     refine_jump,
@@ -74,6 +78,7 @@ from _oracles import (
     certify_full_scan,
     continuous_arg_lambda,
     golden_section_max,
+    growth_asymptote,
     sector_image_from_values,
     sector_samples,
 )
@@ -528,6 +533,32 @@ def test_refine_jump_rejects_decreasing_trace(fn):
         refine_jump(fn, (-spacing, spacing))
 
 
+@pytest.mark.parametrize(
+    "fn, bracket",
+    [
+        (koebe_power(0.2), (-0.2, 2.0)),
+        (koebe_power(0.2), (-0.5, 5.5)),
+        (G0Function(), (-1.0, 7.0)),
+    ],
+    ids=["koebe-power-short", "koebe-power-long", "g0-wide"],
+)
+def test_refine_jump_rejects_a_crossing_off_the_jump(fn, bracket):
+    # each bracket's one jump sits at t = 0, but the trace crosses the
+    # middle of its end values at 0.551, 2.151 and 2.908, where it is smooth:
+    # the rise across windows 1e-4, 1e-5, 1e-6 falls 10x per decade there
+    # (1.8e-4, 1.8e-5, 1.8e-6 for koebe_power), where at a jump it stays
+    # flat (0.628 for koebe_power's 0.2 pi at t = 0).  Without the check
+    # these returned jumps of 0.00102, 0.00102 and 2.5e-4
+    with pytest.raises(InconsistencyError, match="no jump at t"):
+        refine_jump(fn, bracket)
+
+
+def test_refine_jump_koebe_power_jump():
+    jump, t0 = refine_jump(koebe_power(0.2), (-0.2, 0.2))
+    assert jump == pytest.approx(0.2 * PI, abs=2e-3)
+    assert t0 == pytest.approx(0.0, abs=1e-9)
+
+
 class HoledKoebe(MeasureFunction):
     # koebe with arg(f/z) NaN within 0.003 of t = 0.01, inside the bracket
     def _arg_g_over_z(self, z):
@@ -546,6 +577,22 @@ def test_refine_jump_rejects_non_finite_trace():
 
 def test_margin_identity_is_one():
     assert spirallikeness_margin(identity()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_margin_of_a_constant_circle_refines_no_lane():
+    # the identity's zf'/f is 1, so the scanned circle is constant: it has
+    # no strict local maximum, and the scan is the only call
+    class Counting(MeasureFunction):
+        calls = 0
+
+        def log_derivative(self, z):
+            Counting.calls += 1
+            return super().log_derivative(z)
+
+    lam = 0.5
+    margin = spirallikeness_margin(Counting(BoundaryMeasure.uniform(), SpiralAngle(lam)))
+    assert margin == pytest.approx(math.cos(lam), abs=1e-15)
+    assert Counting.calls == 1
 
 
 def test_margin_koebe_positive_but_small():
@@ -680,12 +727,11 @@ def test_max_modulus_scalar_and_array_radii():
 
 
 def per_radius_max_modulus(fn, r, search):
-    """Oracle: max_modulus at the single radius r, its top-3 peaks refined by search."""
+    """Oracle: max_modulus at the single radius r, its scanned peaks refined by search."""
     thetas = np.arange(_CIRCLE_SCAN) * (TWO_PI / _CIRCLE_SCAN)
     vals = np.abs(fn.evaluate(r * np.exp(1j * thetas)))
     local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.flatnonzero(local)
-    peaks = peaks[np.argsort(vals[peaks])][::-1][:3]
     h = TWO_PI / _CIRCLE_SCAN
 
     def profile(theta):
@@ -755,6 +801,99 @@ def test_max_modulus_evaluate_calls():
     steps = math.ceil(math.log(2 * TWO_PI / _CIRCLE_SCAN / 1e-12) / math.log((m + 1) / 2))
     assert steps == 7
     assert Counting.calls <= 1 + steps, (Counting.calls, steps)
+
+
+def _bench_fixed_mixed_measure():
+    """The benchmark's fixed mixed measure: two atoms and three slope changes."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.fixed_mixed_measure()
+
+
+def _asymptote_constant(measure, lam):
+    """K in |log M(r) - growth_asymptote| <= 2 K (1 - r), the first-order rule.
+
+    Moving z from the atom's boundary point exp(i*t_k) to the peak, a
+    distance (1 - r)/cos(lam) away, changes log|f| by at most (1 - r) times
+    K = 1 + max_k (A_k |sin(lam)|/pi + sum_{j != k} A_j/(pi |1 - exp(i(t_k - t_j))|))
+    + (pi/6) sum_j |sigma_j|: 1 from log r, A_k |sin(lam)|/pi from the
+    atom's own term past its leading part, then the other atoms' Li_1
+    (derivative 1/(1 - u)) and the slope changes' Li_3 (derivative
+    Li_2(u)/u, at most pi^2/6), each times |mu| = cos(lam).  Over 1,000
+    seeded atomic measures (default_rng 1, 2 and 5, the recipe of
+    _seeded_atomic_cases, 200 + 400 + 400) the residual reached
+    0.995 K (1 - r), and on the bench's mixed measure 0.62 K (1 - r); the
+    factor 2 leaves room for the second-order terms.
+    """
+    atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
+    t, w = atoms[:, 0], atoms[:, 1]
+    chord = np.abs(1.0 - np.exp(1j * (t[:, None] - t[None, :])))
+    np.fill_diagonal(chord, np.inf)
+    per_atom = w * abs(math.sin(lam)) / PI + (w[None, :] / (PI * chord)).sum(axis=1)
+    _, sigma = measure.slope_changes()
+    return 1.0 + float(np.max(per_atom)) + PI / 6.0 * float(np.abs(sigma).sum())
+
+
+def _seeded_atomic_cases(count=200):
+    """(measure, lam): 1-4 atoms at sorted uniform positions, weights uniform
+    in [0.2, 3] scaled to total 2 pi, lam uniform in (-1.3, 1.3)."""
+    rng = np.random.default_rng(1)
+    cases = []
+    for _ in range(count):
+        k = int(rng.integers(1, 5))
+        t = np.sort(rng.uniform(0.0, TWO_PI, k))
+        w = rng.uniform(0.2, 3.0, k)
+        w *= TWO_PI / w.sum()
+        lam = float(rng.uniform(-1.3, 1.3))
+        cases.append((BoundaryMeasure.from_atoms(list(zip(t.tolist(), w.tolist()))), lam))
+    return cases
+
+
+def _asymptote_residuals(measure, lam, deltas=(1e-4, 1e-6)):
+    fn = MeasureFunction(measure, SpiralAngle(lam))
+    peaks = max_modulus(fn, 1.0 - np.array(deltas))
+    return [math.log(M) - growth_asymptote(measure, fn.angle, d) for M, d in zip(peaks, deltas)]
+
+
+def test_max_modulus_follows_the_growth_asymptote_on_seeded_atomic_measures():
+    # 1 - r = 1e-4 and 1e-6; the residuals reach 4.9e-3 and 4.9e-5 here
+    for measure, lam in _seeded_atomic_cases():
+        K = _asymptote_constant(measure, lam)
+        for d, res in zip((1e-4, 1e-6), _asymptote_residuals(measure, lam)):
+            assert abs(res) <= 2.0 * K * d, (measure, lam, d, res, K)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, -1.2])
+def test_max_modulus_follows_the_growth_asymptote_on_the_bench_mixed_measure(lam):
+    measure = _bench_fixed_mixed_measure()
+    K = _asymptote_constant(measure, lam)
+    for d, res in zip((1e-4, 1e-6), _asymptote_residuals(measure, lam)):
+        assert abs(res) <= 2.0 * K * d, (lam, d, res, K)
+
+
+def test_max_modulus_finds_the_fourth_highest_scanned_peak():
+    # four atoms; at 1 - r = 1e-4 the sharp peak next to the atom at 3.1409
+    # falls between scan angles and ranks below three broader scanned peaks
+    measure = BoundaryMeasure.from_atoms([
+        (2.766971268127765, 1.9365976656430577),
+        (5.997868964330948, 2.9862702146589077),
+        (3.1409380316828077, 2.857042289825743),
+        (2.6717902478438917, 1.4881263900654689),
+    ])
+    lam = 0.6700949978015578
+    fn = MeasureFunction(measure, SpiralAngle(lam))
+    K = _asymptote_constant(measure, lam)
+    for d, res in zip((1e-4, 1e-6), _asymptote_residuals(measure, lam)):
+        assert abs(res) <= 2.0 * K * d, (d, res, K)
+    theta = 3.1409380316828077 + np.linspace(-2e-3, 2e-3, 400_001)
+    for d, want in ((1e-4, 26.7393), (1e-6, 152.9595)):
+        r = 1.0 - d
+        got = max_modulus(fn, r)
+        dense = float(np.max(np.abs(fn.evaluate(r * np.exp(1j * theta)))))
+        assert got == pytest.approx(dense, rel=1e-6)
+        assert got == pytest.approx(want, abs=5e-5)
 
 
 def test_growth_exponent_koebe():

@@ -127,3 +127,15 @@ def test_boundary_measure_fields_default_to_empty_tables():
         SpiralAngle()
     with pytest.raises(TypeError, match="missing .*'opening'.*'angle'"):
         SpiralSector(0.0)
+
+
+@pytest.mark.parametrize("center, opening", [(0, 1), (np.float64(0.0), np.float64(1.0))],
+                         ids=["int", "np.float64"])
+def test_spiral_sector_stores_float_angles(center, opening):
+    # as SpiralAngle and HansenParams do, whatever real type the angles came in
+    sector = SpiralSector(center, opening, SpiralAngle(0.0))
+    assert type(sector.center_angle) is float and type(sector.opening) is float
+    assert repr(sector) == (
+        "SpiralSector(center_angle=0.0, opening=1.0, angle=SpiralAngle(lam=0.0))"
+    )
+    assert sector == SpiralSector(0.0, 1.0, SpiralAngle(0.0))
