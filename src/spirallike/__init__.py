@@ -53,7 +53,6 @@ _EXPORTS = {
         "G0Function",
         "HansenFunction",
         "HansenParams",
-        "c0_constant",
         "counterexample_for",
         "g0_correction",
         "hansen_build",

@@ -265,22 +265,21 @@ def estimate_max_jump(trace):
         raise DomainError("the trace angles must increase strictly within one turn")
     gaps = _trace_gaps(t, v)
     gap_threshold = max(10.0 * float(np.median(gaps)), 1e-6)
-    t_next = np.concatenate((t[1:], [t[0] + TWO_PI]))
-    v_next = np.concatenate((v[1:], [v[0] + TWO_PI]))
-    best = JumpEstimate(0.0, np.nan, np.nan)
-    over = gaps > gap_threshold
-    for i in np.flatnonzero(over):
-        single = JumpEstimate(
-            float(gaps[i]), float(0.5 * (t[i] + t_next[i])), float(0.5 * (v[i] + v_next[i]))
-        )
-        if single.jump > best.jump:
-            best = single
-        if over[(i + 1) % n]:
-            j = (i + 1) % n
-            merged = JumpEstimate(float(gaps[i] + gaps[j]), float(t[j]), float(v[j]))
-            if merged.jump > best.jump:
-                best = merged
-    return best
+    over = np.flatnonzero(gaps > gap_threshold)
+    if over.size == 0:
+        return JumpEstimate(0.0, np.nan, np.nan)
+    # candidates with i rising: gap i alone, then merged with gap i + 1 when
+    # that one is over too; np.argmax keeps the first largest
+    after = (over + 1) % n
+    merged_gaps = np.where(gaps[after] > gap_threshold, gaps[over] + gaps[after], -np.inf)
+    candidates = np.column_stack((gaps[over], merged_gaps))
+    k, merged = divmod(int(np.argmax(candidates)), 2)
+    i, j = over[k], after[k]
+    if merged:
+        return JumpEstimate(float(candidates[k, 1]), float(t[j]), float(v[j]))
+    # the gap after the last sample wraps to the first, one turn on
+    t_next, v_next = (t[j], v[j]) if j else (t[0] + TWO_PI, v[0] + TWO_PI)
+    return JumpEstimate(float(gaps[i]), float(0.5 * (t[i] + t_next)), float(0.5 * (v[i] + v_next)))
 
 
 # refine_jump's circle and its trace windows.  The windows sit well below
@@ -420,6 +419,7 @@ def _circle_max(values, r):
     none) is refined over one scan spacing, as a lane of one lockstep
     section_search_max (tol 1e-12, 7 steps, one values call each).  The
     result is the largest value sampled, a lower bound on the maximum.
+    DomainError when a value it reads is not finite.
     """
     radii = _numbers(r, float, "radii")
     if radii.ndim > 1:
@@ -428,7 +428,15 @@ def _circle_max(values, r):
     bad = [x for x in rows.tolist() if not (0.0 < x < 1.0)]
     if bad:
         raise DomainError(f"radius must lie in (0, 1), got {bad[0]!r}")
-    vals = values(rows[:, None] * _unit_circle(_CIRCLE_SCAN))
+
+    def finite(z):
+        out = values(z)
+        off = ~np.isfinite(out)
+        if off.any():
+            raise DomainError(f"the function is not finite at z = {z[off].flat[0]!r}")
+        return out
+
+    vals = finite(rows[:, None] * _unit_circle(_CIRCLE_SCAN))
     peaks = (vals > np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
     lane_row, lane_peak = np.nonzero(peaks)
     h = TWO_PI / _CIRCLE_SCAN
@@ -436,7 +444,7 @@ def _circle_max(values, r):
     lane_theta = lane_peak * h
 
     def profile(theta):
-        return values(lane_r[:, None] * np.exp(1j * theta))
+        return finite(lane_r[:, None] * np.exp(1j * theta))
 
     _, refined = section_search_max(profile, lane_theta - h, lane_theta + h)
     best = np.max(vals, axis=1)
@@ -444,17 +452,27 @@ def _circle_max(values, r):
     return float(best[0]) if radii.ndim == 0 else best
 
 
-def max_modulus(fn, r):
-    """Max of |f| on |z| = r from _circle_max: a float for one radius, else an array.
+def _log_modulus(fn, z):
+    """log|f(z)| = log|z| + Re log(f/z); DomainError unless every value is finite."""
+    logmod = np.log(np.abs(z)) + fn.log_f_over_z(z).real
+    if not np.isfinite(logmod).all():
+        raise DomainError("log|f| is not finite on the circle")
+    return logmod
 
-    The result is the largest value sampled, a lower bound on the maximum:
-    for a peak unimodal at one scan spacing it lies within kappa * tol^2 / 8
-    of it relatively before rounding, tol = 1e-12 and kappa =
-    |d^2 log|f| / d theta^2| at the peak (2r/(1 - r)^2 for Koebe).  It makes
-    1 + 7 fn.evaluate calls: the scan of _CIRCLE_SCAN = 1024 angles, then one
-    per search step.
+
+def max_modulus(fn, r):
+    """Max of |f| on |z| = r: a float for one radius, else an array.
+
+    It is exp of _circle_max on log|f| (_log_modulus): the largest value
+    sampled, a lower bound on the maximum.  For a peak unimodal at one scan
+    spacing it lies within kappa * tol^2 / 8 of it relatively before
+    rounding, tol = 1e-12 and kappa = |d^2 log|f| / d theta^2| at the peak
+    (2r/(1 - r)^2 for Koebe).  It makes 1 + 7 fn.log_f_over_z calls: the
+    scan of _CIRCLE_SCAN = 1024 angles, then one per search step.
+    DomainError when log|f| is not finite on the circle.
     """
-    return _circle_max(lambda z: np.abs(fn.evaluate(z)), r)
+    peaks = np.exp(_circle_max(lambda z: _log_modulus(fn, z), r))
+    return float(peaks) if peaks.ndim == 0 else peaks
 
 
 # -- growth experiments ------------------------------------------------------
@@ -472,26 +490,25 @@ class GrowthReport:
 def growth_exponent(fn, r_schedule=None):
     """Growth table for fn with the jump-based exponent prediction.
 
-    M(r) along the schedule (default_r_schedule(2, 8)) comes from one
-    batched max_modulus call.  a_estimate is fn.known_max_jump (a measure's
-    largest atom, or a declared closed-form jump); predicted_q0 = a_estimate
-    * cos(lam)^2 / pi.  DomainError when fn has no known jump, and for a
-    schedule as in hansen_ratio.
+    log M(r) along the schedule (default_r_schedule(2, 8)) comes from one
+    batched _circle_max call on log|f| (_log_modulus), and E = log M /
+    log(1/(1-r)).  a_estimate is fn.known_max_jump (a measure's largest
+    atom, or a declared closed-form jump); predicted_q0 = a_estimate *
+    cos(lam)^2 / pi.  DomainError when fn has no known jump, when log|f| is
+    not finite on a circle, and for a schedule as in hansen_ratio.
     """
     r_schedule = _radii(r_schedule, default_r_schedule(2, 8))
     if fn.known_max_jump is None:
         raise DomainError("growth prediction needs the function's known_max_jump")
     a_estimate = float(fn.known_max_jump)
-    peaks = max_modulus(fn, np.array(r_schedule)).tolist()
-    rows = []
-    for r, M in zip(r_schedule, peaks):
-        E = np.log(M) / np.log(1.0 / (1.0 - r))
-        if not np.isfinite(E):
-            raise AccuracyError(f"growth entry overflowed at r = {r}", achieved=M)
-        rows.append((r, float(M), float(E)))
+    log_peaks = _circle_max(lambda z: _log_modulus(fn, z), np.array(r_schedule)).tolist()
+    rows = tuple(
+        (r, float(np.exp(log_m)), float(log_m / np.log(1.0 / (1.0 - r))))
+        for r, log_m in zip(r_schedule, log_peaks)
+    )
     cos_lam = fn.angle.cos_lambda
     return GrowthReport(
-        rows=tuple(rows),
+        rows=rows,
         predicted_q0=float(a_estimate * cos_lam * cos_lam / np.pi),
         a_estimate=a_estimate,
     )
@@ -544,19 +561,6 @@ def _sector_samples(sector):
     return phis, np.log(np.abs(w)), sector_contains(sector, w)
 
 
-def _sector_log_modulus(fn, theta):
-    """log|f| on the circle |z| = _SECTOR_RADIUS at the angles theta.
-
-    The trace does not read log|f/z|, so a handle whose modulus overflows
-    shows only here: DomainError unless every value is finite.
-    """
-    r = _SECTOR_RADIUS
-    logmod = np.log(r) + fn.log_f_over_z(r * np.exp(1j * theta)).real
-    if not np.isfinite(logmod).all():
-        raise DomainError("log|f| is not finite on the sector circle")
-    return logmod
-
-
 def _sector_crossings(fn, phis):
     """Angles theta where the circle |z| = _SECTOR_RADIUS meets the spirals phis, and log|f| there.
 
@@ -581,7 +585,7 @@ def _sector_crossings(fn, phis):
     if closeness.flat[i] < -1e-6:
         miss = f"{phis.flat[i]:.6f} by {-closeness.flat[i]:.3g}"
         raise InconsistencyError(f"the boundary trace misses spiral argument {miss}")
-    return theta, _sector_log_modulus(fn, theta)
+    return theta, _log_modulus(fn, r * np.exp(1j * theta))
 
 
 def _sector_reach(fn, phis):
@@ -598,7 +602,8 @@ def _sector_reach(fn, phis):
     theta, ends = _sector_crossings(fn, edges)
     # an arc may run across theta = 2*pi
     lo, hi = theta[:, 0], theta[:, 0] + np.mod(theta[:, 1] - theta[:, 0], TWO_PI)
-    reach = section_search_max(lambda x: _sector_log_modulus(fn, x), lo, hi)[1]
+    r = _SECTOR_RADIUS
+    reach = section_search_max(lambda x: _log_modulus(fn, r * np.exp(1j * x)), lo, hi)[1]
     return np.maximum(reach, np.max(ends, axis=1))
 
 
@@ -608,20 +613,19 @@ def _certify_sector(phis, logmod, inside, reach):
     phis, logmod and inside come from _sector_samples, reach from
     _sector_reach.  The image contains the inward spiral arc from each of
     its points, so a sample on spiral i counts as covered when its
-    log-modulus is at most reach[i] (within 1e-9).  Samples are checked in
-    (phi, t) order, sector membership before coverage.
+    log-modulus is at most reach[i] (within 1e-9; a NaN reach covers none).
+    The first failing sample in (phi, t) order raises, membership first.
     """
-    for phi, row_logmod, row_inside, top in zip(phis, logmod, inside, reach):
-        for t, sample_logmod, within in zip(_SAMPLE_T, row_logmod, row_inside):
-            if not within:
-                raise InconsistencyError(
-                    f"sample point for spiral argument {phi:.6f} left the sector"
-                )
-            if not top >= sample_logmod - 1e-9:
-                raise InconsistencyError(
-                    f"sector sample at spiral argument {phi:.6f}, t = {t} "
-                    "is not covered by the image"
-                )
+    covered = np.asarray(reach)[:, None] >= logmod - 1e-9
+    failing = np.flatnonzero(~(inside & covered))
+    if failing.size:
+        i, j = divmod(int(failing[0]), len(_SAMPLE_T))
+        where = f"spiral argument {phis[i]:.6f}"
+        if not inside[i, j]:
+            raise InconsistencyError(f"sample point for {where} left the sector")
+        raise InconsistencyError(
+            f"sector sample at {where}, t = {_SAMPLE_T[j]} is not covered by the image"
+        )
 
 
 def detect_maximal_sector(fn):

@@ -210,9 +210,9 @@ def cmd_growth(args):
 
 
 def cmd_qtheta(args):
-    from .gallery import _q_table
+    from .gallery import _SUP_Q as sup_q, DEFAULT_C0 as c0, _q_table
 
-    theta, values, (sup_q, c0, monotone) = _q_table(args.qtheta_grid)
+    theta, values, monotone = _q_table(args.qtheta_grid)
     if args.fmt == "json":
         rows = np.column_stack((theta, values)).tolist()
         return 0, _json({"sup_q": sup_q, "c0": c0, "monotone": monotone, "rows": rows}, None)

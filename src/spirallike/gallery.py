@@ -17,7 +17,9 @@ from .polylog import _li0, _li1, _log
 from .representation import MeasureFunction, SpiralFunction, _pointwise
 from .spiral_geometry import STARLIKE, _finite_angles, _record
 
-DEFAULT_C0 = 2.0 * math.exp(2.0)  # 2 e^2, correctly rounded
+# sup Q, the limit of Q at 0+ (Q(t) = 2 - t^2/2 + O(t^4) decreases on (0, pi/2))
+_SUP_Q = 2.0
+DEFAULT_C0 = 2.0 * math.exp(_SUP_Q)  # 2 e^2, correctly rounded
 # the log-factor coefficient c of the counterexample family when none is
 # given: admissible (c <= 1/log C0) for every jump small enough that the
 # combined-growth constraint holds
@@ -99,24 +101,16 @@ def q_function(theta):
 
 
 def _q_table(grid):
-    """(theta, Q(theta), (2.0, DEFAULT_C0, monotone)) on grid interior points of (0, pi/2)."""
+    """(theta, Q(theta), monotone) on grid interior points of (0, pi/2), grid >= 1000.
+
+    monotone: Q does not increase across the grid, its evidence that _SUP_Q is sup Q.
+    """
     grid = _grid_size(grid, "grid")
     if grid < 1000:
         raise DomainError("need at least 1000 grid points")
     theta = np.linspace(0.0, np.pi / 2.0, grid + 2)[1:-1]
     values = q_function(theta)
-    monotone = bool(np.all(np.diff(values) <= 0.0))
-    return theta, values, (2.0, DEFAULT_C0, monotone)
-
-
-def c0_constant(grid=100000):
-    """(sup Q, C0, monotone) = (2.0, DEFAULT_C0, monotone) on a grid of (0, pi/2).
-
-    sup Q is the limit 2 of Q at 0+: Q(t) = 2 - t^2/2 + O(t^4) and Q decreases
-    on (0, pi/2), so C0 = 2 e^2.  monotone reports whether Q is non-increasing
-    across the grid, the grid's evidence that the limit is the supremum.
-    """
-    return _q_table(grid)[2]
+    return theta, values, bool(np.all(np.diff(values) <= 0.0))
 
 
 def lemma_c_margins(C):

@@ -21,6 +21,10 @@ two.
 
 growth_asymptote is log M(r) from a local analysis at each atom, with no
 circle search; the tests hold max_modulus to it.
+
+max_jump_by_loop and certify_sector_by_loop are the Python loops that the
+array decisions of estimate_max_jump and _certify_sector replaced, with the
+same arithmetic; the tests require equal results.
 """
 
 import numpy as np
@@ -185,3 +189,48 @@ def growth_asymptote(measure, angle, delta):
     q = w * cos**2 / np.pi
     log_c = (w / np.pi) * cos * (cos * np.log(cos) + lam * np.sin(lam)) + (mu * rest / np.pi).real
     return float(np.max(q * np.log(1.0 / delta) + log_c))
+
+
+def max_jump_by_loop(t, v, gaps, gap_threshold):
+    """(jump, location, center) of the largest candidate, read gap by gap.
+
+    Each gap i over gap_threshold is a candidate alone, then merged with
+    gap i + 1 (cyclically) when that one is over too; a candidate wins only
+    when it is strictly larger than the best before it.  gaps are the
+    trace's increments, the last wrapping by 2*pi.
+    """
+    n = t.size
+    t_next = np.concatenate((t[1:], [t[0] + TWO_PI]))
+    v_next = np.concatenate((v[1:], [v[0] + TWO_PI]))
+    best = (0.0, np.nan, np.nan)
+    over = gaps > gap_threshold
+    for i in np.flatnonzero(over):
+        single = (
+            float(gaps[i]), float(0.5 * (t[i] + t_next[i])), float(0.5 * (v[i] + v_next[i]))
+        )
+        if single[0] > best[0]:
+            best = single
+        j = (i + 1) % n
+        if over[j]:
+            merged = (float(gaps[i] + gaps[j]), float(t[j]), float(v[j]))
+            if merged[0] > best[0]:
+                best = merged
+    return best
+
+
+def certify_sector_by_loop(phis, logmod, inside, reach, sample_t):
+    """The sector decision sample by sample: None, or the message of the first failure.
+
+    Samples go in (phi, t) order, membership before coverage; a sample is
+    covered when its log-modulus is at most its spiral's reach within 1e-9.
+    """
+    for phi, row_logmod, row_inside, top in zip(phis, logmod, inside, reach):
+        for t, sample_logmod, within in zip(sample_t, row_logmod, row_inside):
+            if not within:
+                return f"sample point for spiral argument {phi:.6f} left the sector"
+            if not top >= sample_logmod - 1e-9:
+                return (
+                    f"sector sample at spiral argument {phi:.6f}, t = {t} "
+                    "is not covered by the image"
+                )
+    return None

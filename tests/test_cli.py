@@ -24,7 +24,6 @@ from spirallike import (
     MeasureFunction,
     SpiralAngle,
     beta_trace,
-    c0_constant,
     counterexample_for,
     default_r_schedule,
     growth_exponent,
@@ -36,7 +35,7 @@ from spirallike import (
 from spirallike import formatting
 from spirallike.cli import main, parse_complex, parse_r_schedule
 from spirallike.errors import ConfigError
-from spirallike.gallery import DEFAULT_C, _q_table
+from spirallike.gallery import _SUP_Q, DEFAULT_C, DEFAULT_C0, _q_table
 
 PI = math.pi
 
@@ -193,6 +192,18 @@ def test_verify_nonpositive_margin_exits_1(capsys, monkeypatch):
     assert float(out.split("=")[1]) == -0.25
 
 
+def test_verify_non_finite_margin_exits_3(capsys, monkeypatch):
+    # a kernel that yields NaN once printed "margin = nan" and exited 1
+    monkeypatch.setattr(
+        MeasureFunction, "_log_derivative_excess",
+        lambda self, z: np.full(z.shape, complex(np.nan, 0.0)),
+    )
+    rc, out, err = run(capsys, "verify", "--gallery", "koebe")
+    assert rc == 3
+    assert out == ""
+    assert "not finite" in err
+
+
 def test_verify_json(capsys):
     rc, out, _ = run(capsys, "verify", "--gallery", "identity", "--format", "json")
     assert rc == 0
@@ -344,9 +355,9 @@ def test_python_m_prints_the_default_qtheta_table_byte_for_byte():
     cold = subprocess.run(
         [sys.executable, "-m", "spirallike", "qtheta"], env=env, capture_output=True, check=True
     )
-    theta, values, (sup_q, c0, monotone) = _q_table(100000)
+    theta, values, monotone = _q_table(100000)
     head = "# sup_Q = %.15g\n# C0 = %.15g\n# monotone_decreasing = %s\ntheta,Q\n"
-    text = head % (sup_q, c0, str(monotone).lower())
+    text = head % (_SUP_Q, DEFAULT_C0, str(monotone).lower())
     text += "".join("%.15g,%.15g\n" % row for row in zip(theta.tolist(), values.tolist()))
     assert cold.stdout == text.encode()
     assert cold.stderr == b""
@@ -514,12 +525,11 @@ def test_csv_tables_match_per_row_formatting(capsys):
     rows = [(r, M, E, ratio) for (r, M, E), (_, ratio) in zip(report.rows, ratios)]
     assert out.splitlines()[: len(rows) + 1] == table_lines("r,M,E,ratio", rows)
 
-    sup_q, c0, _ = c0_constant(1000)
     theta = np.linspace(0.0, PI / 2.0, 1002)[1:-1]
     rc, out, _ = run(capsys, "qtheta", "--qtheta-grid", "1000")
     assert rc == 0
     lines = out.splitlines()
-    assert lines[:2] == [f"# sup_Q = {sup_q:.15g}", f"# C0 = {c0:.15g}"]
+    assert lines[:2] == [f"# sup_Q = {_SUP_Q:.15g}", f"# C0 = {DEFAULT_C0:.15g}"]
     assert lines[3:] == table_lines("theta,Q", zip(theta, q_function(theta)))
 
 

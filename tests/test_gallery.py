@@ -33,7 +33,6 @@ from spirallike import (
     SpiralSector,
     arg_lambda,
     beta_trace,
-    c0_constant,
     counterexample_for,
     estimate_max_jump,
     g0_correction,
@@ -50,7 +49,7 @@ from spirallike import (
     spirallike_of,
     spirallikeness_margin,
 )
-from spirallike.gallery import DEFAULT_C
+from spirallike.gallery import _SUP_Q, DEFAULT_C, _q_table
 from spirallike.polylog import _li1
 
 PI = math.pi
@@ -167,7 +166,7 @@ SPACING = TWO_PI / 256
         lambda: lemma_c_margins(np.inf),
         lambda: lemma_c_margins(2.0),
         lambda: q_function(np.nan),
-        lambda: c0_constant("x"),
+        lambda: _q_table("x"),
         lambda: beta_trace(koebe_power(), t_grid=np.nan),
         lambda: hansen_ratio(koebe_power(), q0=np.nan),
         lambda: estimate_max_jump(BetaTrace(np.array([]), np.array([]), 0.99, ())),
@@ -347,9 +346,15 @@ def test_q_function_domain():
 
 
 def test_c0_constant_values():
-    # sup Q is the limit 2 at 0+, not a search, so no grid moves it
-    assert c0_constant() == (2.0, DEFAULT_C0, True)
-    assert c0_constant(1000) == (2.0, DEFAULT_C0, True)
+    # sup Q is the limit 2 at 0+, not a search, and C0 = 2 exp(sup Q); Q
+    # falls across every grid
+    assert _SUP_Q == 2.0
+    assert DEFAULT_C0 == 2.0 * math.exp(_SUP_Q)
+    for grid in (1000, 100000):
+        theta, values, monotone = _q_table(grid)
+        assert monotone is True
+        assert theta.shape == values.shape == (grid,)
+        assert values.tolist() == q_function(theta).tolist()
     # the family's default c, min(0.3, 0.99/log C0)
     assert DEFAULT_C == 0.3
     # DEFAULT_C0 is 2 e^2 correctly rounded
@@ -387,14 +392,16 @@ def test_q_series_at_zero():
 
 
 def test_c0_constant_grid_stability():
-    sup1, _, _ = c0_constant(grid=100000)
-    sup2, _, _ = c0_constant(grid=200000)
+    # each grid's largest Q, at its first angle, approaches sup Q from below
+    sup1 = float(np.max(_q_table(100000)[1]))
+    sup2 = float(np.max(_q_table(200000)[1]))
     assert abs(sup1 - sup2) < 1e-9
+    assert _SUP_Q - 1e-9 < sup1 <= sup2 <= _SUP_Q
 
 
 def test_c0_constant_validation():
     with pytest.raises(DomainError):
-        c0_constant(grid=999)
+        _q_table(999)
 
 
 def test_lemma_c_margins():

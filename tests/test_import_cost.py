@@ -80,7 +80,7 @@ HOME = {
         "MeasureValidationError", "ParameterError", "SpirallikeError",
     ],
     "gallery": [
-        "DEFAULT_C0", "G0Function", "HansenFunction", "HansenParams", "c0_constant",
+        "DEFAULT_C0", "G0Function", "HansenFunction", "HansenParams",
         "counterexample_for", "g0_correction", "hansen_build", "koebe_power",
         "lemma_c_margins", "q_function",
     ],
