@@ -1,6 +1,6 @@
 import sys
 
-from .cli import main
+from .cli import entry
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -32,8 +32,8 @@ from spirallike import (
     q_function,
     spirallike_of,
 )
-from spirallike import formatting
-from spirallike.cli import main, parse_complex, parse_r_schedule
+from spirallike import cli, formatting
+from spirallike.cli import _build_parser, main, parse_complex, parse_r_schedule
 from spirallike.errors import ConfigError
 from spirallike.gallery import _SUP_Q, DEFAULT_C, DEFAULT_C0, _q_table
 
@@ -497,6 +497,55 @@ def test_removed_noop_flags_exit_2(capsys, tmp_path):
         assert "error: " in err and "Traceback" not in err, argv
     rc, _, err = run(capsys, "eval", "--gallery", "koebe", "--alpha", "1.9", "--c", "0.2")
     assert err == "error: only --gallery hansen takes --alpha, --c\n"
+
+
+# -- parser build ------------------------------------------------------------------
+
+COMMANDS = ("eval", "verify", "beta", "growth", "qtheta")
+
+
+def subcommand_parsers(parser):
+    (commands,) = [action for action in parser._actions if action.dest == "command"]
+    return commands.choices
+
+
+def fully_built_parser():
+    parser = _build_parser()
+    for sub in subcommand_parsers(parser).values():
+        sub.add_arguments()
+    return parser
+
+
+def test_parser_builds_only_the_chosen_subcommand():
+    parser = _build_parser()
+    assert parser.parse_args(["qtheta", "--qtheta-grid", "1000"]).qtheta_grid == 1000
+    built = {name: [a.dest for a in sub._actions] != ["help"]
+             for name, sub in subcommand_parsers(parser).items()}
+    assert built == {name: name == "qtheta" for name in COMMANDS}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], *([name, "--help"] for name in COMMANDS),
+     # every exit-2 path of the parser: no, an unknown or a misplaced
+     # subcommand, an unknown flag before or after it, a bad choice, value or
+     # pair, a function flag to qtheta, and a format the subcommand lacks
+     [], ["nope"], ["--bogus", "eval"], ["growth", "eval"], ["eval", "--bogus"],
+     ["eval", "--gallery", "nope"], ["eval", "--gallery", "koebe", "--z", "abc"],
+     ["eval", "--gallery", "koebe", "--z"], ["eval", "--lambda", "2.0"],
+     ["eval", "--measure", "m.json", "--gallery", "g0"],
+     ["eval", "--gallery", "hansen", "--A", "2", "--alpha", "1.0"],
+     ["verify", "--r-max", "1.5"], ["verify", "--format", "csv"],
+     ["beta", "--t-grid", "8"], ["beta", "--t-grid", "x"], ["growth", "--r-k", "3:2"],
+     ["qtheta", "--gallery", "koebe"], ["qtheta", "--qtheta-grid", "100"]],
+    ids=lambda argv: " ".join(argv) or "no-argv",
+)
+def test_help_and_parse_errors_match_a_full_build(capsys, monkeypatch, argv):
+    lazy = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_build_parser", fully_built_parser)
+    assert run(capsys, *argv) == lazy
+    code, out, err = lazy
+    assert (code, bool(out), bool(err)) == ((0, True, False) if "--help" in argv else (2, False, True))
 
 
 def table_lines(header, rows):
