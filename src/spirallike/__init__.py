@@ -11,10 +11,11 @@ read from the package (PEP 562), and the package always returns the object
 that submodule holds at that moment.  The `spirallike` command loads, besides
 cli and errors, only what its subcommand runs: a --measure, koebe or
 identity function loads spiral_geometry, boundary_measure, representation
-and polylog; the g0 and hansen functions and `qtheta` load gallery with
+and polylog; the g0 and hansen functions load gallery with threshold,
 correspondence, spiral_geometry, representation and polylog, and neither
-boundary_measure nor analysis; verify, beta and growth also load analysis,
-and the CSV tables of beta, growth and qtheta load formatting.
+boundary_measure nor analysis; verify, beta and growth also load analysis;
+`qtheta` loads threshold and spiral_geometry only; and the CSV tables of
+beta, growth and qtheta load formatting.
 """
 
 import importlib
@@ -49,7 +50,6 @@ _EXPORTS = {
         "SpirallikeError",
     ),
     "gallery": (
-        "DEFAULT_C0",
         "G0Function",
         "HansenFunction",
         "HansenParams",
@@ -58,7 +58,6 @@ _EXPORTS = {
         "hansen_build",
         "koebe_power",
         "lemma_c_margins",
-        "q_function",
     ),
     "polylog": ("li2", "li3"),
     "representation": ("MeasureFunction", "SpiralFunction"),
@@ -71,6 +70,7 @@ _EXPORTS = {
         "sector_contains",
         "spiral_point",
     ),
+    "threshold": ("DEFAULT_C0", "q_function"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -6,11 +6,14 @@ measure-spec JSON file (--measure) or the gallery (--gallery).  Exit codes:
 4 accuracy not met.
 
 Importing this module loads only the package's errors; each subcommand
-imports, where it runs, the modules its branch uses.
+imports, where it runs, the modules its branch uses.  A subcommand returns
+its exit code and its output as an iterable of text chunks, and main writes
+them to stdout or --out as they come.
 """
 
 import argparse
 import gc
+import itertools
 import os
 import re
 import sys
@@ -79,8 +82,10 @@ _LAMBDA = _checked(float, lambda v: abs(v) < np.pi / 2, "lambda = {} outside (-p
 _R_MAX = _checked(float, lambda v: 0.0 < v < 1.0, "--r-max must lie in (0, 1), got {}")
 
 
-# the largest --t-grid and --qtheta-grid: a call at 10^6 peaks near 0.25 GB,
-# and at 10^12 numpy cannot allocate its arrays
+# the largest --t-grid and --qtheta-grid.  A cold call at 10^6 peaks at
+# 191 MB resident for beta on koebe's 5 default radii (404 MB on 12 radii),
+# and at 68 MB for the qtheta table (281 MB as JSON; perf/stream_time.py).
+# At 10^12 numpy cannot allocate the arrays
 _GRID_MAX = 10**6
 
 
@@ -125,9 +130,10 @@ def build_function(args):
 
 
 def _json(payload, indent=2):
+    """payload as JSON text in one chunk: its cost is json's float repr, which blocks would not cut."""
     import json  # here, not at module level: only --format json writes JSON
 
-    return json.dumps(payload, indent=indent) + "\n"
+    return (json.dumps(payload, indent=indent) + "\n",)
 
 
 def cmd_eval(args):
@@ -146,12 +152,12 @@ def cmd_eval(args):
     if args.fmt == "csv":
         cells = {key: complex(val) for key, val in record.items()}
         rows = (f"{key},{v.real:.15g},{v.imag:.15g}\n" for key, v in cells.items())
-        return 0, "quantity,re,im\n" + "".join(rows)
+        return 0, ("quantity,re,im\n" + "".join(rows),)
     shown = {
         key: f"{val.real:.15g}{val.imag:+.15g}i" if isinstance(val, complex) else f"{val:.15g}"
         for key, val in record.items()
     }
-    return 0, "".join(f"{key} = {val}\n" for key, val in shown.items())
+    return 0, ("".join(f"{key} = {val}\n" for key, val in shown.items()),)
 
 
 def cmd_verify(args):
@@ -162,7 +168,7 @@ def cmd_verify(args):
     code = 0 if margin > 0.0 else 1
     if args.fmt == "json":
         return code, _json({"margin": margin, "lambda": args.lam})
-    return code, f"margin = {margin:.15g}\n"
+    return code, (f"margin = {margin:.15g}\n",)
 
 
 def cmd_beta(args):
@@ -176,9 +182,9 @@ def cmd_beta(args):
             "t": trace.t_samples.tolist(),
             "beta_estimate": trace.beta_values.tolist(),
         })
-    from .formatting import csv_table
+    from .formatting import csv_blocks
 
-    return 0, csv_table("t,beta_estimate", trace.t_samples, trace.beta_values)
+    return 0, csv_blocks("t,beta_estimate", trace.t_samples, trace.beta_values)
 
 
 def cmd_growth(args):
@@ -200,27 +206,26 @@ def cmd_growth(args):
             "a_estimate": report.a_estimate,
             "o_bound_fails": fails,
         })
-    from .formatting import csv_table
+    from .formatting import csv_blocks
 
-    text = csv_table("r,M,E,ratio", radii, peaks, exponents, ratios)
-    text += f"# predicted_q0 = {report.predicted_q0:.15g}\n"
-    text += f"# a_estimate = {report.a_estimate:.15g}\n"
+    tail = f"# predicted_q0 = {report.predicted_q0:.15g}\n"
+    tail += f"# a_estimate = {report.a_estimate:.15g}\n"
     if fails:
-        text += "# O-bound fails: ratio column increases without settling\n"
-    return 0, text
+        tail += "# O-bound fails: ratio column increases without settling\n"
+    return 0, itertools.chain(csv_blocks("r,M,E,ratio", radii, peaks, exponents, ratios), (tail,))
 
 
 def cmd_qtheta(args):
-    from .gallery import _SUP_Q as sup_q, DEFAULT_C0 as c0, _q_table
+    from .threshold import _SUP_Q as sup_q, DEFAULT_C0 as c0, _q_table
 
     theta, values, monotone = _q_table(args.qtheta_grid)
     if args.fmt == "json":
         rows = np.column_stack((theta, values)).tolist()
         return 0, _json({"sup_q": sup_q, "c0": c0, "monotone": monotone, "rows": rows}, None)
-    from .formatting import csv_table
+    from .formatting import csv_blocks
 
-    head = "# sup_Q = %.15g\n# C0 = %.15g\n# monotone_decreasing = %s\n"
-    return 0, head % (sup_q, c0, str(monotone).lower()) + csv_table("theta,Q", theta, values)
+    head = "# sup_Q = %.15g\n# C0 = %.15g\n# monotone_decreasing = %s\ntheta,Q"
+    return 0, csv_blocks(head % (sup_q, c0, str(monotone).lower()), theta, values)
 
 
 class _Subcommand(argparse.ArgumentParser):
@@ -290,26 +295,40 @@ def _build_parser():
     return parser
 
 
+def _write(chunks, path):
+    """Write the text chunks to the file path, or to stdout if there is none, as they come.
+
+    The subcommand has finished its numeric work when it returns the
+    chunks, so an error exits before any output and before path is created.
+    No chunk is kept once written, so the whole table never stands in memory
+    as one string or one encoded copy.  A reader that closes stdout early
+    ends the writing, and main still returns the subcommand's exit code.
+    """
+    if not path:
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a pipe closed after the last chunk raises here, not at exit
+        except BrokenPipeError:
+            # the reading side of a pipeline (e.g. `| head`) closed early.
+            # Point stdout at devnull so the interpreter's exit-time flush
+            # stays quiet; the exit code stays the subcommand's.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        code, text = args.run(args)
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ConfigError(f"cannot write {args.out}: {exc}") from exc
-        else:
-            sys.stdout.write(text)
+        code, chunks = args.run(args)
+        _write(chunks, args.out)
         return code
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except BrokenPipeError:
-        # Reading side of a pipeline (e.g. `| head`) closed early; point
-        # stdout at devnull so the interpreter's exit-time flush stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     except SpirallikeError as exc:
         for line in getattr(exc, "violations", [exc]):
             print(f"error: {line}", file=sys.stderr)

@@ -1,33 +1,43 @@
 """The CLI's CSV tables: every cell "%.15g" % x, written by numpy.
 
-csv_table gives the bytes Python's per-cell formatting gives, without a
-Python call per cell: the 15 significant digits of a cell come from an
-exact rounding of |x| * 10^(14 - e), and a lookup of 4-digit groups writes
-them into a fixed-width buffer whose padding one bytes call drops.  The
+csv_blocks gives the text Python's per-cell formatting gives, a block of
+rows at a time and without a Python call per cell: the 15 significant
+digits of a cell come from an exact rounding of |x| * 10^(14 - e), and a
+lookup of 4-digit groups writes them into a fixed-width buffer whose
+padding one bytes call drops.  The
 cells this route does not cover (exponent notation, zeros, non-finite
 values, exact rounding ties) go through "%.15g" % x itself.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
-# rows per block of csv_table; bounds the writer's temporaries to a few MB
-_CHUNK_ROWS = 16384
+# rows per block of csv_blocks.  cli.main writes each block before the next
+# is formatted, so the table never stands whole in memory: a cold default
+# `qtheta` takes 6,400 minor page faults at 4,096 rows, against 11,600 for
+# one whole-table string and 16,700 for 16,384-row blocks, and runs about
+# 17 ms faster than either, to a pipe and to /dev/null alike
+# (perf/stream_time.py).  The writer's temporaries stay near 1 MB per column
+_CHUNK_ROWS = 4096
 # 8 bytes of text read as a number with byte 0 the lowest, on any platform,
 # so that a shift by 8 bits moves the text by one byte
 _WORD = np.dtype("<u8")
 
 
-def csv_table(header, *columns):
-    """CSV header line plus one row per index of the columns, each value '%.15g'.
+def csv_blocks(header, *columns):
+    """Iterator over the text of a CSV table: header, then one row per index of the columns.
 
-    The bytes are those of "%.15g" % x cell by cell; _format_rows writes
-    them a block of _CHUNK_ROWS rows at a time, each line led by its newline.
+    Each value is written "%.15g" % x.  The columns are stacked at the call;
+    the iterator formats them a block of _CHUNK_ROWS rows at a time, when
+    the block is asked for.  It yields the header line without its newline,
+    then each block with every line led by its newline, then the last
+    newline, so that the joined text is the whole table.
     """
     rows = np.column_stack(columns).astype(np.float64, copy=False)
     blocks = (rows[start:start + _CHUNK_ROWS] for start in range(0, len(rows), _CHUNK_ROWS))
-    return header + "".join(map(_format_rows, blocks)) + "\n"
+    return itertools.chain((header,), map(_format_rows, blocks), ("\n",))
 
 
 @functools.cache

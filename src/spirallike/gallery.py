@@ -1,25 +1,22 @@
 """Closed-form example functions and the constants controlling them.
 
 Houses the extremal starlike function g0(z) = (1/(1-z))log(1/(1-z)), the
-Q(theta) threshold machinery with its constant C0, powers of 1/(1-z), and
-the slow-logarithmic-factor family g(z) = z(1-z)^(-alpha)(1+c log(1/(1-z)))^beta
+margins of the half-plane inequalities behind the threshold C0 (Q(theta)
+and C0 itself are in `threshold`), powers of 1/(1-z), and the
+slow-logarithmic-factor family g(z) = z(1-z)^(-alpha)(1+c log(1/(1-z)))^beta
 whose spirallike partners break the expected growth bound.  A
 HansenFunction validates its parameters when it is built.
 """
 
-import math
-
 import numpy as np
 
 from .correspondence import spirallike_of
-from .errors import DomainError, ParameterError, _grid_size, _real_number
+from .errors import DomainError, ParameterError, _real_number
 from .polylog import _li0, _li1, _log
 from .representation import MeasureFunction, SpiralFunction, _pointwise
-from .spiral_geometry import STARLIKE, _finite_angles, _record
+from .spiral_geometry import STARLIKE, _record
+from .threshold import DEFAULT_C0
 
-# sup Q, the limit of Q at 0+ (Q(t) = 2 - t^2/2 + O(t^4) decreases on (0, pi/2))
-_SUP_Q = 2.0
-DEFAULT_C0 = 2.0 * math.exp(_SUP_Q)  # 2 e^2, correctly rounded
 # the log-factor coefficient c of the counterexample family when none is
 # given: admissible (c <= 1/log C0) for every jump small enough that the
 # combined-growth constraint holds
@@ -82,35 +79,7 @@ def koebe_power(exponent=2.0):
     return MeasureFunction(BoundaryMeasure(atoms=atoms, density_knots=knots), STARLIKE)
 
 
-# -- Q(theta) and C0 ---------------------------------------------------------
-
-
-def q_function(theta):
-    """Q(theta) = ((log cos t)^2 + t^2)/(t tan t + log cos t) on (0, pi/2).
-
-    log cos t is computed as log1p(-2 sin(t/2)^2) so that the limit value 2
-    at 0+ is approached without cancellation.
-    """
-    theta = _finite_angles(theta)
-    if not np.all((theta > 0.0) & (theta < np.pi / 2.0)):
-        raise DomainError("Q is defined on the open interval (0, pi/2)")
-    s = np.sin(0.5 * theta)
-    lc = np.log1p(-2.0 * s * s)
-    out = (lc * lc + theta * theta) / (theta * np.tan(theta) + lc)
-    return out if out.ndim else float(out)
-
-
-def _q_table(grid):
-    """(theta, Q(theta), monotone) on grid interior points of (0, pi/2), grid >= 1000.
-
-    monotone: Q does not increase across the grid, its evidence that _SUP_Q is sup Q.
-    """
-    grid = _grid_size(grid, "grid")
-    if grid < 1000:
-        raise DomainError("need at least 1000 grid points")
-    theta = np.linspace(0.0, np.pi / 2.0, grid + 2)[1:-1]
-    values = q_function(theta)
-    return theta, values, bool(np.all(np.diff(values) <= 0.0))
+# -- the C0 threshold -------------------------------------------------------
 
 
 def lemma_c_margins(C):

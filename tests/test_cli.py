@@ -5,6 +5,8 @@ Exit code contract: 0 success, 1 failed verification, 2 invalid input,
 cli.main(argv) so the tests observe exactly what a shell would.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -35,7 +37,8 @@ from spirallike import (
 from spirallike import cli, formatting
 from spirallike.cli import _build_parser, main, parse_complex, parse_r_schedule
 from spirallike.errors import ConfigError
-from spirallike.gallery import _SUP_Q, DEFAULT_C, DEFAULT_C0, _q_table
+from spirallike.gallery import DEFAULT_C
+from spirallike.threshold import _SUP_Q, DEFAULT_C0, _q_table
 
 PI = math.pi
 
@@ -630,7 +633,7 @@ def test_table_matches_per_cell_formatting(rows):
     # blocks of 5 rows, so that most tables cross a block boundary
     columns = [np.array(col) for col in zip(*rows)]
     with mock.patch.object(formatting, "_CHUNK_ROWS", 5):
-        assert formatting.csv_table("h", *columns) == per_cell_table("h", columns)
+        assert "".join(formatting.csv_blocks("h", *columns)) == per_cell_table("h", columns)
 
 
 @pytest.mark.parametrize("ncols", [1, 2, 3, 4])
@@ -643,7 +646,59 @@ def test_table_across_full_blocks_matches_per_cell_formatting(ncols):
     ])
     values[rng.choice(n, len(EDGE_CELLS), replace=False)] = EDGE_CELLS
     columns = list(rng.permutation(values).reshape(-1, ncols).T)
-    assert formatting.csv_table("h", *columns) == per_cell_table("h", columns)
+    assert "".join(formatting.csv_blocks("h", *columns)) == per_cell_table("h", columns)
+
+
+# -- streamed tables -----------------------------------------------------------------
+
+BLOCK = formatting._CHUNK_ROWS
+
+
+def written_three_ways(capsys, tmp_path, *argv):
+    """A subcommand's output to stdout, to --out, and to a text stream that has no .buffer."""
+    assert main(list(argv)) == 0
+    to_stdout = capsys.readouterr().out
+    target = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(target)]) == 0
+    to_file = target.read_bytes().decode("utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as text_only:
+        assert main(list(argv)) == 0
+    assert capsys.readouterr() == ("", "")
+    return to_stdout, to_file, text_only.getvalue()
+
+
+@pytest.mark.parametrize("grid", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5],
+                         ids=["block-1", "block", "block+1", "several-blocks"])
+def test_qtheta_table_is_written_block_by_block_byte_for_byte(capsys, tmp_path, grid):
+    theta, values, monotone = _q_table(grid)
+    head = "# sup_Q = %.15g\n# C0 = %.15g\n# monotone_decreasing = %s\n"
+    want = head % (_SUP_Q, DEFAULT_C0, str(monotone).lower())
+    want += per_cell_table("theta,Q", [theta, values])
+    got = written_three_ways(capsys, tmp_path, "qtheta", "--qtheta-grid", str(grid))
+    assert got == (want,) * 3
+
+
+def test_beta_table_is_written_block_by_block_byte_for_byte(capsys, tmp_path):
+    koebe = MeasureFunction(BoundaryMeasure.single_atom(), STARLIKE)
+    trace = beta_trace(koebe, t_grid=BLOCK + 1, r_schedule=default_r_schedule(2, 6))
+    want = per_cell_table("t,beta_estimate", [trace.t_samples, trace.beta_values])
+    got = written_three_ways(capsys, tmp_path, "beta", "--gallery", "koebe",
+                             "--t-grid", str(BLOCK + 1))
+    assert got == (want,) * 3
+
+
+def test_growth_table_is_written_byte_for_byte(capsys, tmp_path):
+    fn = counterexample_for(SpiralAngle(PI / 4), PI)
+    schedule = default_r_schedule(2, 8)
+    report = growth_exponent(fn, r_schedule=schedule)
+    ratios = hansen_ratio(fn, report.predicted_q0, r_schedule=schedule)
+    rows = [(r, M, E, ratio) for (r, M, E), (_, ratio) in zip(report.rows, ratios)]
+    want = per_cell_table("r,M,E,ratio", list(zip(*rows)))
+    want += f"# predicted_q0 = {report.predicted_q0:.15g}\n# a_estimate = {report.a_estimate:.15g}\n"
+    want += "# O-bound fails: ratio column increases without settling\n"
+    got = written_three_ways(capsys, tmp_path, "growth", "--gallery", "hansen",
+                             "--lambda", str(PI / 4), "--A", str(PI), "--r-k", "2:8")
+    assert got == (want,) * 3
 
 
 def test_hansen_inadmissible_parameters_exit_2(capsys):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from spirallike.cli import main
+from spirallike.formatting import _CHUNK_ROWS as BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -101,20 +102,94 @@ def test_console_script_target_is_what_python_m_calls():
     assert (proc.returncode, proc.stdout, proc.stderr) == (7, b"target ran\n", b"")
 
 
-@pytest.mark.parametrize("lines_read", [1, 0], ids=["after-one-line", "before-any-output"])
-def test_closed_pipe_exits_0_without_stderr(lines_read):
-    # the reader takes lines_read lines of the 100,000-row table and closes
-    # the pipe.  Closed after a line, the rest of the table's one write is
-    # dropped; closed before the child writes, the write raises
-    # BrokenPipeError, which main catches
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "spirallike", "qtheta"],
-        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["qtheta", "--qtheta-grid", "999"], 2), (["eval", "--gallery", "koebe", "--z", "2+0i"], 3)],
+    ids=["usage-error", "domain-error"],
+)
+def test_error_exits_before_out_is_created(tmp_path, argv, code):
+    target = tmp_path / "out.txt"
+    proc = _python("-m", "spirallike", *argv, "--out", str(target))
+    assert (proc.returncode, proc.stdout) == (code, b"")
+    assert b"error: " in proc.stderr
+    assert not target.exists()
+
+
+# the lines a reader takes of the 100,000-row qtheta table before it closes
+# the pipe: 4 header lines and the rows that end inside the first block
+CLOSES = {"after-one-line": 1, "before-any-output": 0, "after-the-first-block": 4 + BLOCK - 1}
+
+
+def _read_then_close(argv, lines_read):
+    """(exit code, lines read, stderr) of a child whose stdout pipe closes after lines_read lines."""
+    proc = subprocess.Popen(argv, env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     first = [proc.stdout.readline() for _ in range(lines_read)]
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 0
-    assert first == [b"# sup_Q = 2\n"][:lines_read]
+    return proc.wait(timeout=60), first, err
+
+
+@pytest.mark.parametrize("lines_read", CLOSES.values(), ids=CLOSES.keys())
+def test_closed_pipe_exits_0_without_stderr(lines_read):
+    # the table goes out a block at a time, so the first write after the
+    # close raises BrokenPipeError, which main's writer catches
+    code, first, err = _read_then_close([sys.executable, "-m", "spirallike", "qtheta"], lines_read)
+    assert code == 0
+    assert first[:1] == [b"# sup_Q = 2\n"][:lines_read]
+    assert len(first) == lines_read and all(line.endswith(b"\n") for line in first)
     assert err == b""
+
+
+# runs `verify` as `python -m spirallike` does, with a margin that fails
+FAILING_VERIFY = """\
+import runpy, sys
+import spirallike.analysis as analysis
+
+analysis.spirallikeness_margin = lambda *args, **kwargs: -0.25
+sys.argv = ["spirallike", "verify", "--gallery", "koebe"]
+runpy.run_module("spirallike", run_name="__main__")
+"""
+
+
+def test_closed_pipe_keeps_the_subcommands_exit_code():
+    # a failed verification exits 1, also when the reader has gone
+    code, _, err = _read_then_close([sys.executable, "-c", FAILING_VERIFY], 0)
+    assert (code, err) == (1, b"")
+    proc = _python("-c", FAILING_VERIFY)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"margin = -0.25\n", b"")
+
+
+# runs the package as `python -m spirallike` does, and writes to the file
+# named by its first argument, once main has returned, whether stdout is
+# /dev/null: the writer's BrokenPipeError branch points it there
+OBSERVED_MAIN = """\
+import os, runpy, sys
+import spirallike.cli as cli
+
+main, marker = cli.main, sys.argv.pop(1)
+
+def observed_main(argv=None):
+    code = main(argv)
+    with open(marker, "w") as fh:
+        fh.write(str(os.path.samestat(os.fstat(1), os.stat(os.devnull))))
+    return code
+
+cli.main = observed_main
+runpy.run_module("spirallike", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("lines_read", CLOSES.values(), ids=CLOSES.keys())
+def test_closed_pipe_goes_through_mains_broken_pipe_branch(tmp_path, lines_read):
+    marker = tmp_path / "stdout_is_devnull"
+    argv = [sys.executable, "-c", OBSERVED_MAIN, str(marker), "qtheta"]
+    assert _read_then_close(argv, lines_read)[::2] == (0, b"")
+    assert marker.read_text() == "True"
+
+
+def test_a_reader_of_the_whole_table_leaves_stdout_alone(tmp_path):
+    marker = tmp_path / "stdout_is_devnull"
+    proc = _python("-c", OBSERVED_MAIN, str(marker), "qtheta", "--qtheta-grid", "1000")
+    assert (proc.returncode, len(proc.stdout.splitlines()), proc.stderr) == (0, 1004, b"")
+    assert marker.read_text() == "False"

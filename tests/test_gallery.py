@@ -49,7 +49,8 @@ from spirallike import (
     spirallike_of,
     spirallikeness_margin,
 )
-from spirallike.gallery import _SUP_Q, DEFAULT_C, _q_table
+from spirallike.gallery import DEFAULT_C
+from spirallike.threshold import _SUP_Q, _q_table
 from spirallike.polylog import _li1
 
 PI = math.pi

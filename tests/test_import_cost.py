@@ -80,9 +80,8 @@ HOME = {
         "MeasureValidationError", "ParameterError", "SpirallikeError",
     ],
     "gallery": [
-        "DEFAULT_C0", "G0Function", "HansenFunction", "HansenParams",
-        "counterexample_for", "g0_correction", "hansen_build", "koebe_power",
-        "lemma_c_margins", "q_function",
+        "G0Function", "HansenFunction", "HansenParams", "counterexample_for",
+        "g0_correction", "hansen_build", "koebe_power", "lemma_c_margins",
     ],
     "polylog": ["li2", "li3"],
     "representation": ["MeasureFunction", "SpiralFunction"],
@@ -90,17 +89,18 @@ HOME = {
         "STARLIKE", "SpiralAngle", "SpiralSector", "arg_lambda", "principal_angle",
         "sector_contains", "spiral_point",
     ],
+    "threshold": ["DEFAULT_C0", "q_function"],
 }
 
 _LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'spirallike')"
 MEASURE_BRANCH = ["boundary_measure", "cli", "errors", "polylog", "representation",
                   "spiral_geometry"]
 GALLERY_BRANCH = ["analysis", "cli", "correspondence", "errors", "gallery", "polylog",
-                  "representation", "spiral_geometry"]
+                  "representation", "spiral_geometry", "threshold"]
 # and the CSV writer, for the subcommands that print a table
 TABLE_BRANCH = sorted(GALLERY_BRANCH + ["formatting"])
-# qtheta prints the Q table and runs no analysis routine
-QTHETA_BRANCH = [m for m in TABLE_BRANCH if m != "analysis"]
+# qtheta prints the Q table: no function handle, no analysis routine
+QTHETA_BRANCH = ["cli", "errors", "formatting", "spiral_geometry", "threshold"]
 
 
 @pytest.mark.parametrize(
