@@ -5,6 +5,11 @@ the spiral-argument calculus, the spirallike/starlike correspondence, and a
 numerical verification suite for boundary traces, maximal spiral sectors,
 and maximum-modulus growth exponents.
 
+`errors` is the package's argument gate: it holds the checks the public
+routines read their arguments through and _scalar, through which they
+return a scalar result; the private helpers behind them take and return
+arrays.
+
 `import spirallike` loads no submodule: each public name is defined in the
 submodule _EXPORTS lists it under, which loads the first time the name is
 read from the package (PEP 562), and the package always returns the object
@@ -14,8 +19,9 @@ identity function loads spiral_geometry, boundary_measure, representation
 and polylog; the g0 and hansen functions load gallery with threshold,
 correspondence, spiral_geometry, representation and polylog, and neither
 boundary_measure nor analysis; verify, beta and growth also load analysis;
-`qtheta` loads threshold and spiral_geometry only; and the CSV tables of
-beta, growth and qtheta load formatting.
+`qtheta` loads threshold only; and the CSV tables of beta, growth and
+qtheta load formatting, so a cold `qtheta` loads cli, errors, formatting
+and threshold.
 """
 
 import importlib

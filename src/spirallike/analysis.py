@@ -16,18 +16,20 @@ from .errors import (
     DomainError,
     InconsistencyError,
     _grid_size,
-    _real_number,
-)
-from .spiral_geometry import (
-    SpiralSector,
+    _instance,
     _numbers,
+    _real_number,
+    _scalar,
+)
+from .representation import SpiralFunction
+from .spiral_geometry import (
+    TWO_PI,
+    SpiralSector,
     _record,
     principal_angle,
     sector_contains,
     spiral_point,
 )
-
-TWO_PI = 2.0 * np.pi
 
 _MONOTONE_TOL = 1e-6
 
@@ -47,9 +49,13 @@ def default_r_schedule(k_min=2, k_max=6):
 
 # interior points per lane and step of section_search_max.  A step has a
 # fixed cost of 35-85 us (bookkeeping plus one kernel call) against 20-130 ns
-# per point, and the package's callers run 1-21 lanes, so more points per
-# step cost little and each saves steps: at 64 a bracket of two scan
-# spacings (2*2*pi/1024) reaches tol 1e-12 in 7 steps.
+# per point.  The benchmark's calls run few lanes: 1 (spirallikeness_margin,
+# refine_jump), 7 (growth_exponent, hansen_ratio), 18 then 9
+# (detect_maximal_sector).  There more points per step cost little and each
+# saves steps: at 64 a bracket of two scan spacings (2*2*pi/1024) reaches tol
+# 1e-12 in 7 steps.  A circle with many peaks runs a lane per peak, and the
+# points dominate: on a 24-atom measure max_modulus over 7 radii runs 167
+# lanes (235 ms on a 2-core VM) and the margin 25 (26 ms).
 _SECTION_POINTS = 64
 
 
@@ -67,10 +73,10 @@ def section_search_max(f, a, b, tol=1e-12):
     shrinking at float spacing (its points are still sampled, inside the
     final bracket, until every lane is done, and the values are discarded),
     so each lane ends exactly where the search on its bracket alone would.
-    Returns (x, f(x)) at the best point sampled, where a NaN never wins:
-    floats for scalar brackets, else arrays.  DomainError unless tol is
-    finite and positive and every bracket is finite with a <= b;
-    AccuracyError when a lane sampled no finite value.
+    Returns (x, f(x)) at the best point sampled, where a NaN never wins,
+    as arrays of the brackets' shape (0-d for scalar brackets).
+    DomainError unless tol is finite and positive and every bracket is
+    finite with a <= b; AccuracyError when a lane sampled no finite value.
     """
     if not (0.0 < tol < np.inf):
         raise DomainError(f"search tolerance must be finite and positive, got {tol!r}")
@@ -108,8 +114,6 @@ def section_search_max(f, a, b, tol=1e-12):
         live = move & (width > tol)
     if not np.isfinite(best_f).all():
         raise AccuracyError("the search sampled no finite value of f")
-    if not shape:
-        return float(best_x[0]), float(best_f[0])
     return best_x.reshape(shape), best_f.reshape(shape)
 
 
@@ -178,9 +182,11 @@ def beta_trace(fn, t_grid=256, r_schedule=None):
 
     The estimate at each radius r of the increasing schedule is the trace
     _trace(fn, r, t); successive radii document convergence toward the
-    boundary limit.  DomainError unless t_grid is a whole number at least 1
-    and t_grid times the number of radii is at most _MAX_POINTS = 2^24.
+    boundary limit.  DomainError unless fn is a SpiralFunction, t_grid is a
+    whole number at least 1 and t_grid times the number of radii is at most
+    _MAX_POINTS = 2^24.
     """
+    _instance(fn, SpiralFunction, "a function")
     r_schedule = _radii(r_schedule, default_r_schedule())
     n_t = _grid_size(t_grid, "t_grid", _MAX_POINTS // len(r_schedule))
     t = np.arange(n_t) * (TWO_PI / n_t)
@@ -248,10 +254,11 @@ def estimate_max_jump(trace):
     sharing a sample merge into one jump located at that sample (an atom
     aligned with the grid splits its mass between the two neighboring
     gaps).  Returns jump 0 when nothing exceeds the threshold.  DomainError
-    for an empty trace, for t_samples and beta_values that are not 1-d
-    arrays of one length, for a non-finite entry, and for angles that do
-    not increase strictly within one turn.
+    unless trace is a BetaTrace, for an empty trace, for t_samples and
+    beta_values that are not 1-d arrays of one length, for a non-finite
+    entry, and for angles that do not increase strictly within one turn.
     """
+    _instance(trace, BetaTrace, "a trace")
     t = np.asarray(trace.t_samples, dtype=float)
     v = np.asarray(trace.beta_values, dtype=float)
     n = t.size
@@ -301,15 +308,16 @@ def refine_jump(fn, bracket):
     values; the two-sided trace difference E(w) over the shrinking windows
     w still carries a mass ~ jump_density/log(1/w) from any logarithmically
     divergent density next to the atom, so E is extrapolated quadratically
-    in x = 1/log(1/w) to window 0.  Returns
-    (jump, t0).  DomainError unless the bracket is a pair of finite numbers
-    with t_lo < t_hi; InconsistencyError when the trace decreases by more
-    than _MONOTONE_TOL from t_lo to t_hi, along a row the search samples or
+    in x = 1/log(1/w) to window 0.  Returns (jump, t0).  DomainError unless
+    fn is a SpiralFunction and the bracket is a pair of finite numbers with
+    t_lo < t_hi; InconsistencyError when the trace decreases by more than
+    _MONOTONE_TOL from t_lo to t_hi, along a row the search samples or
     across a window, and when the crossing t0 misses the jump: E stays near
     the jump's size across the windows at a jump but falls about 10x per
     decade of w where the trace is smooth, so E at w = 1e-6 below a tenth of
     E at w = 1e-4 raises.
     """
+    _instance(fn, SpiralFunction, "a function")
     try:
         t_lo, t_hi = (float(t) for t in bracket)
         valid = -np.inf < t_lo < t_hi < np.inf
@@ -323,7 +331,7 @@ def refine_jump(fn, bracket):
     ends = np.array([t_lo, t_hi])
     lo, hi = values = _trace(fn, r, ends)
     _rising_gaps(ends, values)
-    t0, _ = _invert_trace(fn, r, 0.5 * (lo + hi), t_lo, t_hi, tol=2e-10)
+    t0 = float(_invert_trace(fn, r, 0.5 * (lo + hi), t_lo, t_hi, tol=2e-10)[0])
     # one row (t0 - w, t0 + w) per window
     rows = t0 + np.outer(w, (-1.0, 1.0))
     E = _rising_gaps(rows, _trace(fn, r, rows))[:, 0]
@@ -331,7 +339,7 @@ def refine_jump(fn, bracket):
         raise InconsistencyError(f"no jump at t = {t0!r}: the trace rises {E.tolist()} there")
     x = 1.0 / np.log(1.0 / w)
     coeffs = np.polyfit(x, E, 2)
-    return float(np.polyval(coeffs, 0.0)), float(t0)
+    return float(np.polyval(coeffs, 0.0)), t0
 
 
 # -- pointwise certificates -------------------------------------------------
@@ -344,10 +352,11 @@ def spirallikeness_margin(fn, r_max=0.999):
     harmonic and its minimum lies on the circle |z| = r_max: _circle_max
     takes it there from its _CIRCLE_SCAN = 1024-angle scan, every scanned
     local extremum refined.  Positive values certify the spirallike
-    condition.
+    condition.  DomainError unless fn is a SpiralFunction.
     """
+    _instance(fn, SpiralFunction, "a function")
     rotation = np.exp(-1j * fn.angle.lam)
-    return -_circle_max(lambda z: -(rotation * fn.log_derivative(z)).real, r_max)
+    return _scalar(-_circle_max(lambda z: -(rotation * fn.log_derivative(z)).real, r_max))
 
 
 # outer radius of goodman_check's polar grid
@@ -384,9 +393,11 @@ def goodman_check(g, grid=(512, 32)):
     j = 0..J, gap = 1 - 0.999, refining geometrically toward 0.999, with J =
     max(n_steps, _GOODMAN_STEPS = 87).  The grid is stored radii-major, one
     row per radius, built once per (n_theta, J) and kept until a call with
-    another grid.  DomainError unless grid is a pair of whole numbers at
-    least 1 and the grid has at most _MAX_POINTS = 2^24 points.
+    another grid.  DomainError unless g is a SpiralFunction, grid is a pair
+    of whole numbers at least 1 and the grid has at most _MAX_POINTS = 2^24
+    points.
     """
+    _instance(g, SpiralFunction, "a function")
     if not g.angle.is_starlike:
         raise DomainError("bound applies to starlike functions (inclination 0)")
     try:
@@ -412,8 +423,8 @@ _CIRCLE_SCAN = 1024
 def _circle_max(values, r):
     """Max of a real function values(z) on |z| = r: a scan plus section-search refinement.
 
-    r is one radius (returns a float) or a 1-d array of radii (returns an
-    array, one maximum per radius); every radius is checked before any work.
+    r is one radius or a 1-d array of radii; the result has r's shape, one
+    maximum per radius, and every radius is checked before any work.
     One values call scans all the circles at _CIRCLE_SCAN angles.  Every
     scanned local maximum (a flat run counts once, a constant circle has
     none) is refined over one scan spacing, as a lane of one lockstep
@@ -449,7 +460,7 @@ def _circle_max(values, r):
     _, refined = section_search_max(profile, lane_theta - h, lane_theta + h)
     best = np.max(vals, axis=1)
     np.maximum.at(best, lane_row, refined)
-    return float(best[0]) if radii.ndim == 0 else best
+    return best.reshape(radii.shape)
 
 
 def _log_modulus(fn, z):
@@ -469,10 +480,11 @@ def max_modulus(fn, r):
     rounding, tol = 1e-12 and kappa = |d^2 log|f| / d theta^2| at the peak
     (2r/(1 - r)^2 for Koebe).  It makes 1 + 7 fn.log_f_over_z calls: the
     scan of _CIRCLE_SCAN = 1024 angles, then one per search step.
-    DomainError when log|f| is not finite on the circle.
+    DomainError unless fn is a SpiralFunction, and when log|f| is not
+    finite on the circle.
     """
-    peaks = np.exp(_circle_max(lambda z: _log_modulus(fn, z), r))
-    return float(peaks) if peaks.ndim == 0 else peaks
+    _instance(fn, SpiralFunction, "a function")
+    return _scalar(np.exp(_circle_max(lambda z: _log_modulus(fn, z), r)))
 
 
 # -- growth experiments ------------------------------------------------------
@@ -494,9 +506,11 @@ def growth_exponent(fn, r_schedule=None):
     batched _circle_max call on log|f| (_log_modulus), and E = log M /
     log(1/(1-r)).  a_estimate is fn.known_max_jump (a measure's largest
     atom, or a declared closed-form jump); predicted_q0 = a_estimate *
-    cos(lam)^2 / pi.  DomainError when fn has no known jump, when log|f| is
-    not finite on a circle, and for a schedule as in hansen_ratio.
+    cos(lam)^2 / pi.  DomainError unless fn is a SpiralFunction, when fn has
+    no known jump, when log|f| is not finite on a circle, and for a schedule
+    as in hansen_ratio.
     """
+    _instance(fn, SpiralFunction, "a function")
     r_schedule = _radii(r_schedule, default_r_schedule(2, 8))
     if fn.known_max_jump is None:
         raise DomainError("growth prediction needs the function's known_max_jump")
@@ -519,9 +533,10 @@ def hansen_ratio(fn, q0, r_schedule=None):
 
     An unbounded increase exhibits failure of the O((1-r)^-q0) bound.  M(r)
     along the schedule (default_r_schedule(2, 8)) comes from one batched
-    max_modulus call.  DomainError unless the schedule is nonempty and
-    increases strictly inside (0, 1).
+    max_modulus call.  DomainError unless fn is a SpiralFunction and the
+    schedule is nonempty and increases strictly inside (0, 1).
     """
+    _instance(fn, SpiralFunction, "a function")
     if not (0.0 <= _real_number(q0, "q0") < np.inf):
         raise DomainError(f"q0 must be finite and nonnegative, got {q0!r}")
     r_schedule = _radii(r_schedule, default_r_schedule(2, 8))
@@ -640,8 +655,10 @@ def detect_maximal_sector(fn):
     sample is covered when its modulus is at most the highest |f| on the
     arc of that circle between the spirals phi -+ 0.025, whose ends come
     from inverting the boundary trace.  InconsistencyError when a sample is
-    not covered, the trace decreases or its inversion misses a spiral.
+    not covered, the trace decreases or its inversion misses a spiral;
+    DomainError unless fn is a SpiralFunction built from a measure.
     """
+    _instance(fn, SpiralFunction, "a function")
     measure = fn.measure
     if measure is None:
         raise DomainError("sector detection requires a measure-built function")

@@ -11,10 +11,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MeasureValidationError, ParameterError, _real_number
-from .spiral_geometry import _finite_angles, _record
+from .errors import MeasureValidationError, ParameterError, _finite_angles, _real_number, _scalar
+from .spiral_geometry import TWO_PI, _record
 
-TWO_PI = 2.0 * np.pi
 MASS_TOL = 1e-9
 # each table's JSON key and the JSON name of its value field
 _TABLES = (("atoms", "jump"), ("density_knots", "value"))
@@ -141,7 +140,7 @@ class BoundaryMeasure:
         t = _finite_angles(t)
         tt, vv = self._knot_arrays
         out = np.interp(t, tt, vv, period=TWO_PI) if tt.size else np.zeros_like(t)
-        return out if out.ndim else float(out)
+        return _scalar(out)
 
     def _density_cumulative(self, s):
         """Integral of the density over [0, s] for s in [0, 2*pi]."""
@@ -176,7 +175,7 @@ class BoundaryMeasure:
         below = cum[np.searchsorted(ts, s, side="left")]
         through = cum[np.searchsorted(ts, s, side="right")]
         out = TWO_PI * q + self._density_cumulative(s) + 0.5 * (below + through)
-        return out if out.ndim else float(out)
+        return _scalar(out)
 
     def max_jump(self):
         """Largest atom jump; 0 for atomless measures."""

@@ -10,8 +10,9 @@ known_max_jump and measure travel with it.
 
 import copy
 
-from .errors import DomainError, InconsistencyError
-from .spiral_geometry import STARLIKE, _spiral_angle
+from .errors import DomainError, InconsistencyError, _instance
+from .representation import SpiralFunction
+from .spiral_geometry import STARLIKE, SpiralAngle
 
 
 def _with_angle(fn, angle):
@@ -23,10 +24,11 @@ def _with_angle(fn, angle):
 def spirallike_of(g, angle):
     """The lam-spirallike partner f of g: g's kernel at inclination lam.
 
-    DomainError unless g is starlike (inclination 0) and angle is a
-    SpiralAngle.
+    DomainError unless g is a starlike (inclination 0) SpiralFunction and
+    angle is a SpiralAngle.
     """
-    _spiral_angle(angle)
+    _instance(angle, SpiralAngle, "an inclination")
+    _instance(g, SpiralFunction, "a function")
     if not g.angle.is_starlike:
         raise DomainError(f"input is not starlike: its inclination is {g.angle.lam}")
     return _with_angle(g, angle)
@@ -36,9 +38,10 @@ def starlike_of(f, angle):
     """The starlike partner g of f: f's kernel at inclination 0.
 
     InconsistencyError unless f was built for this angle; DomainError
-    unless angle is a SpiralAngle.
+    unless f is a SpiralFunction and angle is a SpiralAngle.
     """
-    _spiral_angle(angle)
+    _instance(angle, SpiralAngle, "an inclination")
+    _instance(f, SpiralFunction, "a function")
     if f.angle.lam != angle.lam:
         raise InconsistencyError(
             f"function was built for inclination {f.angle.lam}, not {angle.lam}"

@@ -1,4 +1,12 @@
-"""Exception types shared across the package, and the argument checks that raise them."""
+"""Exception types shared across the package, and its one argument gate.
+
+The public routines read their arguments through the checks here (numbers,
+finite angles, grid sizes, instances of a class) and hand a scalar result
+back through _scalar, so the private helpers behind them take and return
+arrays.
+"""
+
+import numpy as np
 
 
 class SpirallikeError(Exception):
@@ -69,3 +77,40 @@ def _real_number(x, name, error=DomainError):
         return float(x)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{name} must be a real number, got {x!r}") from None
+
+
+def _numbers(x, dtype, what):
+    """x as an array of dtype (float or complex); DomainError unless every entry is a number."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError):
+        kind = "real" if dtype is float else "complex"
+        raise DomainError(f"{what} must be {kind} numbers, got {x!r}") from None
+
+
+def _finite_angles(t):
+    """t as a float array; DomainError unless every entry is a finite number."""
+    t = _numbers(t, float, "angles")
+    if not np.isfinite(t).all():
+        raise DomainError("angles must be finite")
+    return t
+
+
+def _finite_angle(t):
+    """t as a float; DomainError unless it is one finite real number."""
+    t = _finite_angles(t)
+    if t.ndim:
+        raise DomainError(f"an angle must be a scalar, got an array of shape {t.shape}")
+    return float(t)
+
+
+def _instance(x, cls, what):
+    """x itself; DomainError unless it is an instance of cls."""
+    if not isinstance(x, cls):
+        raise DomainError(f"{what} must be a {cls.__name__}, got {x!r}")
+    return x
+
+
+def _scalar(out):
+    """A 0-d array or numpy scalar as its Python float, complex or bool; anything else as it is."""
+    return out.item() if getattr(out, "ndim", None) == 0 else out

@@ -11,7 +11,7 @@ HansenFunction validates its parameters when it is built.
 import numpy as np
 
 from .correspondence import spirallike_of
-from .errors import DomainError, ParameterError, _real_number
+from .errors import DomainError, ParameterError, _instance, _real_number
 from .polylog import _li0, _li1, _log
 from .representation import MeasureFunction, SpiralFunction, _pointwise
 from .spiral_geometry import STARLIKE, _record
@@ -167,14 +167,15 @@ class HansenParams:
 class HansenFunction(SpiralFunction):
     """g(z) = z (1-z)^(-alpha) (1 + c log(1/(1-z)))^beta_exp, starlike.
 
-    ParameterError, naming each violated inequality, unless params are
-    admissible.  Then c <= 1/log(C0) keeps the base 1 + c*w, w =
-    log(1/(1-z)), at Re >= 1 - c*log 2 > 0.74 on the disk, as Re w > -log 2
-    there: principal powers of the base are single-valued.
+    DomainError unless params is a HansenParams; ParameterError, naming
+    each violated inequality, unless params are admissible.  Then c <=
+    1/log(C0) keeps the base 1 + c*w, w = log(1/(1-z)), at Re >= 1 - c*log 2
+    > 0.74 on the disk, as Re w > -log 2 there: principal powers of the
+    base are single-valued.
     """
 
     def __init__(self, params):
-        problems = params.violations()
+        problems = _instance(params, HansenParams, "params").violations()
         if problems:
             raise ParameterError("; ".join(problems))
         super().__init__(STARLIKE, known_max_jump=np.pi * params.alpha)

@@ -31,8 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .spiral_geometry import _numbers
+from .errors import DomainError, _numbers, _scalar
 
 _ABS_TOL = 1e-12
 _TAIL = 2.0**-56
@@ -179,7 +178,7 @@ def _polylog(n, u):
         out.put(near, _near(n, lr.take(near), th.take(near)))
     if far.size:
         out.put(far, _far(n, flat.take(far)))
-    return complex(out[0]) if u.ndim == 0 else out.reshape(u.shape)
+    return _scalar(out.reshape(u.shape))
 
 
 def _li(n, u):

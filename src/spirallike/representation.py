@@ -25,9 +25,9 @@ import itertools
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, _grid_size
+from .errors import AccuracyError, DomainError, _grid_size, _instance, _numbers, _scalar
 from .polylog import _TAIL, _horner, _li, _li_imag
-from .spiral_geometry import _numbers, _spiral_angle
+from .spiral_geometry import SpiralAngle
 
 _MAX_FFT = 1 << 20
 # A (terms, points) block holds fewer than 16384 complex values (256 KiB):
@@ -61,7 +61,7 @@ def _pointwise(kernel, z):
         kernel(flat[i : i + _BLOCK_TERMS]) for i in range(0, max(flat.size, 1), _BLOCK_TERMS)
     ]
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return out.item(0) if z.ndim == 0 else out.reshape(z.shape)
+    return _scalar(out.reshape(z.shape))
 
 
 def _term_sum(rows):
@@ -132,7 +132,7 @@ class SpiralFunction:
     """
 
     def __init__(self, angle, known_max_jump=None, measure=None):
-        self.angle = _spiral_angle(angle)
+        self.angle = _instance(angle, SpiralAngle, "an inclination")
         self.known_max_jump = known_max_jump
         self.measure = measure
 
@@ -210,7 +210,10 @@ class MeasureFunction(SpiralFunction):
     """
 
     def __init__(self, measure, angle):
-        measure.require_valid()
+        # here, not at module level: the g0 and hansen handles use no BoundaryMeasure
+        from .boundary_measure import BoundaryMeasure
+
+        _instance(measure, BoundaryMeasure, "a measure").require_valid()
         super().__init__(angle, known_max_jump=measure.max_jump(), measure=measure)
         atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
         sigma_t, sigma = measure.slope_changes()

@@ -12,18 +12,9 @@ arg_0 is the ordinary principal argument.
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite_angle, _finite_angles, _instance, _numbers, _scalar
 
 TWO_PI = 2.0 * np.pi
-
-
-def _numbers(x, dtype, what):
-    """x as an array of dtype (float or complex); DomainError unless every entry is a number."""
-    try:
-        return np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError):
-        kind = "real" if dtype is float else "complex"
-        raise DomainError(f"{what} must be {kind} numbers, got {x!r}") from None
 
 
 def _record(cls):
@@ -86,22 +77,6 @@ def _record(cls):
     return cls
 
 
-def _finite_angles(t):
-    """t as a float array; DomainError unless every entry is a finite number."""
-    t = _numbers(t, float, "angles")
-    if not np.isfinite(t).all():
-        raise DomainError("angles must be finite")
-    return t
-
-
-def _finite_angle(t):
-    """t as a float; DomainError unless it is one finite real number."""
-    t = _finite_angles(t)
-    if t.ndim:
-        raise DomainError(f"an angle must be a scalar, got an array of shape {t.shape}")
-    return float(t)
-
-
 def principal_angle(x):
     """Reduce angles to the interval (-pi, pi].
 
@@ -111,7 +86,7 @@ def principal_angle(x):
     x = _finite_angles(x)
     r = x - TWO_PI * np.round(x / TWO_PI)
     r = np.where(r <= -np.pi, r + TWO_PI, r)
-    return r if r.ndim else float(r)
+    return _scalar(r)
 
 
 @_record
@@ -145,13 +120,6 @@ class SpiralAngle:
 STARLIKE = SpiralAngle(0.0)
 
 
-def _spiral_angle(angle):
-    """angle itself; DomainError unless it is a SpiralAngle."""
-    if not isinstance(angle, SpiralAngle):
-        raise DomainError(f"an inclination must be a SpiralAngle, got {angle!r}")
-    return angle
-
-
 @_record
 class SpiralSector:
     """Open bundle of spirals: all w with |arg_lam(w) - center| < opening/2 mod 2*pi."""
@@ -161,7 +129,7 @@ class SpiralSector:
     angle: SpiralAngle
 
     def __post_init__(self):
-        _spiral_angle(self.angle)
+        _instance(self.angle, SpiralAngle, "an inclination")
         for name in ("center_angle", "opening"):
             object.__setattr__(self, name, _finite_angle(getattr(self, name)))
         if not (0.0 < self.opening <= TWO_PI):
@@ -174,14 +142,14 @@ def arg_lambda(w, angle):
     Vectorized; raises DomainError if any entry is zero or not finite, or
     unless angle is a SpiralAngle.  For lam = 0 this is numpy.angle exactly.
     """
-    _spiral_angle(angle)
+    _instance(angle, SpiralAngle, "an inclination")
     w = _numbers(w, complex, "points")
     if not np.isfinite(w).all():
         raise DomainError("spiral argument needs finite points")
     if np.any(w == 0):
         raise DomainError("spiral argument is undefined at the origin")
     out = np.angle(w) - angle.tan_lambda * np.log(np.abs(w))
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 
 def spiral_point(theta0, angle, t):
@@ -190,15 +158,18 @@ def spiral_point(theta0, angle, t):
     t = 0 gives the unit-circle point; t < 0 moves toward the origin.
     DomainError unless theta0 and t are finite and angle is a SpiralAngle.
     """
-    _spiral_angle(angle)
+    _instance(angle, SpiralAngle, "an inclination")
     theta0, t = _finite_angles(theta0), _finite_angles(t)
     w = np.exp(np.exp(1j * angle.lam) * t + 1j * theta0)
-    return w if w.ndim else complex(w)
+    return _scalar(w)
 
 
 def sector_contains(sector, w):
-    """Strict membership of w in the open spiral sector."""
+    """Strict membership of w in the open spiral sector.
+
+    DomainError unless sector is a SpiralSector, and as arg_lambda for w.
+    """
+    _instance(sector, SpiralSector, "a sector")
     offs = principal_angle(np.asarray(arg_lambda(w, sector.angle)) - sector.center_angle)
-    inside = np.abs(offs) < sector.opening / 2.0
-    return inside if np.ndim(inside) else bool(inside)
+    return _scalar(np.abs(offs) < sector.opening / 2.0)
 

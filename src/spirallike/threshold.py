@@ -1,17 +1,16 @@
 """The angular threshold Q(theta) and its constant C0 = 2 exp(sup Q).
 
 C0 caps the log-factor coefficient of the counterexample family in
-`gallery` (c <= 1/log C0).  This module needs numpy, the package errors and
-the angle check of spiral_geometry only, so `spirallike qtheta` loads no
-function handle.
+`gallery` (c <= 1/log C0).  This module needs numpy and the package errors
+only, so `spirallike qtheta` loads no spiral geometry and no function
+handle.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DomainError, _grid_size
-from .spiral_geometry import _finite_angles
+from .errors import DomainError, _finite_angles, _grid_size, _scalar
 
 # sup Q, the limit of Q at 0+ (Q(t) = 2 - t^2/2 + O(t^4) decreases on (0, pi/2))
 _SUP_Q = 2.0
@@ -30,7 +29,7 @@ def q_function(theta):
     s = np.sin(0.5 * theta)
     lc = np.log1p(-2.0 * s * s)
     out = (lc * lc + theta * theta) / (theta * np.tan(theta) + lc)
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 
 def _q_table(grid):

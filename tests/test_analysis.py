@@ -177,7 +177,8 @@ def test_section_search_max_values():
     x, fx = section_search_max(lambda u: u * u - u**4, 0.0, 1.0)
     assert x == pytest.approx(1 / math.sqrt(2), abs=1e-7)
     assert fx == pytest.approx(0.25, abs=1e-15)
-    assert type(x) is float and type(fx) is float
+    # scalar brackets give 0-d arrays; the public routines unwrap their results
+    assert np.shape(x) == np.shape(fx) == ()
     # a peak at a bracket end
     x, fx = section_search_max(lambda u: -u, 2.0, 5.0)
     assert 2.0 <= x <= 2.0 + 1e-12 and fx == -x
@@ -887,10 +888,10 @@ def _asymptote_constant(measure, lam):
     return 1.0 + float(np.max(per_atom)) + PI / 6.0 * float(np.abs(sigma).sum())
 
 
-def _seeded_atomic_cases(count=200):
+def _seeded_atomic_cases(count=200, seed=1):
     """(measure, lam): 1-4 atoms at sorted uniform positions, weights uniform
     in [0.2, 3] scaled to total 2 pi, lam uniform in (-1.3, 1.3)."""
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):
         k = int(rng.integers(1, 5))
@@ -914,6 +915,31 @@ def test_max_modulus_follows_the_growth_asymptote_on_seeded_atomic_measures():
         K = _asymptote_constant(measure, lam)
         for d, res in zip((1e-4, 1e-6), _asymptote_residuals(measure, lam)):
             assert abs(res) <= 2.0 * K * d, (measure, lam, d, res, K)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: a sharp peak next to an atom that is no scan maximum is missed",
+)
+def test_max_modulus_finds_the_peak_between_two_close_atoms():
+    # stream indices of default_rng(11) whose measures have two atoms within
+    # 2.5 scan spacings; at 1 - r = 1e-8 a dense scan of log|f| around every
+    # atom exceeds max_modulus by factors 1.113, 2.049, 6.088, 511.3 and 1.496
+    cases = _seeded_atomic_cases(3476, seed=11)
+    r = 1.0 - 1e-8
+    offsets = np.geomspace(1e-13, 3e-2, 2001)
+    low = []
+    for index in (62, 104, 215, 3254, 3475):
+        measure, lam = cases[index]
+        fn = MeasureFunction(measure, SpiralAngle(lam))
+        positions = np.array([t for t, _ in measure.atoms])
+        z = r * np.exp(1j * (positions[:, None] + np.concatenate((-offsets, offsets))))
+        dense = math.exp(float(np.max(np.log(r) + fn.log_f_over_z(z).real)))
+        got = max_modulus(fn, r)
+        if got < dense * (1.0 - 1e-6):
+            low.append((index, dense / got))
+    assert low == []
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, -1.2])

@@ -100,7 +100,7 @@ GALLERY_BRANCH = ["analysis", "cli", "correspondence", "errors", "gallery", "pol
 # and the CSV writer, for the subcommands that print a table
 TABLE_BRANCH = sorted(GALLERY_BRANCH + ["formatting"])
 # qtheta prints the Q table: no function handle, no analysis routine
-QTHETA_BRANCH = ["cli", "errors", "formatting", "spiral_geometry", "threshold"]
+QTHETA_BRANCH = ["cli", "errors", "formatting", "threshold"]
 
 
 @pytest.mark.parametrize(
@@ -108,8 +108,11 @@ QTHETA_BRANCH = ["cli", "errors", "formatting", "spiral_geometry", "threshold"]
     [
         ("spirallike", ["spirallike"]),
         ("spirallike.cli", ["spirallike", "spirallike.cli", "spirallike.errors"]),
+        # the argument checks live in errors, so neither loads spiral_geometry
+        ("spirallike.polylog", ["spirallike", "spirallike.errors", "spirallike.polylog"]),
+        ("spirallike.threshold", ["spirallike", "spirallike.errors", "spirallike.threshold"]),
     ],
-    ids=["spirallike", "spirallike.cli"],
+    ids=["spirallike", "spirallike.cli", "spirallike.polylog", "spirallike.threshold"],
 )
 def test_import_loads_only_these_package_modules(module, loaded):
     assert _run(f"import sys, {module}; print({_LOADED})") == [str(loaded)]

@@ -1,4 +1,4 @@
-"""Geometry layer: spiral arguments, sectors, and the radial-continuation oracle.
+"""Geometry layer: spiral arguments, sectors, the radial-continuation oracle and object type checks.
 
 Oracle for the frozen arg_lambda value: a point w = R*exp(i*phi) lies on
 the spiral through exp(i*theta0) iff phi = theta0 + t*sin(lam) and
@@ -16,14 +16,24 @@ from spirallike import (
     STARLIKE,
     BoundaryMeasure,
     DomainError,
+    HansenFunction,
     MeasureFunction,
     SpiralAngle,
     SpiralSector,
     arg_lambda,
+    beta_trace,
+    detect_maximal_sector,
+    estimate_max_jump,
+    goodman_check,
+    growth_exponent,
+    hansen_ratio,
+    max_modulus,
     principal_angle,
+    refine_jump,
     sector_contains,
     spiral_point,
     spirallike_of,
+    spirallikeness_margin,
     starlike_of,
 )
 
@@ -183,6 +193,37 @@ def test_an_angle_that_is_no_spiral_angle_raises_domain_error(call, angle):
     # or .tan_lambda
     with pytest.raises(DomainError, match="must be a SpiralAngle"):
         call(angle)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        beta_trace,
+        estimate_max_jump,
+        lambda x: refine_jump(x, (0.0, 1.0)),
+        spirallikeness_margin,
+        goodman_check,
+        lambda x: max_modulus(x, 0.5),
+        growth_exponent,
+        lambda x: hansen_ratio(x, 1.0),
+        detect_maximal_sector,
+        lambda x: spirallike_of(x, STARLIKE),
+        lambda x: starlike_of(x, STARLIKE),
+        lambda x: MeasureFunction(x, STARLIKE),
+        HansenFunction,
+        lambda x: sector_contains(x, 0.5),
+    ],
+    ids=["beta_trace", "estimate_max_jump", "refine_jump", "spirallikeness_margin",
+         "goodman_check", "max_modulus", "growth_exponent", "hansen_ratio",
+         "detect_maximal_sector", "spirallike_of", "starlike_of", "MeasureFunction",
+         "HansenFunction", "sector_contains"],
+)
+def test_an_object_of_the_wrong_type_raises_domain_error(call):
+    # a function, trace, measure, Hansen parameter set or sector argument is
+    # checked where it enters, not left to a raw AttributeError further in
+    for wrong in (3, None):
+        with pytest.raises(DomainError, match=f"must be a [A-Za-z]+, got {wrong!r}$"):
+            call(wrong)
 
 
 @pytest.mark.parametrize(
