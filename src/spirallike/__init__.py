@@ -5,10 +5,13 @@ the spiral-argument calculus, the spirallike/starlike correspondence, and a
 numerical verification suite for boundary traces, maximal spiral sectors,
 and maximum-modulus growth exponents.
 
-`errors` is the package's argument gate: it holds the checks the public
-routines read their arguments through and _scalar, through which they
-return a scalar result; the private helpers behind them take and return
-arrays.
+`errors` is the package's gate for arguments going in: it holds the checks
+the public routines read their arguments through and _scalar, through which
+they return a scalar result; the private helpers behind them take and
+return arrays.  `representation._pointwise` is the gate for kernel values
+coming out: every value of a function handle, and so every number the
+analysis reports, passes it, and one that is not finite raises DomainError
+(exit 3 from the CLI) naming the point.
 
 `import spirallike` loads no submodule: each public name is defined in the
 submodule _EXPORTS lists it under, which loads the first time the name is

@@ -3,6 +3,11 @@
 Margins for the defining inequality, boundary traces of the measure,
 jump detection and refinement, maximal spiral sectors, maximum modulus,
 growth exponents, and the bounded-ratio experiment.
+
+Every kernel value reaches these routines through representation._pointwise,
+which raises DomainError where one is not finite, so no routine here checks
+them again; only a BetaTrace handed in from outside is checked for finite
+entries (estimate_max_jump).
 """
 
 import functools
@@ -12,7 +17,6 @@ import numpy as np
 
 from .errors import (
     _MAX_POINTS,
-    AccuracyError,
     DomainError,
     InconsistencyError,
     _grid_size,
@@ -73,10 +77,9 @@ def section_search_max(f, a, b, tol=1e-12):
     shrinking at float spacing (its points are still sampled, inside the
     final bracket, until every lane is done, and the values are discarded),
     so each lane ends exactly where the search on its bracket alone would.
-    Returns (x, f(x)) at the best point sampled, where a NaN never wins,
-    as arrays of the brackets' shape (0-d for scalar brackets).
-    DomainError unless tol is finite and positive and every bracket is
-    finite with a <= b; AccuracyError when a lane sampled no finite value.
+    Returns (x, f(x)) at the best point sampled, as arrays of the
+    brackets' shape (0-d for scalar brackets).  DomainError unless tol is
+    finite and positive and every bracket is finite with a <= b.
     """
     if not (0.0 < tol < np.inf):
         raise DomainError(f"search tolerance must be finite and positive, got {tol!r}")
@@ -97,8 +100,6 @@ def section_search_max(f, a, b, tol=1e-12):
         nodes = a[:, None] + (b - a)[:, None] * frac
         nodes[:, 0], nodes[:, -1] = a, b
         fx = np.asarray(f(nodes[:, 1:-1].reshape(shape + (m,))), dtype=float).reshape(-1, m)
-        # np.argmax picks a row's first NaN, which would steer the bracket
-        np.copyto(fx, -np.inf, where=np.isnan(fx))
         k = np.argmax(fx, axis=1)
         top = fx.ravel()[sample_rows + k]
         lo, x, hi = nodes.ravel()[around + k]
@@ -112,8 +113,6 @@ def section_search_max(f, a, b, tol=1e-12):
         np.copyto(a, lo, where=move)
         np.copyto(b, hi, where=move)
         live = move & (width > tol)
-    if not np.isfinite(best_f).all():
-        raise AccuracyError("the search sampled no finite value of f")
     return best_x.reshape(shape), best_f.reshape(shape)
 
 
@@ -206,11 +205,8 @@ def _rising_gaps(t, values):
     """Increments of a trace along the last axis of its values, sampled at angles t rising along it.
 
     The trace of a spirallike function increases along every circle, so an
-    increment below -_MONOTONE_TOL raises InconsistencyError.  DomainError
-    unless every value is finite.
+    increment below -_MONOTONE_TOL raises InconsistencyError.
     """
-    if not np.isfinite(values).all():
-        raise DomainError("the trace has a non-finite value")
     gaps = np.diff(values, axis=-1)
     k = np.unravel_index(np.argmin(gaps), gaps.shape)
     if gaps[k] < -_MONOTONE_TOL:
@@ -223,7 +219,7 @@ def _rising_gaps(t, values):
 def _trace_gaps(t, values):
     """Increments of a trace sampled at angles t over one turn, the last wrapping by 2*pi.
 
-    DomainError and InconsistencyError as in _rising_gaps.
+    InconsistencyError as in _rising_gaps.
     """
     return _rising_gaps(t, np.append(values, values[0] + TWO_PI))
 
@@ -234,7 +230,7 @@ def _invert_trace(fn, r, targets, lo, hi, tol=1e-12):
     One lockstep section_search_max on -|trace - target|, a lane per
     bracket [lo, hi] and its target (arrays of one shape, or scalars).
     Every row it samples is checked by _rising_gaps, so InconsistencyError
-    when one decreases and DomainError when one is not finite.
+    when one decreases.
     """
     targets = np.asarray(targets)[..., None]
 
@@ -430,7 +426,6 @@ def _circle_max(values, r):
     none) is refined over one scan spacing, as a lane of one lockstep
     section_search_max (tol 1e-12, 7 steps, one values call each).  The
     result is the largest value sampled, a lower bound on the maximum.
-    DomainError when a value it reads is not finite.
     """
     radii = _numbers(r, float, "radii")
     if radii.ndim > 1:
@@ -440,14 +435,7 @@ def _circle_max(values, r):
     if bad:
         raise DomainError(f"radius must lie in (0, 1), got {bad[0]!r}")
 
-    def finite(z):
-        out = values(z)
-        off = ~np.isfinite(out)
-        if off.any():
-            raise DomainError(f"the function is not finite at z = {z[off].flat[0]!r}")
-        return out
-
-    vals = finite(rows[:, None] * _unit_circle(_CIRCLE_SCAN))
+    vals = values(rows[:, None] * _unit_circle(_CIRCLE_SCAN))
     peaks = (vals > np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
     lane_row, lane_peak = np.nonzero(peaks)
     h = TWO_PI / _CIRCLE_SCAN
@@ -455,7 +443,7 @@ def _circle_max(values, r):
     lane_theta = lane_peak * h
 
     def profile(theta):
-        return finite(lane_r[:, None] * np.exp(1j * theta))
+        return values(lane_r[:, None] * np.exp(1j * theta))
 
     _, refined = section_search_max(profile, lane_theta - h, lane_theta + h)
     best = np.max(vals, axis=1)
@@ -464,11 +452,8 @@ def _circle_max(values, r):
 
 
 def _log_modulus(fn, z):
-    """log|f(z)| = log|z| + Re log(f/z); DomainError unless every value is finite."""
-    logmod = np.log(np.abs(z)) + fn.log_f_over_z(z).real
-    if not np.isfinite(logmod).all():
-        raise DomainError("log|f| is not finite on the circle")
-    return logmod
+    """log|f(z)| = log|z| + Re log(f/z)."""
+    return np.log(np.abs(z)) + fn.log_f_over_z(z).real
 
 
 def max_modulus(fn, r):
@@ -480,8 +465,7 @@ def max_modulus(fn, r):
     rounding, tol = 1e-12 and kappa = |d^2 log|f| / d theta^2| at the peak
     (2r/(1 - r)^2 for Koebe).  It makes 1 + 7 fn.log_f_over_z calls: the
     scan of _CIRCLE_SCAN = 1024 angles, then one per search step.
-    DomainError unless fn is a SpiralFunction, and when log|f| is not
-    finite on the circle.
+    DomainError unless fn is a SpiralFunction.
     """
     _instance(fn, SpiralFunction, "a function")
     return _scalar(np.exp(_circle_max(lambda z: _log_modulus(fn, z), r)))
@@ -507,8 +491,7 @@ def growth_exponent(fn, r_schedule=None):
     log(1/(1-r)).  a_estimate is fn.known_max_jump (a measure's largest
     atom, or a declared closed-form jump); predicted_q0 = a_estimate *
     cos(lam)^2 / pi.  DomainError unless fn is a SpiralFunction, when fn has
-    no known jump, when log|f| is not finite on a circle, and for a schedule
-    as in hansen_ratio.
+    no known jump, and for a schedule as in hansen_ratio.
     """
     _instance(fn, SpiralFunction, "a function")
     r_schedule = _radii(r_schedule, default_r_schedule(2, 8))
@@ -584,7 +567,7 @@ def _sector_crossings(fn, phis):
     brackets each crossing; _invert_trace locates them.  InconsistencyError
     when the scan or a row the search samples decreases (as in
     estimate_max_jump), and when a located point misses its spiral by more
-    than 1e-6.  DomainError when the trace or log|f| is not finite.
+    than 1e-6.
     """
     r = _SECTOR_RADIUS
     thetas = np.arange(_SECTOR_SCAN + 1) * (TWO_PI / _SECTOR_SCAN)
@@ -610,8 +593,7 @@ def _sector_reach(fn, phis):
     of phi -+ _SECTOR_ARG_TOL: the reach is the larger of log|f| at the
     arc's ends and one lockstep section_search_max along it.  A search that
     misses a second peak lowers the reach: it can reject a sample, never
-    cover one.  DomainError when a log|f| it reads is not finite, which
-    would otherwise cover every sample.
+    cover one.
     """
     edges = phis[:, None] + np.array([-_SECTOR_ARG_TOL, _SECTOR_ARG_TOL])
     theta, ends = _sector_crossings(fn, edges)
@@ -628,7 +610,7 @@ def _certify_sector(phis, logmod, inside, reach):
     phis, logmod and inside come from _sector_samples, reach from
     _sector_reach.  The image contains the inward spiral arc from each of
     its points, so a sample on spiral i counts as covered when its
-    log-modulus is at most reach[i] (within 1e-9; a NaN reach covers none).
+    log-modulus is at most reach[i] (within 1e-9).
     The first failing sample in (phi, t) order raises, membership first.
     """
     covered = np.asarray(reach)[:, None] >= logmod - 1e-9

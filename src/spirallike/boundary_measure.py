@@ -7,6 +7,7 @@ beta(0-) = 0 and the midpoint convention at atoms.  Total mass must equal
 2*pi within 1e-9 so that beta gains exactly 2*pi per period.
 """
 
+import os
 from functools import cached_property
 
 import numpy as np
@@ -231,8 +232,11 @@ class BoundaryMeasure:
 
     @classmethod
     def single_atom(cls, position=0.0):
-        """All mass 2*pi in one atom (builds a rotated Koebe function)."""
-        return cls(atoms=((float(position), TWO_PI),))
+        """All mass 2*pi in one atom (builds a rotated Koebe function).
+
+        ParameterError unless float() takes position.
+        """
+        return cls(atoms=((_real_number(position, "atom position", ParameterError), TWO_PI),))
 
     @classmethod
     def from_atoms(cls, pairs, uniform_density_mass=0.0):
@@ -309,9 +313,15 @@ class BoundaryMeasure:
 
 
 def load_measure(path):
-    """Load a measure-spec JSON file, validating and itemizing all errors."""
+    """Load a measure-spec JSON file, validating and itemizing all errors.
+
+    MeasureValidationError unless path is a str, bytes or os.PathLike: open()
+    would read an int as a file descriptor and close it.
+    """
     import json  # here, not at module level: only --measure reads JSON
 
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise MeasureValidationError([f"cannot read {path!r}: expected a file path"])
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

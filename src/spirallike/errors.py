@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and its one argument gate.
+"""Exception types shared across the package, and its gate for arguments going in.
 
 The public routines read their arguments through the checks here (numbers,
 finite angles, grid sizes, instances of a class) and hand a scalar result
 back through _scalar, so the private helpers behind them take and return
-arrays.
+arrays.  Values coming out of a function handle's kernel have their own
+gate, representation._pointwise, which raises DomainError at a value that
+is not finite.
 """
 
 import numpy as np

@@ -90,7 +90,8 @@ def lemma_c_margins(C):
     for C at or above the threshold.  b needs C > 2.  p and zp are analytic
     on the disk, so each minimum lies on the circle |z| = 0.999 and is taken
     there by _circle_max from its _CIRCLE_SCAN = 1024-angle scan, every
-    scanned local extremum refined.
+    scanned local extremum refined.  p is read through _pointwise, the
+    gate of every kernel value.
     """
     # here, not at module level: no other gallery routine needs analysis
     from .analysis import _circle_max
@@ -103,8 +104,8 @@ def lemma_c_margins(C):
         return 1.0 / ((1.0 - z) * (np.log(C) + _li1(z)))
 
     b = 1.0 / (2.0 * np.log(C / 2.0))
-    min_p = -_circle_max(lambda z: -p(z).real, 0.999)
-    min_zp = -_circle_max(lambda z: -(z * p(z)).real, 0.999)
+    min_p = -_circle_max(lambda z: -_pointwise(p, z).real, 0.999)
+    min_zp = -_circle_max(lambda z: -(z * _pointwise(p, z)).real, 0.999)
     return float(min_p - b), float(min_zp + b)
 
 

@@ -53,7 +53,9 @@ def _pointwise(kernel, z):
     A scalar z goes through the same array arithmetic as an array and is
     unwrapped once, to a Python complex or, from a real kernel, a float, so
     z alone and z inside any array get the same bits (Python complex and
-    numpy's loops round differently).
+    numpy's loops round differently).  This is the package's one gate for
+    kernel values: DomainError, naming the first such point, when a value
+    is not finite, so no caller checks them again.
     """
     z = _as_disk_points(z)
     flat = z.ravel()
@@ -61,6 +63,9 @@ def _pointwise(kernel, z):
         kernel(flat[i : i + _BLOCK_TERMS]) for i in range(0, max(flat.size, 1), _BLOCK_TERMS)
     ]
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if not np.isfinite(out).all():
+        bad = flat[~np.isfinite(out)][0].item()
+        raise DomainError(f"the function is not finite at z = {bad!r}")
     return _scalar(out.reshape(z.shape))
 
 
@@ -105,8 +110,9 @@ class SpiralFunction:
     returns f(z)/z and arg_lambda_f_over_z returns the continuous
     lam-argument of f(z)/z, 0 at the center, as a real array (a float for a
     scalar z).  Each takes a scalar or an array of points with |z| < 1; it
-    checks the domain, flattens, and evaluates blocks of _BLOCK_TERMS
-    points.  A MeasureFunction lays its terms out term-major, one row of a
+    checks the domain, flattens, evaluates blocks of _BLOCK_TERMS points
+    and raises DomainError where a value is not finite (_pointwise).  A
+    MeasureFunction lays its terms out term-major, one row of a
     (terms, points) array per atom or slope change, and each polylog order
     in its own row blocks of _BLOCK_TERMS // (that order's term count)
     points, so that those temporaries stay in the L2 cache; at points with

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DomainError, _finite_angle, _finite_angles, _instance, _numbers, _scalar
 
 TWO_PI = 2.0 * np.pi
+# the x where exp(x) is a normal float: neither zero, subnormal nor inf
+_LOG_NORMAL = (np.log(np.finfo(float).tiny), np.log(np.finfo(float).max))
 
 
 def _record(cls):
@@ -156,12 +158,17 @@ def spiral_point(theta0, angle, t):
     """Point exp(i*theta0 + exp(i*lam)*t) on the spiral labeled theta0.
 
     t = 0 gives the unit-circle point; t < 0 moves toward the origin.
-    DomainError unless theta0 and t are finite and angle is a SpiralAngle.
+    DomainError unless theta0 and t are finite, angle is a SpiralAngle and
+    the modulus exp(t*cos(lam)) is a normal float, checked before exp.
     """
     _instance(angle, SpiralAngle, "an inclination")
     theta0, t = _finite_angles(theta0), _finite_angles(t)
-    w = np.exp(np.exp(1j * angle.lam) * t + 1j * theta0)
-    return _scalar(w)
+    step = np.exp(1j * angle.lam) * t
+    off = ~((_LOG_NORMAL[0] <= step.real) & (step.real <= _LOG_NORMAL[1]))
+    if off.any():
+        x = float(step.real[off][0])
+        raise DomainError(f"the spiral point's modulus exp({x!r}) is not a normal float")
+    return _scalar(np.exp(step + 1j * theta0))
 
 
 def sector_contains(sector, w):

@@ -33,7 +33,6 @@ from hypothesis import given, settings, strategies as st
 
 from spirallike import (
     STARLIKE,
-    AccuracyError,
     BetaTrace,
     BoundaryMeasure,
     DomainError,
@@ -260,26 +259,6 @@ def test_section_search_ends_below_float_spacing(tol):
     calls.clear()
     xs, fxs = section_search_max(f, [0.0, 1e300, -1e-300], [3.0, 2e300, 1e-300], tol=tol)
     assert len(calls) < 200 and (fxs <= 1.0).all()
-
-
-def test_section_search_rejects_f_without_finite_values():
-    with pytest.raises(AccuracyError):
-        section_search_max(lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0)
-
-
-def test_section_search_is_not_steered_by_nan_samples():
-    # np.argmax picks a row's first NaN: the bracket used to shrink around
-    # (0.5, 0.52) and the search raised AccuracyError; sin rises to b = 0.6
-    def f(x):
-        return np.where((x > 0.5) & (x < 0.52), np.nan, np.sin(x))
-
-    x, fx = section_search_max(f, 0.0, 0.6)
-    assert x == pytest.approx(0.6, abs=1e-11)
-    assert fx == pytest.approx(math.sin(0.6), abs=1e-11)
-    # lanes with and without NaN samples in one search
-    xs, fxs = section_search_max(f, np.array([0.0, 0.0]), np.array([0.6, 0.4]))
-    assert xs == pytest.approx([0.6, 0.4], abs=1e-11)
-    assert fxs == pytest.approx(np.sin([0.6, 0.4]), abs=1e-11)
 
 
 # -- beta traces ----------------------------------------------------------------
@@ -610,7 +589,7 @@ class HoledKoebe(MeasureFunction):
 def test_refine_jump_rejects_non_finite_trace():
     # a NaN row used to steer the search into an AccuracyError
     spacing = TWO_PI / 256
-    with pytest.raises(DomainError, match="non-finite"):
+    with pytest.raises(DomainError, match="not finite at z = "):
         refine_jump(HoledKoebe(BoundaryMeasure.single_atom(), STARLIKE), (-spacing, spacing))
 
 # -- certificates -------------------------------------------------------------------
@@ -1180,28 +1159,77 @@ def test_circle_readers_reject_non_finite_values():
     # max_modulus and the margin once returned nan here, and growth_exponent
     # raised an AccuracyError that called it an overflow
     over = Overflowing(BoundaryMeasure.single_atom(), SpiralAngle(0.7))
-    with pytest.raises(DomainError, match=r"log\|f\| is not finite"):
+    with pytest.raises(DomainError, match="not finite at z = "):
         max_modulus(over, 0.9)
-    with pytest.raises(DomainError, match=r"log\|f\| is not finite"):
+    with pytest.raises(DomainError, match="not finite at z = "):
         max_modulus(over, np.array([0.5, 0.9]))
-    with pytest.raises(DomainError, match=r"log\|f\| is not finite"):
+    with pytest.raises(DomainError, match="not finite at z = "):
         growth_exponent(over)
     with pytest.raises(DomainError, match="not finite at z = "):
         spirallikeness_margin(NaNDerivative(BoundaryMeasure.single_atom(), SpiralAngle(0.7)))
 
 
-def test_circle_max_rejects_a_non_finite_value_between_scan_angles():
-    # the scan reads only finite values; the search lane at the peak
-    # theta = 0 samples the NaN window, which it once skipped
-    h = TWO_PI / _CIRCLE_SCAN
+class HoledAtOne(MeasureFunction):
+    """Koebe with log(g/z) and arg(g/z) NaN within 0.05 of arg z = 1."""
 
-    def values(z):
-        theta = np.angle(z)
-        return np.where(np.abs(theta - h / 2) < h / 8, np.nan, np.cos(theta))
+    def _hole(self, z, value):
+        return np.where(np.abs(np.angle(z) - 1.0) < 0.05, np.nan, value)
 
-    assert np.isfinite(values(0.5 * np.exp(1j * h * np.arange(_CIRCLE_SCAN)))).all()
+    def _log_g_over_z(self, z):
+        return self._hole(z, super()._log_g_over_z(z))
+
+    def _arg_g_over_z(self, z):
+        return self._hole(z, super()._arg_g_over_z(z))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        beta_trace,
+        goodman_check,
+        lambda fn: fn.taylor_coefficients(10),
+    ],
+    ids=["beta_trace", "goodman_check", "taylor_coefficients"],
+)
+def test_a_non_finite_kernel_value_raises_instead_of_a_nan_result(call):
+    # each of these once returned NaN values without an error
     with pytest.raises(DomainError, match="not finite at z = "):
-        analysis._circle_max(values, 0.5)
+        call(HoledAtOne(BoundaryMeasure.single_atom(), STARLIKE))
+
+
+class HoledBetweenScans(MeasureFunction):
+    """Koebe with its kernels NaN only between scan angles.
+
+    The windows lie within h/8 of h/2 and of pi - h/2, h = 2*pi/_CIRCLE_SCAN,
+    next to the peaks of |f| (theta = 0) and of -Re zf'/f (theta = pi), so
+    only the search lanes there sample them.
+    """
+
+    H = TWO_PI / _CIRCLE_SCAN
+
+    def _hole(self, z, value):
+        theta = np.angle(z)
+        hole = np.minimum(np.abs(theta - self.H / 2), np.abs(theta - (PI - self.H / 2)))
+        return np.where(hole < self.H / 8, np.nan, value)
+
+    def _log_g_over_z(self, z):
+        return self._hole(z, super()._log_g_over_z(z))
+
+    def _log_derivative_excess(self, z):
+        return self._hole(z, super()._log_derivative_excess(z))
+
+
+def test_circle_max_rejects_a_non_finite_value_between_scan_angles():
+    # the scan reads only finite values; the search lanes at the peaks
+    # sample the NaN windows, which they once skipped
+    fn = HoledBetweenScans(BoundaryMeasure.single_atom(), STARLIKE)
+    scan = 0.5 * np.exp(1j * fn.H * np.arange(_CIRCLE_SCAN))
+    assert np.isfinite(fn.log_f_over_z(scan)).all()
+    assert np.isfinite(fn.log_derivative(scan)).all()
+    with pytest.raises(DomainError, match="not finite at z = "):
+        max_modulus(fn, 0.5)
+    with pytest.raises(DomainError, match="not finite at z = "):
+        spirallikeness_margin(fn, 0.5)
 
 
 # -- sector certification against a full scan -------------------------------------

@@ -7,6 +7,7 @@ beta by accumulating density integrals and atom jumps directly.
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -504,6 +505,27 @@ def test_load_measure(tmp_path):
     with pytest.raises(MeasureValidationError) as exc:
         load_measure(p3)
     assert "total mass" in str(exc.value)
+
+
+@pytest.mark.parametrize("path", [None, ["m.json"]], ids=["none", "list"])
+def test_load_measure_rejects_a_path_that_is_no_path(path):
+    with pytest.raises(MeasureValidationError) as exc:
+        load_measure(path)
+    assert exc.value.violations == [f"cannot read {path!r}: expected a file path"]
+
+
+def test_load_measure_leaves_a_file_descriptor_open(tmp_path):
+    # open() would read an int as a descriptor and close it: load_measure(0)
+    # would close stdin
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(crit4_measure().to_json_dict()))
+    fd = os.open(p, os.O_RDONLY)
+    try:
+        with pytest.raises(MeasureValidationError, match="expected a file path"):
+            load_measure(fd)
+        assert os.read(fd, 1) == b"{"
+    finally:
+        os.close(fd)
 
 
 def test_load_measure_reports_a_file_that_is_not_utf8(tmp_path):

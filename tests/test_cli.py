@@ -207,6 +207,18 @@ def test_verify_non_finite_margin_exits_3(capsys, monkeypatch):
     assert "not finite" in err
 
 
+def test_eval_non_finite_kernel_value_exits_3(capsys, monkeypatch):
+    # eval once printed nan values and exited 0
+    monkeypatch.setattr(
+        MeasureFunction, "_log_g_over_z",
+        lambda self, z: np.full(z.shape, complex(np.nan, 0.0)),
+    )
+    rc, out, err = run(capsys, "eval", "--gallery", "koebe", "--z", "0.5")
+    assert rc == 3
+    assert out == ""
+    assert "not finite at z = (0.5+0j)" in err
+
+
 def test_verify_json(capsys):
     rc, out, _ = run(capsys, "verify", "--gallery", "identity", "--format", "json")
     assert rc == 0

@@ -250,9 +250,13 @@ def test_bad_arguments_raise_domain_error(call):
         (lambda: counterexample_for(SpiralAngle(0.5), "x"), ParameterError),
         (lambda: BoundaryMeasure(atoms=(("a", 1.0),)), MeasureValidationError),
         (lambda: BoundaryMeasure(atoms=5), MeasureValidationError),
+        (lambda: BoundaryMeasure.single_atom("x"), ParameterError),
+        (lambda: BoundaryMeasure.single_atom(None), ParameterError),
+        (lambda: BoundaryMeasure.single_atom([1, 2]), ParameterError),
     ],
     ids=["koebe_power-str", "koebe_power-none", "hansen-alpha-str", "counterexample-A-str",
-         "measure-atom-str", "measure-atoms-int"],
+         "measure-atom-str", "measure-atoms-int", "single_atom-str", "single_atom-none",
+         "single_atom-list"],
 )
 def test_non_numeric_parameters_raise_package_error(call, error):
     # a constructor refuses a parameter that is no number with its own

@@ -14,6 +14,7 @@ directly and is an independent check of the polylogarithm closed form.
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from spirallike import (
     MeasureValidationError,
     SpiralAngle,
     counterexample_for,
+    g0_correction,
     hansen_build,
     koebe_power,
     li2,
@@ -38,7 +40,7 @@ from spirallike import (
     spirallike_of,
     starlike_of,
 )
-from spirallike import polylog, representation
+from spirallike import gallery, polylog, representation
 from spirallike.representation import _term_sum
 
 from _oracles import arg_lambda_from_log
@@ -487,14 +489,22 @@ def test_measure_function_rejects_non_finite(bad):
 # -- the measure's moment series inside |z| <= 1/2 -----------------------------------
 
 
-def _eval_kernel_measures():
-    """The mixed and wide measures of the benchmark's eval_kernel workload, and
-    the mixed measure's density alone, rescaled to mass 2 pi."""
+def _bench_inputs():
+    """The benchmark's bench/inputs.py as a module."""
     path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("bench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    specs = dict(inputs.kernel_specs())
+    return inputs
+
+
+BENCH_INPUTS = _bench_inputs()
+
+
+def _eval_kernel_measures():
+    """The mixed and wide measures of the benchmark's eval_kernel workload, and
+    the mixed measure's density alone, rescaled to mass 2 pi."""
+    specs = dict(BENCH_INPUTS.kernel_specs())
     mixed = specs["mixed_l0"][1]
     scale = TWO_PI / BoundaryMeasure(density_knots=mixed.density_knots).total_mass()
     density = BoundaryMeasure(density_knots=tuple((t, scale * v) for t, v in mixed.density_knots))
@@ -706,3 +716,122 @@ def test_arg_lambda_f_over_z_is_the_starlike_argument(name, lam):
     L = f.log_f_over_z(z)
     scale = 1.0 + np.abs(L.imag) + np.abs(f.angle.tan_lambda * L.real)
     assert (np.abs(got - arg_lambda_from_log(f, z)) <= 4.0 * np.finfo(float).eps * scale).all()
+
+
+# -- the gate for kernel values that are not finite ----------------------------
+
+GATE_HANDLES = {
+    "atoms": lambda: MeasureFunction(
+        BoundaryMeasure.from_atoms([(0.3, 1.0), (2.0, 2.5)]), SpiralAngle(0.7)
+    ),
+    "slope_changes": lambda: MeasureFunction(atoms_and_knots(2, 4, seed=2), SpiralAngle(-0.4)),
+    "g0": G0Function,
+    "hansen": lambda: hansen_build(HansenParams(1.3, 2.0, 0.2)),
+}
+# each entry point and the kernel it reads through _pointwise
+ENTRY_KERNELS = {
+    "log_f_over_z": "_log_f_over_z",
+    "log_derivative": "_log_derivative",
+    "evaluate": "_evaluate",
+    "f_over_z": "_f_over_z",
+    "arg_lambda_f_over_z": "_arg_g_over_z",
+}
+BAD_VALUES = {"nan": np.nan, "inf": np.inf, "complex_inf": complex(1.0, np.inf)}
+LAYOUTS = ("scalar", "1d", "2d", "second_block")
+BAD_Z = 0.123456789 + 0.25j
+
+
+def _gate_points(layout):
+    """Points on |z| = 0.6 in the layout, with BAD_Z once among them (alone for a scalar).
+
+    second_block puts BAD_Z in the second block of _BLOCK_TERMS points.
+    """
+    if layout == "scalar":
+        return BAD_Z
+    blocks = representation._BLOCK_TERMS
+    n, at = {"1d": (7, 3), "2d": (12, 6), "second_block": (blocks + 10, blocks + 3)}[layout]
+    z = 0.6 * np.exp(2j * PI * np.arange(n) / n)
+    z[at] = BAD_Z
+    return z.reshape(3, 4) if layout == "2d" else z
+
+
+def _with_bad_value(kernel, value):
+    """kernel with value at BAD_Z; a real kernel gets |value|, which is not finite either."""
+
+    def bad_kernel(z):
+        out = kernel(z)
+        return np.where(z == BAD_Z, value if np.iscomplexobj(out) else abs(value), out)
+
+    return bad_kernel
+
+
+NOT_FINITE_AT_BAD_Z = re.escape(f"the function is not finite at z = {BAD_Z!r}")
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("bad", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+@pytest.mark.parametrize("entry", ENTRY_KERNELS)
+@pytest.mark.parametrize("name", GATE_HANDLES)
+def test_a_non_finite_kernel_value_raises_naming_its_point(name, entry, bad, layout):
+    # the entry points once returned the NaN or inf
+    f = GATE_HANDLES[name]()
+    kernel = ENTRY_KERNELS[entry]
+    setattr(f, kernel, _with_bad_value(getattr(f, kernel), bad))
+    with pytest.raises(DomainError, match=NOT_FINITE_AT_BAD_Z):
+        getattr(f, entry)(_gate_points(layout))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("bad", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_g0_correction_raises_at_a_non_finite_value(bad, layout, monkeypatch):
+    monkeypatch.setattr(gallery, "_g0_correction", _with_bad_value(gallery._g0_correction, bad))
+    with pytest.raises(DomainError, match=NOT_FINITE_AT_BAD_Z):
+        g0_correction(_gate_points(layout))
+
+
+# each handle of the property below from its drawn inclination lam: the
+# benchmark's eval_kernel handles (lam unused), and z/(1-z)^1.5, g0 and the
+# counterexample family's g turned to lam
+PROPERTY_HANDLES = {
+    **{
+        name: lambda lam, spec=spec: BENCH_INPUTS.build_handle(spec)
+        for name, spec in BENCH_INPUTS.kernel_specs()
+    },
+    "koebe_power_lam": lambda lam: spirallike_of(koebe_power(1.5), SpiralAngle(lam)),
+    "g0_lam": lambda lam: spirallike_of(G0Function(), SpiralAngle(lam)),
+    "hansen_lam": lambda lam: spirallike_of(
+        hansen_build(HansenParams(1.0, 1.0, 0.3)), SpiralAngle(lam)
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROPERTY_HANDLES)),
+    lam=st.floats(min_value=-1.4, max_value=1.4),
+    depths=st.lists(st.integers(min_value=1, max_value=52), min_size=1, max_size=4),
+    offset=st.floats(min_value=-15.0, max_value=-6.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_valid_handles_never_trip_the_gate(name, lam, depths, offset, seed):
+    # at 1 - |z| = 2^-k down to 2^-52, in the directions of every atom and
+    # knot (of the singular point z = 1 without a measure), 10^offset to
+    # either side of them, and in random directions
+    f = PROPERTY_HANDLES[name](lam)
+    measure = f.measure
+    if measure is None:
+        marks = np.zeros(1)
+    else:
+        marks = np.array([t for t, _ in measure.atoms + measure.density_knots])
+    rng = np.random.default_rng(seed)
+    theta = np.concatenate((
+        marks, marks + 10.0**offset, marks - 10.0**offset, rng.uniform(0.0, TWO_PI, 4)
+    ))
+    radii = 1.0 - 2.0 ** -np.array(depths, dtype=float)
+    z = (radii[:, None] * np.exp(1j * theta)).ravel()
+    z = z[np.abs(z) < 1.0]
+    assume(z.size)
+    for method in ENTRY_KERNELS:
+        assert np.isfinite(getattr(f, method)(z)).all(), method
+        assert np.isfinite(getattr(f, method)(complex(z[-1]))), method
+    assert np.isfinite(g0_correction(z)).all()

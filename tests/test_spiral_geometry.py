@@ -7,6 +7,7 @@ w = e*i and lam = pi/4 this gives theta0 = pi/2 - 1, worked by hand.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,29 @@ def test_spiral_point_t_zero_is_unit_circle():
     w = spiral_point(1.1, a, 0.0)
     assert abs(w) == pytest.approx(1.0)
     assert np.angle(w) == pytest.approx(1.1)
+
+
+@pytest.mark.parametrize(
+    "lam,t",
+    [(0.0, 1000.0), (1.5, -1e6), (0.3, [0.0, -800.0])],
+    ids=["overflow", "underflow", "array"],
+)
+def test_spiral_point_outside_the_float_range_raises(lam, t):
+    # exp(1000) once came back as inf with an overflow warning, and a
+    # modulus that underflows as -0-0j, which arg_lambda then refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="is not a normal float"):
+            spiral_point(0.0, SpiralAngle(lam), np.array(t))
+
+
+def test_spiral_point_at_the_ends_of_the_float_range():
+    # the largest and smallest t on a ray that keep the modulus normal
+    top, bottom = np.log(np.finfo(float).max), np.log(np.finfo(float).tiny)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(spiral_point(0.0, STARLIKE, top))
+        assert abs(spiral_point(0.0, STARLIKE, bottom)) >= np.finfo(float).tiny
 
 
 # -- sectors -----------------------------------------------------------------
