@@ -17,7 +17,7 @@ JSON object:
   summarised here;
 - machine: the machine facts of the first parent and change record;
 - source: perf/src_lines.py's counts for the repository's src/: physical
-  and code lines, public names and runtime dependencies.
+  and code lines, public names, public methods and runtime dependencies.
 """
 
 import argparse

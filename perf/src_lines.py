@@ -1,4 +1,4 @@
-"""Size of the package source: lines, code lines, public names, runtime dependencies.
+"""Size of the package source: lines, code lines, public surface, runtime dependencies.
 
     python perf/src_lines.py [SRC]
 
@@ -11,6 +11,9 @@ repository's src/).  Prints one JSON object:
   module, class or function when it is a string), per module and in total;
 - public_names: len(spirallike.__all__), read from the package's _EXPORTS
   table without importing it;
+- public_methods: the methods and properties whose names do not start with
+  an underscore, defined in the body of a class that _EXPORTS names, read
+  from the module _EXPORTS lists the class under;
 - runtime_dependencies: the top-level modules that the package imports and
   that are neither the standard library nor the package itself.
 """
@@ -69,33 +72,45 @@ def _imported_modules(tree):
     return names
 
 
-def _public_names(init_tree):
-    """The number of distinct names in the _EXPORTS table of the package's __init__."""
+def _exports(init_tree):
+    """The _EXPORTS table of the package's __init__: {module: names}."""
     for node in init_tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets
         ):
-            return len({name for names in ast.literal_eval(node.value).values() for name in names})
+            return ast.literal_eval(node.value)
     raise ValueError("no _EXPORTS table in the package's __init__")
+
+
+def _public_methods(trees, exports):
+    """The public methods and properties defined in the classes that exports names."""
+    return sum(
+        isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+        for module, names in exports.items()
+        for node in trees[module].body
+        if isinstance(node, ast.ClassDef) and node.name in names
+        for item in node.body
+    )
 
 
 def count(src):
     """The counts for the spirallike package under the directory src, as a dict."""
     package = Path(src) / "spirallike"
-    modules, physical, imported = {}, 0, set()
+    modules, trees, physical, imported = {}, {}, 0, set()
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        tree = ast.parse(text)
+        trees[path.stem] = tree = ast.parse(text)
         physical += len(text.splitlines())
         modules[path.stem] = code_lines(text)
         imported |= _imported_modules(tree)
-    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exports = _exports(trees["__init__"])
     external = imported - set(sys.stdlib_module_names) - {"spirallike"}
     return {
         "physical_lines": physical,
         "code_lines": sum(modules.values()),
         "code_lines_per_module": modules,
-        "public_names": _public_names(init),
+        "public_names": len({name for names in exports.values() for name in names}),
+        "public_methods": _public_methods(trees, exports),
         "runtime_dependencies": sorted(external),
     }
 

@@ -41,13 +41,16 @@ _MONOTONE_TOL = 1e-6
 def default_r_schedule(k_min=2, k_max=6):
     """Radii 1 - 10^-k for whole k in [k_min, k_max].
 
-    DomainError unless 1 <= k_min <= k_max <= 16: 1 - 10^-17 rounds to 1.0.
+    DomainError unless 1 <= k_min <= k_max <= 15.  1 - 10^-16 lies one ulp
+    below 1.0, and on its circle 103 of the 1,024 scan points z = r e^(it)
+    round to |z| = 1, outside the disk.
     """
     k_min, k_max = _grid_size(k_min, "k_min"), _grid_size(k_max, "k_max")
     if k_min > k_max:
         raise DomainError(f"k_min = {k_min} exceeds k_max = {k_max}")
-    if k_max > 16:
-        raise DomainError(f"k_max = {k_max} exceeds 16: 1 - 10^-k_max rounds to 1.0")
+    if k_max > 15:
+        raise DomainError(f"k_max = {k_max} exceeds 15: points on |z| = 1 - 10^-{k_max} "
+                          "round to |z| = 1")
     return tuple(1.0 - 10.0**-k for k in range(k_min, k_max + 1))
 
 

@@ -98,10 +98,6 @@ class BoundaryMeasure:
                 )
         return tuple(violations)
 
-    def validate(self):
-        """Return the list of invariant violations (empty when valid)."""
-        return list(self._violations)
-
     def require_valid(self):
         if self._violations:
             raise MeasureValidationError(self._violations)
@@ -148,18 +144,6 @@ class BoundaryMeasure:
         x, v, F = self._density_segments
         idx = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
         return F[idx] + _segment_integral(x[idx], v[idx], s, np.interp(s, x, v))
-
-    def density_integral(self, a, b):
-        """Exact integral of the periodic density over [a, b]; DomainError unless a, b finite."""
-        a, b = _finite_angles((a, b)).tolist()
-        qa, sa = divmod(a, TWO_PI)
-        qb, sb = divmod(b, TWO_PI)
-        _, _, F = self._density_segments
-        return float(
-            (qb - qa) * F[-1]
-            + self._density_cumulative(sb)
-            - self._density_cumulative(sa)
-        )
 
     # -- measure-level quantities ---------------------------------------
 

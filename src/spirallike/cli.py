@@ -98,8 +98,9 @@ def build_function(args):
     """Construct the SpiralFunction named by --measure or --gallery."""
     from .spiral_geometry import SpiralAngle
 
-    # the hansen flags default below, so that one given with another function is refused
-    hansen = {k: getattr(args, k) for k in ("alpha", "A", "beta_exp", "c")
+    # the hansen flags default below and in counterexample_for, so that one
+    # given with another function is refused
+    hansen = {k: getattr(args, k) for k in ("A", "beta_exp", "c")
               if getattr(args, k) is not None}
     if hansen and args.gallery != "hansen":
         flags = ", ".join("--" + k.replace("_", "-") for k in hansen)
@@ -118,14 +119,11 @@ def build_function(args):
         return MeasureFunction(measure, angle)
     if args.gallery in ("g0", "hansen"):
         from .correspondence import spirallike_of
-        from .gallery import DEFAULT_C, G0Function, HansenFunction, HansenParams
+        from .gallery import G0Function, counterexample_for
 
         if args.gallery == "g0":
             return spirallike_of(G0Function(), angle)
-        if "A" in hansen:
-            hansen["alpha"] = hansen.pop("A") / np.pi
-        params = HansenParams(**{"alpha": 1.0, "beta_exp": 1.0, "c": DEFAULT_C, **hansen})
-        return spirallike_of(HansenFunction(params), angle)
+        return counterexample_for(angle, **{"A": np.pi, **hansen})
     raise ConfigError("need one of --measure or --gallery")
 
 
@@ -265,10 +263,8 @@ def _build_parser():
                 source.add_argument("--gallery", choices=GALLERY_CHOICES)
                 p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=0.0,
                                help="spiral inclination in radians")
-                jump = p.add_mutually_exclusive_group()
-                jump.add_argument("--alpha", type=float,
-                                  help="growth exponent of the hansen gallery entry")
-                jump.add_argument("--A", type=float, help="target boundary jump; sets alpha = A/pi")
+                p.add_argument("--A", type=float,
+                               help="target boundary jump of the hansen entry; sets alpha = A/pi")
                 p.add_argument("--beta-exp", type=float)
                 p.add_argument("--c", type=float, help="hansen log-factor coefficient")
             p.add_argument("--out", help="write output to this path instead of stdout")
@@ -350,7 +346,3 @@ def entry():
     code = main()
     gc.freeze()
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(entry())

@@ -116,11 +116,10 @@ def lemma_c_margins(C):
 class HansenParams:
     """Parameters (alpha, beta_exp, c) of g = z(1-z)^-alpha (1+c w)^beta_exp.
 
-    w = log(1/(1-z)) and C = e^(1/c).  Admissibility depends on the
-    threshold constant C0 = DEFAULT_C0: c must not exceed 1/log(C0), and
-    the combined growth alpha + c*beta_exp/(1 - c log 2) must stay below 2.
-    Each parameter is stored as a float; ParameterError if float() refuses
-    it.
+    w = log(1/(1-z)).  Admissibility depends on the threshold constant
+    C0 = DEFAULT_C0: c must not exceed 1/log(C0), and the combined growth
+    alpha + c*beta_exp/(1 - c log 2) must stay below 2.  Each parameter is
+    stored as a float; ParameterError if float() refuses it.
     """
 
     alpha: float
@@ -131,10 +130,6 @@ class HansenParams:
         for name in ("alpha", "beta_exp", "c"):
             value = _real_number(getattr(self, name), name, ParameterError)
             object.__setattr__(self, name, value)
-
-    @property
-    def C(self):
-        return float(np.exp(1.0 / self.c))
 
     def violations(self):
         out = []

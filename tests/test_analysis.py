@@ -114,17 +114,24 @@ def test_default_r_schedule():
     assert default_r_schedule() == (0.99, 0.999, 0.9999, 0.99999, 0.999999)
     assert default_r_schedule(1, 3) == (0.9, 0.99, 0.999)
     assert default_r_schedule(4, 4) == (0.9999,)
-    # 1 - 10^-16 is the last such radius below 1.0 in float64
-    assert default_r_schedule(14, 16) == (0.99999999999999, 0.999999999999999, 0.9999999999999999)
+    assert default_r_schedule(13, 15) == (0.9999999999999, 0.99999999999999, 0.999999999999999)
+
+
+def test_default_r_schedule_last_radius_is_usable():
+    # on |z| = 1 - 10^-15 every scanned point stays inside the disk
+    report = growth_exponent(koebe_power(), default_r_schedule(13, 15))
+    assert [E for _, _, E in report.rows] == pytest.approx([2.0] * 3, abs=1e-12)
 
 
 @pytest.mark.parametrize(
     "k_min,k_max",
-    [(math.nan, 6), (2, math.inf), (5, 2), (2.5, 4), (2, 4.5), (0, 3), (-1, 2), (14, 17), (14, 18)],
+    [(math.nan, 6), (2, math.inf), (5, 2), (2.5, 4), (2, 4.5), (0, 3), (-1, 2), (14, 17), (14, 18),
+     (2, 16)],
 )
 def test_default_r_schedule_rejects_bad_exponents(k_min, k_max):
-    # whole numbers >= 1 with k_min <= k_max <= 16 only: no raw ValueError, no
-    # empty schedule, no silent truncation and no radius rounded to 1.0
+    # whole numbers >= 1 with k_min <= k_max <= 15 only: no raw ValueError, no
+    # empty schedule, no silent truncation, and no radius whose circle holds
+    # points rounded to |z| = 1 (1 - 10^-16 is one ulp below 1.0)
     with pytest.raises(DomainError):
         default_r_schedule(k_min, k_max)
 

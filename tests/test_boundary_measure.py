@@ -43,14 +43,25 @@ def triangle_measure():
     return BoundaryMeasure(atoms=((4.0, PI),), density_knots=knots)
 
 
+def beta_increment(m, a, b):
+    """beta(b) - beta(a): the mass of d(beta) on [a, b] where no atom lies at a or b."""
+    return m.beta_at(b) - m.beta_at(a)
+
+
+def violations(m):
+    """The violations of an invalid measure, as require_valid reports them."""
+    with pytest.raises(MeasureValidationError) as exc:
+        m.require_valid()
+    return exc.value.violations
+
+
 # -- validation ---------------------------------------------------------------
 
 
 def test_uniform_and_single_atom_are_valid():
-    assert BoundaryMeasure.uniform().validate() == []
-    assert BoundaryMeasure.single_atom().validate() == []
-    assert crit4_measure().validate() == []
-    assert triangle_measure().validate() == []
+    for m in (BoundaryMeasure.uniform(), BoundaryMeasure.single_atom(), crit4_measure(),
+              triangle_measure()):
+        m.require_valid()
 
 
 def test_validation_itemizes_each_violation():
@@ -58,7 +69,7 @@ def test_validation_itemizes_each_violation():
         atoms=((-0.5, 1.0), (7.0, -2.0), (1.0, 1.0)),
         density_knots=((3.0, -1.0), (2.0, 1.0)),
     )
-    v = m.validate()
+    v = violations(m)
     text = "\n".join(v)
     assert "atom 0" in text and "outside [0, 2*pi)" in text
     assert "atom 1" in text and "not strictly positive" in text
@@ -76,7 +87,7 @@ def test_validation_strings_and_order_are_pinned():
         atoms=((math.nan, 1.0), (-0.5, 1.0), (7.0, -2.0), (1.0, 0.0)),
         density_knots=((3.0, -1.0), (2.0, math.inf), (7.5, 0.0), (-1.0, 0.2)),
     )
-    assert m.validate() == [
+    assert violations(m) == [
         "atom 0: non-finite entry (nan, 1.0)",
         "atom 1: position -0.5 outside [0, 2*pi)",
         "atom 2: position 7.0 outside [0, 2*pi)",
@@ -95,7 +106,7 @@ def test_validation_strings_and_order_are_pinned():
         atoms=((-0.5, 1.0), (0.25, 0.5), (0.25, 0.5)),
         density_knots=((2.0, -0.5), (1.0, 0.5)),
     )
-    assert m.validate() == [
+    assert violations(m) == [
         "atom 0: position -0.5 outside [0, 2*pi)",
         "atom positions are not strictly increasing",
         "density knot 0: negative value -0.5",
@@ -105,19 +116,17 @@ def test_validation_strings_and_order_are_pinned():
 
 
 def test_mass_tolerance_is_tight():
-    ok = BoundaryMeasure(atoms=((0.0, TWO_PI + 0.5e-9),))
-    assert ok.validate() == []
+    BoundaryMeasure(atoms=((0.0, TWO_PI + 0.5e-9),)).require_valid()
     bad = BoundaryMeasure(atoms=((0.0, TWO_PI + 1e-8),))
-    assert any("total mass" in s for s in bad.validate())
     with pytest.raises(MeasureValidationError) as exc:
         bad.require_valid()
     assert "total mass" in str(exc.value)
+    assert any("total mass" in s for s in exc.value.violations)
 
 
 def test_nonfinite_entries_reported_without_mass_check():
-    m = BoundaryMeasure(atoms=((math.nan, 1.0),))
-    v = m.validate()
-    assert any("non-finite" in s for s in v)
+    v = violations(BoundaryMeasure(atoms=((math.nan, 1.0),)))
+    assert v == ["atom 0: non-finite entry (nan, 1.0)"]
 
 
 CHECKED_CALLS = [
@@ -130,20 +139,20 @@ CHECKED_CALLS = [
 @pytest.mark.parametrize("call", CHECKED_CALLS, ids=["beta_at", "max_jump", "largest_atom"])
 def test_validation_is_found_once_and_reused(call):
     # the measure is frozen, so its violations are found once; every later
-    # call sees the same answer, and validate() hands out a fresh list
+    # call sees the same answer, and each error hands out a fresh list
     for m in (crit4_measure(), triangle_measure()):
         first, again = call(m), call(m)
         np.testing.assert_array_equal(first, again)
         np.testing.assert_array_equal(first, call(BoundaryMeasure(m.atoms, m.density_knots)))
     bad = BoundaryMeasure(atoms=((-0.5, 1.0), (7.0, TWO_PI)))
-    want = bad.validate()
+    want = violations(bad)
     assert len(want) == 3  # two atom positions and the total mass
     for _ in range(2):
         with pytest.raises(MeasureValidationError) as exc:
             call(bad)
         assert exc.value.violations == want
-    bad.validate().append("changed by the caller")
-    assert bad.validate() == want
+        exc.value.violations.append("changed by the caller")
+    assert violations(bad) == want
 
 
 # -- density and integrals ----------------------------------------------------
@@ -160,8 +169,8 @@ def test_validation_is_found_once_and_reused(call):
         lambda t: triangle_measure().beta_at(t),
         lambda t: triangle_measure().beta_at(np.array([1.0, t])),
         lambda t: triangle_measure().density_at(t),
-        lambda t: triangle_measure().density_integral(0.0, t),
-        lambda t: triangle_measure().density_integral(t, 1.0),
+        lambda t: beta_increment(triangle_measure(), 0.0, t),
+        lambda t: beta_increment(triangle_measure(), t, 1.0),
         lambda t: principal_angle(t),
         lambda t: principal_angle(np.array([t, 0.5])),
         lambda t: spiral_point(t, STARLIKE, 1.0),
@@ -192,25 +201,32 @@ def test_density_at_interpolates_periodically():
     assert out == pytest.approx([0.0, 2 * PI, 0.0])
 
 
-def test_density_integral_matches_geometry():
+# triangle_measure's one atom sits at 4 and 4 - 2*pi: no atom lies in between
+ATOMLESS = (4.0 - TWO_PI + 0.01, 3.99)
+
+
+def test_beta_increments_match_density_geometry():
+    # on a span without an atom, beta gains the density's integral
     m = triangle_measure()
-    # full hat = pi; half hat = pi/2
-    assert m.density_integral(0.0, TWO_PI) == pytest.approx(PI)
-    assert m.density_integral(1.0, 1.5) == pytest.approx(PI / 2)
-    assert m.density_integral(0.0, 4 * PI) == pytest.approx(2 * PI)
-    # orientation and additivity
-    assert m.density_integral(2.0, 1.0) == pytest.approx(-PI)
+    # full hat = pi, half hat = pi/2, none beside the hat; one period on, the same
+    assert beta_increment(m, 0.0, 3.0) == pytest.approx(PI)
+    assert beta_increment(m, 1.0, 1.5) == pytest.approx(PI / 2)
+    assert beta_increment(m, 2.5, 3.9) == pytest.approx(0.0, abs=1e-15)
+    assert beta_increment(m, 1.0 + TWO_PI, 1.5 + TWO_PI) == pytest.approx(PI / 2)
+    assert beta_increment(m, -1.5, -0.5) == pytest.approx(0.0, abs=1e-15)
+    # orientation
+    assert beta_increment(m, 2.0, 1.0) == pytest.approx(-PI)
 
 
 @given(
-    st.floats(min_value=-10.0, max_value=10.0),
-    st.floats(min_value=-10.0, max_value=10.0),
-    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(*ATOMLESS),
+    st.floats(*ATOMLESS),
+    st.floats(*ATOMLESS),
 )
-def test_density_integral_additive(a, b, c):
-    m = crit4_measure()
-    lhs = m.density_integral(a, b) + m.density_integral(b, c)
-    assert lhs == pytest.approx(m.density_integral(a, c), abs=1e-10)
+def test_beta_increments_additive(a, b, c):
+    m = triangle_measure()
+    lhs = beta_increment(m, a, b) + beta_increment(m, b, c)
+    assert lhs == pytest.approx(beta_increment(m, a, c), abs=1e-10)
 
 
 def test_total_mass():
@@ -375,7 +391,7 @@ def test_from_atoms_with_uniform_part():
     m = BoundaryMeasure.from_atoms([(0.0, 1.0)], uniform_density_mass=PI)
     assert m.density_at(1.0) == pytest.approx(0.5)  # mass pi over length 2*pi
     assert m.atoms[0][1] == pytest.approx(PI)
-    assert m.validate() == []
+    m.require_valid()
 
 
 def test_from_atoms_validation():
@@ -383,7 +399,7 @@ def test_from_atoms_validation():
         BoundaryMeasure.from_atoms([(0.0, -1.0)])
     with pytest.raises(ParameterError):
         BoundaryMeasure.from_atoms([], uniform_density_mass=PI)
-    assert BoundaryMeasure.from_atoms([], uniform_density_mass=TWO_PI).validate() == []
+    BoundaryMeasure.from_atoms([], uniform_density_mass=TWO_PI).require_valid()
     # the density's share of the mass lies in [0, 2*pi]
     for mass in (7.0, -1.0):
         with pytest.raises(ParameterError, match="outside"):

@@ -460,8 +460,7 @@ def test_exit_codes():
     assert main(["beta", "--gallery", "identity", "--t-grid", "8"]) == 2
     assert main(["qtheta", "--qtheta-grid", "100"]) == 2
     assert main(["qtheta", "--qtheta-grid", "1000001"]) == 2
-    # two ways to set one exponent: argparse rejects the pair
-    assert main(["eval", "--gallery", "hansen", "--A", "2", "--alpha", "1.0"]) == 2
+    assert main(["eval", "--gallery", "hansen", "--A", "x"]) == 2  # not a number
     assert main(["--help"]) == 0
     assert main(["eval", "--help"]) == 0
     assert main([]) == 2  # missing subcommand
@@ -494,7 +493,7 @@ def test_removed_noop_flags_exit_2(capsys, tmp_path):
     # qtheta builds no function, so it takes none of the function flags
     for flag, value in (
         ("--measure", "m.json"), ("--gallery", "koebe"), ("--lambda", "0.3"),
-        ("--alpha", "1.0"), ("--beta-exp", "2"), ("--c", "0.2"), ("--A", "2"),
+        ("--beta-exp", "2"), ("--c", "0.2"), ("--A", "2"),
     ):
         assert main(["qtheta", "--qtheta-grid", "1000", flag, value]) == 2
     # flags that would change nothing: a --measure next to a --gallery, a
@@ -504,14 +503,36 @@ def test_removed_noop_flags_exit_2(capsys, tmp_path):
     calls = [["eval", "--measure", str(spec), "--gallery", "g0"],
              ["verify", "--gallery", "koebe", "--format", "csv"]]
     for source in (["--gallery", "koebe"], ["--gallery", "g0"], ["--measure", str(spec)]):
-        for flag, value in (("--alpha", "1.9"), ("--A", "2"), ("--beta-exp", "2"), ("--c", "0.2")):
+        for flag, value in (("--A", "2"), ("--beta-exp", "2"), ("--c", "0.2")):
             calls.append(["eval", *source, flag, value])
     for argv in calls:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, ""), argv
         assert "error: " in err and "Traceback" not in err, argv
-    rc, _, err = run(capsys, "eval", "--gallery", "koebe", "--alpha", "1.9", "--c", "0.2")
-    assert err == "error: only --gallery hansen takes --alpha, --c\n"
+    rc, _, err = run(capsys, "eval", "--gallery", "koebe", "--A", "2", "--c", "0.2")
+    assert err == "error: only --gallery hansen takes --A, --c\n"
+    # --A is the one way to set the hansen exponent (alpha = A/pi), so
+    # --alpha is an unknown flag: argparse's usage error, no traceback
+    rc, out, err = run(capsys, "eval", "--gallery", "hansen", "--alpha", "1.0")
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: spirallike ")
+    assert err.endswith("spirallike: error: unrecognized arguments: --alpha 1.0\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags,kwargs",
+    [((), {"A": PI}),
+     (("--A", "2", "--beta-exp", "2", "--c", "0.2"), {"A": 2.0, "beta_exp": 2.0, "c": 0.2})],
+    ids=["defaults", "A-beta-exp-c"],
+)
+def test_cli_hansen_is_counterexample_for(flags, kwargs):
+    # the CLI's hansen entry is counterexample_for, bit for bit
+    args = _build_parser().parse_args(["eval", "--gallery", "hansen", "--lambda", "0.7", *flags])
+    z = np.array([0.0, 0.25, -0.5 + 0.5j, 0.9j, 0.999, 0.7 - 0.7j])
+    got = cli.build_function(args).log_f_over_z(z)
+    want = counterexample_for(SpiralAngle(0.7), **kwargs).log_f_over_z(z)
+    np.testing.assert_array_equal(got, want)
 
 
 # -- parser build ------------------------------------------------------------------
@@ -549,7 +570,7 @@ def test_parser_builds_only_the_chosen_subcommand():
      ["eval", "--gallery", "nope"], ["eval", "--gallery", "koebe", "--z", "abc"],
      ["eval", "--gallery", "koebe", "--z"], ["eval", "--lambda", "2.0"],
      ["eval", "--measure", "m.json", "--gallery", "g0"],
-     ["eval", "--gallery", "hansen", "--A", "2", "--alpha", "1.0"],
+     ["eval", "--gallery", "hansen", "--A", "x"],
      ["verify", "--r-max", "1.5"], ["verify", "--format", "csv"],
      ["beta", "--t-grid", "8"], ["beta", "--t-grid", "x"], ["growth", "--r-k", "3:2"],
      ["qtheta", "--gallery", "koebe"], ["qtheta", "--qtheta-grid", "100"]],
@@ -715,7 +736,7 @@ def test_growth_table_is_written_byte_for_byte(capsys, tmp_path):
 
 def test_hansen_inadmissible_parameters_exit_2(capsys):
     rc, _, err = run(
-        capsys, "verify", "--gallery", "hansen", "--alpha", "1.9", "--c", "0.3"
+        capsys, "verify", "--gallery", "hansen", "--A", "6", "--c", "0.3"
     )
     assert rc == 2
     assert "violates" in err

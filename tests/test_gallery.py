@@ -424,7 +424,6 @@ def test_lemma_c_margins():
 
 def test_hansen_params_constants():
     p = HansenParams(1.0, 1.0, 0.3)
-    assert p.C == pytest.approx(math.exp(1 / 0.3))
     assert p.violations() == []
     want = 1.0 - 0.5 - 1.0 / (2.0 / 0.3 - 2.0 * LN2)
     assert p.margin_lower_bound() == pytest.approx(want, abs=1e-12)
