@@ -40,6 +40,7 @@ QTHETA = ["qtheta"]
 RSS_CALLS = {
     "qtheta": ["qtheta"],
     "qtheta_1e6": ["qtheta", "--qtheta-grid", "1000000"],
+    "qtheta_json_1e6": ["qtheta", "--format", "json", "--qtheta-grid", "1000000"],
     "beta_1e6": ["beta", "--gallery", "koebe", "--t-grid", "1000000"],
 }
 ONE_THREAD = {name: "1" for name in (

@@ -125,7 +125,9 @@ class BoundaryMeasure:
     def _density_segments(self):
         """One period of density: knots 0 = x_0 < ... < x_m = 2*pi, values, running integral."""
         tt, vv = self._knot_arrays
-        edge = self.density_at(0.0)  # the value at both ends, 0 and 2*pi
+        # the value at both ends, 0 and 2*pi; not density_at, which validates,
+        # and validation reads total_mass, which reads these segments
+        edge = np.interp(0.0, tt, vv, period=TWO_PI) if tt.size else 0.0
         inner = tt > 0.0
         x = np.concatenate(([0.0], tt[inner], [TWO_PI]))
         v = np.concatenate(([edge], vv[inner], [edge]))
@@ -134,6 +136,7 @@ class BoundaryMeasure:
 
     def density_at(self, t):
         """Periodic piecewise-linear density value(s) at t; DomainError unless t is finite."""
+        self.require_valid()
         t = _finite_angles(t)
         tt, vv = self._knot_arrays
         out = np.interp(t, tt, vv, period=TWO_PI) if tt.size else np.zeros_like(t)
@@ -148,6 +151,10 @@ class BoundaryMeasure:
     # -- measure-level quantities ---------------------------------------
 
     def total_mass(self):
+        """Sum of the jumps and the density's integral over one period.
+
+        Not validated: validation reads it, and it normalizes raw tables.
+        """
         _, _, F = self._density_segments
         return float(sum(d for _, d in self.atoms) + F[-1])
 
@@ -178,6 +185,7 @@ class BoundaryMeasure:
 
     def first_moment(self):
         """Integral of t d(beta)(t) over the fundamental window [0, 2*pi)."""
+        self.require_valid()
         x, v, _ = self._density_segments
         density_moment = np.sum(_segment_moment(x[:-1], v[:-1], x[1:], v[1:]))
         return float(sum(t * d for t, d in self.atoms) + density_moment)
@@ -197,6 +205,7 @@ class BoundaryMeasure:
         the knots; these drive the polylogarithm closed form.  Returns a pair
         of arrays (positions, sigmas), both empty for constant densities.
         """
+        self.require_valid()
         if len(self.density_knots) < 2:
             return np.array([]), np.array([])
         tt, vv = self._knot_arrays

@@ -6,9 +6,10 @@ measure-spec JSON file (--measure) or the gallery (--gallery).  Exit codes:
 4 accuracy not met.
 
 Importing this module loads only the package's errors; each subcommand
-imports, where it runs, the modules its branch uses.  A subcommand returns
-its exit code and its output as an iterable of text chunks, and main writes
-them to stdout or --out as they come.
+imports, where it runs, the modules its branch uses.  The parser is stock
+argparse, every subcommand's arguments built at each call.  A subcommand
+returns its exit code and its output as an iterable of text chunks, and
+main writes them to stdout or --out as they come.
 """
 
 import argparse
@@ -84,7 +85,7 @@ _R_MAX = _checked(float, lambda v: 0.0 < v < 1.0, "--r-max must lie in (0, 1), g
 
 # the largest --t-grid and --qtheta-grid.  A cold call at 10^6 peaks at
 # 191 MB resident for beta on koebe's 5 default radii (404 MB on 12 radii),
-# and at 68 MB for the qtheta table (281 MB as JSON; perf/stream_time.py).
+# and at 68 MB for the qtheta table, csv or JSON (perf/stream_time.py).
 # At 10^12 numpy cannot allocate the arrays
 _GRID_MAX = 10**6
 
@@ -127,11 +128,14 @@ def build_function(args):
     raise ConfigError("need one of --measure or --gallery")
 
 
-def _json(payload, indent=2):
-    """payload as JSON text in one chunk: its cost is json's float repr, which blocks would not cut."""
+def _json(payload):
+    """payload as indented JSON text in one chunk, which stands whole in memory.
+
+    qtheta's table, up to 10^6 rows, streams its JSON instead (cmd_qtheta).
+    """
     import json  # here, not at module level: only --format json writes JSON
 
-    return (json.dumps(payload, indent=indent) + "\n",)
+    return (json.dumps(payload, indent=2) + "\n",)
 
 
 def cmd_eval(args):
@@ -217,35 +221,28 @@ def cmd_qtheta(args):
     from .threshold import _SUP_Q as sup_q, DEFAULT_C0 as c0, _q_table
 
     theta, values, monotone = _q_table(args.qtheta_grid)
-    if args.fmt == "json":
-        rows = np.column_stack((theta, values)).tolist()
-        return 0, _json({"sup_q": sup_q, "c0": c0, "monotone": monotone, "rows": rows}, None)
-    from .formatting import csv_blocks
+    # formatting loads after the table is built.  glibc's malloc raises its
+    # mmap threshold when it frees a mapped block, so the order of the first
+    # large frees decides whether the writer's blocks reuse heap pages: loaded
+    # before, a cold default call takes 18,000 minor page faults, not 6,300
+    # (perf/stream_time.py), and runs about 17 ms slower
+    from .formatting import _CHUNK_ROWS, csv_blocks
 
+    if args.fmt == "json":
+        import json
+
+        # the text of json.dumps(payload), its rows written a block at a
+        # time: the head ends in '"rows": [', and each block's rows follow
+        # without their brackets
+        head = json.dumps({"sup_q": sup_q, "c0": c0, "monotone": monotone, "rows": []})[:-2]
+        rows = np.column_stack((theta, values))
+        blocks = (
+            (", " if start else "") + json.dumps(rows[start:start + _CHUNK_ROWS].tolist())[1:-1]
+            for start in range(0, len(rows), _CHUNK_ROWS)
+        )
+        return 0, itertools.chain((head,), blocks, ("]}\n",))
     head = "# sup_Q = %.15g\n# C0 = %.15g\n# monotone_decreasing = %s\ntheta,Q"
     return 0, csv_blocks(head % (sup_q, c0, str(monotone).lower()), theta, values)
-
-
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments when it first parses.
-
-    A call runs one subcommand, so the other four never build theirs; the
-    top-level help and its errors show each only by name and help line.
-    """
-
-    def __init__(self, *, add_arguments, **kwargs):
-        super().__init__(**kwargs)
-        self._pending = add_arguments
-
-    def add_arguments(self):
-        """Add this subcommand's arguments, once."""
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.add_arguments()
-        return super().parse_known_args(args, namespace)
 
 
 def _build_parser():
@@ -253,26 +250,25 @@ def _build_parser():
         prog="spirallike",
         description="Spirallike functions from boundary measures: evaluation and experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, run, help, own, builds_function=True, formats=("csv", "json")):
-        def add_arguments(p):
-            if builds_function:
-                source = p.add_mutually_exclusive_group()
-                source.add_argument("--measure", dest="measure_path", help="measure-spec JSON path")
-                source.add_argument("--gallery", choices=GALLERY_CHOICES)
-                p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=0.0,
-                               help="spiral inclination in radians")
-                p.add_argument("--A", type=float,
-                               help="target boundary jump of the hansen entry; sets alpha = A/pi")
-                p.add_argument("--beta-exp", type=float)
-                p.add_argument("--c", type=float, help="hansen log-factor coefficient")
-            p.add_argument("--out", help="write output to this path instead of stdout")
-            p.add_argument("--format", dest="fmt", choices=formats)
-            for flag, options in own.items():
-                p.add_argument(flag, **options)
-
-        sub.add_parser(name, help=help, add_arguments=add_arguments).set_defaults(run=run)
+        p = sub.add_parser(name, help=help)
+        if builds_function:
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--measure", dest="measure_path", help="measure-spec JSON path")
+            source.add_argument("--gallery", choices=GALLERY_CHOICES)
+            p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=0.0,
+                           help="spiral inclination in radians")
+            p.add_argument("--A", type=float,
+                           help="target boundary jump of the hansen entry; sets alpha = A/pi")
+            p.add_argument("--beta-exp", type=float)
+            p.add_argument("--c", type=float, help="hansen log-factor coefficient")
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.add_argument("--format", dest="fmt", choices=formats)
+        for flag, options in own.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run)
 
     add_command("eval", cmd_eval, "evaluate f, log(f/z), zf'/f, arg_lambda(f/z)",
                 {"--z": dict(type=parse_complex, default=0.25 + 0.0j,

@@ -1143,6 +1143,19 @@ def test_sector_trace_turning_back_between_scan_angles_is_caught():
         detect_maximal_sector(Dipping(BoundaryMeasure.single_atom(), STARLIKE))
 
 
+def test_sector_trace_stepping_over_a_spiral_is_caught():
+    # koebe with arg(f/z) raised by 1 beyond arg z = 3: the trace steps over
+    # the spiral arguments there, so the crossing search ends at the step,
+    # off its spiral
+    class Stepping(MeasureFunction):
+        def _arg_g_over_z(self, z):
+            return super()._arg_g_over_z(z) + 1.0 * (np.mod(np.angle(z), TWO_PI) > 3.0)
+
+    with pytest.raises(InconsistencyError) as exc:
+        detect_maximal_sector(Stepping(BoundaryMeasure.single_atom(), STARLIKE))
+    assert str(exc.value).startswith("the boundary trace misses spiral argument ")
+
+
 class Overflowing(MeasureFunction):
     """A handle whose log(g/z), and so log|f|, is infinite everywhere."""
 

@@ -133,10 +133,19 @@ CHECKED_CALLS = [
     lambda m: m.beta_at(np.array([0.0, 1.5, 4.0, 7.0])),
     lambda m: m.max_jump(),
     lambda m: m.largest_atom(),
+    lambda m: m.density_at(np.array([0.0, 1.5, 4.0])),
+    lambda m: m.first_moment(),
+    lambda m: m.canonical_offset(),
+    lambda m: m.slope_changes(),
 ]
 
 
-@pytest.mark.parametrize("call", CHECKED_CALLS, ids=["beta_at", "max_jump", "largest_atom"])
+@pytest.mark.parametrize(
+    "call",
+    CHECKED_CALLS,
+    ids=["beta_at", "max_jump", "largest_atom", "density_at", "first_moment",
+         "canonical_offset", "slope_changes"],
+)
 def test_validation_is_found_once_and_reused(call):
     # the measure is frozen, so its violations are found once; every later
     # call sees the same answer, and each error hands out a fresh list
@@ -144,15 +153,22 @@ def test_validation_is_found_once_and_reused(call):
         first, again = call(m), call(m)
         np.testing.assert_array_equal(first, again)
         np.testing.assert_array_equal(first, call(BoundaryMeasure(m.atoms, m.density_knots)))
-    bad = BoundaryMeasure(atoms=((-0.5, 1.0), (7.0, TWO_PI)))
-    want = violations(bad)
-    assert len(want) == 3  # two atom positions and the total mass
-    for _ in range(2):
-        with pytest.raises(MeasureValidationError) as exc:
-            call(bad)
-        assert exc.value.violations == want
-        exc.value.violations.append("changed by the caller")
-    assert violations(bad) == want
+    bad_measures = (
+        # two atom positions and the total mass
+        BoundaryMeasure(atoms=((-0.5, 1.0), (7.0, TWO_PI))),
+        # an atom position, a NaN knot and unordered knots, on which
+        # density_at, the moments and slope_changes would compute NaN
+        BoundaryMeasure(atoms=((7.0, 1.0),), density_knots=((1.0, math.nan), (0.5, 2.0))),
+    )
+    for bad in bad_measures:
+        want = violations(bad)
+        assert len(want) == 3
+        for _ in range(2):
+            with pytest.raises(MeasureValidationError) as exc:
+                call(bad)
+            assert exc.value.violations == want
+            exc.value.violations.append("changed by the caller")
+        assert violations(bad) == want
 
 
 # -- density and integrals ----------------------------------------------------
@@ -371,10 +387,16 @@ def test_slope_changes_triangle():
     )
 )
 def test_slope_changes_sum_to_zero(knots):
-    m = BoundaryMeasure(density_knots=tuple(sorted(knots)))
+    # the raw knots scaled to mass 2*pi, so that the measure is valid; the
+    # sigmas scale with the values, and the bound with them
+    raw = tuple(sorted(knots))
+    mass = BoundaryMeasure(density_knots=raw).total_mass()
+    assume(mass > 1e-6)
+    scale = TWO_PI / mass
+    m = BoundaryMeasure(density_knots=tuple((t, v * scale) for t, v in raw))
     _, sig = m.slope_changes()
     if sig.size:
-        assert np.sum(sig) == pytest.approx(0.0, abs=1e-9)
+        assert np.sum(sig) == pytest.approx(0.0, abs=1e-9 * scale)
 
 
 # -- constructors ---------------------------------------------------------------

@@ -535,29 +535,9 @@ def test_cli_hansen_is_counterexample_for(flags, kwargs):
     np.testing.assert_array_equal(got, want)
 
 
-# -- parser build ------------------------------------------------------------------
+# -- parser ------------------------------------------------------------------------
 
 COMMANDS = ("eval", "verify", "beta", "growth", "qtheta")
-
-
-def subcommand_parsers(parser):
-    (commands,) = [action for action in parser._actions if action.dest == "command"]
-    return commands.choices
-
-
-def fully_built_parser():
-    parser = _build_parser()
-    for sub in subcommand_parsers(parser).values():
-        sub.add_arguments()
-    return parser
-
-
-def test_parser_builds_only_the_chosen_subcommand():
-    parser = _build_parser()
-    assert parser.parse_args(["qtheta", "--qtheta-grid", "1000"]).qtheta_grid == 1000
-    built = {name: [a.dest for a in sub._actions] != ["help"]
-             for name, sub in subcommand_parsers(parser).items()}
-    assert built == {name: name == "qtheta" for name in COMMANDS}
 
 
 @pytest.mark.parametrize(
@@ -576,11 +556,8 @@ def test_parser_builds_only_the_chosen_subcommand():
      ["qtheta", "--gallery", "koebe"], ["qtheta", "--qtheta-grid", "100"]],
     ids=lambda argv: " ".join(argv) or "no-argv",
 )
-def test_help_and_parse_errors_match_a_full_build(capsys, monkeypatch, argv):
-    lazy = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_build_parser", fully_built_parser)
-    assert run(capsys, *argv) == lazy
-    code, out, err = lazy
+def test_help_and_parse_errors_match_a_full_build(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert (code, bool(out), bool(err)) == ((0, True, False) if "--help" in argv else (2, False, True))
 
 
@@ -709,6 +686,18 @@ def test_qtheta_table_is_written_block_by_block_byte_for_byte(capsys, tmp_path, 
     want += per_cell_table("theta,Q", [theta, values])
     got = written_three_ways(capsys, tmp_path, "qtheta", "--qtheta-grid", str(grid))
     assert got == (want,) * 3
+
+
+@pytest.mark.parametrize("grid", [1000, BLOCK, BLOCK + 1, 10000])
+def test_qtheta_json_is_written_block_by_block_as_one_dump(capsys, tmp_path, grid):
+    theta, values, monotone = _q_table(grid)
+    payload = {"sup_q": _SUP_Q, "c0": DEFAULT_C0, "monotone": monotone,
+               "rows": np.column_stack((theta, values)).tolist()}
+    argv = ["qtheta", "--format", "json", "--qtheta-grid", str(grid)]
+    assert written_three_ways(capsys, tmp_path, *argv) == (json.dumps(payload) + "\n",) * 3
+    # the head, one chunk per block of rows, and the closing brackets
+    code, chunks = cli.cmd_qtheta(_build_parser().parse_args(argv))
+    assert (code, len(list(chunks))) == (0, 2 + math.ceil(grid / BLOCK))
 
 
 def test_beta_table_is_written_block_by_block_byte_for_byte(capsys, tmp_path):
