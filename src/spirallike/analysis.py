@@ -252,10 +252,17 @@ def estimate_max_jump(trace):
     (at least 1e-6) are jump candidates; two above-threshold increments
     sharing a sample merge into one jump located at that sample (an atom
     aligned with the grid splits its mass between the two neighboring
-    gaps).  Returns jump 0 when nothing exceeds the threshold.  DomainError
-    unless trace is a BetaTrace, for an empty trace, for t_samples and
-    beta_values that are not 1-d arrays of one length, for a non-finite
-    entry, and for angles that do not increase strictly within one turn.
+    gaps).  Returns jump 0 when nothing exceeds the threshold.  So the jump
+    is the largest mass that one gap, or two adjacent gaps, hold, the
+    density's share of those gaps included: two atoms less than one sample
+    spacing apart come back as their sum, two more than two spacings apart
+    as the larger atom, and in between either can happen.  An atom within
+    about 1e-4 of a sample may lose a few hundredths of its mass, spread
+    past that sample at radius_used, to a gap below the threshold.
+    DomainError unless trace is a BetaTrace, for an empty trace, for
+    t_samples and beta_values that are not 1-d arrays of one length, for a
+    non-finite entry, and for angles that do not increase strictly within
+    one turn.
     """
     _instance(trace, BetaTrace, "a trace")
     t = np.asarray(trace.t_samples, dtype=float)

@@ -4,7 +4,10 @@ A boundary measure d(beta) is stored as two position-ordered tables of
 (position, value) pairs: point atoms (t, jump) and the knots (t, value) of a
 2*pi-periodic piecewise-linear density.  beta_at uses the base normalization
 beta(0-) = 0 and the midpoint convention at atoms.  Total mass must equal
-2*pi within 1e-9 so that beta gains exactly 2*pi per period.
+2*pi within 1e-9 so that beta gains exactly 2*pi per period.  A measure is
+checked once, when it is built: the constructor raises
+MeasureValidationError listing every violated invariant, so every method
+reads valid tables and none checks them again.
 """
 
 import os
@@ -49,6 +52,8 @@ class BoundaryMeasure:
     density_knots: pairs (position in [0, 2*pi), value >= 0), strictly
         increasing positions; a single knot means a constant density and no
         knots means no density part.
+    The total mass is 2*pi within MASS_TOL.  MeasureValidationError, from
+    the constructor, unless both tables meet these conditions.
     """
 
     atoms: tuple = ()
@@ -66,12 +71,16 @@ class BoundaryMeasure:
                 object.__setattr__(self, name, pairs)
         if problems:
             raise MeasureValidationError(problems)
+        self.require_valid()
 
     # -- validation ----------------------------------------------------
 
-    @cached_property
-    def _violations(self):
-        """Invariant violations as a tuple, found once: the measure is frozen."""
+    def require_valid(self):
+        """MeasureValidationError listing every violated invariant, the atoms' first.
+
+        A non-finite entry skips the mass check.  The constructor runs this
+        check, so it passes on every measure that exists.
+        """
         violations = []
         structural = False
         rules = (
@@ -96,17 +105,14 @@ class BoundaryMeasure:
                 violations.append(
                     f"total mass {mass!r} differs from 2*pi by more than {MASS_TOL}"
                 )
-        return tuple(violations)
-
-    def require_valid(self):
-        if self._violations:
-            raise MeasureValidationError(self._violations)
+        if violations:
+            raise MeasureValidationError(violations)
 
     # -- the two tables as arrays -----------------------------------------
 
     @cached_property
     def _atom_arrays(self):
-        """Positions, jumps and running jump sums (0 first); read after require_valid."""
+        """Positions, jumps and running jump sums (0 first)."""
         ts, ds = np.array(self.atoms, dtype=float).reshape(-1, 2).T.copy()
         return ts, ds, np.concatenate(([0.0], np.cumsum(ds)))
 
@@ -114,8 +120,8 @@ class BoundaryMeasure:
     def _knot_arrays(self):
         """Knot positions and values, sorted by position.
 
-        Sorted because total_mass runs inside validation, before the order
-        is known.
+        Sorted because validation reads total_mass also on knots out of
+        order, to report the mass next to the order.
         """
         tt, vv = np.array(self.density_knots, dtype=float).reshape(-1, 2).T
         order = np.argsort(tt, kind="stable")
@@ -125,9 +131,7 @@ class BoundaryMeasure:
     def _density_segments(self):
         """One period of density: knots 0 = x_0 < ... < x_m = 2*pi, values, running integral."""
         tt, vv = self._knot_arrays
-        # the value at both ends, 0 and 2*pi; not density_at, which validates,
-        # and validation reads total_mass, which reads these segments
-        edge = np.interp(0.0, tt, vv, period=TWO_PI) if tt.size else 0.0
+        edge = self.density_at(0.0)  # the value at both ends, 0 and 2*pi
         inner = tt > 0.0
         x = np.concatenate(([0.0], tt[inner], [TWO_PI]))
         v = np.concatenate(([edge], vv[inner], [edge]))
@@ -136,7 +140,6 @@ class BoundaryMeasure:
 
     def density_at(self, t):
         """Periodic piecewise-linear density value(s) at t; DomainError unless t is finite."""
-        self.require_valid()
         t = _finite_angles(t)
         tt, vv = self._knot_arrays
         out = np.interp(t, tt, vv, period=TWO_PI) if tt.size else np.zeros_like(t)
@@ -151,16 +154,12 @@ class BoundaryMeasure:
     # -- measure-level quantities ---------------------------------------
 
     def total_mass(self):
-        """Sum of the jumps and the density's integral over one period.
-
-        Not validated: validation reads it, and it normalizes raw tables.
-        """
+        """Sum of the jumps and the density's integral over one period."""
         _, _, F = self._density_segments
         return float(sum(d for _, d in self.atoms) + F[-1])
 
     def beta_at(self, t):
         """beta(t), beta(0-) = 0, midpoint values at atoms; DomainError unless t is finite."""
-        self.require_valid()
         t = _finite_angles(t)
         q, s = np.divmod(t, TWO_PI)
         ts, _, cum = self._atom_arrays
@@ -176,7 +175,6 @@ class BoundaryMeasure:
 
     def largest_atom(self):
         """(position, jump) of the largest atom, earliest position on ties."""
-        self.require_valid()
         ts, ds, _ = self._atom_arrays
         if not ds.size:
             return None
@@ -185,7 +183,6 @@ class BoundaryMeasure:
 
     def first_moment(self):
         """Integral of t d(beta)(t) over the fundamental window [0, 2*pi)."""
-        self.require_valid()
         x, v, _ = self._density_segments
         density_moment = np.sum(_segment_moment(x[:-1], v[:-1], x[1:], v[1:]))
         return float(sum(t * d for t, d in self.atoms) + density_moment)
@@ -205,7 +202,6 @@ class BoundaryMeasure:
         the knots; these drive the polylogarithm closed form.  Returns a pair
         of arrays (positions, sigmas), both empty for constant densities.
         """
-        self.require_valid()
         if len(self.density_knots) < 2:
             return np.array([]), np.array([])
         tt, vv = self._knot_arrays
@@ -322,6 +318,4 @@ def load_measure(path):
         raise MeasureValidationError([f"cannot read {path}: {exc}"]) from exc
     except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise MeasureValidationError([f"invalid JSON in {path}: {exc}"]) from exc
-    measure = BoundaryMeasure.from_json_dict(data)
-    measure.require_valid()
-    return measure
+    return BoundaryMeasure.from_json_dict(data)

@@ -106,12 +106,12 @@ class SpiralFunction:
     """Analytic function handle on the unit disk: a starlike kernel plus an inclination.
 
     log_f_over_z returns the branch of log(f(z)/z) vanishing at 0,
-    log_derivative returns z*f'(z)/f(z), evaluate returns f(z), f_over_z
-    returns f(z)/z and arg_lambda_f_over_z returns the continuous
-    lam-argument of f(z)/z, 0 at the center, as a real array (a float for a
-    scalar z).  Each takes a scalar or an array of points with |z| < 1; it
-    checks the domain, flattens, evaluates blocks of _BLOCK_TERMS points
-    and raises DomainError where a value is not finite (_pointwise).  A
+    log_derivative returns z*f'(z)/f(z), evaluate returns f(z) and
+    arg_lambda_f_over_z returns the continuous lam-argument of f(z)/z, 0 at
+    the center, as a real array (a float for a scalar z).  Each takes a
+    scalar or an array of points with |z| < 1; it checks the domain,
+    flattens, evaluates blocks of _BLOCK_TERMS points and raises
+    DomainError where a value is not finite (_pointwise).  A
     MeasureFunction lays its terms out term-major, one row of a
     (terms, points) array per atom or slope change, and each polylog order
     in its own row blocks of _BLOCK_TERMS // (that order's term count)
@@ -151,9 +151,6 @@ class SpiralFunction:
     def _evaluate(self, z):
         return z * np.exp(self._log_f_over_z(z))
 
-    def _f_over_z(self, z):
-        return np.exp(self._log_f_over_z(z))
-
     def _arg_g_over_z(self, z):
         return self._log_g_over_z(z).imag
 
@@ -165,9 +162,6 @@ class SpiralFunction:
 
     def evaluate(self, z):
         return _pointwise(self._evaluate, z)
-
-    def f_over_z(self, z):
-        return _pointwise(self._f_over_z, z)
 
     def arg_lambda_f_over_z(self, z):
         """Continuous lam-argument of f(z)/z, 0 at the center: Im log(g/z).
@@ -219,7 +213,7 @@ class MeasureFunction(SpiralFunction):
         # here, not at module level: the g0 and hansen handles use no BoundaryMeasure
         from .boundary_measure import BoundaryMeasure
 
-        _instance(measure, BoundaryMeasure, "a measure").require_valid()
+        _instance(measure, BoundaryMeasure, "a measure")
         super().__init__(angle, known_max_jump=measure.max_jump(), measure=measure)
         atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
         sigma_t, sigma = measure.slope_changes()

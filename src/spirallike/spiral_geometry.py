@@ -24,7 +24,8 @@ def _record(cls):
 
     Installs __init__ (positional or keyword fields, a class attribute of
     the same name as the default, then self.__post_init__() where cls
-    defines one), __repr__, __eq__ and __hash__ over the field tuple, and
+    defines one), __repr__, __eq__ field by field (an array field by
+    np.array_equal), __hash__ over the field tuple, and
     __setattr__/__delattr__ that raise AttributeError, as a frozen
     dataclass does, but from closures rather than generated source.  The
     methods sit on cls itself, and instances keep a __dict__, which
@@ -61,7 +62,8 @@ def _record(cls):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return fields(self) == fields(other)
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+                   for a, b in zip(fields(self), fields(other)))
 
     def __hash__(self):
         return hash(fields(self))

@@ -25,6 +25,10 @@ circle search; the tests hold max_modulus to it.
 max_jump_by_loop and certify_sector_by_loop are the Python loops that the
 array decisions of estimate_max_jump and _certify_sector replaced, with the
 same arithmetic; the tests require equal results.
+
+tables_of_mass_2pi scales raw atom and knot tables to mass 2*pi, with the
+mass summed here rather than by BoundaryMeasure, which refuses to build a
+table of any other mass.
 """
 
 import numpy as np
@@ -64,6 +68,24 @@ def continuous_arg_lambda(path, angle):
         raise DomainError(f"argument step {k}->{k + 1} reaches pi; refine the path")
     arg = np.concatenate(([0.0], np.cumsum(inc)))
     return arg - angle.tan_lambda * np.log(np.abs(path))
+
+
+def tables_of_mass_2pi(atoms=(), knots=()):
+    """(atoms, knots), every jump and knot value scaled so that the total mass is 2*pi.
+
+    The mass is the sum of the jumps plus the periodic trapezoid of the
+    knots, which come in increasing position order.  ZeroDivisionError for
+    a mass of 0.
+    """
+    atoms = np.array(atoms, dtype=float).reshape(-1, 2)
+    t, v = np.array(knots, dtype=float).reshape(-1, 2).T
+    dt = np.diff(np.concatenate((t, t[:1] + TWO_PI)))
+    mass = float(atoms[:, 1].sum() + np.sum(0.5 * (v + np.roll(v, -1)) * dt))
+    scale = TWO_PI / mass
+    return (
+        tuple((a, scale * d) for a, d in atoms.tolist()),
+        tuple((a, scale * x) for a, x in zip(t.tolist(), v.tolist())),
+    )
 
 
 def arg_lambda_from_log(fn, z):

@@ -147,8 +147,8 @@ def test_criterion_05_correspondence():
     for k in range(8):
         phi = 2 * PI * k / 8 + 0.05
         z = np.concatenate(([0.0], np.linspace(1e-4, 0.97, 300))) * np.exp(1j * phi)
-        path_f = np.concatenate(([1.0], f.f_over_z(z[1:])))
-        path_g = np.concatenate(([1.0], g.f_over_z(z[1:])))
+        path_f = np.concatenate(([1.0], np.exp(f.log_f_over_z(z[1:]))))
+        path_g = np.concatenate(([1.0], np.exp(g.log_f_over_z(z[1:]))))
         lift_f = continuous_arg_lambda(path_f, a)
         lift_g = continuous_arg_lambda(path_g, STARLIKE)
         e_arg = max(e_arg, float(np.max(np.abs(lift_f - lift_g))))

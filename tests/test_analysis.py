@@ -83,6 +83,7 @@ from _oracles import (
     max_jump_by_loop,
     sector_image_from_values,
     sector_samples,
+    tables_of_mass_2pi,
 )
 
 PI = math.pi
@@ -329,7 +330,7 @@ def branch_vs_lift(fn, thetas):
     gap = turn = 0.0
     for theta in thetas:
         z = rho * np.exp(1j * theta)
-        path = np.concatenate(([1.0], fn.f_over_z(z[1:])))
+        path = np.concatenate(([1.0], np.exp(fn.log_f_over_z(z[1:]))))
         lift = continuous_arg_lambda(path, fn.angle)
         branch = fn.arg_lambda_f_over_z(z)
         gap = max(gap, float(np.max(np.abs(lift - branch))))
@@ -379,12 +380,7 @@ def test_branch_equals_radial_lift_gallery(make, winds):
     ),
 )
 def test_branch_equals_radial_lift_measures(lam, atoms, knots):
-    raw = BoundaryMeasure(atoms=sorted(atoms), density_knots=sorted(knots))
-    scale = TWO_PI / raw.total_mass()
-    m = BoundaryMeasure(
-        atoms=tuple((t, scale * d) for t, d in raw.atoms),
-        density_knots=tuple((t, scale * v) for t, v in raw.density_knots),
-    )
+    m = BoundaryMeasure(*tables_of_mass_2pi(sorted(atoms), sorted(knots)))
     f = MeasureFunction(m, SpiralAngle(lam))
     near_atoms = [t + s for t, _ in m.atoms for s in (1e-4, -1e-4)]
     gap, _ = branch_vs_lift(f, np.concatenate((RAYS, near_atoms)))
@@ -417,6 +413,31 @@ def test_estimate_max_jump_crit4():
     assert est.location == pytest.approx(0.0, abs=1e-12)
     # center = beta_at(0) - canonical offset = pi/2 - 5*pi/8
     assert est.center == pytest.approx(-PI / 8, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "spacings, merged", [(0.05, True), (0.95, True), (2.05, False), (4.0, False)]
+)
+def test_estimate_max_jump_of_two_close_atoms(spacings, merged):
+    # a pair of atoms, spacings sample spacings apart: less than one spacing
+    # apart it comes back as its sum, more than two apart as its larger atom,
+    # each within 0.02 (the density of two gaps adds 0.0155); a pair with an
+    # atom within 1e-4 of a sample is left out, as the docstring allows it
+    # to lose part of that atom past the sample
+    h = TWO_PI / 256
+    rng = np.random.default_rng(38)
+    checked = 0
+    for _ in range(40):
+        t = rng.uniform(0.0, TWO_PI - 5 * h)
+        w = rng.uniform(1.0, 2.5, 2)
+        m = BoundaryMeasure.from_atoms([(t, w[0]), (t + spacings * h, w[1])], 2.0)
+        (t1, d1), (t2, d2) = m.atoms
+        if min(abs((x / h + 0.5) % 1.0 - 0.5) * h for x in (t1, t2)) < 1e-4:
+            continue
+        est = estimate_max_jump(beta_trace(MeasureFunction(m, STARLIKE)))
+        assert est.jump == pytest.approx(d1 + d2 if merged else max(d1, d2), abs=0.02)
+        checked += 1
+    assert checked >= 35
 
 
 def test_estimate_max_jump_synthetic_staircase():

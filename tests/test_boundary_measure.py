@@ -1,4 +1,4 @@
-"""Boundary measures: validation, beta evaluation, JSON interchange.
+"""Boundary measures: validation when built, beta evaluation, JSON interchange.
 
 Numeric oracles are computed test-locally from first principles: the first
 moment by dense trapezoid integration of t*rho(t) plus the atom terms, and
@@ -27,6 +27,8 @@ from spirallike import (
     spiral_point,
 )
 
+from _oracles import tables_of_mass_2pi
+
 TWO_PI = 2.0 * math.pi
 PI = math.pi
 
@@ -48,10 +50,10 @@ def beta_increment(m, a, b):
     return m.beta_at(b) - m.beta_at(a)
 
 
-def violations(m):
-    """The violations of an invalid measure, as require_valid reports them."""
+def violations(**tables):
+    """The violations that building a BoundaryMeasure of these tables reports."""
     with pytest.raises(MeasureValidationError) as exc:
-        m.require_valid()
+        BoundaryMeasure(**tables)
     return exc.value.violations
 
 
@@ -65,11 +67,10 @@ def test_uniform_and_single_atom_are_valid():
 
 
 def test_validation_itemizes_each_violation():
-    m = BoundaryMeasure(
+    v = violations(
         atoms=((-0.5, 1.0), (7.0, -2.0), (1.0, 1.0)),
         density_knots=((3.0, -1.0), (2.0, 1.0)),
     )
-    v = violations(m)
     text = "\n".join(v)
     assert "atom 0" in text and "outside [0, 2*pi)" in text
     assert "atom 1" in text and "not strictly positive" in text
@@ -83,11 +84,10 @@ def test_validation_strings_and_order_are_pinned():
     # every violation kind in both tables: the atoms' block comes first, each
     # entry's findings in entry order, the table's order check after them;
     # a non-finite entry skips the mass check
-    m = BoundaryMeasure(
+    assert violations(
         atoms=((math.nan, 1.0), (-0.5, 1.0), (7.0, -2.0), (1.0, 0.0)),
         density_knots=((3.0, -1.0), (2.0, math.inf), (7.5, 0.0), (-1.0, 0.2)),
-    )
-    assert violations(m) == [
+    ) == [
         "atom 0: non-finite entry (nan, 1.0)",
         "atom 1: position -0.5 outside [0, 2*pi)",
         "atom 2: position 7.0 outside [0, 2*pi)",
@@ -102,11 +102,10 @@ def test_validation_strings_and_order_are_pinned():
     ]
     # with finite entries the mass check closes the list; a repeated
     # position is out of order too
-    m = BoundaryMeasure(
+    assert violations(
         atoms=((-0.5, 1.0), (0.25, 0.5), (0.25, 0.5)),
         density_knots=((2.0, -0.5), (1.0, 0.5)),
-    )
-    assert violations(m) == [
+    ) == [
         "atom 0: position -0.5 outside [0, 2*pi)",
         "atom positions are not strictly increasing",
         "density knot 0: negative value -0.5",
@@ -117,15 +116,14 @@ def test_validation_strings_and_order_are_pinned():
 
 def test_mass_tolerance_is_tight():
     BoundaryMeasure(atoms=((0.0, TWO_PI + 0.5e-9),)).require_valid()
-    bad = BoundaryMeasure(atoms=((0.0, TWO_PI + 1e-8),))
     with pytest.raises(MeasureValidationError) as exc:
-        bad.require_valid()
+        BoundaryMeasure(atoms=((0.0, TWO_PI + 1e-8),))
     assert "total mass" in str(exc.value)
     assert any("total mass" in s for s in exc.value.violations)
 
 
 def test_nonfinite_entries_reported_without_mass_check():
-    v = violations(BoundaryMeasure(atoms=((math.nan, 1.0),)))
+    v = violations(atoms=((math.nan, 1.0),))
     assert v == ["atom 0: non-finite entry (nan, 1.0)"]
 
 
@@ -146,29 +144,36 @@ CHECKED_CALLS = [
     ids=["beta_at", "max_jump", "largest_atom", "density_at", "first_moment",
          "canonical_offset", "slope_changes"],
 )
-def test_validation_is_found_once_and_reused(call):
-    # the measure is frozen, so its violations are found once; every later
-    # call sees the same answer, and each error hands out a fresh list
+def test_validation_runs_when_the_measure_is_built(call):
+    # a measure is checked once, when it is built, and no method checks it
+    # again: a call repeats its result, on the measure and on a rebuilt one
     for m in (crit4_measure(), triangle_measure()):
         first, again = call(m), call(m)
         np.testing.assert_array_equal(first, again)
         np.testing.assert_array_equal(first, call(BoundaryMeasure(m.atoms, m.density_knots)))
-    bad_measures = (
+    bad_tables = (
         # two atom positions and the total mass
-        BoundaryMeasure(atoms=((-0.5, 1.0), (7.0, TWO_PI))),
+        ({"atoms": ((-0.5, 1.0), (7.0, TWO_PI))}, [
+            "atom 0: position -0.5 outside [0, 2*pi)",
+            "atom 1: position 7.0 outside [0, 2*pi)",
+            "total mass 7.283185307179586 differs from 2*pi by more than 1e-09",
+        ]),
         # an atom position, a NaN knot and unordered knots, on which
         # density_at, the moments and slope_changes would compute NaN
-        BoundaryMeasure(atoms=((7.0, 1.0),), density_knots=((1.0, math.nan), (0.5, 2.0))),
+        ({"atoms": ((7.0, 1.0),), "density_knots": ((1.0, math.nan), (0.5, 2.0))}, [
+            "atom 0: position 7.0 outside [0, 2*pi)",
+            "density knot 0: non-finite entry (1.0, nan)",
+            "density knot positions are not strictly increasing",
+        ]),
     )
-    for bad in bad_measures:
-        want = violations(bad)
-        assert len(want) == 3
+    # such a measure is never built, so the call never runs; each error
+    # hands out a fresh list
+    for tables, want in bad_tables:
         for _ in range(2):
             with pytest.raises(MeasureValidationError) as exc:
-                call(bad)
+                call(BoundaryMeasure(**tables))
             assert exc.value.violations == want
             exc.value.violations.append("changed by the caller")
-        assert violations(bad) == want
 
 
 # -- density and integrals ----------------------------------------------------
@@ -390,10 +395,12 @@ def test_slope_changes_sum_to_zero(knots):
     # the raw knots scaled to mass 2*pi, so that the measure is valid; the
     # sigmas scale with the values, and the bound with them
     raw = tuple(sorted(knots))
-    mass = BoundaryMeasure(density_knots=raw).total_mass()
-    assume(mass > 1e-6)
-    scale = TWO_PI / mass
-    m = BoundaryMeasure(density_knots=tuple((t, v * scale) for t, v in raw))
+    # a raw mass above 1e-6: it needs a value above 1e-6 / (2*pi)
+    assume(max(v for _, v in raw) > 1e-7)
+    _, scaled = tables_of_mass_2pi(knots=raw)
+    scale = max(v for _, v in scaled) / max(v for _, v in raw)
+    assume(scale < TWO_PI / 1e-6)
+    m = BoundaryMeasure(density_knots=scaled)
     _, sig = m.slope_changes()
     if sig.size:
         assert np.sum(sig) == pytest.approx(0.0, abs=1e-9 * scale)
@@ -511,8 +518,12 @@ def test_from_json_dict_rejects_a_table_that_is_not_a_list(table):
 def test_from_json_dict_null_table_is_empty():
     uniform = {"atoms": None, "density_knots": [{"t": 0.0, "value": 1.0}]}
     assert BoundaryMeasure.from_json_dict(uniform) == BoundaryMeasure.uniform()
-    empty = {"atoms": [], "density_knots": None}
-    assert BoundaryMeasure.from_json_dict(empty) == BoundaryMeasure()
+    koebe = {"atoms": [{"t": 0.0, "jump": TWO_PI}], "density_knots": None}
+    assert BoundaryMeasure.from_json_dict(koebe) == BoundaryMeasure.single_atom()
+    # two empty tables carry no mass
+    with pytest.raises(MeasureValidationError) as exc:
+        BoundaryMeasure.from_json_dict({"atoms": [], "density_knots": None})
+    assert exc.value.violations == ["total mass 0.0 differs from 2*pi by more than 1e-09"]
 
 
 def test_from_json_dict_reports_an_integer_too_large_for_a_float():

@@ -18,10 +18,12 @@ from spirallike import (
     DomainError,
     GrowthReport,
     HansenParams,
+    MeasureFunction,
     MeasureValidationError,
     ParameterError,
     SpiralAngle,
     SpiralSector,
+    beta_trace,
 )
 
 _T = np.array([0.0, 1.0])
@@ -46,9 +48,9 @@ CASES = {
         True,
     ),
     "BoundaryMeasure": (
-        BoundaryMeasure, (((0, 3),), ((1, 2),)),
-        "BoundaryMeasure(atoms=((0.0, 3.0),), density_knots=((1.0, 2.0),))",
-        (((0, 3),), ()),
+        BoundaryMeasure, (((0, math.pi),), ((1, 0.5),)),
+        "BoundaryMeasure(atoms=((0.0, 3.141592653589793),), density_knots=((1.0, 0.5),))",
+        (((0, math.pi),), ((2, 0.5),)),
         (lambda: BoundaryMeasure(atoms=5), MeasureValidationError,
          "atoms: expected pairs of real numbers, got 5"),
         True,
@@ -119,10 +121,16 @@ def test_record_behaviour(name):
 
 def test_boundary_measure_fields_default_to_empty_tables():
     # the one record with defaults: both tables default to (), and a field
-    # given by keyword keeps the other's default
-    assert BoundaryMeasure() == BoundaryMeasure((), ())
+    # given by keyword keeps the other's default; with no mass at all the
+    # two defaults make no measure
     assert BoundaryMeasure(density_knots=((0.0, 1.0),)) == BoundaryMeasure((), ((0.0, 1.0),))
+    koebe = ((0.0, 2 * math.pi),)
+    assert BoundaryMeasure(atoms=koebe) == BoundaryMeasure(koebe, ())
     assert BoundaryMeasure(density_knots=((0.0, 1.0),)).require_valid() is None
+    for empty in (lambda: BoundaryMeasure(), lambda: BoundaryMeasure((), ())):
+        with pytest.raises(MeasureValidationError) as caught:
+            empty()
+        assert caught.value.violations == ["total mass 0.0 differs from 2*pi by more than 1e-09"]
     with pytest.raises(TypeError, match="missing .*'lam'"):
         SpiralAngle()
     with pytest.raises(TypeError, match="missing .*'opening'.*'angle'"):
@@ -139,3 +147,20 @@ def test_spiral_sector_stores_float_angles(center, opening):
         "SpiralSector(center_angle=0.0, opening=1.0, angle=SpiralAngle(lam=0.0))"
     )
     assert sector == SpiralSector(0.0, 1.0, SpiralAngle(0.0))
+
+
+def test_records_holding_arrays_compare_field_by_field():
+    # BetaTrace holds two arrays, and traces from two calls hold two pairs of
+    # distinct array objects: they compare equal, with no numpy error about
+    # the truth value of an array, and a different grid compares unequal
+    fn = MeasureFunction(BoundaryMeasure.single_atom(), SpiralAngle(0.7))
+    first, again = beta_trace(fn, t_grid=256), beta_trace(fn, t_grid=256)
+    assert first.beta_values is not again.beta_values
+    assert first == again and not first != again
+    coarse = beta_trace(fn, t_grid=128)
+    assert first != coarse and not first == coarse
+    # arrays of one shape compare by value
+    assert BetaTrace(_T.copy(), _BETA.copy(), 0.999, ()) == BetaTrace(_T, _BETA, 0.999, ())
+    assert BetaTrace(_T, _BETA + 1.0, 0.999, ()) != BetaTrace(_T, _BETA, 0.999, ())
+    with pytest.raises(TypeError):
+        hash(first)

@@ -43,7 +43,7 @@ from spirallike import (
 from spirallike import gallery, polylog, representation
 from spirallike.representation import _term_sum
 
-from _oracles import arg_lambda_from_log
+from _oracles import arg_lambda_from_log, tables_of_mass_2pi
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -107,7 +107,6 @@ def log_f_over_z_quadrature(f, z, nodes=256, tol=1e-9):
 def test_normalization_at_zero():
     f = koebe()
     assert f.log_f_over_z(0.0) == 0.0
-    assert f.f_over_z(0.0) == 1.0
     assert f.evaluate(0.0) == 0.0
     assert f.log_derivative(0.0) == 1.0
 
@@ -121,9 +120,9 @@ def test_domain_restricted_to_open_disk():
 
 
 def test_invalid_measure_rejected_at_construction():
-    bad = BoundaryMeasure(atoms=((0.0, 1.0),))  # mass 1 != 2*pi
+    # mass 1 != 2*pi: the measure refuses to be built, so no function of it is
     with pytest.raises(MeasureValidationError):
-        MeasureFunction(bad, STARLIKE)
+        MeasureFunction(BoundaryMeasure(atoms=((0.0, 1.0),)), STARLIKE)
 
 
 # -- koebe closed forms ---------------------------------------------------------
@@ -206,15 +205,9 @@ def test_narrow_triangles_approach_koebe():
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, -1.1])
 def test_quadrature_route_matches_closed_form(lam):
-    m = BoundaryMeasure(
-        atoms=((1.0, 2.0), (4.0, 1.5)),
-        density_knots=((0.0, 0.1), (2.0, 0.8), (5.0, 0.1)),
-    )
-    scale = TWO_PI / m.total_mass()
-    m = BoundaryMeasure(
-        atoms=tuple((t, scale * d) for t, d in m.atoms),
-        density_knots=tuple((t, scale * v) for t, v in m.density_knots),
-    )
+    m = BoundaryMeasure(*tables_of_mass_2pi(
+        ((1.0, 2.0), (4.0, 1.5)), ((0.0, 0.1), (2.0, 0.8), (5.0, 0.1))
+    ))
     f = MeasureFunction(m, SpiralAngle(lam))
     rng = np.random.default_rng(7)
     z = 0.97 * np.sqrt(rng.uniform(0, 1, 24)) * np.exp(2j * PI * rng.uniform(0, 1, 24))
@@ -426,7 +419,7 @@ def test_point_value_independent_of_batch(make):
 
     blocks = [(representation._BLOCK_TERMS, (1, 3), False)]
     blocks += [(block, (), True) for block in _row_blocks(f) if block < representation._BLOCK_TERMS]
-    for name in ("log_f_over_z", "log_derivative", "evaluate", "f_over_z", "arg_lambda_f_over_z"):
+    for name in ("log_f_over_z", "log_derivative", "evaluate", "arg_lambda_f_over_z"):
         method = getattr(f, name)
         alone = np.array([method(complex(p)) for p in points])
         # a Python complex, or a float for the real argument, not a numpy scalar
@@ -479,7 +472,7 @@ def test_term_sum_adds_rows_in_term_order():
 def test_measure_function_rejects_non_finite(bad):
     for make in HANDLES.values():
         f = make()
-        for name in ("log_f_over_z", "log_derivative", "evaluate", "f_over_z", "arg_lambda_f_over_z"):
+        for name in ("log_f_over_z", "log_derivative", "evaluate", "arg_lambda_f_over_z"):
             with pytest.raises(DomainError):
                 getattr(f, name)(bad)
             with pytest.raises(DomainError):
@@ -506,13 +499,13 @@ def _eval_kernel_measures():
     the mixed measure's density alone, rescaled to mass 2 pi."""
     specs = dict(BENCH_INPUTS.kernel_specs())
     mixed = specs["mixed_l0"][1]
-    scale = TWO_PI / BoundaryMeasure(density_knots=mixed.density_knots).total_mass()
-    density = BoundaryMeasure(density_knots=tuple((t, scale * v) for t, v in mixed.density_knots))
+    _, knots = tables_of_mass_2pi(knots=mixed.density_knots)
+    density = BoundaryMeasure(density_knots=knots)
     return {"mixed": mixed, "wide": specs["wide"][1], "density": density}
 
 
 SERIES_MEASURES = _eval_kernel_measures()
-SERIES_METHODS = ("log_f_over_z", "log_derivative", "evaluate", "f_over_z")
+SERIES_METHODS = ("log_f_over_z", "log_derivative", "evaluate")
 
 
 def _circle_points(rng, radius, count):
@@ -619,12 +612,7 @@ def test_measure_series_matches_term_rows(atoms, knots, seed):
     # within 1e-15 (1 + sum|sigma| + sum d)
     (atom_t, d), (knot_t, v) = atoms, knots
     assume(min(np.diff(atom_t), default=1.0) > 1e-3 and min(np.diff(knot_t)) > 1e-3)
-    raw = BoundaryMeasure(atoms=tuple(zip(atom_t, d)), density_knots=tuple(zip(knot_t, v)))
-    scale = TWO_PI / raw.total_mass()
-    measure = BoundaryMeasure(
-        atoms=tuple((t, scale * x) for t, x in raw.atoms),
-        density_knots=tuple((t, scale * x) for t, x in raw.density_knots),
-    )
+    measure = BoundaryMeasure(*tables_of_mass_2pi(tuple(zip(atom_t, d)), tuple(zip(knot_t, v))))
     f = MeasureFunction(measure, STARLIKE)
     assume(f._series)
     assert {shift: c.size for shift, c in f._series.items()} == {0: 51, 1: 57}
@@ -733,7 +721,6 @@ ENTRY_KERNELS = {
     "log_f_over_z": "_log_f_over_z",
     "log_derivative": "_log_derivative",
     "evaluate": "_evaluate",
-    "f_over_z": "_f_over_z",
     "arg_lambda_f_over_z": "_arg_g_over_z",
 }
 BAD_VALUES = {"nan": np.nan, "inf": np.inf, "complex_inf": complex(1.0, np.inf)}
