@@ -715,6 +715,8 @@ GATE_HANDLES = {
     "slope_changes": lambda: MeasureFunction(atoms_and_knots(2, 4, seed=2), SpiralAngle(-0.4)),
     "g0": G0Function,
     "hansen": lambda: hansen_build(HansenParams(1.3, 2.0, 0.2)),
+    # a closed-form kernel through the correspondence, off inclination 0
+    "g0_partner": lambda: spirallike_of(G0Function(), SpiralAngle(1.2)),
 }
 # each entry point and the kernel it reads through _pointwise
 ENTRY_KERNELS = {
