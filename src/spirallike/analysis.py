@@ -31,8 +31,6 @@ from .spiral_geometry import (
     SpiralSector,
     _record,
     principal_angle,
-    sector_contains,
-    spiral_point,
 )
 
 _MONOTONE_TOL = 1e-6
@@ -367,10 +365,6 @@ def spirallikeness_margin(fn, r_max=0.999):
 
 # outer radius of goodman_check's polar grid
 _GOODMAN_RADIUS = 0.999
-# least number of goodman_check's radii: 24 per decade of gap = 1 - 0.999,
-# plus 16.  1/gap rounds to 999.99..., so int(24*log10(1/gap)) + 16 is 87,
-# not 88.
-_GOODMAN_STEPS = 87
 
 
 @functools.lru_cache(maxsize=1)
@@ -389,30 +383,32 @@ def _goodman_ladder(n_theta, J):
     return grid, bound
 
 
-def goodman_check(g, grid=(512, 32)):
-    """Max of |arg(g(z)/z)| - 2*arcsin|z| over a polar grid.
+# the default n_steps is 24 radii per decade of gap = 1 - 0.999, plus 16.
+# 1/gap rounds to 999.99..., so int(24*log10(1/gap)) + 16 is 87, not 88.
+def goodman_check(g, grid=(512, 87)):
+    """Max of |arg_lambda(f(z)/z)| - 2*arcsin|z| over a polar grid.
 
-    The argument is g.arg_lambda_f_over_z, Im log(g/z) on the analytic
-    branch vanishing at the center.  Nonpositive (within roundoff) for every
-    starlike function.  grid = (n_theta, n_steps): the grid is n_theta
-    angles times the nonzero radii of a ladder rho_j = 1 - gap^(j/J),
-    j = 0..J, gap = 1 - 0.999, refining geometrically toward 0.999, with J =
-    max(n_steps, _GOODMAN_STEPS = 87).  The grid is stored radii-major, one
-    row per radius, built once per (n_theta, J) and kept until a call with
-    another grid.  DomainError unless g is a SpiralFunction, grid is a pair
-    of whole numbers at least 1 and the grid has at most _MAX_POINTS = 2^24
-    points.
+    The argument is g.arg_lambda_f_over_z, Im log(g/z) of the starlike
+    partner g on the analytic branch vanishing at the center, so every
+    inclination checks Goodman's bound |arg(g/z)| <= 2*arcsin|z| in its
+    lambda-form, and a handle turned to another inclination gives its
+    partner's value.  Nonpositive (within roundoff) for every spirallike
+    function.  grid = (n_theta, n_steps): the grid is n_theta angles times
+    the radii rho_j = 1 - gap^(j/J), j = 1..J, J = n_steps, gap = 1 - 0.999,
+    refining geometrically toward 0.999.  The grid is stored radii-major,
+    one row per radius, built once per (n_theta, J) and kept until a call
+    with another grid.  DomainError unless g is a SpiralFunction, grid is a
+    pair of whole numbers at least 1 and the grid has at most _MAX_POINTS =
+    2^24 points.
     """
     _instance(g, SpiralFunction, "a function")
-    if not g.angle.is_starlike:
-        raise DomainError("bound applies to starlike functions (inclination 0)")
     try:
         n_theta, n_steps = grid
     except (TypeError, ValueError):
         raise DomainError(
             f"grid must be a pair (n_theta, n_steps) of whole numbers at least 1, got {grid!r}"
         ) from None
-    n_steps = max(_grid_size(n_steps, "grid n_steps"), _GOODMAN_STEPS)
+    n_steps = _grid_size(n_steps, "grid n_steps")
     n_theta = _grid_size(n_theta, "grid n_theta", _MAX_POINTS // n_steps)
     points, bound = _goodman_ladder(n_theta, n_steps)
     excess = np.abs(g.arg_lambda_f_over_z(points))
@@ -501,10 +497,14 @@ def growth_exponent(fn, r_schedule=None):
     log(1/(1-r)).  a_estimate is fn.known_max_jump (a measure's largest
     atom, or a declared closed-form jump); predicted_q0 = a_estimate *
     cos(lam)^2 / pi.  DomainError unless fn is a SpiralFunction, when fn has
-    no known jump, and for a schedule as in hansen_ratio.
+    no known jump, for a schedule as in hansen_ratio, and when 1 - r rounds
+    to 1 at its first radius r, where log(1/(1-r)) is 0.
     """
     _instance(fn, SpiralFunction, "a function")
     r_schedule = _radii(r_schedule, default_r_schedule(2, 8))
+    # the schedule increases, so only its first radius can be that small
+    if 1.0 - r_schedule[0] == 1.0:
+        raise DomainError(f"1 - r rounds to 1 at r = {r_schedule[0]!r}: E(r) would divide by 0")
     if fn.known_max_jump is None:
         raise DomainError("growth prediction needs the function's known_max_jump")
     a_estimate = float(fn.known_max_jump)
@@ -557,16 +557,15 @@ _SAMPLE_T = (-3.0, -1.5, 0.0, 1.5, 3.0)
 
 
 def _sector_samples(sector):
-    """The sector samples as (9, 5) arrays over (label phi, t in _SAMPLE_T).
+    """The sector samples: the nine labels phi and the log-moduli of the t in _SAMPLE_T.
 
-    Returns the nine labels, which span the inner _SAMPLE_INNER of the
-    opening, and the sample points' log-moduli and sector memberships.
+    The labels span the inner _SAMPLE_INNER of the opening.  The sample
+    exp(i*phi + exp(i*lam)*t) has spiral argument phi, inside the sector,
+    and log-modulus t*cos(lam) on every label.
     """
-    angle = sector.angle
     half = _SAMPLE_INNER * sector.opening / 2.0
     phis = sector.center_angle + half * np.linspace(-1.0, 1.0, 9)
-    w = spiral_point(phis[:, None], angle, np.array(_SAMPLE_T))
-    return phis, np.log(np.abs(w)), sector_contains(sector, w)
+    return phis, np.array(_SAMPLE_T) * sector.angle.cos_lambda
 
 
 def _sector_crossings(fn, phis):
@@ -614,24 +613,22 @@ def _sector_reach(fn, phis):
     return np.maximum(reach, np.max(ends, axis=1))
 
 
-def _certify_sector(phis, logmod, inside, reach):
+def _certify_sector(phis, logmod, reach):
     """Raise InconsistencyError unless the image covers every sector sample.
 
-    phis, logmod and inside come from _sector_samples, reach from
-    _sector_reach.  The image contains the inward spiral arc from each of
-    its points, so a sample on spiral i counts as covered when its
-    log-modulus is at most reach[i] (within 1e-9).
-    The first failing sample in (phi, t) order raises, membership first.
+    phis and logmod come from _sector_samples, reach from _sector_reach.
+    The image contains the inward spiral arc from each of its points, so a
+    sample on spiral i counts as covered when its log-modulus is at most
+    reach[i] (within 1e-9).  The first uncovered sample in (phi, t) order
+    raises.
     """
     covered = np.asarray(reach)[:, None] >= logmod - 1e-9
-    failing = np.flatnonzero(~(inside & covered))
+    failing = np.flatnonzero(~covered)
     if failing.size:
         i, j = divmod(int(failing[0]), len(_SAMPLE_T))
-        where = f"spiral argument {phis[i]:.6f}"
-        if not inside[i, j]:
-            raise InconsistencyError(f"sample point for {where} left the sector")
         raise InconsistencyError(
-            f"sector sample at {where}, t = {_SAMPLE_T[j]} is not covered by the image"
+            f"sector sample at spiral argument {phis[i]:.6f}, t = {_SAMPLE_T[j]} "
+            "is not covered by the image"
         )
 
 
@@ -641,7 +638,8 @@ def detect_maximal_sector(fn):
     Returns S_lambda(center, opening) with opening the largest atom's jump
     and center the measure's boundary function there (center-pinned branch),
     or None for an atomless measure.  Five sample points on each of nine
-    spirals phi of the sector are then certified inside the image of |z| <=
+    spirals phi of the sector, which lie in the sector by construction at
+    log-moduli t*cos(lam), are then certified inside the image of |z| <=
     1 - 1e-5, which contains the spiral arc inward from each of its points;
     a point covers the samples within 0.025 of its spiral argument.  So a
     sample is covered when its modulus is at most the highest |f| on the
@@ -660,6 +658,6 @@ def detect_maximal_sector(fn):
     t0, jump = largest
     center = float(principal_angle(measure.beta_at(t0) - measure.canonical_offset()))
     sector = SpiralSector(center_angle=center, opening=min(jump, TWO_PI), angle=fn.angle)
-    phis, logmod, inside = _sector_samples(sector)
-    _certify_sector(phis, logmod, inside, _sector_reach(fn, phis))
+    phis, logmod = _sector_samples(sector)
+    _certify_sector(phis, logmod, _sector_reach(fn, phis))
     return sector

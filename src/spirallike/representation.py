@@ -149,7 +149,10 @@ class SpiralFunction:
         return 1.0 + self.angle.mu * self._log_derivative_excess(z)
 
     def _evaluate(self, z):
-        return z * np.exp(self._log_f_over_z(z))
+        # exp can turn a non-finite log into a finite value (exp(-inf + inf*i)
+        # is 0), so it takes only the finite logs and leaves NaN at the others
+        log = self._log_f_over_z(z)
+        return z * np.exp(log, out=np.full_like(log, np.nan), where=np.isfinite(log))
 
     def _arg_g_over_z(self, z):
         return self._log_g_over_z(z).imag

@@ -112,9 +112,9 @@ def sector_image_from_values(fn):
     return arg_lambda(W, fn.angle), np.log(np.abs(W))
 
 
-def sector_samples(sector, inner=0.9):
+def sector_samples(sector):
     """(phi, t, w) of the sector samples, in certification order."""
-    phis = sector.center_angle + inner * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
+    phis = sector.center_angle + 0.9 * (sector.opening / 2.0) * np.linspace(-1.0, 1.0, 9)
     return [
         (phi, t, spiral_point(phi, sector.angle, t))
         for phi in phis
@@ -122,7 +122,7 @@ def sector_samples(sector, inner=0.9):
     ]
 
 
-def certify_full_scan(sector, grid_arg, grid_logmod, inner=0.9):
+def certify_full_scan(sector, grid_arg, grid_logmod):
     """Test every sector sample against the whole image grid.
 
     A sample w is covered by a grid value whose spiral argument is within
@@ -130,7 +130,7 @@ def certify_full_scan(sector, grid_arg, grid_logmod, inner=0.9):
     InconsistencyError, with the package's messages, at the first sample in
     (phi, t) order that leaves the sector or is not covered.
     """
-    for phi, t, w in sector_samples(sector, inner):
+    for phi, t, w in sector_samples(sector):
         if not sector_contains(sector, w):
             raise InconsistencyError(
                 f"sample point for spiral argument {phi:.6f} left the sector"
@@ -240,16 +240,15 @@ def max_jump_by_loop(t, v, gaps, gap_threshold):
     return best
 
 
-def certify_sector_by_loop(phis, logmod, inside, reach, sample_t):
+def certify_sector_by_loop(phis, logmod, reach, sample_t):
     """The sector decision sample by sample: None, or the message of the first failure.
 
-    Samples go in (phi, t) order, membership before coverage; a sample is
-    covered when its log-modulus is at most its spiral's reach within 1e-9.
+    Every label's samples have the log-moduli logmod, one per t.  Samples go
+    in (phi, t) order; a sample is covered when its log-modulus is at most
+    its spiral's reach within 1e-9.
     """
-    for phi, row_logmod, row_inside, top in zip(phis, logmod, inside, reach):
-        for t, sample_logmod, within in zip(sample_t, row_logmod, row_inside):
-            if not within:
-                return f"sample point for spiral argument {phi:.6f} left the sector"
+    for phi, top in zip(phis, reach):
+        for t, sample_logmod in zip(sample_t, logmod):
             if not top >= sample_logmod - 1e-9:
                 return (
                     f"sector sample at spiral argument {phi:.6f}, t = {t} "

@@ -58,6 +58,7 @@ from spirallike import (
     sector_contains,
     spirallike_of,
     spirallikeness_margin,
+    starlike_of,
 )
 from spirallike import analysis
 from spirallike.analysis import (
@@ -691,35 +692,53 @@ def test_goodman_identity_and_koebe():
     assert excess > -1e-6  # koebe attains the bound along the unit circle
 
 
-def test_goodman_rejects_uncertified():
-    f = koebe(SpiralAngle(0.4))
-    with pytest.raises(DomainError):
-        goodman_check(f)
-
-
-def goodman_oracle(g, n_theta=512, n_steps=32):
-    # the angles-major grid goodman_check built on every call before its
-    # ladder was kept: one row per angle
-    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
-    gap = 1.0 - 0.999
-    J = max(n_steps, int(24.0 * np.log10(1.0 / gap)) + 16)
-    rho = 1.0 - gap ** (np.arange(1, J + 1) / J)
-    U = g.arg_lambda_f_over_z(rho[None, :] * np.exp(1j * thetas)[:, None])
-    return float(np.max(np.abs(U) - 2.0 * np.arcsin(rho)[None, :]))
-
-
-def test_goodman_matches_angles_major_oracle_bit_for_bit():
-    # criterion 11's handles, with its seeded random measures
+def goodman_handles():
+    """Criterion 11's handles, with its seeded random measures."""
     rng = np.random.default_rng(3)
     cases = [identity(), koebe(), G0Function()]
     for _ in range(2):
         k = int(rng.integers(2, 6))
         pairs = [(float(rng.uniform(0, TWO_PI)), float(rng.uniform(0.2, 2.0))) for _ in range(k)]
         cases.append(MeasureFunction(BoundaryMeasure.from_atoms(pairs), STARLIKE))
+    return cases
+
+
+def test_goodman_reads_the_starlike_partner_at_every_inclination():
+    # arg_lambda(f/z) = arg(g/z): a handle turned to any inclination gives
+    # its starlike partner's value bit for bit, and so does a spirallike
+    # handle (the lam = pi/4 counterexample, a three-atom measure at -1.2)
+    atoms = MeasureFunction(
+        BoundaryMeasure.from_atoms([(0.4, 1.0), (2.5, 2.0), (4.1, 0.7)]), SpiralAngle(-1.2)
+    )
+    hansen = counterexample_for(SpiralAngle(PI / 4), PI)
+    partners = goodman_handles() + [starlike_of(f, f.angle) for f in (atoms, hansen)]
+    assert goodman_check(atoms) == goodman_check(partners[-2])
+    assert goodman_check(hansen) == goodman_check(partners[-1])
+    for g in partners:
+        want = goodman_check(g)
+        assert want <= 1e-9
+        for lam in (-1.4, -0.7, 0.7, 1.49):
+            assert goodman_check(spirallike_of(g, SpiralAngle(lam))) == want
+
+
+def goodman_oracle(g, n_theta=512, n_steps=87):
+    # the angles-major grid goodman_check built on every call before its
+    # ladder was kept: one row per angle
+    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
+    gap = 1.0 - 0.999
+    rho = 1.0 - gap ** (np.arange(1, n_steps + 1) / n_steps)
+    U = g.arg_lambda_f_over_z(rho[None, :] * np.exp(1j * thetas)[:, None])
+    return float(np.max(np.abs(U) - 2.0 * np.arcsin(rho)[None, :]))
+
+
+def test_goodman_matches_angles_major_oracle_bit_for_bit():
+    cases = goodman_handles()
     for g in cases:
         assert goodman_check(g) == goodman_oracle(g)
-    # another grid replaces the kept ladder, and the default grid comes back
+    # another grid replaces the kept ladder, and the default grid comes back;
+    # n_steps below 87 is the ladder size too
     assert goodman_check(cases[1], grid=(100, 120)) == goodman_oracle(cases[1], 100, 120)
+    assert goodman_check(cases[1], grid=(64, 10)) == goodman_oracle(cases[1], 64, 10)
     assert goodman_check(cases[1]) == goodman_oracle(cases[1])
 
 
@@ -949,6 +968,30 @@ def test_max_modulus_finds_the_peak_between_two_close_atoms():
     assert low == []
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 9: detect_maximal_sector rejects 23 and 40 of these 40 spirallike "
+    "measures at lam = -1.2 and 1.3",
+)
+def test_sector_detection_accepts_seeded_spirallike_measures():
+    # item 9's recipe, its first 40 default_rng(0) measures; every
+    # MeasureFunction is spirallike, so each rejection is false
+    rng = np.random.default_rng(0)
+    measures = []
+    for _ in range(40):
+        k = int(rng.integers(1, 5))
+        t, w = rng.uniform(0.0, TWO_PI, k), rng.uniform(0.2, 3.0, k)
+        measures.append(BoundaryMeasure.from_atoms(list(zip(t.tolist(), w.tolist()))))
+    rejected = [
+        (lam, index)
+        for lam in (-1.2, 1.3)
+        for index, measure in enumerate(measures)
+        if decision(detect_maximal_sector, MeasureFunction(measure, SpiralAngle(lam)))
+    ]
+    assert rejected == []
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.7, -1.2])
 def test_max_modulus_follows_the_growth_asymptote_on_the_bench_mixed_measure(lam):
     measure = _bench_fixed_mixed_measure()
@@ -1016,6 +1059,17 @@ def test_growth_exponent_validation():
     assert len(growth_exponent(koebe(), r_schedule=(0.9, 0.99)).rows) == 2
 
 
+@pytest.mark.parametrize("schedule", [(1e-300, 0.5), (1e-17,)], ids=["tiny", "below_half_ulp"])
+def test_growth_exponent_refuses_a_radius_where_one_minus_r_rounds_to_one(schedule):
+    # log(1/(1 - r)) is 0 there: E once came back -inf, with a numpy
+    # divide-by-zero warning
+    with pytest.raises(DomainError, match=f"1 - r rounds to 1 at r = {schedule[0]!r}:"):
+        growth_exponent(koebe_power(), schedule)
+    # one ulp of 1 further out, 1 - r is below 1
+    rows = growth_exponent(koebe_power(), (2e-16, 0.5)).rows
+    assert np.isfinite(rows[0][2]) and rows[1] == growth_exponent(koebe_power(), (0.5,)).rows[0]
+
+
 def test_growth_exponent_needs_known_jump():
     # the predicted exponent comes from the handle's known jump; a subclass
     # that declares none gets a package error, not a guess
@@ -1077,11 +1131,11 @@ def test_grid_sizes_below_one_raise_domain_error(call):
         (lambda f: beta_trace(f, t_grid=10**13), 2**24 // 5),
         (lambda f: beta_trace(f, t_grid=2**24 // 5 + 1), 2**24 // 5),
         (lambda f: beta_trace(f, t_grid=2**23 + 1, r_schedule=(0.5, 0.9)), 2**23),
-        (lambda f: goodman_check(f, grid=(10**13, 1)), 2**24 // 87),
+        (lambda f: goodman_check(f, grid=(10**13, 1)), 2**24),
         (lambda f: goodman_check(f, grid=(512, 10**13)), 2**24),
         (lambda f: goodman_check(f, grid=(2**20, 100)), 2**24 // 100),
         (lambda f: beta_trace(f, t_grid=True), 2**24 // 5),
-        (lambda f: goodman_check(f, grid=(True, 1)), 2**24 // 87),
+        (lambda f: goodman_check(f, grid=(True, 1)), 2**24),
         (lambda f: goodman_check(f, grid=(512, np.True_)), 2**24),
         (lambda f: default_r_schedule(True, 3), 2**24),
     ],
@@ -1333,13 +1387,12 @@ def assert_sector_decisions_agree(fn):
     (package message, oracle message), None for a pass.
     """
     sector = expected_sector(fn)
-    phis, logmod, inside = _sector_samples(sector)
+    phis, logmod = _sector_samples(sector)
     got = decision(detect_maximal_sector, fn)
     if got is None:
         assert detect_maximal_sector(fn) == sector
     grid_arg, grid_logmod = sector_image_from_values(fn)
     want = decision(certify_full_scan, sector, grid_arg, grid_logmod)
-    assert inside.all()
     order = [coverage_message(phi, t) for phi in phis for t in _SAMPLE_T] + [None]
     k = order.index(want)
     assert order.index(got) >= k
@@ -1347,7 +1400,7 @@ def assert_sector_decisions_agree(fn):
         i, j = divmod(k, len(_SAMPLE_T))
         arg, values = window_values_of_f(fn, phis[i])
         near = np.abs(principal_angle(arg - phis[i])) <= 0.025
-        assert np.max(values[near]) >= logmod[i, j] - 1e-9
+        assert np.max(values[near]) >= logmod[j] - 1e-9
     return got, want
 
 
@@ -1384,19 +1437,22 @@ SECTOR_HANDLES = {
 
 @pytest.mark.parametrize("lam", [-1.2, -0.7, -0.3, 0.0, 0.3, 0.7, 1.2])
 def test_sector_samples_match_scalar_route(lam):
-    # the (9, 5) sample arrays carry the bits of the scalar route of the
-    # full-scan oracle: 7 inclinations x 4 sectors x 45 = 1,260 samples
+    # the closed form against the round trip through the full-scan oracle's
+    # points w = spiral_point(phi, lam, t): the labels carry its bits, each
+    # w lies in the sector on its label's spiral, and log|w| is t*cos(lam)
+    # within 1e-15, against the 1e-9 of the coverage test.  7 inclinations x
+    # 4 sectors x 45 = 1,260 samples
     angle = SpiralAngle(lam)
     for center, opening in ((0.0, TWO_PI), (PI / 2, PI), (-3.0, 1.0), (2.5, 0.3)):
         sector = SpiralSector(center_angle=center, opening=opening, angle=angle)
-        phis, logmods, inside = _sector_samples(sector)
-        assert logmods.shape == inside.shape == (9, len(_SAMPLE_T))
+        phis, logmods = _sector_samples(sector)
+        assert phis.shape == (9,) and logmods.shape == (len(_SAMPLE_T),)
         want = sector_samples(sector)
         assert [(phi, t) for phi, t, _ in want] == [(p, t) for p in phis for t in _SAMPLE_T]
-        for k, (_, _, w) in enumerate(want):
-            i, j = divmod(k, len(_SAMPLE_T))
-            assert logmods[i, j] == np.log(np.abs(w))
-            assert inside[i, j] == sector_contains(sector, w)
+        for k, (phi, _, w) in enumerate(want):
+            assert sector_contains(sector, w)
+            assert abs(principal_angle(arg_lambda(w, angle) - phi)) <= 1e-12
+            assert abs(logmods[k % len(_SAMPLE_T)] - math.log(abs(w))) <= 1e-15
 
 
 @pytest.mark.parametrize("name", SECTOR_HANDLES)
@@ -1412,48 +1468,39 @@ def test_sector_image_matches_values_of_f(name):
     # values there; each label's reach is the highest log|f| in its window,
     # found among 4097 values of f on the arc between the window's ends
     fn = SECTOR_HANDLES[name]()
-    phis, logmod, inside = _sector_samples(expected_sector(fn))
+    phis, logmod = _sector_samples(expected_sector(fn))
     crossings_against_values_of_f(fn, phis)
     reach = _sector_reach(fn, phis)
     for phi, top in zip(phis, reach):
         arg, values = window_values_of_f(fn, phi)
         assert np.max(np.abs(principal_angle(arg - phi))) <= _SECTOR_ARG_TOL + 1e-6
         assert top - 1e-6 <= np.max(values) <= top + 1e-9
-    assert decision(_certify_sector, phis, logmod, inside, reach) is None
+    assert decision(_certify_sector, phis, logmod, reach) is None
 
 
 def test_certify_sector_matches_the_loop():
-    # seeded sample tables: some samples outside the sector, reaches at,
-    # just under and far from each spiral's highest sample, some NaN
+    # seeded sample rows: reaches at, just under and far from the highest
+    # sample, some NaN
     rng = np.random.default_rng(3)
     for _ in range(2000):
         phis = np.sort(rng.uniform(-4.0, 4.0, 9))
-        logmod = rng.normal(size=(9, 5))
-        inside = rng.uniform(size=(9, 5)) >= rng.choice([0.0, 0.01, 0.1])
-        reach = np.max(logmod, axis=1) + rng.choice([0.0, -1e-9, -2e-9, -0.3, 0.5], size=9)
+        logmod = rng.normal(size=5)
+        reach = np.max(logmod) + rng.choice([0.0, -1e-9, -2e-9, -0.3, 0.5], size=9)
         reach[rng.uniform(size=9) < 0.05] = np.nan
-        want = certify_sector_by_loop(phis, logmod, inside, reach, _SAMPLE_T)
-        assert decision(_certify_sector, phis, logmod, inside, reach) == want
+        want = certify_sector_by_loop(phis, logmod, reach, _SAMPLE_T)
+        assert decision(_certify_sector, phis, logmod, reach) == want
 
 
-@pytest.mark.parametrize(
-    "inner, short, dropped",
-    [(0.9, 2, 6), (1.2, None, 0)],
-    ids=["third_label_uncovered", "left_sector"],
-)
-def test_per_label_certification_raises_the_full_scan_message(
-    monkeypatch, inner, short, dropped
-):
+@pytest.mark.parametrize("short, dropped", [(2, 6)], ids=["third_label_uncovered"])
+def test_per_label_certification_raises_the_full_scan_message(short, dropped):
     # one grid value on the spiral argument of every sample, at the sample's
     # own modulus, except that the values of label `short` stop at t = 0's
     # modulus and label `dropped` has none; the reach of each label is its
-    # highest grid value.  At inner 0.9 the first failure in (phi, t) order
-    # is t = 1.5 of the third label (t = 3 after it, and the seventh label's
-    # t = -3, fail too).  At inner 1.2 the first label lies outside the
-    # sector and is uncovered: membership is reported first.
-    monkeypatch.setattr(analysis, "_SAMPLE_INNER", inner)
+    # highest grid value.  The first failure in (phi, t) order is t = 1.5 of
+    # the third label (t = 3 after it, and the seventh label's t = -3, fail
+    # too)
     sector = SpiralSector(center_angle=2.5, opening=2.0, angle=SpiralAngle(0.7))
-    samples = sector_samples(sector, inner)
+    samples = sector_samples(sector)
     kept = [(j // 5, t, w) for j, (_, t, w) in enumerate(samples) if j // 5 != dropped]
     grid_arg = np.array([arg_lambda(w, sector.angle) for _, _, w in kept])
     grid_logmod = np.array(
@@ -1461,11 +1508,8 @@ def test_per_label_certification_raises_the_full_scan_message(
     )
     labels = np.array([label for label, _, _ in kept])
     reach = [np.max(grid_logmod[labels == i], initial=-np.inf) for i in range(9)]
-    want = decision(certify_full_scan, sector, grid_arg, grid_logmod, inner)
-    if short is not None:
-        assert want == coverage_message(samples[5 * short][0], 1.5)
-    else:
-        assert want == f"sample point for spiral argument {samples[0][0]:.6f} left the sector"
+    want = decision(certify_full_scan, sector, grid_arg, grid_logmod)
+    assert want == coverage_message(samples[5 * short][0], 1.5)
     assert decision(_certify_sector, *_sector_samples(sector), reach) == want
 
 
@@ -1495,9 +1539,9 @@ def test_sector_covers_a_sample_from_a_spiral_within_the_tolerance():
         (0.5604099577434623, 0.5593753232702976),
     ]
     fn = atomic_function(pairs, -1.2360761205905157)
-    phis, logmod, _ = _sector_samples(expected_sector(fn))
+    phis, logmod = _sector_samples(expected_sector(fn))
     _, on_spiral = crossings_against_values_of_f(fn, phis[:1])
-    assert on_spiral[0] < logmod[0, 3] <= _sector_reach(fn, phis)[0]
+    assert on_spiral[0] < logmod[3] <= _sector_reach(fn, phis)[0]
     got, want = assert_sector_decisions_agree(fn)
     assert got == want == coverage_message(-2.825192, 3.0)
 

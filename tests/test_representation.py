@@ -771,6 +771,18 @@ def test_a_non_finite_kernel_value_raises_naming_its_point(name, entry, bad, lay
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
+def test_evaluate_raises_where_exp_would_hide_a_non_finite_log(layout):
+    # at lam = 0.7, mu * (1 + inf*i) is -inf + inf*i, whose exp is 0, so
+    # evaluate once returned f = 0 where log_f_over_z raises
+    g = G0Function()
+    g._log_g_over_z = _with_bad_value(g._log_g_over_z, complex(1.0, np.inf))
+    f = spirallike_of(g, SpiralAngle(0.7))
+    for entry in ("log_f_over_z", "evaluate"):
+        with pytest.raises(DomainError, match=NOT_FINITE_AT_BAD_Z):
+            getattr(f, entry)(_gate_points(layout))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("bad", BAD_VALUES.values(), ids=BAD_VALUES.keys())
 def test_g0_correction_raises_at_a_non_finite_value(bad, layout, monkeypatch):
     monkeypatch.setattr(gallery, "_g0_correction", _with_bad_value(gallery._g0_correction, bad))
