@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .correspondence import starlike_of
 from .errors import (
     _MAX_POINTS,
     DomainError,
@@ -52,7 +53,7 @@ def default_r_schedule(k_min=2, k_max=6):
     return tuple(1.0 - 10.0**-k for k in range(k_min, k_max + 1))
 
 
-# interior points per lane and step of section_search_max.  A step has a
+# interior points per lane and step of _section_search.  A step has a
 # fixed cost of 35-85 us (bookkeeping plus one kernel call) against 20-130 ns
 # per point.  The benchmark's calls run few lanes: 1 (spirallikeness_margin,
 # refine_jump), 7 (growth_exponent, hansen_ratio), 18 then 9
@@ -64,7 +65,7 @@ def default_r_schedule(k_min=2, k_max=6):
 _SECTION_POINTS = 64
 
 
-def section_search_max(f, a, b, tol=1e-12):
+def _section_search(f, a, b, tol=1e-12):
     """Maximum of a unimodal f on [a, b] by an m-point section search.
 
     a and b may also be arrays of one shape, each entry the bracket of an
@@ -79,14 +80,10 @@ def section_search_max(f, a, b, tol=1e-12):
     final bracket, until every lane is done, and the values are discarded),
     so each lane ends exactly where the search on its bracket alone would.
     Returns (x, f(x)) at the best point sampled, as arrays of the
-    brackets' shape (0-d for scalar brackets).  DomainError unless tol is
-    finite and positive and every bracket is finite with a <= b.
+    brackets' shape (0-d for scalar brackets).  The callers pass a positive
+    tol and finite brackets with a <= b, so nothing here checks them.
     """
-    if not (0.0 < tol < np.inf):
-        raise DomainError(f"search tolerance must be finite and positive, got {tol!r}")
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and (a <= b).all()):
-        raise DomainError("search brackets must be finite with a <= b")
     shape, m = a.shape, _SECTION_POINTS
     a, b = a.flatten(), b.flatten()
     # row i of a step's nodes holds lane i's a, x_1 .. x_m, b; its best
@@ -228,7 +225,7 @@ def _trace_gaps(t, values):
 def _invert_trace(fn, r, targets, lo, hi, tol=1e-12):
     """Angles in [lo, hi] where the trace on |z| = r meets targets: (theta, -|trace - target|).
 
-    One lockstep section_search_max on -|trace - target|, a lane per
+    One lockstep _section_search on -|trace - target|, a lane per
     bracket [lo, hi] and its target (arrays of one shape, or scalars).
     Every row it samples is checked by _rising_gaps, so InconsistencyError
     when one decreases.
@@ -240,7 +237,7 @@ def _invert_trace(fn, r, targets, lo, hi, tol=1e-12):
         _rising_gaps(theta, values)
         return -np.abs(values - targets)
 
-    return section_search_max(closeness, lo, hi, tol)
+    return _section_search(closeness, lo, hi, tol)
 
 
 def estimate_max_jump(trace):
@@ -319,7 +316,9 @@ def refine_jump(fn, bracket):
     across a window, and when the crossing t0 misses the jump: E stays near
     the jump's size across the windows at a jump but falls about 10x per
     decade of w where the trace is smooth, so E at w = 1e-6 below a tenth of
-    E at w = 1e-4 raises.
+    E at w = 1e-4 raises, and so does an E of 0 at w = 1e-4, where the
+    trace does not rise at all: far out on the t axis (|t| near 1e9 and
+    beyond) the windows are finer than the trace resolves.
     """
     _instance(fn, SpiralFunction, "a function")
     try:
@@ -339,7 +338,7 @@ def refine_jump(fn, bracket):
     # one row (t0 - w, t0 + w) per window
     rows = t0 + np.outer(w, (-1.0, 1.0))
     E = _rising_gaps(rows, _trace(fn, r, rows))[:, 0]
-    if E[-1] < 0.1 * E[0]:
+    if not (E[0] > 0.0 and E[-1] >= 0.1 * E[0]):
         raise InconsistencyError(f"no jump at t = {t0!r}: the trace rises {E.tolist()} there")
     x = 1.0 / np.log(1.0 / w)
     coeffs = np.polyfit(x, E, 2)
@@ -352,15 +351,18 @@ def refine_jump(fn, bracket):
 def spirallikeness_margin(fn, r_max=0.999):
     """Minimum of Re(exp(-i*lam) * zf'/f) over the disk |z| <= r_max.
 
-    zf'/f = 1 + z d/dz log(f/z) is analytic on the disk, so the real part is
-    harmonic and its minimum lies on the circle |z| = r_max: _circle_max
-    takes it there from its _CIRCLE_SCAN = 1024-angle scan, every scanned
-    local extremum refined.  Positive values certify the spirallike
-    condition.  DomainError unless fn is a SpiralFunction.
+    The pairing log(f/z) = mu*log(g/z) makes it cos(lam) times the minimum
+    of Re(zg'/g) for the starlike partner g = starlike_of(fn), so no
+    rotation is formed.  zg'/g = 1 + z d/dz log(g/z) is analytic on the
+    disk, so the real part is harmonic and its minimum lies on the circle
+    |z| = r_max: _circle_max takes it there from its _CIRCLE_SCAN =
+    1024-angle scan, every scanned local extremum refined.  Positive values
+    certify the spirallike condition.  DomainError unless fn is a
+    SpiralFunction.
     """
     _instance(fn, SpiralFunction, "a function")
-    rotation = np.exp(-1j * fn.angle.lam)
-    return _scalar(-_circle_max(lambda z: -(rotation * fn.log_derivative(z)).real, r_max))
+    g = starlike_of(fn)
+    return _scalar(fn.angle.cos_lambda * -_circle_max(lambda z: -g.log_derivative(z).real, r_max))
 
 
 # outer radius of goodman_check's polar grid
@@ -430,7 +432,7 @@ def _circle_max(values, r):
     One values call scans all the circles at _CIRCLE_SCAN angles.  Every
     scanned local maximum (a flat run counts once, a constant circle has
     none) is refined over one scan spacing, as a lane of one lockstep
-    section_search_max (tol 1e-12, 7 steps, one values call each).  The
+    _section_search (tol 1e-12, 7 steps, one values call each).  The
     result is the largest value sampled, a lower bound on the maximum.
     """
     radii = _numbers(r, float, "radii")
@@ -451,7 +453,7 @@ def _circle_max(values, r):
     def profile(theta):
         return values(lane_r[:, None] * np.exp(1j * theta))
 
-    _, refined = section_search_max(profile, lane_theta - h, lane_theta + h)
+    _, refined = _section_search(profile, lane_theta - h, lane_theta + h)
     best = np.max(vals, axis=1)
     np.maximum.at(best, lane_row, refined)
     return best.reshape(radii.shape)
@@ -600,7 +602,7 @@ def _sector_reach(fn, phis):
 
     The trace increases, so those points form the arc between the crossings
     of phi -+ _SECTOR_ARG_TOL: the reach is the larger of log|f| at the
-    arc's ends and one lockstep section_search_max along it.  A search that
+    arc's ends and one lockstep _section_search along it.  A search that
     misses a second peak lowers the reach: it can reject a sample, never
     cover one.
     """
@@ -609,7 +611,7 @@ def _sector_reach(fn, phis):
     # an arc may run across theta = 2*pi
     lo, hi = theta[:, 0], theta[:, 0] + np.mod(theta[:, 1] - theta[:, 0], TWO_PI)
     r = _SECTOR_RADIUS
-    reach = section_search_max(lambda x: _log_modulus(fn, r * np.exp(1j * x)), lo, hi)[1]
+    reach = _section_search(lambda x: _log_modulus(fn, r * np.exp(1j * x)), lo, hi)[1]
     return np.maximum(reach, np.max(ends, axis=1))
 
 

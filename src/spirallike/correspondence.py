@@ -5,12 +5,13 @@ log(f/z) = mu * log(g/z); f is lam-spirallike exactly when g is starlike,
 and both share the same boundary measure.  Every SpiralFunction is the
 kernel of its starlike partner plus an inclination, so each direction is a
 shallow copy of the handle with the other inclination: the kernels,
-known_max_jump and measure travel with it.
+known_max_jump and measure travel with it.  A handle holds its own
+inclination, so starlike_of takes the handle alone.
 """
 
 import copy
 
-from .errors import DomainError, InconsistencyError, _instance
+from .errors import DomainError, _instance
 from .representation import SpiralFunction
 from .spiral_geometry import STARLIKE, SpiralAngle
 
@@ -34,16 +35,11 @@ def spirallike_of(g, angle):
     return _with_angle(g, angle)
 
 
-def starlike_of(f, angle):
+def starlike_of(f):
     """The starlike partner g of f: f's kernel at inclination 0.
 
-    InconsistencyError unless f was built for this angle; DomainError
-    unless f is a SpiralFunction and angle is a SpiralAngle.
+    f's inclination is f.angle, so starlike_of(spirallike_of(g, angle))
+    has g's kernel and angle.  DomainError unless f is a SpiralFunction.
     """
-    _instance(angle, SpiralAngle, "an inclination")
     _instance(f, SpiralFunction, "a function")
-    if f.angle.lam != angle.lam:
-        raise InconsistencyError(
-            f"function was built for inclination {f.angle.lam}, not {angle.lam}"
-        )
     return _with_angle(f, STARLIKE)

@@ -16,7 +16,7 @@ f/z, Im L - tan(lam) Re L from the whole L = log(f/z); the package now reads
 it as Im log(g/z) from the starlike kernel, and the tests compare the two.
 
 golden_section_max is the one-point-per-step search that the package's
-m-point section_search_max replaced; the tests compare maxima found by the
+m-point _section_search replaced; the tests compare maxima found by the
 two.
 
 growth_asymptote is log M(r) from a local analysis at each atom, with no

@@ -137,7 +137,7 @@ def test_criterion_05_correspondence():
     g = MeasureFunction(m, STARLIKE)
     a = SpiralAngle(0.7)
     f = spirallike_of(g, a)
-    back = starlike_of(f, a)
+    back = starlike_of(f)
 
     rng = np.random.default_rng(5)
     pts = 0.98 * np.sqrt(rng.uniform(0, 1, 100)) * np.exp(2j * PI * rng.uniform(0, 1, 100))

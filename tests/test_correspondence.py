@@ -20,7 +20,6 @@ from spirallike import (
     DomainError,
     G0Function,
     HansenParams,
-    InconsistencyError,
     MeasureFunction,
     SpiralAngle,
     hansen_build,
@@ -67,7 +66,7 @@ def assert_same_values(f, g):
 def test_lam_zero_returns_equal_values():
     g = starlike_example()
     assert_same_values(spirallike_of(g, STARLIKE), g)
-    assert_same_values(starlike_of(g, STARLIKE), g)
+    assert_same_values(starlike_of(g), g)
 
 
 def test_requires_certified_starlike_input():
@@ -76,17 +75,11 @@ def test_requires_certified_starlike_input():
         spirallike_of(f, SpiralAngle(0.5))
 
 
-def test_angle_mismatch_is_inconsistent():
-    f = spirallike_of(starlike_example(), SpiralAngle(0.5))
-    with pytest.raises(InconsistencyError):
-        starlike_of(f, SpiralAngle(0.6))
-
-
 def test_roundtrip_unwraps_exactly():
     g = starlike_example()
     a = SpiralAngle(PI / 4)
     f = spirallike_of(g, a)
-    back = starlike_of(f, a)
+    back = starlike_of(f)
     assert_same_values(back, g)
 
 
@@ -98,7 +91,7 @@ def test_roundtrip_log_agreement(lam):
     rng = np.random.default_rng(11)
     z = 0.95 * np.sqrt(rng.uniform(0, 1, 100)) * np.exp(2j * PI * rng.uniform(0, 1, 100))
     f = spirallike_of(g, a)
-    back = starlike_of(f, a)
+    back = starlike_of(f)
     assert np.max(np.abs(back.log_f_over_z(z) - g.log_f_over_z(z))) < 1e-12
     # forward pairing is the mu-scaled log
     assert np.max(np.abs(f.log_f_over_z(z) - a.mu * g.log_f_over_z(z))) < 1e-12
@@ -113,7 +106,7 @@ def test_pairing_preserves_measure_and_flags():
     assert f._terms is g._terms
     assert f.angle == a
     assert not f.angle.is_starlike
-    h = starlike_of(f, a)
+    h = starlike_of(f)
     assert h.angle.is_starlike
     assert h.measure is g.measure
 
@@ -144,11 +137,11 @@ def test_one_route_per_inclination(make, lam):
     g = make()
     a = SpiralAngle(lam)
     f = spirallike_of(g, a)
-    assert_same_values(starlike_of(f, a), g)
+    assert_same_values(starlike_of(f), g)
     if g.measure is not None:
         direct = MeasureFunction(g.measure, a)
         assert_same_values(f, direct)
-        assert_same_values(starlike_of(direct, a), g)
+        assert_same_values(starlike_of(direct), g)
 
 
 @pytest.mark.parametrize("lam", [0.4, -0.9, 1.2])

@@ -12,6 +12,7 @@ Closed-form oracles, worked by hand:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,20 @@ def test_koebe_power_exponent_validation():
 def test_q_function_limits():
     assert 2.0 - 1e-3 <= q_function(1e-6) <= 2.0
     assert q_function(PI / 2 - 1e-6) <= 1e-2
+
+
+def test_q_function_near_zero_is_its_expansion():
+    # below 1e-7 Q is 2 - theta^2/2, its expansion to the last bit.  The
+    # closed form gave NaN with a warning below about 1.6e-162, where theta^2
+    # underflows to 0/0, and values above sup Q = 2 from 2.9e-8 down
+    theta = np.geomspace(5e-324, 1e-7, 2000, endpoint=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = q_function(theta)
+        one = q_function(1e-170)
+    assert np.isfinite(values).all() and (values <= 2.0).all()
+    assert values.tolist() == (2.0 - 0.5 * theta**2).tolist()
+    assert one == 2.0
 
 
 def test_q_function_matches_naive_formula_midrange():

@@ -164,7 +164,8 @@ def test_public_names_are_their_defining_modules_objects():
 
 @pytest.mark.parametrize("name", ["section_search_max", "g0_log_derivative"])
 def test_retired_names_are_not_public(name):
-    # section_search_max is internal to analysis; g0_log_derivative was an
+    # section_search_max is the former name of analysis's internal
+    # _section_search; g0_log_derivative was an
     # alias of G0Function().log_derivative
     import spirallike
 

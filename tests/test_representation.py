@@ -700,7 +700,7 @@ def test_arg_lambda_f_over_z_is_the_starlike_argument(name, lam):
     z = np.concatenate((inner, outer, deep))
     got = f.arg_lambda_f_over_z(z)
     assert got.dtype == np.float64 and got.shape == z.shape
-    assert np.array_equal(got, starlike_of(f, f.angle).log_f_over_z(z).imag)
+    assert np.array_equal(got, starlike_of(f).log_f_over_z(z).imag)
     L = f.log_f_over_z(z)
     scale = 1.0 + np.abs(L.imag) + np.abs(f.angle.tan_lambda * L.real)
     assert (np.abs(got - arg_lambda_from_log(f, z)) <= 4.0 * np.finfo(float).eps * scale).all()

@@ -204,13 +204,11 @@ _KOEBE = MeasureFunction(BoundaryMeasure.single_atom(), STARLIKE)
     [
         lambda a: MeasureFunction(BoundaryMeasure.single_atom(), a),
         lambda a: spirallike_of(_KOEBE, a),
-        lambda a: starlike_of(_KOEBE, a),
         lambda a: SpiralSector(0.0, 1.0, a),
         lambda a: arg_lambda(0.5, a),
         lambda a: spiral_point(0.0, a, 1.0),
     ],
-    ids=["MeasureFunction", "spirallike_of", "starlike_of", "SpiralSector", "arg_lambda",
-         "spiral_point"],
+    ids=["MeasureFunction", "spirallike_of", "SpiralSector", "arg_lambda", "spiral_point"],
 )
 def test_an_angle_that_is_no_spiral_angle_raises_domain_error(call, angle):
     # refused where it enters, not as a raw AttributeError on a later .mu
@@ -232,7 +230,7 @@ def test_an_angle_that_is_no_spiral_angle_raises_domain_error(call, angle):
         lambda x: hansen_ratio(x, 1.0),
         detect_maximal_sector,
         lambda x: spirallike_of(x, STARLIKE),
-        lambda x: starlike_of(x, STARLIKE),
+        starlike_of,
         lambda x: MeasureFunction(x, STARLIKE),
         HansenFunction,
         lambda x: sector_contains(x, 0.5),
