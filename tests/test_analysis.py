@@ -610,6 +610,44 @@ def test_refine_jump_rejects_non_finite_trace():
     with pytest.raises(DomainError, match="not finite at z = "):
         refine_jump(HoledKoebe(BoundaryMeasure.single_atom(), STARLIKE), (-spacing, spacing))
 
+
+class CappedKoebe(MeasureFunction):
+    # koebe whose trace reads count themselves and raise past a cap, so a
+    # search that never ends fails (cap 0: any read fails)
+    def __init__(self, cap):
+        super().__init__(BoundaryMeasure.single_atom(), STARLIKE)
+        self.cap, self.reads = cap, 0
+
+    def _arg_g_over_z(self, z):
+        self.reads += 1
+        if self.reads > self.cap:
+            raise RuntimeError(f"trace still read after {self.cap} reads")
+        return super()._arg_g_over_z(z)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (1.0, 0.0), ([0.0, 1.0], [1.0, 0.5])],
+)
+def test_refine_jump_refuses_a_bad_bracket_before_reading_the_trace(a, b):
+    # _section_search trusts its brackets: refine_jump is the one place
+    # that checks them, before the first trace read
+    with pytest.raises(DomainError, match="bracket"):
+        refine_jump(CappedKoebe(0), (a, b))
+
+
+@pytest.mark.parametrize("k", [2**18, 2**20])
+def test_refine_jump_ends_where_the_bracket_stops_shrinking(k):
+    # Koebe's atom at 2*pi*k, near 1.6e6 and 6.6e6, where the float spacing
+    # (2.3e-10, 9.3e-10) is above refine_jump's tol 2e-10: the search ends
+    # because its bracket stops shrinking, in 7 steps; checking the width
+    # alone it never ended
+    fn, center, spacing = CappedKoebe(50), TWO_PI * k, TWO_PI / 256
+    jump, t0 = refine_jump(fn, (center - spacing, center + spacing))
+    assert jump == pytest.approx(TWO_PI, abs=0.002)
+    assert abs(t0 - center) <= 2 * np.spacing(center)
+    assert fn.reads <= 10
+
 # -- certificates -------------------------------------------------------------------
 
 
